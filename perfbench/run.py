@@ -20,14 +20,15 @@ Workloads (see ``BENCHMARK.json`` for why each was chosen):
     the REST layer (fresh cache, 2-worker pool), polled, fetched, and
     submitted again.
 
-A *pass* submits the workload's grid twice: a cold job, then the same
-grid again as a warm job.  Only ``service_faulted`` has a result cache,
-so only there does the warm job read instead of compute.  Passes repeat
-until ``--seconds`` is used up.
+A *pass* submits the workload's grid as one job.  On ``service_faulted``
+it then submits the same grid again: the first job is cold (computes and
+writes the result cache), the second warm (only reads it).  The serial
+workloads have no cache, so their one job is both the cold and the warm
+job.  Passes repeat until ``--seconds`` is used up.
 
-End-to-end metrics (tracing off; times scaled to a reference host
-speed, see ``HostSpeed``; per-pass times at their fast quartile over
-passes, see ``fast_quartile``):
+End-to-end metrics (tracing off; per-pass times are medians over the
+passes, scaled to a reference host speed, see ``HostSpeed``; the raw
+values are printed next to them):
 
 ``setup_s``
     Process start to ready-to-dispatch (imports, registry load, input
@@ -47,8 +48,8 @@ passes, see ``fast_quartile``):
     it; the sample count is printed with them.
 ``cold_job_s`` / ``warm_job_s``
     Submit to results in hand.  On ``service_faulted`` cold computes
-    and writes the cache and warm only reads it; the serial workloads
-    have no cache, so there warm recomputes (prediction: warm = cold).
+    and writes the cache and warm only reads it; on the serial
+    workloads both report the pass's one job.
 ``peak_rss_mb``
     Peak resident memory of the process plus its live pool workers.
 
@@ -89,12 +90,20 @@ WORK = ROOT / ".perfbench_tmp"
 
 SETUP_PROBES = 5
 #: Host-speed calibration: a fixed pure-Python loop (no repository
-#: code) timed between set-up probes and between passes.  Times are
-#: reported scaled by the run's median loop time to a host on which the
-#: loop takes ``REFERENCE_CALIBRATION_S``: this cancels the minutes-long
-#: speed swings of a shared host, which no within-run median removes.
+#: code) timed before every set-up probe and pass and after the last.
+#: Each probe's and pass's times are scaled by the loop times on either
+#: side of it to a host on which the loop takes
+#: ``REFERENCE_CALIBRATION_S``; the raw times are printed next to them.
+#: On a shared 2-core host the interpreter's speed swings by up to 60%
+#: for minutes at a time, longer than a run, so no median within a run
+#: removes it.  Over 10 seeds the scaled times spread by 0.03-0.15
+#: (quartile distance over median) where the raw ones spread by
+#: 0.10-0.32, on all three workloads, the numpy and pool ones included.
 CALIBRATION_LOOP = 2_000_000
 REFERENCE_CALIBRATION_S = 0.2
+#: Passes a run makes at least: with 1.5 cells per grid beyond
+#: ``cell_s_tail`` in each pass, 7 passes leave 10 samples beyond it.
+MIN_PASSES = 7
 POOL_WORKERS = 2
 #: Job polling backs off from the first to the last interval, so a long
 #: job is not slowed by a polling client competing for the two cores.
@@ -118,7 +127,7 @@ class SerialRunner:
     """``SweepRunner.run`` in-process; no result cache."""
 
     parallelism = 1
-    timed_jobs = 2              # jobs per pass that execute cells
+    jobs_per_pass = 1
 
     def __init__(self, cells) -> None:
         from repro import SweepRunner
@@ -142,7 +151,7 @@ class ServiceRunner:
     """The REST layer over a fresh result cache and a 2-worker pool."""
 
     parallelism = POOL_WORKERS
-    timed_jobs = 1
+    jobs_per_pass = 2           # cold, then warm
 
     def __init__(self, cells, tracer=None) -> None:
         from repro.service.app import create_app
@@ -224,10 +233,12 @@ class HostSpeed:
             total += i * i % 7
         self.samples.append(perf_counter() - start)
 
-    @property
-    def scale(self) -> float:
-        """Factor from measured seconds to reference-host seconds."""
-        return REFERENCE_CALIBRATION_S / statistics.median(self.samples)
+    def scales(self) -> list[float]:
+        """Per interval between two samples, the factor from measured
+        seconds to reference-host seconds: the reference over the mean
+        of the samples on either side."""
+        return [2.0 * REFERENCE_CALIBRATION_S / (before + after)
+                for before, after in zip(self.samples, self.samples[1:])]
 
 
 @dataclass
@@ -258,7 +269,7 @@ def run_pass(runner, cells, checker, tracer) -> PassResult:
     runner.reset()
     start = perf_counter()
     jobs = []
-    for _ in range(2):
+    for _ in range(runner.jobs_per_pass):
         try:
             jobs.append(runner.job())
         except Exception as error:  # a raising job is a failed job
@@ -279,20 +290,18 @@ def run_pass(runner, cells, checker, tracer) -> PassResult:
                          for r in job.results]
                 cell_times += times
                 overhead += job.sweep - sum(times) / runner.parallelism
-    cold, warm = (job.wall if job is not None else math.nan for job in jobs)
-    return PassResult(wall, cold, warm, work, cell_times, overhead,
+    walls = [job.wall if job is not None else math.nan for job in jobs]
+    return PassResult(wall, walls[0], walls[-1], work, cell_times, overhead,
                       [job for job in jobs if job is not None])
 
 
 def run_passes(runner, cells, checker, seconds: float, tracer=None,
-               min_passes: int | None = None, speed=None,
+               min_passes: int = MIN_PASSES, speed=None,
                on_min_passes=None) -> list[PassResult]:
-    """Passes until the next one would overrun ``seconds``; by default
-    at least enough to leave 10 cell samples beyond ``cell_s_tail``.
-    ``speed`` is sampled before every pass; ``on_min_passes`` is called
-    once the minimum number of passes is done."""
-    if min_passes is None:
-        min_passes = math.ceil(10 / (1.5 * runner.timed_jobs))
+    """Passes until the next one would overrun ``seconds``, and at least
+    ``min_passes``.  ``speed`` is sampled before every pass;
+    ``on_min_passes`` is called once the minimum number of passes is
+    done."""
     start = perf_counter()
     passes: list[PassResult] = []
     while True:
@@ -346,44 +355,32 @@ def peak_rss_mb() -> float:
 def tail_percentile(cells_per_job: int) -> float:
     """The percentile at the centre of the second-slowest cell's
     samples: a fixed rank, so runs with more or fewer passes report the
-    same cell, and with at least 4 passes 10 or more samples lie beyond
-    it."""
+    same cell, and with ``MIN_PASSES`` passes 10 or more samples lie
+    beyond it."""
     return 100.0 * (1.0 - 1.5 / cells_per_job)
 
 
-def fast_quartile(values, higher_is_better: bool = False) -> float:
-    """The quartile on the fast side: host interference only ever adds
-    time, so it is a steadier estimate of the work's own cost than the
-    median."""
-    low, _, high = statistics.quantiles(values, n=4, method="inclusive")
-    return high if higher_is_better else low
-
-
-def end_to_end(passes: list[PassResult], setup_s: float, rss: float,
-               cells_per_job: int, scale: float) -> tuple[dict, dict]:
-    """Per-pass times at their fast quartile, per-cell latency
-    percentiles, in reference-host seconds."""
-    cell_times = [t for p in passes for t in p.cell_times]
-    tail_q = tail_percentile(cells_per_job)
-    metrics = {
-        "setup_s": setup_s * scale,
-        "wall_s": fast_quartile([p.wall for p in passes]) * scale,
-        "work_per_s": fast_quartile([p.work / p.wall for p in passes],
-                                    higher_is_better=True) / scale,
-        "cell_s_p50": statistics.median(cell_times) * scale,
-        "cell_s_tail": percentile(cell_times, tail_q) * scale,
-        "cold_job_s": fast_quartile([p.cold for p in passes]) * scale,
-        "warm_job_s": fast_quartile([p.warm for p in passes]) * scale,
+def summarize(passes: list[PassResult], setup: list[float], rss: float,
+              cells_per_job: int, scales: list[float]) -> dict:
+    """Per-pass medians and per-cell latency percentiles.  ``setup``
+    holds the set-up probe times; ``scales[i]`` multiplies the times of
+    the i-th probe, and after the probes those of the passes in turn."""
+    median = statistics.median
+    pass_scales = scales[len(setup):]
+    cell_times = [t * s for p, s in zip(passes, pass_scales)
+                  for t in p.cell_times]
+    return {
+        "setup_s": median(t * s for t, s in zip(setup, scales)),
+        "wall_s": median(p.wall * s for p, s in zip(passes, pass_scales)),
+        "work_per_s": median(p.work / (p.wall * s)
+                             for p, s in zip(passes, pass_scales)),
+        "cell_s_p50": median(cell_times),
+        "cell_s_tail": percentile(cell_times,
+                                  tail_percentile(cells_per_job)),
+        "cold_job_s": median(p.cold * s for p, s in zip(passes, pass_scales)),
+        "warm_job_s": median(p.warm * s for p, s in zip(passes, pass_scales)),
         "peak_rss_mb": rss,
     }
-    beyond = sum(1 for t in cell_times
-                 if t * scale > metrics["cell_s_tail"])
-    info = {"passes": len(passes),
-            "median_wall_s": round(
-                statistics.median(p.wall for p in passes) * scale, 4),
-            "host_scale": round(scale, 4), "cells_timed": len(cell_times),
-            "tail_percentile": round(tail_q, 2), "beyond_tail": beyond}
-    return metrics, info
 
 
 # ----------------------------------------------------------------------
@@ -412,8 +409,9 @@ def probe_setup(workload: str, seed: int) -> int:
     return 0
 
 
-def measure_setup(workload: str, seed: int, speed: HostSpeed) -> float:
-    """Median over fresh interpreters of process start to ready."""
+def measure_setup(workload: str, seed: int,
+                  speed: HostSpeed) -> list[float]:
+    """Process start to ready, in fresh interpreters."""
     samples = []
     for _ in range(SETUP_PROBES):
         speed.sample()
@@ -430,7 +428,7 @@ def measure_setup(workload: str, seed: int, speed: HostSpeed) -> float:
         if line.strip() != "ready" or code != 0:
             raise RuntimeError(f"set-up probe failed (exit {code})")
         samples.append(elapsed)
-    return statistics.median(samples)
+    return samples
 
 
 # ----------------------------------------------------------------------
@@ -452,7 +450,7 @@ def run_untraced(workload: str, seed: int, seconds: float):
     import tracing
     from checks import Checker
     speed = HostSpeed()
-    setup_s = measure_setup(workload, seed, speed)
+    setup_times = measure_setup(workload, seed, speed)
     tracing.install_cell_runner()
     cells, runner = setup(workload, seed)
     checker = Checker(workload, cells)
@@ -466,9 +464,15 @@ def run_untraced(workload: str, seed: int, seconds: float):
     finally:
         runner.close()
     speed.sample()
-    metrics, info = end_to_end(passes, setup_s, rss[0], len(cells),
-                               speed.scale)
-    return metrics, info, checker, []
+    scales = speed.scales()
+    metrics = summarize(passes, setup_times, rss[0], len(cells), scales)
+    raw = summarize(passes, setup_times, rss[0], len(cells),
+                    [1.0] * len(scales))
+    info = {"passes": len(passes),
+            "host_scale": round(statistics.median(scales), 4),
+            "cells_timed": len(cells) * len(passes),
+            "tail_percentile": round(tail_percentile(len(cells)), 2)}
+    return metrics, raw, info, checker, []
 
 
 def run_traced(workload: str, seed: int, seconds: float):
@@ -529,7 +533,7 @@ def run_traced(workload: str, seed: int, seconds: float):
     for line in tracing.span_lines(data, n):
         print(f"  {line}")
     info = {"passes_untraced": len(plain), "passes_traced": n}
-    return metrics, info, checker, broken
+    return metrics, {}, info, checker, broken
 
 
 def main(argv=None) -> int:
@@ -553,17 +557,17 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     try:
         if args.trace:
-            metrics, info, checker, broken = run_traced(
+            metrics, raw, info, checker, broken = run_traced(
                 args.workload, args.seed, args.seconds)
             units = {m["name"]: m["unit"] for m in spec["per_layer"]}
         else:
-            metrics, info, checker, broken = run_untraced(
+            metrics, raw, info, checker, broken = run_untraced(
                 args.workload, args.seed, args.seconds)
             units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     finally:
         shutil.rmtree(WORK, ignore_errors=True)
 
-    report(args.workload, metrics, units, info, checker, broken)
+    report(args.workload, metrics, raw, units, info, checker, broken)
     correct = checker.failed == 0 and not broken
     print(json.dumps({
         "correct": correct,
@@ -575,12 +579,15 @@ def main(argv=None) -> int:
     return 0 if correct else 1
 
 
-def report(workload, metrics, units, info, checker, broken) -> None:
-    """Human-readable lines ahead of the JSON result."""
+def report(workload, metrics, raw, units, info, checker, broken) -> None:
+    """Human-readable lines ahead of the JSON result.  ``raw`` (the
+    unscaled end-to-end metrics) is printed in a column of its own and
+    as a ``raw_metrics`` JSON line, which ``steadiness.py`` reads."""
     print(f"workload {workload}: "
           + ", ".join(f"{k} {v}" for k, v in info.items()))
     for name, unit in units.items():
-        print(f"  {name:32s} {metrics[name]:14.6g} {unit}")
+        unscaled = f" {raw[name]:14.6g} raw" if raw else ""
+        print(f"  {name:32s} {metrics[name]:14.6g} {unit:6s}{unscaled}")
     if "work_per_s" in metrics:
         named = ("node_rounds_per_s" if workload == "vec_scale"
                  else "sim_events_per_s")
@@ -593,6 +600,8 @@ def report(workload, metrics, units, info, checker, broken) -> None:
         print(f"  FAILED {message}")
     for line in broken:
         print(f"  PREDICTION BROKEN {line}")
+    if raw:
+        print("raw_metrics " + json.dumps(raw))
 
 
 if __name__ == "__main__":

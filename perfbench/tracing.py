@@ -302,13 +302,25 @@ def install(tracer: Tracer) -> None:
     for attr in ("send", "send_with_delay", "broadcast"):
         _patch(Network, attr, tracer, "net.send")
 
-    # clocks
+    # clocks: rate and value updates, reads, and the alarm paths.
+    # ``AlarmManager._on_fire`` is left out: it runs the alarm
+    # callbacks, which are the caller's (mostly core) work.
+    from repro.clocks.alarms import AlarmManager
+    from repro.clocks.base import IntegratingClock
+    from repro.clocks.hardware import HardwareClock
     from repro.clocks.logical import LogicalClock, ScaledClock
     _patch(LogicalClock, "set_delta", tracer, "clocks.update",
            after=lambda a, r, c: count("clocks.rate_changes"))
+    _patch(LogicalClock, "set_gamma", tracer, "clocks.update")
+    _patch(HardwareClock, "_apply_change", tracer, "clocks.update")
     for cls in (LogicalClock, ScaledClock):
         _patch(cls, "jump_to", tracer, "clocks.update",
                after=lambda a, r, c: count("clocks.jumps"))
+    for attr in ("value", "time_of_value"):
+        _patch(IntegratingClock, attr, tracer, "clocks.read")
+    for attr in ("at_value", "cancel_alarm"):
+        _patch(IntegratingClock, attr, tracer, "clocks.alarm")
+    _patch(AlarmManager, "reschedule", tracer, "clocks.alarm")
 
     # engine_vec
     from repro.engine_vec import engine as engine_module
@@ -382,7 +394,6 @@ SPAN_METRICS = {
     "baselines.run_s": "baselines.run",
     "sim.run_s": "sim.run",
     "net.send_s": "net.send",
-    "clocks.s": "clocks.update",
     "engine_vec.build_s": "engine_vec.build",
     "engine_vec.run_s": "engine_vec.run",
     "faults.adversary_s": "faults.act",
@@ -428,6 +439,12 @@ def layer_metrics(data: dict, passes: int) -> dict[str, float]:
     counts = data["counts"]
     metrics = {metric: inclusive.get(span, 0.0) / passes
                for metric, span in SPAN_METRICS.items()}
+    # The clock layer has several span names that nest in one another;
+    # its time is that of the clock spans not inside another one.
+    metrics["clocks.s"] = sum(
+        total for (name, parent), (_, total) in data["spans"].items()
+        if name.startswith("clocks.")
+        and not (parent or "").startswith("clocks.")) / passes
     for name in COUNT_METRICS:
         metrics[name] = counts.get(name, 0) / passes
     sent = counts.get("net.messages_sent", 0)

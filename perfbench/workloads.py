@@ -72,7 +72,10 @@ class Slot:
 # event_ftgcs
 # ----------------------------------------------------------------------
 
-EVENT_ROUNDS = 3
+#: Cell cost grows linearly in the rounds (line D=16: 0.064-0.072 s per
+#: round from 3 to 20 rounds), so the start-up round does not dominate;
+#: at 6 rounds ``SystemBuilder.build`` is about 2% of a cell's time.
+EVENT_ROUNDS = 6
 #: (graph, D) per slot; repeated small lines get distinct variants.
 EVENT_SHAPES = (
     [("line", d) for d in (2, 3, 4, 5, 6, 7, 8, 10, 12, 16)]
