@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test verify lint list run serve smoke-t16 smoke-serve smoke-vec smoke-adversary bench-quick bench-quick-ci bench bench-record
+.PHONY: test verify lint list run serve smoke-t16 smoke-serve smoke-vec smoke-adversary bench-quick bench-quick-ci bench-check bench bench-record
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -77,6 +77,15 @@ bench-quick:
 
 bench-quick-ci:
 	$(PYTHON) -m repro bench-quick
+
+# Bit-identity gate (CI runs this after the tier-1 tests): the shortest
+# untraced event_ftgcs benchmark run (its minimum of 7 passes).  Every
+# executed FTGCS event cell must match its fingerprint in
+# perfbench/reference.json and the paper bounds, or the run exits
+# non-zero.  Gate on the exit code only: the timings it prints are not
+# compared to anything.  About 25-40 s.
+bench-check:
+	$(PYTHON) perfbench/run.py --workload event_ftgcs --seed 1 --seconds 1 --trace 0
 
 # Full pytest-benchmark suite (tables T1-T18 + kernel microbenches).
 bench:

@@ -21,6 +21,21 @@ therefore configurable (default ``delta_trigger``): a coarser unit
 only adds ``O(unit)`` to the estimate lag, leaving the ``O(delta * D)``
 global bound intact while keeping message counts sane.  Setting
 ``unit = d - U`` reproduces the letter of the paper.
+
+The decode is incremental.  Per cluster ``c`` it keeps two integers:
+``confirmed[c]``, the ``(f + 1)``-th largest pulse count among ``c``'s
+members (0 while fewer than ``f + 1`` of them have counted), and
+``above[c]``, how many members count strictly more than that.  By
+definition ``above[c] <= f``.  A pulse raises one count by exactly one,
+so it can only matter when it lifts a count from ``confirmed[c]`` to
+``confirmed[c] + 1``: ``above[c]`` grows, and once it reaches ``f + 1``
+that many members count at least ``confirmed[c] + 1`` while at most
+``f`` count more, so ``confirmed[c]`` steps up by exactly one and
+``above[c]`` is recounted over the cluster.  Only then can the jump
+target change; at any other pulse it equals a target already tried,
+which the never-decreasing estimate has reached.  Counts only grow
+between :meth:`MaxEstimate.reset_sender` calls, the one path that
+lowers a count, so a reset rebuilds its cluster's pair from scratch.
 """
 
 from __future__ import annotations
@@ -73,6 +88,14 @@ class MaxEstimate:
         self._transit_bonus = transit_bonus
         self._f = f
         self._cluster_of = dict(cluster_of)
+        #: per-cluster member ids, for the decode's recounts.
+        self._members: dict[int, list[int]] = {}
+        for sender, cluster in self._cluster_of.items():
+            self._members.setdefault(cluster, []).append(sender)
+        #: per-cluster decode state (see the module docstring): the
+        #: (f+1)-th largest member count, and how many members exceed it.
+        self._confirmed = dict.fromkeys(self._members, 0)
+        self._above = dict.fromkeys(self._members, 0)
         self._send_pulse = send_pulse
         self.name = name
         self._clock = ScaledClock(sim, hardware, scale=1.0 / (1.0 + rho),
@@ -153,6 +176,14 @@ class MaxEstimate:
         under-count, the sound direction.
         """
         self._sender_levels.pop(sender, None)
+        cluster = self._cluster_of.get(sender)
+        if cluster is not None:
+            counts = sorted((self._sender_levels.get(m, 0)
+                             for m in self._members[cluster]),
+                            reverse=True)
+            confirmed = counts[self._f] if len(counts) > self._f else 0
+            self._confirmed[cluster] = confirmed
+            self._above[cluster] = self._count_above(cluster, confirmed)
         if quarantine_until is not None:
             self._quarantine[sender] = quarantine_until
         self.sender_resets += 1
@@ -200,11 +231,22 @@ class MaxEstimate:
                     self.quarantined_pulses += 1
                     return
                 del self._quarantine[sender]
-        level = self._sender_levels.get(sender, 0) + 1
-        self._sender_levels[sender] = level
-        confirmed = self._confirmed_level(self._cluster_of.get(sender))
-        if confirmed <= 0:
+        cluster = self._cluster_of.get(sender)
+        if cluster is None:
             return
+        levels = self._sender_levels
+        level = levels.get(sender, 0) + 1
+        levels[sender] = level
+        confirmed = self._confirmed[cluster]
+        if level != confirmed + 1:
+            return
+        above = self._above[cluster] + 1
+        if above <= self._f:
+            self._above[cluster] = above
+            return
+        confirmed += 1
+        self._confirmed[cluster] = confirmed
+        self._above[cluster] = self._count_above(cluster, confirmed)
         # A correct witness had M >= confirmed * unit at send time, and
         # the message spent at least d - U in flight (the paper's "+1"
         # with unit = d - U is exactly this transit bonus).
@@ -213,14 +255,8 @@ class MaxEstimate:
             self.jumps += 1
             self._announce_up_to(self._level_of(self.value()))
 
-    def _confirmed_level(self, cluster: int | None) -> int:
-        """Highest level attested by ``f + 1`` members of ``cluster``."""
-        if cluster is None:
-            return 0
-        levels = sorted(
-            (lvl for sender, lvl in self._sender_levels.items()
-             if self._cluster_of.get(sender) == cluster),
-            reverse=True)
-        if len(levels) <= self._f:
-            return 0
-        return levels[self._f]
+    def _count_above(self, cluster: int, confirmed: int) -> int:
+        """How many members of ``cluster`` count more than ``confirmed``."""
+        levels = self._sender_levels
+        return sum(1 for m in self._members[cluster]
+                   if levels.get(m, 0) > confirmed)

@@ -634,8 +634,6 @@ class SystemBuilder:
                         f"adversary {adversary_model.name!r} has no "
                         f"vectorized realization; use the event "
                         f"engine")
-        elif adversary_model is not None:
-            validate_event_support(adversary_model, protocol.name)
             if self._schedule is not None and not self._schedule.is_static:
                 raise ConfigError(
                     "the vectorized engine runs static topologies "
@@ -648,6 +646,8 @@ class SystemBuilder:
                 raise ConfigError(
                     "the vectorized engine does not support loss "
                     "models; use the event engine")
+        elif adversary_model is not None:
+            validate_event_support(adversary_model, protocol.name)
         if protocol.needs_graph and self._graph is None:
             raise ConfigError(
                 f"protocol {protocol.name!r} needs a topology; call "

@@ -8,6 +8,7 @@ np = pytest.importorskip("numpy")
 
 from repro.baselines.gcs_single import GcsParams
 from repro.baselines.srikanth_toueg import StParams
+from repro.core.protocol import SystemBuilder
 from repro.errors import ConfigError
 from repro.faults.adversary import (
     ADVERSARIES,
@@ -21,6 +22,7 @@ from repro.harness.experiments import fast_dynamics_params
 from repro.harness.scenario import Scenario
 from repro.harness.sweep import SweepRunner, run_cell, spec_hash
 from repro.service.store import ResultStore
+from repro.topology import ClusterGraph, EdgeChurnSchedule
 
 FT = fast_dynamics_params(f=1)
 GCS = GcsParams(rho=1e-3, d=1.0, u=0.01, mu=0.01, period=10.0,
@@ -98,6 +100,23 @@ class TestEagerValidation:
     def test_adaptive_rejected_on_event_engine(self):
         with pytest.raises(ConfigError, match="vectorized"):
             ft_cell().adversarial("greedy").build()
+
+    def test_event_engine_adversary_composes_with_loss(self):
+        # Loss is an event-engine feature: an adversary on that engine
+        # must not trip the vectorized engine's rejection of it.
+        result = (SystemBuilder("ftgcs").topology(ClusterGraph.line(4))
+                  .params(FT).rounds(4).seed(18).adversary("equivocate")
+                  .lossy(kind="bernoulli", rate=0.3).build().run())
+        assert result.messages_lost > 0
+
+    def test_event_engine_adversary_composes_with_churn(self):
+        schedule = EdgeChurnSchedule(ClusterGraph.line(4), interval=5.0,
+                                     churn=0.5)
+        result = (SystemBuilder("ftgcs").topology(schedule)
+                  .params(FT).rounds(4).seed(18).adversary("equivocate")
+                  .first_contact(True).build().run())
+        assert result.dropped_link_down > 0
+        assert result.detail.estimator_resyncs > 0
 
     def test_clique_count_capped_at_f(self):
         spec = (st_cell().adversarial("silent", count=ST.f + 1)

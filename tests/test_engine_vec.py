@@ -32,7 +32,7 @@ from repro.harness.sweep import (
     spec_hash,
 )
 from repro.service.store import ResultStore
-from repro.topology import ClusterGraph
+from repro.topology import ClusterGraph, EdgeChurnSchedule
 
 GCS = GcsParams(rho=1e-3, d=1.0, u=0.01, mu=0.01, period=10.0,
                 kappa=0.3, slack=0.1)
@@ -131,6 +131,32 @@ class TestEngineSelection:
                    .rounds(2).faults("equivocate")
                    .engine("vectorized"))
         with pytest.raises(ConfigError):
+            builder.build()
+
+
+class TestEventOnlyFeaturesRejected:
+    """Loss, first contact and dynamic schedules have no vectorized
+    realization: the builder must refuse them, with or without an
+    adversary attached, rather than run a fault-free system."""
+
+    FT = Parameters.practical(rho=1e-4, d=1.0, u=0.1, f=1)
+
+    @pytest.mark.parametrize("adversary", [False, True])
+    @pytest.mark.parametrize("feature, match", [
+        (lambda b: b.lossy(kind="bernoulli", rate=0.3), "loss models"),
+        (lambda b: b.first_contact(True), "first-contact"),
+        (lambda b: b.topology(EdgeChurnSchedule(
+            ClusterGraph.line(4), interval=5.0, churn=0.5)),
+         "static topologies"),
+    ], ids=["loss", "first_contact", "edge_churn"])
+    def test_rejected(self, feature, match, adversary):
+        builder = (SystemBuilder("ftgcs").topology(ClusterGraph.line(4))
+                   .params(self.FT).rounds(2).seed(1)
+                   .engine("vectorized"))
+        if adversary:
+            builder.adversary("silent")
+        feature(builder)
+        with pytest.raises(ConfigError, match=match):
             builder.build()
 
 

@@ -1,6 +1,8 @@
 """Unit tests for the global-skew estimate M_v (Lemma C.2)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clocks import ConstantRate, HardwareClock
 from repro.core.max_estimate import MaxEstimate
@@ -190,3 +192,110 @@ class TestFirstContactReset:
         # The quarantine clears after the first post-deadline pulse.
         est.on_pulse(1, sim.now + 1.1)
         assert est._sender_levels[1] == 2
+
+
+class SortDecodeMax(MaxEstimate):
+    """The filter-and-sort decode, kept as the oracle for the
+    incremental one: every pulse re-sorts its sender's cluster and
+    retries the jump."""
+
+    def reset_sender(self, sender, quarantine_until=None):
+        self._sender_levels.pop(sender, None)
+        if quarantine_until is not None:
+            self._quarantine[sender] = quarantine_until
+        self.sender_resets += 1
+
+    def on_pulse(self, sender, receive_time):
+        if not self._running:
+            return
+        self.pulses_received += 1
+        until = self._quarantine.get(sender)
+        if until is not None:
+            if receive_time < until:
+                self.quarantined_pulses += 1
+                return
+            del self._quarantine[sender]
+        self._sender_levels[sender] = self._sender_levels.get(sender, 0) + 1
+        confirmed = self._confirmed_level(self._cluster_of.get(sender))
+        if confirmed <= 0:
+            return
+        target = confirmed * self._unit + self._transit_bonus
+        if self._clock.jump_to(target):
+            self.jumps += 1
+            self._announce_up_to(self._level_of(self.value()))
+
+    def _confirmed_level(self, cluster):
+        if cluster is None:
+            return 0
+        levels = sorted(
+            (lvl for sender, lvl in self._sender_levels.items()
+             if self._cluster_of.get(sender) == cluster),
+            reverse=True)
+        if len(levels) <= self._f:
+            return 0
+        return levels[self._f]
+
+
+#: Sender ids no cluster owns.
+UNKNOWN_SENDERS = (90, 91)
+
+
+@st.composite
+def decode_runs(draw):
+    """Clusters (some smaller than f + 1), a start value, and a random
+    interleaving of pulses, resets and time advances."""
+    f = draw(st.sampled_from([0, 1, 2]))
+    sizes = draw(st.lists(st.integers(1, 3 * f + 2), min_size=1,
+                          max_size=3))
+    cluster_of = {}
+    for cluster, size in enumerate(sizes):
+        for _ in range(size):
+            cluster_of[len(cluster_of) + 1] = cluster
+    senders = st.sampled_from(sorted(cluster_of) + list(UNKNOWN_SENDERS))
+    # Pulses come in bursts and outnumber the other steps, so the
+    # decode, not the local clock, drives the estimate for most runs.
+    pulses = st.tuples(st.just("pulse"), senders, st.integers(1, 4))
+    ops = draw(st.lists(st.one_of(
+        pulses, pulses, pulses, pulses,
+        st.tuples(st.just("reset"), senders,
+                  st.none() | st.floats(0.0, 2.0)),
+        st.tuples(st.just("advance"), st.floats(0.0, 1.0))),
+        min_size=10, max_size=80))
+    initial = draw(st.sampled_from([-2.5, 0.0, 3.5, 12.0]))
+    transit_bonus = draw(st.sampled_from([0.0, 1.0]))
+    return f, cluster_of, initial, transit_bonus, ops
+
+
+def observed(est):
+    return (est.value(), est.jumps, est.pulses_sent, est.announced_level,
+            est.quarantined_pulses)
+
+
+class TestIncrementalDecodeOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(decode_runs())
+    def test_matches_sort_based_decode(self, run):
+        f, cluster_of, initial, transit_bonus, ops = run
+        pair = []
+        for cls in (MaxEstimate, SortDecodeMax):
+            sim = Simulator()
+            hw = HardwareClock(sim, ConstantRate(1.0), rho=0.1)
+            est = cls(sim, hw, 0.1, 1.0, f, cluster_of, initial,
+                      send_pulse=lambda: None, transit_bonus=transit_bonus)
+            est.start()
+            pair.append((sim, est))
+        for op in ops:
+            for sim, est in pair:
+                if op[0] == "pulse":
+                    for _ in range(op[2]):
+                        est.on_pulse(op[1], sim.now)
+                elif op[0] == "reset":
+                    until = None if op[2] is None else sim.now + op[2]
+                    est.reset_sender(op[1], quarantine_until=until)
+                else:
+                    sim.run(until=sim.now + op[1])
+            (_, fast), (_, reference) = pair
+            assert observed(fast) == observed(reference)
+            for cluster in set(cluster_of.values()):
+                assert (fast._confirmed[cluster]
+                        == reference._confirmed_level(cluster))

@@ -1,5 +1,7 @@
 """Integration tests: the full FTGCS system on small topologies."""
 
+import random
+
 import pytest
 
 from repro.core.params import Parameters
@@ -246,6 +248,36 @@ class TestMaxEstimate:
         first = result.series[0].global_skew
         last = result.series[-1].global_skew
         assert last < first
+
+    @pytest.mark.parametrize("graph", [ClusterGraph.line(9),
+                                       ClusterGraph.ring(8)],
+                             ids=["line-D8", "ring-D4"])
+    def test_estimate_never_exceeds_max_clock(self, params_fast, graph):
+        """Lemma C.2 on a full run: ``M_v <= max_w L_w`` over honest
+        nodes at every half-d step, with one equivocator per cluster
+        and the MAX rule driving the global skew."""
+        rng = random.Random(7)
+        offsets = [rng.uniform(-params_fast.kappa, params_fast.kappa)
+                   for _ in range(graph.num_clusters)]
+        byzantine = place_everywhere(
+            graph.augment(params_fast.cluster_size), 1,
+            lambda node: EquivocatorStrategy())
+        config = SystemConfig(policy="max_rule", enable_max_estimate=True,
+                              cluster_offsets=offsets, byzantine=byzantine)
+        system = FtgcsSystem.build(graph, params_fast, seed=5,
+                                   config=config)
+        honest = system.honest_nodes()
+        horizon = system.schedule.round_start(7)
+        t = 0.0
+        while t < horizon:
+            t += params_fast.d / 2.0
+            system.run(t)
+            l_max = max(node.logical.value() for node in honest)
+            for node in honest:
+                assert node.max_estimate.value() <= l_max, (t, node.node_id)
+        # The flood rule must actually have fired, or the bound is
+        # only the local clock's rate argument.
+        assert sum(node.max_estimate.jumps for node in honest) > 0
 
 
 class TestConfigSurface:
