@@ -1,12 +1,28 @@
-"""Setuptools shim.
+"""Setuptools metadata for the ``repro`` package.
 
-The environment has no network access and no ``wheel`` package, so PEP
-517 editable installs (which build a wheel) fail.  Keeping a classic
-``setup.py`` lets ``pip install -e . --no-build-isolation`` fall back to
-the legacy ``setup.py develop`` path.  All metadata lives in
-``pyproject.toml``.
+A classic ``setup.py`` keeps ``pip install -e . --no-build-isolation``
+working without the ``wheel`` package: PEP 517 editable installs build
+a wheel, and pip falls back to the legacy ``setup.py develop`` path.
+This file holds all the package metadata; the version is read from
+``src/repro/__init__.py``.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(),
+    re.MULTILINE).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description="Reproduction of Fault Tolerant Gradient Clock "
+                "Synchronization (PODC 2019)",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+)

@@ -8,16 +8,30 @@ standard compressed-sparse-row form (``indptr``/``indices`` over
 order, and per-node aggregates come from ``ufunc.reduceat`` segment
 reductions.
 
+Slot order is a contract: every per-slot random draw is consumed in it,
+so it fixes the output of every seeded run.  Node ``i``'s slots hold,
+in order, the ``b`` of each edge ``(i, b)`` and then the ``a`` of each
+edge ``(a, i)``, each group in edge-list order — a stable sort of the
+directed slots by source.  The CSR is built straight from the graph's
+edge list with no Python object per vertex, in time linear in its
+edges.
+
 ``reduceat`` needs care at degree-0 vertices: an empty segment makes
 it return (or index past) a neighboring slot's value, so
-:meth:`CSRAdjacency.segment_max`/``segment_min`` clip the offsets and
-overwrite empty rows with the caller's identity fill.  Isolated
-vertices therefore aggregate to ``fill`` (``-inf``/``+inf``), which
-the vectorized trigger evaluation maps to "no neighbors: no trigger" —
-the same answer :func:`repro.core.triggers.evaluate` gives.
+:meth:`CSRAdjacency.segment_max`/``segment_min`` reduce over the
+non-empty rows' offsets only and give empty rows the caller's identity
+fill.  Isolated vertices therefore aggregate to ``fill``
+(``-inf``/``+inf``), which the vectorized trigger evaluation maps to
+"no neighbors: no trigger" — the same answer
+:func:`repro.core.triggers.evaluate` gives.  The offsets and the
+empty-row mask are computed once per graph; a graph without isolated
+vertices (every caterpillar) skips the mask and returns the
+``reduceat`` result as is.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -46,12 +60,8 @@ class CSRAdjacency:
         m = len(edges)
         self.num_nodes = n
         self.num_edges = m
-        if m:
-            pairs = np.asarray(edges, dtype=np.int64)
-            ea, eb = pairs[:, 0], pairs[:, 1]
-        else:
-            ea = np.zeros(0, dtype=np.int64)
-            eb = np.zeros(0, dtype=np.int64)
+        flat = np.fromiter(chain.from_iterable(edges), np.int64, 2 * m)
+        ea, eb = flat[0::2], flat[1::2]
         self.edge_a = ea
         self.edge_b = eb
         src = np.concatenate([ea, eb])
@@ -59,7 +69,16 @@ class CSRAdjacency:
         order = np.argsort(src, kind="stable")
         self.row = src[order]
         self.indices = dst[order]
-        self.indptr = np.searchsorted(self.row, np.arange(n + 1))
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
+        # Segment bookkeeping for reduceat: the starts of the non-empty
+        # rows only, so each reduced segment runs exactly to the next
+        # non-empty row (empty rows in between have zero length) or to
+        # the end of the slots.
+        starts = self.indptr[:-1]
+        self._nonempty = self.indptr[1:] > starts
+        self._all_nonempty = bool(self._nonempty.all())
+        self._starts = starts[self._nonempty]
 
     @property
     def num_slots(self) -> int:
@@ -72,16 +91,12 @@ class CSRAdjacency:
 
     def _segment_reduce(self, slot_values: np.ndarray, ufunc,
                         fill: float) -> np.ndarray:
+        if self._all_nonempty:
+            return ufunc.reduceat(slot_values, self._starts).astype(
+                np.float64, copy=False)
         out = np.full(self.num_nodes, fill, dtype=np.float64)
-        if slot_values.size == 0:
-            return out
-        starts = self.indptr[:-1]
-        nonempty = self.indptr[1:] > starts
-        # Clipped starts keep reduceat in-bounds for trailing empty
-        # segments; their bogus outputs are masked out below.
-        reduced = ufunc.reduceat(
-            slot_values, np.minimum(starts, slot_values.size - 1))
-        out[nonempty] = reduced[nonempty]
+        if self._starts.size:
+            out[self._nonempty] = ufunc.reduceat(slot_values, self._starts)
         return out
 
     def segment_max(self, slot_values: np.ndarray,

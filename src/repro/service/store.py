@@ -15,7 +15,9 @@ Robustness contract: a cache entry is advisory, never authoritative.
 Anything wrong with a file — truncated write, corrupted JSON, an
 unknown encoding tag from a different code revision, a hash mismatch —
 is treated as a **miss**: the cell is recomputed and the entry
-overwritten, with one warning logged, never an exception.  Writes are
+overwritten, with one warning logged, never an exception.  An entry
+written under another :data:`STORE_FORMAT` (or none) is a miss the
+same way, though not counted as corrupt.  Writes are
 atomic (temp file + ``os.replace``) so a crashed writer can at worst
 leave a stale temp file, not a half-entry under the final name.
 """
@@ -38,7 +40,10 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: On-disk entry schema version; bump on incompatible layout changes
 #: (old entries then read as misses and are overwritten on recompute).
-STORE_FORMAT = 1
+#: Format 2 retires every entry written before the vectorized engine
+#: rejected loss, first contact and topology schedules, so a lossless
+#: result stored under such a spec's hash is never served.
+STORE_FORMAT = 2
 
 
 def default_cache_dir() -> Path:
@@ -47,6 +52,10 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env).expanduser()
     return Path("~/.cache/repro/results").expanduser()
+
+
+class _StaleEntry(Exception):
+    """A readable entry written under another :data:`STORE_FORMAT`."""
 
 
 class ResultStore:
@@ -82,9 +91,9 @@ class ResultStore:
         """The cached result for ``spec``, or ``None`` on a miss.
 
         ``spec.seed`` must be resolved (``spec_hash`` enforces it).
-        Every defect in the entry file demotes it to a miss with a
-        logged warning — the caller recomputes and :meth:`put`
-        overwrites the bad entry.
+        Every defect in the entry file, and a stale ``format``, demotes
+        it to a miss with a logged warning — the caller recomputes and
+        :meth:`put` overwrites the entry.
         """
         key = spec_hash(spec)
         path = self.path_for(key)
@@ -101,6 +110,8 @@ class ResultStore:
             return None
         try:
             entry = json.loads(raw)
+            if entry.get("format") != STORE_FORMAT:
+                raise _StaleEntry(entry.get("format"))
             if entry.get("spec_hash") != key:
                 raise ValueError(
                     f"entry names spec_hash {entry.get('spec_hash')!r}")
@@ -108,6 +119,12 @@ class ResultStore:
             if not isinstance(cell, SweepCellResult):
                 raise ValueError(
                     f"entry decodes to {type(cell).__name__}")
+        except _StaleEntry as stale:
+            logger.warning("stale cache entry %s (format %r, current %d); "
+                           "treating as a miss, will overwrite on "
+                           "recompute", path, stale.args[0], STORE_FORMAT)
+            self.misses += 1
+            return None
         except Exception as error:  # corrupt entry: miss, never a crash
             logger.warning("corrupt cache entry %s (%s: %s); treating "
                            "as a miss, will overwrite on recompute",

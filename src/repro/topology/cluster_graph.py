@@ -13,6 +13,14 @@ produces an :class:`AugmentedGraph` holding the node-level structure
 the simulator wires up, plus the grouping metadata nodes need ("which
 cluster does this neighbor belong to" — the paper assumes each node
 knows this).
+
+Validation is eager and adjacency is lazy: the constructor checks and
+canonicalizes the edge list (so a malformed graph raises where it is
+built), but the sorted per-cluster adjacency lists are only built the
+first time :meth:`ClusterGraph.neighbors`, ``degree``, ``max_degree``,
+``diameter`` or ``is_connected`` asks for them.  The vectorized engine
+reads only :attr:`ClusterGraph.edges`, so a million-vertex graph it
+runs on never pays for a Python list per vertex.
 """
 
 from __future__ import annotations
@@ -31,7 +39,8 @@ class ClusterGraph:
         if num_clusters < 1:
             raise TopologyError(f"need at least one cluster: {num_clusters!r}")
         self._edges = g.normalize_edges(num_clusters, edges)
-        self._adjacency = g.adjacency_from_edges(num_clusters, self._edges)
+        self._num_clusters = num_clusters
+        self._adjacency: list[list[int]] | None = None
         self.name = name or f"cluster-graph({num_clusters})"
 
     # -- named constructors -------------------------------------------
@@ -91,7 +100,7 @@ class ClusterGraph:
 
     @property
     def num_clusters(self) -> int:
-        return len(self._adjacency)
+        return self._num_clusters
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -101,24 +110,30 @@ class ClusterGraph:
     def num_edges(self) -> int:
         return len(self._edges)
 
+    def _adjacent(self) -> list[list[int]]:
+        """Sorted adjacency lists, built on the first query."""
+        if self._adjacency is None:
+            self._adjacency = g.adjacency_from_edges(self._num_clusters,
+                                                     self._edges)
+        return self._adjacency
+
     def neighbors(self, cluster: int) -> tuple[int, ...]:
-        try:
-            return tuple(self._adjacency[cluster])
-        except IndexError:
-            raise TopologyError(f"unknown cluster: {cluster!r}") from None
+        if not 0 <= cluster < self._num_clusters:
+            raise TopologyError(f"unknown cluster: {cluster!r}")
+        return tuple(self._adjacent()[cluster])
 
     def degree(self, cluster: int) -> int:
         return len(self.neighbors(cluster))
 
     def max_degree(self) -> int:
-        return max(len(adj) for adj in self._adjacency)
+        return max(len(adj) for adj in self._adjacent())
 
     def diameter(self) -> int:
         """Exact hop diameter of ``G`` (also the diameter of ``G``)."""
-        return g.hop_diameter(self._adjacency)
+        return g.hop_diameter(self._adjacent())
 
     def is_connected(self) -> bool:
-        return g.is_connected(self._adjacency)
+        return g.is_connected(self._adjacent())
 
     # -- augmentation ---------------------------------------------------
 
@@ -176,17 +191,15 @@ class AugmentedGraph:
 
     def members(self, cluster: int) -> tuple[int, ...]:
         """Node ids belonging to ``cluster``."""
-        try:
-            return self._members[cluster]
-        except IndexError:
-            raise TopologyError(f"unknown cluster: {cluster!r}") from None
+        if not 0 <= cluster < len(self._members):
+            raise TopologyError(f"unknown cluster: {cluster!r}")
+        return self._members[cluster]
 
     def cluster_of(self, node: int) -> int:
         """Cluster id owning ``node``."""
-        try:
-            return self._cluster_of[node]
-        except IndexError:
-            raise TopologyError(f"unknown node: {node!r}") from None
+        if not 0 <= node < len(self._cluster_of):
+            raise TopologyError(f"unknown node: {node!r}")
+        return self._cluster_of[node]
 
     # -- adjacency -------------------------------------------------------
 

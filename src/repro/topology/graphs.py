@@ -18,18 +18,23 @@ def normalize_edges(num_vertices: int,
     """Validate and canonicalize an undirected edge list.
 
     Each edge is returned as ``(min, max)``; duplicates and self-loops
-    raise :class:`TopologyError`.
+    raise :class:`TopologyError`.  Input tuples already in that form
+    are reused rather than rebuilt (the generators emit them).
     """
     seen: set[tuple[int, int]] = set()
     result: list[tuple[int, int]] = []
-    for a, b in edges:
+    for edge in edges:
+        a, b = edge
         if not (0 <= a < num_vertices and 0 <= b < num_vertices):
             raise TopologyError(
                 f"edge ({a!r}, {b!r}) references a vertex outside "
                 f"0..{num_vertices - 1}")
         if a == b:
             raise TopologyError(f"self-loop at vertex {a!r}")
-        edge = (a, b) if a < b else (b, a)
+        if a > b:
+            edge = (b, a)
+        elif type(edge) is not tuple:
+            edge = (a, b)
         if edge in seen:
             raise TopologyError(f"duplicate edge {edge!r}")
         seen.add(edge)

@@ -1,13 +1,16 @@
 """The vectorized synchronous-round engine (`repro.engine_vec`).
 
-Degenerate topologies (edgeless, single node), faulty-node vectors at
-the f-bound, the `engine` spec field's serialization/cache behavior,
-and the builder's eager rejection of event-only features.  The
+Degenerate topologies (edgeless, single node), the CSR layout and
+segment reductions against per-node loops, set-up without per-vertex
+adjacency lists, faulty-node vectors at the f-bound, the `engine` spec
+field's serialization/cache behavior, and the builder's eager
+rejection of event-only features.  The
 cross-engine skew agreement itself lives in
 ``tests/test_equivalence.py``.
 """
 
 import math
+import random
 
 import pytest
 
@@ -33,6 +36,7 @@ from repro.harness.sweep import (
 )
 from repro.service.store import ResultStore
 from repro.topology import ClusterGraph, EdgeChurnSchedule
+from repro.topology import graphs
 
 GCS = GcsParams(rho=1e-3, d=1.0, u=0.01, mu=0.01, period=10.0,
                 kappa=0.3, slack=0.1)
@@ -76,6 +80,104 @@ class TestDegenerateTopologies:
         gamma = fast_trigger_mask(up - values, values - down,
                                   kappa=0.3, slack=0.1)
         assert not gamma[0]  # masked fills never fire a trigger
+
+    def test_csr_trailing_isolated_vertex(self):
+        # Node 2 sees nodes 0 and 1; node 3 is isolated.  A trailing
+        # empty row must not shorten the segment before it.
+        csr = CSRAdjacency(ClusterGraph(4, [(0, 2), (1, 2)]))
+        values = np.array([5.0, 1.0, 9.0, 3.0])
+        assert csr.segment_min(csr.gather(values)).tolist() \
+            == [9.0, 9.0, 1.0, math.inf]
+        assert csr.segment_max(csr.gather(values)).tolist() \
+            == [9.0, 9.0, 5.0, -math.inf]
+
+
+def random_graph_with_isolated(seed):
+    """Random edges over every vertex but the first, a middle and the
+    last one, listed in random order and orientation."""
+    rng = random.Random(seed)
+    n = rng.randrange(5, 40)
+    isolated = {0, n // 2, n - 1}
+    live = [v for v in range(n) if v not in isolated]
+    pairs = {tuple(sorted(rng.sample(live, 2)))
+             for _ in range(rng.randrange(1, 3 * n))}
+    edges = [(b, a) if rng.random() < 0.5 else (a, b)
+             for a, b in sorted(pairs, key=lambda _: rng.random())]
+    return ClusterGraph(n, edges, name=f"random-isolated-{seed}")
+
+
+#: Graphs with isolated vertices take the reductions' fill-and-mask
+#: path; the caterpillar and the ring, with every row non-empty, take
+#: the path that returns ``reduceat``'s result directly.
+CSR_GRAPHS = (
+    [random_graph_with_isolated(seed) for seed in range(8)]
+    + [ClusterGraph(4, [], name="edgeless"), ClusterGraph.line(1),
+       ClusterGraph.caterpillar(6, 4), ClusterGraph.ring(5)])
+
+
+class TestCSRReference:
+    """The CSR view against per-node Python loops over the edge list.
+
+    Slot order fixes every per-slot draw, so it is pinned exactly: node
+    ``i`` sees the ``b`` of its ``(i, b)`` edges, then the ``a`` of its
+    ``(a, i)`` edges, each in edge-list order.
+    """
+
+    @pytest.mark.parametrize("graph", CSR_GRAPHS,
+                             ids=lambda graph: graph.name)
+    def test_layout_matches_edge_list(self, graph):
+        csr = CSRAdjacency(graph)
+        edges = graph.edges
+        assert csr.edge_a.tolist() == [a for a, _ in edges]
+        assert csr.edge_b.tolist() == [b for _, b in edges]
+        assert csr.indptr[0] == 0
+        assert csr.indptr[-1] == csr.num_slots == 2 * len(edges)
+        for i in range(graph.num_clusters):
+            lo, hi = csr.indptr[i], csr.indptr[i + 1]
+            expected = ([b for a, b in edges if a == i]
+                        + [a for a, b in edges if b == i])
+            assert csr.indices[lo:hi].tolist() == expected
+            assert csr.row[lo:hi].tolist() == [i] * len(expected)
+
+    @pytest.mark.parametrize("graph", CSR_GRAPHS,
+                             ids=lambda graph: graph.name)
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_segment_reductions_match_loop(self, graph, dtype):
+        csr = CSRAdjacency(graph)
+        values = np.random.default_rng(graph.num_edges).normal(
+            0.0, 10.0, csr.num_slots).astype(dtype)
+        up = csr.segment_max(values)
+        down = csr.segment_min(values, fill=7.5)
+        assert up.dtype == down.dtype == np.float64
+        for i in range(graph.num_clusters):
+            own = values[csr.indptr[i]:csr.indptr[i + 1]].tolist()
+            assert up[i] == (max(own) if own else -math.inf)
+            assert down[i] == (min(own) if own else 7.5)
+
+
+@pytest.mark.parametrize("protocol", ["gcs_single", "ftgcs"])
+def test_vectorized_cell_builds_no_adjacency_lists(monkeypatch, protocol):
+    # Set-up of a vectorized cell reads only the edge list: the
+    # per-vertex adjacency lists would cost a Python list per node.
+    calls = []
+    original = graphs.adjacency_from_edges
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(graphs, "adjacency_from_edges", counting)
+    scenario = Scenario.on("caterpillar", 5, 4)
+    if protocol == "gcs_single":
+        scenario = scenario.protocol("gcs_single").payload(
+            params=GCS, until=50.0)
+    else:
+        scenario = scenario.params(
+            Parameters.practical(rho=1e-4, d=1.0, u=0.1, f=1)).rounds(3)
+    cell = run_cell(scenario.engine("vectorized").seed(4).build())
+    assert cell.result.detail["engine"] == "vectorized"
+    assert cell.result.detail["nodes"] == 20
+    assert calls == []
 
 
 class TestFaultyVectors:

@@ -29,6 +29,7 @@ from repro.harness.sweep import (
 from repro.service import JobManager, ResultStore, ScenarioLibrary
 from repro.service.app import create_app
 from repro.service.library import LibraryScenario
+from repro.service.store import STORE_FORMAT
 
 PARAMS = Parameters.practical(rho=1e-4, d=1.0, u=0.1, f=1)
 
@@ -118,6 +119,30 @@ class TestResultStore:
         path.write_text(json.dumps(entry))
         assert store.get(spec) is None
         assert store.corrupt == 1
+
+    @pytest.mark.parametrize("version", [1, None])
+    def test_stale_format_is_a_miss_then_rewritten(self, store, caplog,
+                                                   version):
+        # Entries from an older layout (or with no format field) are
+        # never served; the recompute overwrites them in the current
+        # format.
+        spec = small_spec()
+        path = store.put(spec, run_cell(spec))
+        entry = json.loads(path.read_text())
+        assert entry["format"] == STORE_FORMAT == 2
+        if version is None:
+            del entry["format"]
+        else:
+            entry["format"] = version
+        path.write_text(json.dumps(entry))
+        with caplog.at_level(logging.WARNING, "repro.service.store"):
+            assert store.get(spec) is None
+        assert store.misses == 1 and store.corrupt == 0
+        assert "stale cache entry" in caplog.text
+        store.put(spec, run_cell(spec))
+        assert json.loads(path.read_text())["format"] == STORE_FORMAT
+        assert store.get(spec) is not None
+        assert store.hits == 1
 
     def test_non_cell_payload_is_a_miss(self, store):
         spec = small_spec()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import TopologyError
 from repro.topology import ClusterGraph, hop_diameter, adjacency_from_edges
+from repro.topology import graphs
 
 
 class TestGenerators:
@@ -109,6 +110,50 @@ class TestValidation:
         with pytest.raises(TopologyError):
             ClusterGraph.ring(2)
 
+    @pytest.mark.parametrize("cluster", [-1, 3])
+    def test_cluster_ids_outside_range_raise(self, cluster):
+        # -1 must not wrap around to the last cluster's adjacency.
+        graph = ClusterGraph.line(3)
+        with pytest.raises(TopologyError, match="unknown cluster"):
+            graph.neighbors(cluster)
+        with pytest.raises(TopologyError, match="unknown cluster"):
+            graph.degree(cluster)
+
+
+#: One instance of every named constructor, plus graphs whose
+#: adjacency has isolated or disconnected parts.
+NAMED_GRAPHS = [
+    ClusterGraph.line(1), ClusterGraph.line(6), ClusterGraph.ring(7),
+    ClusterGraph.complete(5), ClusterGraph.star(6),
+    ClusterGraph.grid(3, 4), ClusterGraph.torus(3, 4),
+    ClusterGraph.balanced_tree(2, 3), ClusterGraph.caterpillar(4, 3),
+    ClusterGraph.caterpillar(5, 1), ClusterGraph.hypercube(3),
+    ClusterGraph.random_connected(12, 0.2, random.Random(7)),
+    ClusterGraph(5, [(3, 1), (4, 0)], name="disconnected"),
+    ClusterGraph(3, [], name="edgeless"),
+]
+
+
+class TestLazyAdjacency:
+    """The adjacency built on first query equals the eager reference
+    ``adjacency_from_edges(n, graph.edges)`` on every accessor."""
+
+    @pytest.mark.parametrize("graph", NAMED_GRAPHS,
+                             ids=lambda graph: graph.name)
+    def test_accessors_match_reference(self, graph):
+        n = graph.num_clusters
+        reference = adjacency_from_edges(n, graph.edges)
+        for cluster in range(n):
+            assert graph.neighbors(cluster) == tuple(reference[cluster])
+            assert graph.degree(cluster) == len(reference[cluster])
+        assert graph.max_degree() == max(len(adj) for adj in reference)
+        assert graph.is_connected() == graphs.is_connected(reference)
+        if graph.is_connected():
+            assert graph.diameter() == hop_diameter(reference)
+        else:
+            with pytest.raises(TopologyError, match="disconnected"):
+                graph.diameter()
+
 
 class TestAugmentation:
     def test_member_blocks(self):
@@ -167,6 +212,18 @@ class TestAugmentation:
             aug.members(5)
         with pytest.raises(TopologyError):
             aug.cluster_of(99)
+
+    def test_negative_ids_raise(self):
+        # -1 must not wrap around to the last cluster or node.
+        aug = ClusterGraph.line(3).augment(4)
+        with pytest.raises(TopologyError, match="unknown cluster"):
+            aug.members(-1)
+        with pytest.raises(TopologyError, match="unknown cluster"):
+            aug.adjacent_clusters(-1)
+        for accessor in (aug.cluster_of, aug.cluster_neighbors,
+                         aug.inter_neighbors, aug.neighbors):
+            with pytest.raises(TopologyError, match="unknown node"):
+                accessor(-1)
 
     def test_overhead_scaling_in_f(self):
         """Nodes scale as O(f) and edges as O(f^2) (Theorem 1.1)."""
