@@ -47,8 +47,9 @@ smoke-t16:
 serve:
 	$(PYTHON) -m repro serve $(ARGS)
 
-# End-to-end serving-layer check (CI runs this): boot a real server,
-# submit t01 quick over HTTP, assert the served bytes match direct
+# End-to-end serving-layer check (CI runs this): boot a real server
+# with a 2-worker pool, submit t01 quick over HTTP (its cache misses
+# run in the pool), assert the served bytes match direct
 # run_experiment output, then resubmit and assert zero executed cells
 # (everything from the content-addressed cache).
 smoke-serve:

@@ -1,8 +1,8 @@
 """End-to-end smoke check for ``python -m repro serve``.
 
 Boots the real server in a subprocess (fresh temp cache, a free
-port), then drives the serving layer's two contracts over actual
-HTTP:
+port, a 2-worker pool, so every cache miss runs in a pool worker),
+then drives the serving layer's two contracts over actual HTTP:
 
 1. **Byte identity** — the t01 quick job's ``format=json`` result is
    byte-identical to direct ``run_experiment("t01")`` output.
@@ -30,6 +30,7 @@ from repro.harness.registry import run_experiment  # noqa: E402
 EXPERIMENT = "t01"
 BOOT_TIMEOUT = 30.0
 JOB_TIMEOUT = 120.0
+PROCESSES = 2
 
 
 def free_port() -> int:
@@ -86,7 +87,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-smoke-") as cache:
         server = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port",
-             str(port), "--cache-dir", cache],
+             str(port), "--cache-dir", cache, "--processes",
+             str(PROCESSES)],
             env={**os.environ,
                  "PYTHONPATH": os.pathsep.join(
                      ["src", os.environ.get("PYTHONPATH", "")])

@@ -149,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen port (default: 8765)")
     serve_p.add_argument(
         "--processes", type=int, default=None, metavar="N",
-        help="warm-pool worker processes per job batch "
-             "(default: REPRO_SWEEP_PROCESSES or serial)")
+        help="worker processes of the warm pool that runs cache "
+             "misses (default: REPRO_SWEEP_PROCESSES or serial)")
     serve_p.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="concurrent job-consumer threads (default: 1)")

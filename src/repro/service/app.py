@@ -146,7 +146,7 @@ def create_app(cache_dir=None, scenario_dir=None, processes=None,
         label = body.get("label")
         if "experiment" in body:
             return manager.submit_experiment(
-                body["experiment"], quick=bool(body.get("quick", True)),
+                body["experiment"], quick=body.get("quick", True),
                 seed=body.get("seed"), label=label)
         if "scenario" in body:
             if library is None:
@@ -166,8 +166,7 @@ def create_app(cache_dir=None, scenario_dir=None, processes=None,
             raise ConfigError("'cells' must be a list of spec dicts")
         specs = [ScenarioSpec.from_dict(cell) for cell in cells]
         return manager.submit_grid(
-            specs, base_seed=int(body.get("base_seed", 0)),
-            label=label)
+            specs, base_seed=body.get("base_seed", 0), label=label)
 
     @app.post("/jobs")
     def submit_job():

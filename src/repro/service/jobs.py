@@ -17,21 +17,29 @@ Execution path, per job:
    :class:`~repro.service.store.ResultStore`: hits are decoded from
    disk and never touch the kernel (the per-job ``executed_cells``
    counter stays at 0 for a fully cached resubmission).
-3. Execute the misses — serially in-process, or mapped over **one
-   warm ``multiprocessing`` pool** shared by every job the manager
-   ever runs (created once, reused; no per-job pool startup) — and
-   persist each result before merging it back at its grid index.
+3. Execute the misses — serially in-process, or streamed through
+   **one warm ``multiprocessing`` pool** shared by every job the
+   manager ever runs (created once, reused; no per-job pool startup).
+   The pool path keeps at most ``2 * processes`` cells submitted but
+   not yet persisted and collects them in grid order, so the workers
+   keep computing while the job thread persists each result (and
+   merges it back at its grid index) as it arrives.
 4. Finish the table (the experiment's registered ``finish`` step, or
    a generic per-cell summary for ad-hoc grids).
 
 Job states: ``queued → running → done | failed | cancelled``.
-Cancellation is honored between batches (a queued job cancels
-immediately; an executing one stops at the next batch boundary,
-keeping already-persisted cells in the cache).
+Cancellation is checked before each cell is started: a queued job
+cancels immediately; an executing one starts no further cell, lets
+the at most ``2 * processes`` cells already in the pool finish, and
+keeps every persisted cell in the cache.  A failing cell fails the job
+with the first error in grid order, after the cells still in flight
+are collected and the successful ones persisted, so no leftover work
+stays on the shared pool.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import multiprocessing
 import queue
@@ -53,6 +61,24 @@ from repro.service.store import ResultStore
 
 #: Legal :attr:`Job.state` values, in lifecycle order.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+
+
+def check_job_fields(**fields) -> None:
+    """Reject an ill-typed ``quick``/``seed``/``base_seed`` (the
+    OpenAPI ``JobRequest`` types) with a
+    :class:`~repro.errors.ConfigError` naming the field.  Values are
+    checked, never coerced: ``"false"`` is not ``False``, ``1.7`` is
+    not ``1``, and a boolean is not an integer."""
+    for name, value in fields.items():
+        integer = isinstance(value, int) and not isinstance(value, bool)
+        valid, expected = {
+            "quick": (isinstance(value, bool), "a boolean"),
+            "seed": (integer or value is None, "an integer or null"),
+            "base_seed": (integer, "an integer"),
+        }[name]
+        if not valid:
+            raise ConfigError(
+                f"{name!r} must be {expected}, got {value!r}")
 
 
 class Job:
@@ -145,15 +171,18 @@ class JobManager:
         The content-addressed result cache (default: a
         :class:`ResultStore` at the default cache dir).
     processes:
-        Per-batch worker processes, resolved through
+        Worker processes of the warm pool, resolved through
         :func:`~repro.harness.sweep.default_processes`.  ``1`` (the
         stock default) executes misses serially in the worker thread;
         larger values create one long-lived ``multiprocessing`` pool
-        on first use and reuse it for every subsequent job.
+        on first use, reuse it for every subsequent job, and keep up
+        to ``2 * processes`` of a job's cells in it at a time.
     workers:
         Job-consumer threads.  One (the default) serializes jobs —
         deterministic end-to-end ordering and no pool contention;
-        more overlap jobs whose cells are mostly cache hits.
+        more overlap the cache lookups and finish steps of jobs, while
+        jobs with misses take turns on the pool one whole job at a
+        time.
     """
 
     def __init__(self, store: ResultStore | None = None,
@@ -170,6 +199,7 @@ class JobManager:
         self._ids = itertools.count(1)
         self._pool = None
         self._pool_lock = threading.Lock()
+        self._closed = False
         self._threads = [
             threading.Thread(target=self._worker_loop,
                              name=f"repro-job-worker-{i}", daemon=True)
@@ -194,11 +224,13 @@ class JobManager:
                           quick: bool = True,
                           seed: int | None = None,
                           label: str | None = None) -> Job:
-        """Queue one registry experiment; unknown ids fail eagerly."""
+        """Queue one registry experiment; unknown ids and ill-typed
+        ``quick``/``seed`` values fail eagerly."""
+        check_job_fields(quick=quick, seed=seed)
         experiment = REGISTRY.get(experiment_id)  # raises ConfigError
         resolved_seed = seed if seed is not None \
             else experiment.default_seed
-        request = {"experiment": experiment.id, "quick": bool(quick),
+        request = {"experiment": experiment.id, "quick": quick,
                    "seed": resolved_seed}
         return self._register(
             "experiment", request,
@@ -210,6 +242,7 @@ class JobManager:
                     base_seed: int = 0,
                     label: str | None = None) -> Job:
         """Queue an ad-hoc grid of already-built specs."""
+        check_job_fields(base_seed=base_seed)
         if not specs:
             raise ConfigError("submit_grid needs at least one spec")
         for spec in specs:
@@ -258,8 +291,15 @@ class JobManager:
     def shutdown(self) -> None:
         """Stop the worker threads and release the warm pool.
 
-        Queued jobs that never started are marked cancelled.
+        Every unfinished job is cancelled first: a running one starts
+        no further cell and only finishes the cells already in flight;
+        queued jobs that never started are marked cancelled.  No pool
+        is created after this call.
         """
+        self._closed = True
+        for job in self.jobs():
+            if not job.done:
+                job.cancel_event.set()
         for _ in self._threads:
             self._queue.put(None)
         for thread in self._threads:
@@ -281,7 +321,10 @@ class JobManager:
     # ------------------------------------------------------------------
 
     def _warm_pool(self):
-        """The shared long-lived pool (created on first use)."""
+        """The shared long-lived pool (created on first use), or
+        ``None`` once :meth:`shutdown` has begun."""
+        if self._closed:
+            return None
         if self._pool is None:
             methods = multiprocessing.get_all_start_methods()
             method = "fork" if "fork" in methods else None
@@ -289,15 +332,57 @@ class JobManager:
             self._pool = ctx.Pool(processes=self.processes)
         return self._pool
 
-    def _execute_batch(self,
-                       specs: list[ScenarioSpec]
-                       ) -> list[SweepCellResult]:
-        """Run one batch of cache misses (the only kernel-touching
-        path in the whole service)."""
-        if self.processes <= 1 or len(specs) <= 1:
-            return [run_cell(spec) for spec in specs]
+    def _persist(self, job: Job, results: list, index: int,
+                 spec: ScenarioSpec, cell: SweepCellResult) -> None:
+        self.store.put(spec, cell)
+        results[index] = cell
+        job.executed_cells += 1
+        job.completed_cells += 1
+
+    def _execute_misses(self, job: Job,
+                        misses: list[tuple[int, ScenarioSpec]],
+                        results: list) -> None:
+        """Run the cache misses and persist each result as it arrives
+        (the only kernel-touching path in the whole service).  The pool
+        path holds ``_pool_lock`` throughout; the module docstring has
+        its window, ordering, cancellation and failure rules."""
+        if self.processes <= 1:
+            for index, spec in misses:
+                if job.cancel_event.is_set():
+                    return
+                self._persist(job, results, index, spec, run_cell(spec))
+            return
+        if not misses:
+            return
+        window = 2 * self.processes
+        in_flight = collections.deque()
+        errors: list[Exception] = []
+
+        def collect() -> None:
+            index, spec, pending = in_flight.popleft()
+            try:
+                cell = pending.get()
+            except Exception as error:  # the cell's own exception
+                errors.append(error)
+            else:
+                self._persist(job, results, index, spec, cell)
+
         with self._pool_lock:
-            return self._warm_pool().map(run_cell, specs)
+            pool = self._warm_pool()
+            if pool is None:  # shut down: no pool to run the job on
+                job.cancel_event.set()
+                return
+            for index, spec in misses:
+                if errors or job.cancel_event.is_set():
+                    break
+                in_flight.append(
+                    (index, spec, pool.apply_async(run_cell, (spec,))))
+                if len(in_flight) == window:
+                    collect()
+            while in_flight:
+                collect()
+        if errors:
+            raise errors[0]
 
     def _compile(self, job: Job):
         """Resolve the job to (resolved specs, finish step, table)."""
@@ -329,25 +414,11 @@ class JobManager:
                 job.completed_cells += 1
             else:
                 misses.append((index, spec))
-        # Serial execution goes cell-by-cell (finest progress /
-        # cancellation granularity); the pool path batches one pool
-        # width at a time so progress still ticks during long grids.
-        batch_size = 1 if self.processes <= 1 else self.processes
-        for start in range(0, len(misses), batch_size):
-            if job.cancel_event.is_set():
-                job.state = "cancelled"
-                return
-            batch = misses[start:start + batch_size]
-            cells = self._execute_batch([spec for _, spec in batch])
-            for (index, spec), cell in zip(batch, cells):
-                self.store.put(spec, cell)
-                results[index] = cell
-                job.executed_cells += 1
-                job.completed_cells += 1
+        self._execute_misses(job, misses, results)
         if job.cancel_event.is_set():
             job.state = "cancelled"
             return
-        job.cells = [cell for cell in results if cell is not None]
+        job.cells = results
         job.table = finish(job.cells, table)
         job.state = "done"
 
@@ -380,4 +451,5 @@ class JobManager:
                 job.finished_event.set()
 
 
-__all__ = ["JOB_STATES", "Job", "JobManager", "grid_summary_table"]
+__all__ = ["JOB_STATES", "Job", "JobManager", "check_job_fields",
+           "grid_summary_table"]

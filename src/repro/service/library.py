@@ -50,6 +50,7 @@ from pathlib import Path
 from repro.core.params import Parameters
 from repro.errors import ConfigError
 from repro.harness.sweep import ScenarioSpec
+from repro.service.jobs import check_job_fields
 
 try:
     import yaml
@@ -138,6 +139,13 @@ def _load_file(path: Path) -> dict:
     return data
 
 
+def _check_fields(path: Path, **fields) -> None:
+    try:
+        check_job_fields(**fields)
+    except ConfigError as error:
+        raise ConfigError(f"{path.name}: {error}") from None
+
+
 def _parse(name: str, path: Path, data: dict) -> LibraryScenario:
     title = data.get("title", name)
     has_experiment = "experiment" in data
@@ -153,15 +161,18 @@ def _parse(name: str, path: Path, data: dict) -> LibraryScenario:
             raise ConfigError(
                 f"{path.name}: unknown key(s) {extra} for an "
                 f"experiment scenario")
+        quick = data.get("quick", True)
+        seed = data.get("seed")
+        _check_fields(path, quick=quick, seed=seed)
         return LibraryScenario(
             name=name, title=str(title), path=str(path),
-            experiment=str(data["experiment"]),
-            quick=bool(data.get("quick", True)),
-            seed=data.get("seed"))
+            experiment=str(data["experiment"]), quick=quick, seed=seed)
     extra = sorted(set(data) - {"title", "cells", "base_seed"})
     if extra:
         raise ConfigError(
             f"{path.name}: unknown key(s) {extra} for a grid scenario")
+    base_seed = data.get("base_seed", 0)
+    _check_fields(path, base_seed=base_seed)
     cells = data["cells"]
     if not isinstance(cells, list) or not cells:
         raise ConfigError(
@@ -179,8 +190,7 @@ def _parse(name: str, path: Path, data: dict) -> LibraryScenario:
                 f"{path.name}: cell {index}: {error}") from None
     return LibraryScenario(
         name=name, title=str(title), path=str(path),
-        specs=tuple(specs),
-        base_seed=int(data.get("base_seed", 0)))
+        specs=tuple(specs), base_seed=base_seed)
 
 
 class ScenarioLibrary:

@@ -192,7 +192,8 @@ def openapi_document() -> dict:
                             status="202"),
                         **_json_response(
                             "Malformed body (not exactly one "
-                            "source, unknown experiment, bad spec).",
+                            "source, unknown experiment, bad spec, "
+                            "an ill-typed quick/seed/base_seed).",
                             {"$ref": "#/components/schemas/Error"},
                             status="400"),
                     },

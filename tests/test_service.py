@@ -12,16 +12,25 @@ here through ``app.test_client()`` (no sockets):
 
 import json
 import logging
+import os
+import sys
 import textwrap
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.core.params import Parameters
 from repro.errors import ConfigError
-from repro.harness.registry import run_experiment
+from repro.harness import serialize
+from repro.harness.registry import REGISTRY, run_experiment
 from repro.harness.scenario import Scenario
 from repro.harness.sweep import (
+    CELL_KINDS,
     ScenarioSpec,
+    SweepCellResult,
+    register_cell_kind,
     resolve_cell_seeds,
     run_cell,
     spec_hash,
@@ -37,6 +46,35 @@ PARAMS = Parameters.practical(rho=1e-4, d=1.0, u=0.1, f=1)
 def small_spec(seed=5, rounds=3):
     return (Scenario.line(3).params(PARAMS).rounds(rounds).seed(seed)
             .build())
+
+
+SLEEP_KIND = "test_service_sleep"
+PID_KIND = "test_service_pid"
+
+
+def _sleep_cell(spec):
+    # The monotonic clock is system-wide, so start and end times
+    # compare across the pool's worker processes.
+    start = time.monotonic()
+    time.sleep(spec.payload["seconds"])
+    return SweepCellResult(key=spec.key, seed=spec.seed,
+                           result=(start, time.monotonic()))
+
+
+def _pid_cell(spec):
+    return SweepCellResult(key=spec.key, seed=spec.seed,
+                           result=os.getpid())
+
+
+def sleep_specs(*seconds):
+    return [ScenarioSpec(kind=SLEEP_KIND, payload={"seconds": s},
+                         key=("cell", index))
+            for index, s in enumerate(seconds)]
+
+
+def stored_count(store, specs, base_seed=0):
+    return sum(store.get(spec) is not None
+               for spec in resolve_cell_seeds(specs, base_seed))
 
 
 @pytest.fixture
@@ -208,6 +246,18 @@ class TestJobManager:
             == [spec.seed for spec in resolved]
         assert job.table.columns[0] == "cell"
 
+    def test_ill_typed_fields_fail_eagerly(self, idle_manager):
+        for kwargs in ({"quick": "false"}, {"quick": 1},
+                       {"seed": "abc"}, {"seed": 2.5}, {"seed": True}):
+            (field,) = kwargs
+            with pytest.raises(ConfigError, match=repr(field)):
+                idle_manager.submit_experiment("t01", **kwargs)
+        for base_seed in ("abc", 1.7, False, None):
+            with pytest.raises(ConfigError, match="'base_seed'"):
+                idle_manager.submit_grid([small_spec()],
+                                         base_seed=base_seed)
+        assert idle_manager.jobs() == []
+
     def test_grid_rejects_empty_and_non_specs(self, manager):
         with pytest.raises(ConfigError, match="at least one"):
             manager.submit_grid([])
@@ -247,6 +297,164 @@ class TestJobManager:
         a = idle_manager.submit_experiment("t01")
         b = idle_manager.submit_experiment("t02")
         assert [job.id for job in idle_manager.jobs()] == [a.id, b.id]
+
+
+class TestPooledJobManager:
+    """The warm-pool path (``processes=2``).  The test cell kinds are
+    registered before any manager here forks its pool, so the forked
+    workers see them."""
+
+    PROCESSES = 2
+
+    @pytest.fixture(autouse=True, scope="class")
+    def cell_kinds(self):
+        register_cell_kind(SLEEP_KIND, _sleep_cell)
+        register_cell_kind(PID_KIND, _pid_cell)
+        yield
+        CELL_KINDS.pop(SLEEP_KIND)
+        CELL_KINDS.pop(PID_KIND)
+
+    @pytest.fixture
+    def pooled(self, store):
+        mgr = JobManager(store=store, processes=self.PROCESSES)
+        yield mgr
+        mgr.shutdown()
+
+    def test_pooled_grid_matches_serial(self, pooled, tmp_path):
+        specs = [small_spec(seed=None, rounds=r) for r in (2, 3, 4, 5, 6)]
+        serial = JobManager(store=ResultStore(tmp_path / "serial"),
+                            processes=1)
+        try:
+            expected = serial.wait(
+                serial.submit_grid(specs, base_seed=4).id, timeout=120)
+        finally:
+            serial.shutdown()
+        job = pooled.wait(pooled.submit_grid(specs, base_seed=4).id,
+                          timeout=120)
+        assert job.state == expected.state == "done"
+        assert job.executed_cells == len(specs)
+        assert [serialize.encode(cell) for cell in job.cells] \
+            == [serialize.encode(cell) for cell in expected.cells]
+        assert stored_count(pooled.store, specs, 4) == len(specs)
+        again = pooled.wait(pooled.submit_grid(specs, base_seed=4).id,
+                            timeout=120)
+        assert again.state == "done"
+        assert again.executed_cells == 0
+        assert again.cached_cells == len(specs)
+        assert [serialize.encode(cell) for cell in again.cells] \
+            == [serialize.encode(cell) for cell in expected.cells]
+
+    def test_cells_stream_past_a_slow_cell(self, pooled):
+        # No batch barrier: while cell 0 runs on one worker, the other
+        # worker goes on to cells 1, 2 and 3.
+        job = pooled.wait(
+            pooled.submit_grid(sleep_specs(0.6, 0.05, 0.05, 0.05)).id,
+            timeout=60)
+        assert job.state == "done"
+        (_, slow_end), _, (third_start, _), _ = \
+            [cell.result for cell in job.cells]
+        assert third_start < slow_end
+
+    def test_lone_miss_runs_in_a_worker(self, pooled):
+        job = pooled.wait(
+            pooled.submit_grid([ScenarioSpec(kind=PID_KIND)]).id,
+            timeout=60)
+        assert job.state == "done" and job.executed_cells == 1
+        assert job.cells[0].result != os.getpid()
+
+    def test_cancel_finishes_in_flight_cells(self, pooled, monkeypatch):
+        put = pooled.store.put
+        cancelled = []
+
+        def put_then_cancel(spec, cell):
+            path = put(spec, cell)
+            if not cancelled:
+                (running,) = [job for job in pooled.jobs()
+                              if not job.done]
+                cancelled.append(pooled.cancel(running.id))
+            return path
+
+        monkeypatch.setattr(pooled.store, "put", put_then_cancel)
+        specs = sleep_specs(*[0.05] * 12)
+        job = pooled.wait(pooled.submit_grid(specs).id, timeout=60)
+        assert cancelled == [True]
+        assert job.state == "cancelled"
+        assert 1 <= job.executed_cells <= 1 + 2 * self.PROCESSES
+        assert stored_count(pooled.store, specs) == job.executed_cells
+        after = pooled.wait(pooled.submit_grid(sleep_specs(0.01)).id,
+                            timeout=60)
+        assert after.state == "done"
+
+    def test_failing_cell_fails_job_after_draining(self, pooled):
+        specs = sleep_specs(*[0.02] * 8)
+        specs[3] = ScenarioSpec.from_dict({"graph": "line"})  # no n
+        job = pooled.wait(pooled.submit_grid(specs).id, timeout=60)
+        assert job.state == "failed"
+        assert "TypeError" in job.error
+        assert job.table is None
+        # The cells before the broken one and those still in flight
+        # when it failed are persisted; no cell starts after it.
+        assert stored_count(pooled.store, specs[:3]) == 3
+        assert stored_count(pooled.store, specs) == job.executed_cells
+        assert job.executed_cells < len(specs) - 1
+        after = pooled.wait(pooled.submit_grid(sleep_specs(0.01)).id,
+                            timeout=60)
+        assert after.state == "done"
+
+    def test_concurrent_jobs_take_turns_on_the_pool(self, store,
+                                                    monkeypatch):
+        put = store.put
+
+        def slow_put(spec, cell):
+            time.sleep(0.01)  # room for another job to cut in
+            return put(spec, cell)
+
+        monkeypatch.setattr(store, "put", slow_put)
+        manager = JobManager(store=store, processes=self.PROCESSES,
+                             workers=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            jobs = [manager.submit_grid(sleep_specs(*[0.02] * 6),
+                                        base_seed=base_seed)
+                    for base_seed in range(3)]
+            for job in jobs:
+                manager.wait(job.id, timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            manager.shutdown()
+        assert [(job.state, job.executed_cells) for job in jobs] \
+            == [("done", 6)] * 3
+        assert store.stats()["entries"] == 18
+        # One whole job at a time: no cell of the next job starts
+        # before the last cell of the previous one ends.
+        spans = sorted((min(cell.result[0] for cell in job.cells),
+                        max(cell.result[1] for cell in job.cells))
+                       for job in jobs)
+        for (_, end), (start, _) in zip(spans, spans[1:]):
+            assert end <= start
+
+    def test_shutdown_cancels_a_running_job(self, store, monkeypatch):
+        manager = JobManager(store=store, processes=self.PROCESSES)
+        persisted = threading.Event()
+        put = store.put
+
+        def put_and_signal(spec, cell):
+            path = put(spec, cell)
+            persisted.set()
+            return path
+
+        monkeypatch.setattr(store, "put", put_and_signal)
+        job = manager.submit_grid(sleep_specs(*[0.4] * 40))
+        assert persisted.wait(timeout=60)
+        start = time.monotonic()
+        manager.shutdown()
+        elapsed = time.monotonic() - start
+        assert not any(thread.is_alive() for thread in manager._threads)
+        assert elapsed < 2.5  # the thread join gives up after 5 s
+        assert job.state == "cancelled"
+        assert job.executed_cells < job.total_cells
+        assert manager._pool is None
 
 
 @pytest.mark.slow
@@ -334,6 +542,37 @@ class TestRestApi:
         snapshot = finish(client, job.get_json()["id"])
         assert snapshot["state"] == "done"
         assert snapshot["progress"]["total_cells"] == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("base_seed", "abc"), ("base_seed", 1.7), ("base_seed", True),
+        ("quick", "false"), ("quick", 1),
+        ("seed", "abc"), ("seed", 2.5), ("seed", False)])
+    def test_ill_typed_fields_are_400(self, client, field, value):
+        body = {"cells": [small_spec(seed=None).to_dict()]} \
+            if field == "base_seed" else {"experiment": "t01"}
+        body[field] = value
+        response = client.post("/jobs", json=body)
+        assert response.status_code == 400
+        assert repr(field) in response.get_json()["error"]
+        assert client.get("/jobs").get_json()["jobs"] == []
+
+    def test_typed_fields_are_queued_as_given(self, idle_manager):
+        stuck = create_app(manager=idle_manager).test_client()
+        bodies = [
+            ({"experiment": "t01", "quick": False, "seed": 3},
+             {"experiment": "t01", "quick": False, "seed": 3}),
+            ({"experiment": "t01", "seed": None},
+             {"experiment": "t01", "quick": True,
+              "seed": REGISTRY.get("t01").default_seed}),
+            ({"cells": [small_spec(seed=None).to_dict()],
+              "base_seed": 9}, {"cells": 1, "base_seed": 9}),
+            ({"cells": [small_spec(seed=None).to_dict()]},
+             {"cells": 1, "base_seed": 0}),
+        ]
+        for body, request in bodies:
+            response = stuck.post("/jobs", json=body)
+            assert response.status_code == 202
+            assert response.get_json()["request"] == request
 
     def test_bad_submissions_are_400(self, client):
         no_source = client.post("/jobs", json={"quick": True})
@@ -487,6 +726,41 @@ class TestScenarioLibrary:
         by_name = {entry["name"]: entry for entry in entries}
         assert "error" in by_name["broken"]
         assert by_name["good"]["experiment"] == "t01"
+
+    @pytest.mark.parametrize("text, field", [
+        ("experiment: t01\nquick: 'false'\n", "quick"),
+        ("experiment: t01\nseed: 2.5\n", "seed"),
+        ("base_seed: abc\ncells:\n  - {graph: line, graph_args: [3]}\n",
+         "base_seed"),
+    ])
+    def test_ill_typed_field_lists_as_error_entry(self, client,
+                                                  scenario_dir, text,
+                                                  field):
+        self.write(scenario_dir, "good.yaml", "experiment: t01\n")
+        self.write(scenario_dir, "bad.yaml", text)
+        listing = client.get("/scenarios")
+        assert listing.status_code == 200
+        by_name = {entry["name"]: entry
+                   for entry in listing.get_json()["scenarios"]}
+        assert by_name["good"] == {"name": "good", "title": "good",
+                                   "experiment": "t01", "quick": True}
+        assert by_name["bad"]["error"].startswith("bad.yaml: ")
+        assert repr(field) in by_name["bad"]["error"]
+        submit = client.post("/jobs", json={"scenario": "bad"})
+        assert submit.status_code == 400
+        assert repr(field) in submit.get_json()["error"]
+
+    def test_example_scenarios_load(self):
+        root = Path(__file__).resolve().parents[1] / "examples" \
+            / "scenarios"
+        assert ScenarioLibrary(root).describe_all() == [
+            {"name": "ftgcs_line_diameters",
+             "title": "FTGCS line, three diameters",
+             "cells": 3, "base_seed": 7},
+            {"name": "t01_quick",
+             "title": "T1 local skew vs diameter (quick, published seed)",
+             "experiment": "t01", "quick": True},
+        ]
 
     def test_missing_directory_is_empty(self, tmp_path):
         library = ScenarioLibrary(tmp_path / "nope")
