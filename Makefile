@@ -11,8 +11,9 @@ test:
 # form (the throughput comparison against BENCH_kernel.json is
 # hardware-sensitive, so only the explicit `make bench-quick` gate
 # hard-fails on it) + the cross-engine equivalence matrix + the
-# adversary-layer smoke.
-verify: lint test bench-quick-ci smoke-vec smoke-adversary
+# adversary-layer smoke + the end-to-end serving check + the
+# benchmark bit-identity gate.
+verify: lint test bench-quick-ci smoke-vec smoke-adversary smoke-serve bench-check
 
 # Determinism & contract static analysis (src/repro/lint): AST rules
 # (raw-rng, wall-clock, unordered-iter, stream-label) plus the

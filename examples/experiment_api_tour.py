@@ -99,6 +99,7 @@ class NoSyncProtocol(SyncProtocol):
     supports_node_churn = False
     supports_first_contact = False
     supports_vectorized = False
+    supports_vectorized_faults = False
 
     def build_nodes(self, ctx):
         from repro.clocks.hardware import HardwareClock

@@ -14,7 +14,13 @@ types.  This module defines the common surface they all now implement:
     uniform :class:`ProtocolRunResult`.  Class-level capability flags
     (``supports_faults``, ``supports_dynamic_topology``,
     ``needs_graph``, ``needs_params``) declare what a protocol can
-    compose with — the builder validates against them eagerly.
+    compose with.
+
+``FEATURES`` / :func:`check_composition`
+    The composition policy as one table: per builder feature, what
+    each engine needs to realize it.  ``SystemBuilder.build`` and the
+    spec check of :mod:`repro.harness.scenario` both evaluate it, so a
+    composition is rejected eagerly the same way on every path.
 
 ``SystemBuilder``
     Composes protocol x topology x faults x clock/delay models into a
@@ -54,20 +60,17 @@ the worker rebuilds the system here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import ConfigError
 from repro.topology.cluster_graph import ClusterGraph
 from repro.topology.schedule import TopologySchedule
 
-#: Execution backends a system can compile to.  ``"event"`` is the
-#: discrete-event kernel (full per-message fidelity, every capability);
-#: ``"vectorized"`` is the numpy struct-of-arrays round engine
-#: (:mod:`repro.engine_vec`) for protocols advertising
-#: ``supports_vectorized`` — static topologies, no per-delivery fault
-#: strategies or loss models (fault injection goes through the
-#: engine-agnostic :mod:`repro.faults.adversary` layer instead), but
-#: million-node scale.
+#: Execution backends a system can compile to: ``"event"``, the
+#: discrete-event kernel (full per-message fidelity), and
+#: ``"vectorized"``, the numpy struct-of-arrays round engine
+#: (:mod:`repro.engine_vec`, million-node scale).  What each realizes
+#: is :data:`FEATURES`.
 ENGINES = ("event", "vectorized")
 
 
@@ -335,6 +338,133 @@ class SyncProtocol:
         return None
 
 
+# ----------------------------------------------------------------------
+# Composition policy
+# ----------------------------------------------------------------------
+
+class Feature(NamedTuple):
+    """One :data:`FEATURES` row: the :func:`check_composition` keyword
+    carrying a builder feature, the :class:`BuildContext` field it
+    reaches the protocol through (``None``: the sweep worker realizes
+    it), what rejections call it, and what each engine needs."""
+
+    name: str
+    field: str | None
+    what: str
+    event: Any
+    vectorized: Any
+
+
+def _event_adversary(protocol: type[SyncProtocol], model) -> None:
+    from repro.faults.adversary import validate_event_support
+
+    validate_event_support(model, protocol.name)
+
+
+def _vectorized_adversary(protocol: type[SyncProtocol], model) -> None:
+    if not protocol.supports_vectorized_faults:
+        raise ConfigError(
+            f"protocol {protocol.name!r} does not support vectorized "
+            f"fault injection (supports_vectorized_faults is False)")
+    if not model.supports_vectorized:
+        raise ConfigError(
+            f"adversary {model.name!r} has no vectorized realization; "
+            f"use the event engine")
+
+
+def _collectors(protocol: type[SyncProtocol], _collect) -> None:
+    # Collectors walk analysis_system(): a derived capability.
+    if protocol.analysis_system is SyncProtocol.analysis_system:
+        raise ConfigError(
+            f"protocol {protocol.name!r} does not support in-worker "
+            f"collectors")
+
+
+#: The composition policy: per builder feature, what the event kernel
+#: and the vectorized engine need to realize it -- a capability flag
+#: the protocol must set, ``True`` (every protocol), ``False`` (no
+#: protocol) or a check ``(protocol class, value)`` that raises.
+FEATURES = (
+    Feature("strategy", "strategy", "the named fault-strategy model",
+            "supports_faults", False),
+    Feature("adversary", "adversary", "adversaries",
+            _event_adversary, _vectorized_adversary),
+    Feature("edge_events", "schedule", "dynamic topologies",
+            "supports_dynamic_topology", False),
+    Feature("node_events", "schedule", "node churn",
+            "supports_node_churn", False),
+    Feature("first_contact", "first_contact",
+            "first-contact estimator bring-up",
+            "supports_first_contact", False),
+    Feature("loss", "loss", "loss models", True, False),
+    Feature("collectors", None, "in-worker collectors",
+            _collectors, False),
+)
+
+
+def _strategy(name: str, args: tuple) -> None:
+    """Construct a named strategy once, running its argument checks."""
+    from repro.faults.adversary import resolve_strategy
+
+    try:
+        resolve_strategy(name)(*args)
+    except TypeError as exc:
+        raise ConfigError(
+            f"bad strategy args for {name!r}: {exc}") from None
+
+
+def check_composition(protocol: type[SyncProtocol], engine: str,
+                      **features) -> None:
+    """Evaluate :data:`FEATURES`: raise :class:`~repro.errors.ConfigError`
+    unless ``engine`` realizes every feature under ``protocol``.
+
+    ``features`` is keyed by row name, falsy meaning absent:
+    ``strategy`` is ``(name, args)``, ``adversary`` and ``loss`` their
+    specs, the rest flags.  The named strategy, the adversary model and
+    its event strategy are constructed (on either engine), so bad knobs
+    fail here too.  Nothing is built.
+    """
+    if engine == "vectorized" and not protocol.supports_vectorized:
+        raise ConfigError(
+            f"protocol {protocol.name!r} has no vectorized port "
+            f"(supports_vectorized is False)")
+    if features.get("strategy") and features.get("adversary"):
+        raise ConfigError(
+            "compose either a named fault strategy or an adversary, "
+            "not both")
+    if features.get("strategy"):
+        _strategy(*features["strategy"])
+    if features.get("adversary"):
+        from repro.faults.adversary import get_adversary
+
+        spec = features["adversary"]
+        if not isinstance(spec, dict):
+            raise ConfigError(f"adversary spec must be a dict: {spec!r}")
+        model = features["adversary"] = get_adversary(**spec)
+        if model.event_strategy() is not None:
+            _strategy(*model.event_strategy())
+    if features.get("loss"):
+        from repro.net.loss import validate_loss_spec
+
+        validate_loss_spec(features["loss"])
+    for row in FEATURES:
+        need = row.vectorized if engine == "vectorized" else row.event
+        value = features.get(row.name)
+        if not value or need is True:
+            continue
+        if need is False:
+            raise ConfigError(
+                f"the {engine} engine does not support {row.what}: it "
+                f"runs static topologies with per-round fault "
+                f"injection only; use the event engine")
+        if callable(need):
+            need(protocol, value)
+        elif not getattr(protocol, need):
+            raise ConfigError(
+                f"protocol {protocol.name!r} does not support "
+                f"{row.what} ({need} is False)")
+
+
 class System:
     """A generic, protocol-agnostic synchronization system.
 
@@ -501,9 +631,8 @@ class SystemBuilder:
 
         ``"event"`` (the default) builds the discrete-event
         :class:`System`; ``"vectorized"`` compiles the composition to
-        the numpy round engine (:mod:`repro.engine_vec`) — requires
-        the protocol's ``supports_vectorized`` capability and a
-        static, strategy-free, loss-free composition.
+        the numpy round engine (:mod:`repro.engine_vec`); which
+        features each engine realizes is :data:`FEATURES`.
         """
         if name not in ENGINES:
             raise ConfigError(
@@ -543,13 +672,12 @@ class SystemBuilder:
         declaring ``supports_vectorized_faults``), the protocol's
         native fault mechanism on the event kernel.  ``kwargs`` are
         the budget knobs (``amplitude``, ``count``) plus model
-        specifics; ``.adversary(None)`` clears.
+        specifics, checked at :meth:`build`; ``.adversary(None)``
+        clears.
         """
         if name is None:
             self._adversary = None
             return self
-        from repro.faults.adversary import get_adversary
-        get_adversary(name, **kwargs)  # eager name/kwargs validation
         self._adversary = {"name": name, **kwargs}
         return self
 
@@ -568,16 +696,11 @@ class SystemBuilder:
         ``kind`` and kwargs follow :func:`repro.net.loss.
         build_loss_model` — e.g. ``.lossy(rate=0.05)`` for 5%
         Bernoulli loss, or ``.lossy("burst", p_g2b=0.05, p_b2g=0.3,
-        p_bad=0.8)`` for Gilbert–Elliott bursts.  Validated eagerly so
-        a bad rate fails here, not mid-run.  ``.lossy(None)`` clears.
+        p_bad=0.8)`` for Gilbert–Elliott bursts.  Checked at
+        :meth:`build`, so a bad rate fails before any node is built.
+        ``.lossy(None)`` clears.
         """
-        if kind is None:
-            self._loss = None
-            return self
-        from repro.net.loss import validate_loss_spec
-        spec = {"kind": kind, **kwargs}
-        validate_loss_spec(spec)
-        self._loss = spec
+        self._loss = None if kind is None else {"kind": kind, **kwargs}
         return self
 
     def configure(self, **config) -> "SystemBuilder":
@@ -602,75 +725,19 @@ class SystemBuilder:
         :class:`~repro.engine_vec.engine.VecSystem`.
         """
         protocol = self._protocol
-        adversary_model = None
-        if self._adversary is not None:
-            if self._strategy is not None:
-                raise ConfigError(
-                    "compose either .faults(...) or .adversary(...), "
-                    "not both")
-            from repro.faults.adversary import (
-                get_adversary,
-                validate_event_support,
-            )
-            adversary_model = get_adversary(**self._adversary)
-        if self._engine == "vectorized":
-            if not protocol.supports_vectorized:
-                raise ConfigError(
-                    f"protocol {protocol.name!r} has no vectorized "
-                    f"port (supports_vectorized is False)")
-            if self._strategy is not None:
-                raise ConfigError(
-                    "the vectorized engine does not support the named "
-                    "fault-strategy model; use .adversary(...) or the "
-                    "event engine")
-            if adversary_model is not None:
-                if not protocol.supports_vectorized_faults:
-                    raise ConfigError(
-                        f"protocol {protocol.name!r} does not support "
-                        f"vectorized fault injection "
-                        f"(supports_vectorized_faults is False)")
-                if not adversary_model.supports_vectorized:
-                    raise ConfigError(
-                        f"adversary {adversary_model.name!r} has no "
-                        f"vectorized realization; use the event "
-                        f"engine")
-            if self._schedule is not None and not self._schedule.is_static:
-                raise ConfigError(
-                    "the vectorized engine runs static topologies "
-                    "only; use the event engine for schedules")
-            if self._first_contact:
-                raise ConfigError(
-                    "the vectorized engine does not support "
-                    "first-contact bring-up; use the event engine")
-            if self._loss:
-                raise ConfigError(
-                    "the vectorized engine does not support loss "
-                    "models; use the event engine")
-        elif adversary_model is not None:
-            validate_event_support(adversary_model, protocol.name)
+        schedule = self._schedule
+        check_composition(
+            type(protocol), self._engine,
+            strategy=(self._strategy is not None
+                      and (self._strategy, self._strategy_args)),
+            adversary=self._adversary,
+            edge_events=schedule is not None and schedule.has_edge_events,
+            node_events=schedule is not None and schedule.has_node_events,
+            first_contact=self._first_contact, loss=self._loss)
         if protocol.needs_graph and self._graph is None:
             raise ConfigError(
                 f"protocol {protocol.name!r} needs a topology; call "
                 f".topology(...)")
-        if self._strategy is not None and not protocol.supports_faults:
-            raise ConfigError(
-                f"protocol {protocol.name!r} does not support the "
-                f"named fault-strategy model")
-        if self._schedule is not None:
-            if (self._schedule.has_edge_events
-                    and not protocol.supports_dynamic_topology):
-                raise ConfigError(
-                    f"protocol {protocol.name!r} does not support "
-                    f"dynamic topologies")
-            if (self._schedule.has_node_events
-                    and not protocol.supports_node_churn):
-                raise ConfigError(
-                    f"protocol {protocol.name!r} does not support "
-                    f"node churn")
-        if self._first_contact and not protocol.supports_first_contact:
-            raise ConfigError(
-                f"protocol {protocol.name!r} does not support "
-                f"first-contact estimator bring-up")
         ctx = BuildContext(
             graph=self._graph, schedule=self._schedule,
             params=self._params, rounds=self._rounds, seed=self._seed,
@@ -760,12 +827,14 @@ def protocol_names() -> list[str]:
 
 __all__ = [
     "ENGINES",
+    "FEATURES",
     "PROTOCOLS",
     "BuildContext",
     "ProtocolRunResult",
     "SyncProtocol",
     "System",
     "SystemBuilder",
+    "check_composition",
     "get_protocol",
     "protocol_names",
     "register_protocol",

@@ -160,13 +160,12 @@ class ExperimentRegistry:
             from dataclasses import replace
 
             from repro.core.protocol import ENGINES
+            from repro.harness.sweep import cell_protocol
             if engine not in ENGINES:
                 raise ConfigError(f"unknown engine {engine!r}; known: "
                                   f"{list(ENGINES)}")
-            protocol_kinds = {"protocol", "ftgcs", "master_slave",
-                              "gcs_single", "srikanth_toueg"}
             specs = [replace(spec, engine=engine)
-                     if spec.kind in protocol_kinds else spec
+                     if cell_protocol(spec) is not None else spec
                      for spec in specs]
         cells = SweepRunner(processes).run(specs, base_seed=seed)
         return plan.finish(cells, experiment.make_table())

@@ -13,10 +13,11 @@ shared base fans out into grids without aliasing:
 ...          for j in (0.01, 0.05, 0.1)]
 >>> cells = SweepRunner().run(specs, base_seed=7)
 
-Validation that only needs the spec itself (known cell kind, known
-protocol, known topology schedule, known strategy, known collectors)
-happens *eagerly* at :meth:`Scenario.build`, each failure naming the
-known alternatives — a typo fails where the grid is written, not
+:meth:`Scenario.build` runs :func:`check_spec`, the check the service
+runs on every submitted cell: unknown names fail with the known
+alternatives, and a composition the engine cannot realize (or a bad
+strategy or adversary knob) fails through the table
+``SystemBuilder.build`` evaluates — where the grid is written, not
 inside a pool worker.  Topology and parameter validation happens in
 the worker, where the system is actually constructed.
 """
@@ -24,30 +25,22 @@ the worker, where the system is actually constructed.
 from __future__ import annotations
 
 from repro.core.params import Parameters
-from repro.core.protocol import ENGINES, get_protocol, protocol_names
+from repro.core.protocol import ENGINES, check_composition, get_protocol
 from repro.errors import ConfigError
 from repro.harness import serialize
 from repro.harness.sweep import (
     CELL_KINDS,
     COLLECTORS,
-    STRATEGIES,
     ScenarioSpec,
+    cell_protocol,
 )
-from repro.net.loss import validate_loss_spec
 from repro.topology.cluster_graph import ClusterGraph
-from repro.topology.schedule import SCHEDULES, build_schedule
+from repro.topology.schedule import SCHEDULES, TopologySchedule, build_schedule
 
-#: Built-in kinds that never read ``spec.schedule`` — pairing them
-#: with ``.dynamic(...)`` is a misconfiguration caught at build time.
-#: (Protocol cells are checked against the named protocol's
-#: ``supports_dynamic_topology`` flag instead; custom kinds are given
-#: the benefit of the doubt.)
-_SCHEDULE_BLIND_KINDS = frozenset(
+#: Built-in kinds that run no protocol: every builder feature on them
+#: would be silently ignored, so :func:`check_spec` rejects them.
+_PROTOCOL_FREE_KINDS = frozenset(
     {"failure_mc", "trigger_fuzz", "augment_counts"})
-
-#: Legacy alias kinds that forward to the ``protocol`` runner.
-_LEGACY_PROTOCOL_KINDS = frozenset(
-    {"ftgcs", "master_slave", "gcs_single", "srikanth_toueg"})
 
 
 class Scenario:
@@ -161,9 +154,6 @@ class Scenario:
         default — or ``"vectorized"`` for the numpy round engine.
         The protocol must declare ``supports_vectorized`` (checked at
         :meth:`build`)."""
-        if name not in ENGINES:
-            raise ConfigError(
-                f"unknown engine {name!r}; known: {list(ENGINES)}")
         return self._with(engine=name)
 
     def timed(self, enabled: bool = True) -> "Scenario":
@@ -269,153 +259,56 @@ class Scenario:
     # ------------------------------------------------------------------
 
     def build(self) -> ScenarioSpec:
-        """Compile to a picklable :class:`ScenarioSpec`.
-
-        Everything resolvable from the spec alone is validated here —
-        cell kind, protocol name, topology schedule, strategy, and
-        collectors all fail at build time with the known-names list.
-        """
-        fields = dict(self._fields)
-        kind = fields.get("kind", "protocol")
-        if kind not in CELL_KINDS:
-            raise ConfigError(f"unknown cell kind {kind!r}; known: "
-                              f"{sorted(CELL_KINDS)}")
-        protocol = fields.get("protocol")
-        if protocol is not None:
-            known = protocol_names()
-            if protocol not in known:
-                raise ConfigError(f"unknown protocol {protocol!r}; "
-                                  f"known: {known}")
-        schedule = fields.get("schedule")
-        if schedule is not None and schedule not in SCHEDULES:
-            raise ConfigError(f"unknown topology schedule {schedule!r}; "
-                              f"known: {sorted(SCHEDULES)}")
-        if schedule not in (None, "static"):
-            if kind in _SCHEDULE_BLIND_KINDS:
-                raise ConfigError(
-                    f"cell kind {kind!r} ignores topology schedules; "
-                    f".dynamic(...) needs a protocol cell")
-            name = None
-            if kind == "protocol":
-                name = protocol or "ftgcs"
-            elif kind in _LEGACY_PROTOCOL_KINDS:
-                name = kind
-            if name is not None:
-                # Capability check by what the schedule class actually
-                # emits: edge events need supports_dynamic_topology,
-                # node events supports_node_churn (a node-churn-only
-                # schedule is legal on e.g. master_slave, which cannot
-                # track per-edge estimator state).
-                cls = SCHEDULES[schedule]
-                proto = get_protocol(name)
-                from repro.topology.schedule import TopologySchedule
-                if (cls.events is not TopologySchedule.events
-                        and not proto.supports_dynamic_topology):
-                    raise ConfigError(
-                        f"protocol {name!r} does not support dynamic "
-                        f"topologies")
-                if (cls.node_events is not TopologySchedule.node_events
-                        and not proto.supports_node_churn):
-                    raise ConfigError(
-                        f"protocol {name!r} does not support node churn")
-        if fields.get("first_contact"):
-            if kind in _SCHEDULE_BLIND_KINDS:
-                raise ConfigError(
-                    f"cell kind {kind!r} ignores first_contact; "
-                    f".first_contact() needs a protocol cell")
-            name = None
-            if kind == "protocol":
-                name = protocol or "ftgcs"
-            elif kind in _LEGACY_PROTOCOL_KINDS:
-                name = kind
-            if (name is not None
-                    and not get_protocol(name).supports_first_contact):
-                raise ConfigError(
-                    f"protocol {name!r} does not support first-contact "
-                    f"estimator bring-up")
-        loss = fields.get("loss")
-        if loss:
-            if kind in _SCHEDULE_BLIND_KINDS or kind == "augment_counts":
-                raise ConfigError(
-                    f"cell kind {kind!r} has no network; .lossy(...) "
-                    f"needs a protocol cell")
-            validate_loss_spec(loss)
-        if schedule == "node_churn":
-            # Churn-arg typos should fail where the grid is written,
-            # not inside a pool worker: construct the schedule against
-            # the cell's own graph (cheap — no simulation).
-            graph_name = fields.get("graph")
-            if graph_name:
-                graph_factory = getattr(ClusterGraph, graph_name, None)
-                if graph_factory is not None:
-                    build_schedule(
-                        "node_churn",
-                        graph_factory(*fields.get("graph_args", ())),
-                        **fields.get("schedule_args", {}))
-        engine = fields.get("engine")
-        if engine is not None and engine not in ENGINES:
-            raise ConfigError(f"unknown engine {engine!r}; known: "
-                              f"{list(ENGINES)}")
-        if engine not in (None, "event"):
-            if kind in _SCHEDULE_BLIND_KINDS:
-                raise ConfigError(
-                    f"cell kind {kind!r} ignores engines; "
-                    f".engine(...) needs a protocol cell")
-            name = None
-            if kind == "protocol":
-                name = protocol or "ftgcs"
-            elif kind in _LEGACY_PROTOCOL_KINDS:
-                name = kind
-            if (name is not None
-                    and not get_protocol(name).supports_vectorized):
-                raise ConfigError(
-                    f"protocol {name!r} has no vectorized port "
-                    f"(supports_vectorized is False)")
-        strategy = fields.get("strategy")
-        if strategy is not None and strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {strategy!r}; known: "
-                              f"{sorted(STRATEGIES)}")
-        adversary = fields.get("adversary")
-        if adversary:
-            if strategy is not None:
-                raise ConfigError(
-                    "compose either .attack(...) or .adversarial(...), "
-                    "not both")
-            if kind in _SCHEDULE_BLIND_KINDS:
-                raise ConfigError(
-                    f"cell kind {kind!r} has no fault layer; "
-                    f".adversarial(...) needs a protocol cell")
-            from repro.faults.adversary import (
-                get_adversary,
-                validate_event_support,
-            )
-            model = get_adversary(**adversary)
-            name = None
-            if kind == "protocol":
-                name = protocol or "ftgcs"
-            elif kind in _LEGACY_PROTOCOL_KINDS:
-                name = kind
-            if name is not None:
-                proto = get_protocol(name)
-                if engine not in (None, "event"):
-                    if not proto.supports_vectorized_faults:
-                        raise ConfigError(
-                            f"protocol {name!r} has no vectorized "
-                            f"fault injection "
-                            f"(supports_vectorized_faults is False)")
-                    if not model.supports_vectorized:
-                        raise ConfigError(
-                            f"adversary {model.name!r} has no "
-                            f"vectorized realization; use the event "
-                            f"engine")
-                else:
-                    validate_event_support(model, name)
-        for collector in fields.get("collect", ()):
-            if collector not in COLLECTORS:
-                raise ConfigError(
-                    f"unknown collector {collector!r}; known: "
-                    f"{sorted(COLLECTORS)}")
-        return ScenarioSpec(**fields)
+        """Compile to a picklable :class:`ScenarioSpec`, checked by
+        :func:`check_spec`."""
+        return check_spec(ScenarioSpec(**self._fields))
 
 
-__all__ = ["Scenario"]
+def check_spec(spec: ScenarioSpec) -> ScenarioSpec:
+    """The eager check of a spec on every path it enters by
+    (:meth:`Scenario.build`, ``JobManager.submit_grid``, the scenario
+    library); returns ``spec``.  Names first, then a protocol cell's
+    composition through :func:`~repro.core.protocol.check_composition`.
+    No graph is built, except a node-churn cell's own, to check the
+    schedule's arguments against it.
+    """
+    known = [(spec.kind, CELL_KINDS, "cell kind"),
+             (spec.schedule, SCHEDULES, "topology schedule"),
+             (spec.engine, ENGINES, "engine")]
+    known += [(name, COLLECTORS, "collector") for name in spec.collect]
+    for name, registry, what in known:
+        if name not in registry:
+            raise ConfigError(f"unknown {what} {name!r}; known: "
+                              f"{sorted(registry)}")
+    if spec.schedule == "node_churn" and spec.graph:
+        graph_factory = getattr(ClusterGraph, spec.graph, None)
+        if graph_factory is not None:
+            build_schedule("node_churn", graph_factory(*spec.graph_args),
+                           **spec.schedule_args)
+    # Edge and node events by override identity, the test
+    # TopologySchedule.has_edge_events makes, on the class: no
+    # schedule is built.
+    schedule = SCHEDULES[spec.schedule]
+    features = dict(
+        strategy=(spec.strategy is not None
+                  and (spec.strategy, spec.strategy_args)),
+        adversary=spec.adversary,
+        edge_events=schedule.events is not TopologySchedule.events,
+        node_events=(schedule.node_events
+                     is not TopologySchedule.node_events),
+        first_contact=spec.first_contact, loss=spec.loss,
+        collectors=bool(spec.collect or spec.collect_pulse_diameters))
+    name = cell_protocol(spec)
+    if name is not None:
+        check_composition(get_protocol(name), spec.engine, **features)
+    elif spec.kind in _PROTOCOL_FREE_KINDS:
+        ignored = [key for key, value in features.items() if value]
+        ignored += ["engine"] if spec.engine != "event" else []
+        if ignored:
+            raise ConfigError(
+                f"cell kind {spec.kind!r} runs no protocol and would "
+                f"ignore {ignored}; use a protocol cell")
+    return spec
+
+
+__all__ = ["Scenario", "check_spec"]

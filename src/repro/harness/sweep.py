@@ -403,7 +403,7 @@ def _run_protocol_cell(spec: ScenarioSpec) -> SweepCellResult:
     collectors run against the protocol's analysis system (FTGCS
     family only).
     """
-    name = spec.protocol or "ftgcs"
+    name = cell_protocol(spec)
     builder = SystemBuilder(get_protocol(name)())
     if spec.graph:
         graph = _build_graph(spec)
@@ -584,15 +584,26 @@ def _run_augment_counts_cell(spec: ScenarioSpec) -> SweepCellResult:
                 "edges": graph.num_edges, "rows": rows})
 
 
-#: Worker routines addressable by ``ScenarioSpec.kind``.  The
-#: per-algorithm names are aliases of ``"protocol"`` (module
-#: docstring).
+#: The historical per-algorithm kinds: aliases of ``"protocol"`` that
+#: fix the protocol name (module docstring).
+LEGACY_PROTOCOL_KINDS = ("ftgcs", "master_slave", "gcs_single",
+                         "srikanth_toueg")
+
+
+def cell_protocol(spec: ScenarioSpec) -> str | None:
+    """The protocol a cell runs: ``spec.protocol`` (default
+    ``"ftgcs"``) on a ``"protocol"`` cell, the alias's own name on a
+    legacy kind, ``None`` on a kind that runs no protocol."""
+    if spec.kind == "protocol":
+        return spec.protocol or "ftgcs"
+    return spec.kind if spec.kind in LEGACY_PROTOCOL_KINDS else None
+
+
+#: Worker routines addressable by ``ScenarioSpec.kind``.
 CELL_KINDS: dict[str, Callable[[ScenarioSpec], SweepCellResult]] = {
     "protocol": _run_protocol_cell,
-    "ftgcs": _legacy_protocol_kind("ftgcs"),
-    "master_slave": _legacy_protocol_kind("master_slave"),
-    "gcs_single": _legacy_protocol_kind("gcs_single"),
-    "srikanth_toueg": _legacy_protocol_kind("srikanth_toueg"),
+    **{name: _legacy_protocol_kind(name)
+       for name in LEGACY_PROTOCOL_KINDS},
     "failure_mc": _run_failure_mc_cell,
     "trigger_fuzz": _run_trigger_fuzz_cell,
     "augment_counts": _run_augment_counts_cell,
@@ -703,6 +714,7 @@ __all__ = [
     "ScenarioSpec",
     "SweepCellResult",
     "SweepRunner",
+    "cell_protocol",
     "default_processes",
     "register_cell_kind",
     "resolve_cell_seeds",

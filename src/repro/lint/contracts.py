@@ -54,13 +54,14 @@ from repro.lint.rules import RULES
 #: cache-invalidating format change.
 PINNED_DEFAULT_SPEC_HASH = "7103cb53ec34e416f5bb0ae66d1cf6aa7e74ee4f"
 
-#: The five capability flags every protocol adapter must declare.
+#: The six capability flags every protocol adapter must declare.
 CAPABILITY_FLAGS = (
     "supports_faults",
     "supports_dynamic_topology",
     "supports_node_churn",
     "supports_first_contact",
     "supports_vectorized",
+    "supports_vectorized_faults",
 )
 
 #: ScenarioSpec fields allowed *not* to perturb ``spec_hash``.

@@ -15,17 +15,19 @@ nodes themselves: RNG stream consumption, event ordering, and
 measurement cadence therefore stay *bit-identical* to the historical
 per-algorithm paths — the property the experiment tables rely on.
 
-Capability summary:
+Capability summary (which builder feature each engine realizes under
+these flags is the composition table,
+:data:`repro.core.protocol.FEATURES`):
 
-============== ======== ========= ============= ====== ========== ======= =========
-protocol       faults   dynamic   first-contact churn  vectorized graph   params in
-============== ======== ========= ============= ====== ========== ======= =========
-ftgcs          yes      yes       yes           yes    yes        yes     ``.params``
-lynch_welch    yes      no        no            no     yes        no      ``.params``
-master_slave   no       no        no            links  no         yes     ``.params``
-gcs_single     liars*   yes       no            yes    yes        yes     ``payload["params"]``
-srikanth_toueg silent*  no        no            no     yes        no      ``payload["params"]``
-============== ======== ========= ============= ====== ========== ======= =========
+============== ======== ========= ============= ====== ========== ========== ======= =========
+protocol       faults   dynamic   first-contact churn  vectorized vec faults graph   params in
+============== ======== ========= ============= ====== ========== ========== ======= =========
+ftgcs          yes      yes       yes           yes    yes        yes        yes     ``.params``
+lynch_welch    yes      no        no            no     yes        no         no      ``.params``
+master_slave   no       no        no            links  no         no         yes     ``.params``
+gcs_single     liars*   yes       no            yes    yes        yes        yes     ``payload["params"]``
+srikanth_toueg silent*  no        no            no     yes        yes        no      ``payload["params"]``
+============== ======== ========= ============= ====== ========== ========== ======= =========
 
 ``*`` — these baselines model faults through protocol-specific payload
 knobs (``liars``, ``silent_faults``) rather than the named-strategy
@@ -54,7 +56,9 @@ in :mod:`repro.engine_vec.protocols`, selectable via
 engines' equivalence contract is documented and enforced by
 :mod:`repro.engine_vec.equivalence`).  Master–slave stays event-only:
 its tree-slaved chase logic is estimator-cascade-ordered, not
-round-structured.
+round-structured.  ``vec faults = yes`` — the round model also injects
+an adversary's per-round fault vectors; the Lynch–Welch round model
+injects none, so a vectorized Lynch–Welch run rejects adversaries.
 
 Every adapter also reports the fault-injection counters —
 ``messages_lost`` (random loss), ``dropped_link_down``,
@@ -284,6 +288,7 @@ class LynchWelchProtocol(FtgcsProtocol):
     supports_first_contact = False  # single cluster: no estimators
     supports_node_churn = False  # crashing the only cluster ends the run
     supports_vectorized = True  # classic trimmed approximate agreement
+    supports_vectorized_faults = False  # VecLynchWelch injects nothing
 
     system_class = LynchWelchSystem
 
@@ -324,6 +329,7 @@ class MasterSlaveProtocol(SyncProtocol):
     supports_node_churn = True
     supports_first_contact = False
     supports_vectorized = False  # event-only; chasing is not a round
+    supports_vectorized_faults = False
 
     def build_nodes(self, ctx: BuildContext) -> None:
         payload = dict(ctx.payload)

@@ -49,6 +49,7 @@ import time
 from repro.core.protocol import ProtocolRunResult
 from repro.errors import ConfigError
 from repro.harness.registry import REGISTRY
+from repro.harness.scenario import check_spec
 from repro.harness.sweep import (
     ScenarioSpec,
     SweepCellResult,
@@ -241,15 +242,22 @@ class JobManager:
     def submit_grid(self, specs: list[ScenarioSpec], *,
                     base_seed: int = 0,
                     label: str | None = None) -> Job:
-        """Queue an ad-hoc grid of already-built specs."""
+        """Queue an ad-hoc grid of specs; each cell must pass
+        :func:`~repro.harness.scenario.check_spec` (a failure names
+        its index), so a cell that could only fail is never queued and
+        never looked up in the cache."""
         check_job_fields(base_seed=base_seed)
         if not specs:
             raise ConfigError("submit_grid needs at least one spec")
-        for spec in specs:
+        for index, spec in enumerate(specs):
             if not isinstance(spec, ScenarioSpec):
                 raise ConfigError(
                     f"submit_grid needs ScenarioSpec cells, got "
                     f"{type(spec).__name__}")
+            try:
+                check_spec(spec)
+            except ConfigError as error:
+                raise ConfigError(f"cell {index}: {error}") from None
         request = {"cells": len(specs), "base_seed": base_seed}
         job = self._register(
             "grid", request, label or f"grid ({len(specs)} cells)")

@@ -32,10 +32,11 @@ Two file shapes:
 (as produced by ``to_dict``) *or* the human-writable preset shorthand
 shown above: ``preset`` names a :class:`~repro.core.params.Parameters`
 classmethod constructor (``practical``, ``paper``, ``custom``) and the
-remaining keys are its arguments.  Loading validates every cell
-eagerly — a typo fails at ``GET /scenarios``/submit time with a
-:class:`~repro.errors.ConfigError` naming the file, never inside a
-worker.
+remaining keys are its arguments.  Loading checks every cell eagerly
+with :func:`~repro.harness.scenario.check_spec` — a typo or a
+composition the engine cannot realize fails at ``GET /scenarios``/submit
+time with a :class:`~repro.errors.ConfigError` naming the file and
+cell, never inside a worker.
 
 YAML needs PyYAML; without it, ``.json`` files still load and ``.yaml``
 files raise a clear error naming the missing dependency.
@@ -49,6 +50,7 @@ from pathlib import Path
 
 from repro.core.params import Parameters
 from repro.errors import ConfigError
+from repro.harness.scenario import check_spec
 from repro.harness.sweep import ScenarioSpec
 from repro.service.jobs import check_job_fields
 
@@ -183,8 +185,8 @@ def _parse(name: str, path: Path, data: dict) -> LibraryScenario:
             raise ConfigError(
                 f"{path.name}: cell {index} must be a mapping")
         try:
-            specs.append(ScenarioSpec.from_dict(
-                _resolve_params_shorthand(cell, path)))
+            specs.append(check_spec(ScenarioSpec.from_dict(
+                _resolve_params_shorthand(cell, path))))
         except ConfigError as error:
             raise ConfigError(
                 f"{path.name}: cell {index}: {error}") from None

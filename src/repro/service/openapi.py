@@ -193,7 +193,9 @@ def openapi_document() -> dict:
                         **_json_response(
                             "Malformed body (not exactly one "
                             "source, unknown experiment, bad spec, "
-                            "an ill-typed quick/seed/base_seed).",
+                            "a cell that fails check_spec, named by "
+                            "its index, or an ill-typed "
+                            "quick/seed/base_seed).",
                             {"$ref": "#/components/schemas/Error"},
                             status="400"),
                     },

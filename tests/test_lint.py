@@ -352,6 +352,7 @@ class _ProtoBase:
     supports_node_churn = False
     supports_first_contact = False
     supports_vectorized = False
+    supports_vectorized_faults = False
 
 
 class TestCapabilityContract:

@@ -136,6 +136,27 @@ class TestValidation:
             Scenario.line(2).measure("entropy").build()
 
 
+class TestFaultKnobsFailEagerly:
+    """Strategy and adversary knobs are checked by constructing the
+    strategy at build time, not first in the worker."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda s: s.attack("crash", -1.0),
+        lambda s: s.attack("fast_clock", 0.0),
+        lambda s: s.adversarial("crash", crash_time=-1.0),
+        lambda s: s.adversarial("random_pulse", pulses_per_round=0.0),
+    ], ids=["attack-crash", "attack-fast_clock", "adversarial-crash",
+            "adversarial-random_pulse"])
+    def test_bad_knob_rejected_at_build(self, edit):
+        scenario = edit(Scenario.line(2).params(default_params())
+                        .rounds(2).seed(1))
+        with pytest.raises(ConfigError):
+            scenario.build()
+        # The worker agrees: the unchecked spec fails its build too.
+        with pytest.raises(ConfigError):
+            run_cell(ScenarioSpec.from_dict(scenario.to_dict()))
+
+
 class TestEndToEnd:
     def test_built_spec_runs(self):
         spec = (Scenario.line(2).params(default_params()).rounds(3)

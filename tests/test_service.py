@@ -589,6 +589,46 @@ class TestRestApi:
         bad_cells = client.post("/jobs", json={"cells": "nope"})
         assert bad_cells.status_code == 400
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"protocol": "paxos"}, "unknown protocol"),
+        ({"strategy": "quantum"}, "unknown strategy"),
+        ({"adversary": {"name": "nope"}}, "unknown adversary"),
+        ({"adversary": "silent"}, "must be a dict"),
+        ({"collect": ["entropy"]}, "unknown collector"),
+        ({"strategy": "silent", "adversary": {"name": "silent"}},
+         "not both"),
+        ({"engine": "vectorized", "loss": {"kind": "bernoulli",
+                                           "rate": 0.1}},
+         "loss models"),
+    ], ids=["protocol", "strategy", "adversary", "adversary-not-a-dict",
+            "collector", "strategy+adversary", "vectorized+loss"])
+    def test_cells_that_cannot_build_are_400(self, client, edit,
+                                             message):
+        good = small_spec(seed=None).to_dict()
+        response = client.post("/jobs",
+                               json={"cells": [good, {**good, **edit}]})
+        assert response.status_code == 400
+        error = response.get_json()["error"]
+        assert error.startswith("cell 1: ") and message in error
+        assert client.get("/jobs").get_json()["jobs"] == []
+
+    def test_stored_result_of_unbuildable_spec_is_not_served(
+            self, client, store):
+        # VecLynchWelch injects no fault vector: a result stored under
+        # this spec is a fault-free run, and the spec no longer builds.
+        spec = ScenarioSpec(protocol="lynch_welch", params=PARAMS,
+                            rounds=2, seed=4, engine="vectorized",
+                            adversary={"name": "silent"})
+        store.put(spec, run_cell(ScenarioSpec(
+            protocol="lynch_welch", params=PARAMS, rounds=2, seed=4,
+            engine="vectorized")))
+        response = client.post("/jobs",
+                               json={"cells": [spec.to_dict()]})
+        assert response.status_code == 400
+        assert "supports_vectorized_faults" in \
+            response.get_json()["error"]
+        assert client.get("/jobs").get_json()["jobs"] == []
+
     def test_unknown_job_is_404(self, client):
         assert client.get("/jobs/job-9999").status_code == 404
         assert client.get("/jobs/job-9999/result").status_code == 404
@@ -749,6 +789,27 @@ class TestScenarioLibrary:
         submit = client.post("/jobs", json={"scenario": "bad"})
         assert submit.status_code == 400
         assert repr(field) in submit.get_json()["error"]
+
+    def test_unbuildable_cell_lists_as_error_entry(self, client,
+                                                   scenario_dir):
+        self.write(scenario_dir, "good.yaml", "experiment: t01\n")
+        self.write(scenario_dir, "lossy.yaml", """\
+            cells:
+              - graph: line
+                graph_args: [3]
+                engine: vectorized
+                loss: {kind: bernoulli, rate: 0.1}
+        """)
+        listing = client.get("/scenarios")
+        assert listing.status_code == 200
+        by_name = {entry["name"]: entry
+                   for entry in listing.get_json()["scenarios"]}
+        assert by_name["good"]["experiment"] == "t01"
+        error = by_name["lossy"]["error"]
+        assert error.startswith("lossy.yaml: cell 0: ")
+        assert "loss models" in error
+        submit = client.post("/jobs", json={"scenario": "lossy"})
+        assert submit.status_code == 400
 
     def test_example_scenarios_load(self):
         root = Path(__file__).resolve().parents[1] / "examples" \
