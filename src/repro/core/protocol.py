@@ -333,8 +333,10 @@ class SyncProtocol:
                         drop_in_flight=drop_in_flight)
 
     def analysis_system(self):
-        """The live object in-worker collectors operate on, or ``None``
-        for protocols without collector support."""
+        """The live object in-worker collectors operate on.  Collector
+        support is this override (the collectors row of
+        :data:`FEATURES`), so an override returns that object; the
+        base returns ``None``."""
         return None
 
 
@@ -406,28 +408,30 @@ def _strategy(name: str, args: tuple) -> None:
     """Construct a named strategy once, running its argument checks."""
     from repro.faults.adversary import resolve_strategy
 
+    if not isinstance(name, str):
+        raise ConfigError(f"unknown strategy {name!r}")
+    strategy_cls = resolve_strategy(name)
     try:
-        resolve_strategy(name)(*args)
+        strategy_cls(*args)
     except TypeError as exc:
         raise ConfigError(
             f"bad strategy args for {name!r}: {exc}") from None
 
 
-def check_composition(protocol: type[SyncProtocol], engine: str,
+def check_composition(protocol: type[SyncProtocol] | None, engine: str,
                       **features) -> None:
     """Evaluate :data:`FEATURES`: raise :class:`~repro.errors.ConfigError`
     unless ``engine`` realizes every feature under ``protocol``.
 
     ``features`` is keyed by row name, falsy meaning absent:
     ``strategy`` is ``(name, args)``, ``adversary`` and ``loss`` their
-    specs, the rest flags.  The named strategy, the adversary model and
-    its event strategy are constructed (on either engine), so bad knobs
-    fail here too.  Nothing is built.
+    specs, the rest flags.  The feature values are checked first, for
+    any ``protocol``: the named strategy, the adversary model and its
+    event strategy are constructed (on either engine) and the loss spec
+    validated, so bad knobs fail here too.  ``protocol`` ``None`` (a
+    cell that runs no registered protocol) stops there.  Nothing is
+    built.
     """
-    if engine == "vectorized" and not protocol.supports_vectorized:
-        raise ConfigError(
-            f"protocol {protocol.name!r} has no vectorized port "
-            f"(supports_vectorized is False)")
     if features.get("strategy") and features.get("adversary"):
         raise ConfigError(
             "compose either a named fault strategy or an adversary, "
@@ -438,15 +442,24 @@ def check_composition(protocol: type[SyncProtocol], engine: str,
         from repro.faults.adversary import get_adversary
 
         spec = features["adversary"]
-        if not isinstance(spec, dict):
-            raise ConfigError(f"adversary spec must be a dict: {spec!r}")
-        model = features["adversary"] = get_adversary(**spec)
+        try:
+            model = features["adversary"] = get_adversary(**spec)
+        except TypeError:
+            raise ConfigError(
+                f"adversary spec must be a dict with a string 'name': "
+                f"{spec!r}") from None
         if model.event_strategy() is not None:
             _strategy(*model.event_strategy())
     if features.get("loss"):
         from repro.net.loss import validate_loss_spec
 
         validate_loss_spec(features["loss"])
+    if protocol is None:
+        return
+    if engine == "vectorized" and not protocol.supports_vectorized:
+        raise ConfigError(
+            f"protocol {protocol.name!r} has no vectorized port "
+            f"(supports_vectorized is False)")
     for row in FEATURES:
         need = row.vectorized if engine == "vectorized" else row.event
         value = features.get(row.name)

@@ -13,34 +13,22 @@ shared base fans out into grids without aliasing:
 ...          for j in (0.01, 0.05, 0.1)]
 >>> cells = SweepRunner().run(specs, base_seed=7)
 
-:meth:`Scenario.build` runs :func:`check_spec`, the check the service
-runs on every submitted cell: unknown names fail with the known
-alternatives, and a composition the engine cannot realize (or a bad
-strategy or adversary knob) fails through the table
-``SystemBuilder.build`` evaluates — where the grid is written, not
-inside a pool worker.  Topology and parameter validation happens in
-the worker, where the system is actually constructed.
+:meth:`Scenario.build` runs :func:`~repro.harness.sweep.check_spec`,
+the check the service runs on every submitted cell and the worker on
+every cell it runs: unknown names fail with the known alternatives,
+and a composition the engine cannot realize (or a bad strategy,
+adversary or loss knob) fails through the table ``SystemBuilder.build``
+evaluates — where the grid is written, not inside a pool worker.
+Topology and parameter validation happens in the worker, where the
+system is actually constructed.
 """
 
 from __future__ import annotations
 
 from repro.core.params import Parameters
-from repro.core.protocol import ENGINES, check_composition, get_protocol
 from repro.errors import ConfigError
 from repro.harness import serialize
-from repro.harness.sweep import (
-    CELL_KINDS,
-    COLLECTORS,
-    ScenarioSpec,
-    cell_protocol,
-)
-from repro.topology.cluster_graph import ClusterGraph
-from repro.topology.schedule import SCHEDULES, TopologySchedule, build_schedule
-
-#: Built-in kinds that run no protocol: every builder feature on them
-#: would be silently ignored, so :func:`check_spec` rejects them.
-_PROTOCOL_FREE_KINDS = frozenset(
-    {"failure_mc", "trigger_fuzz", "augment_counts"})
+from repro.harness.sweep import ScenarioSpec, check_spec
 
 
 class Scenario:
@@ -262,53 +250,6 @@ class Scenario:
         """Compile to a picklable :class:`ScenarioSpec`, checked by
         :func:`check_spec`."""
         return check_spec(ScenarioSpec(**self._fields))
-
-
-def check_spec(spec: ScenarioSpec) -> ScenarioSpec:
-    """The eager check of a spec on every path it enters by
-    (:meth:`Scenario.build`, ``JobManager.submit_grid``, the scenario
-    library); returns ``spec``.  Names first, then a protocol cell's
-    composition through :func:`~repro.core.protocol.check_composition`.
-    No graph is built, except a node-churn cell's own, to check the
-    schedule's arguments against it.
-    """
-    known = [(spec.kind, CELL_KINDS, "cell kind"),
-             (spec.schedule, SCHEDULES, "topology schedule"),
-             (spec.engine, ENGINES, "engine")]
-    known += [(name, COLLECTORS, "collector") for name in spec.collect]
-    for name, registry, what in known:
-        if name not in registry:
-            raise ConfigError(f"unknown {what} {name!r}; known: "
-                              f"{sorted(registry)}")
-    if spec.schedule == "node_churn" and spec.graph:
-        graph_factory = getattr(ClusterGraph, spec.graph, None)
-        if graph_factory is not None:
-            build_schedule("node_churn", graph_factory(*spec.graph_args),
-                           **spec.schedule_args)
-    # Edge and node events by override identity, the test
-    # TopologySchedule.has_edge_events makes, on the class: no
-    # schedule is built.
-    schedule = SCHEDULES[spec.schedule]
-    features = dict(
-        strategy=(spec.strategy is not None
-                  and (spec.strategy, spec.strategy_args)),
-        adversary=spec.adversary,
-        edge_events=schedule.events is not TopologySchedule.events,
-        node_events=(schedule.node_events
-                     is not TopologySchedule.node_events),
-        first_contact=spec.first_contact, loss=spec.loss,
-        collectors=bool(spec.collect or spec.collect_pulse_diameters))
-    name = cell_protocol(spec)
-    if name is not None:
-        check_composition(get_protocol(name), spec.engine, **features)
-    elif spec.kind in _PROTOCOL_FREE_KINDS:
-        ignored = [key for key, value in features.items() if value]
-        ignored += ["engine"] if spec.engine != "event" else []
-        if ignored:
-            raise ConfigError(
-                f"cell kind {spec.kind!r} runs no protocol and would "
-                f"ignore {ignored}; use a protocol cell")
-    return spec
 
 
 __all__ = ["Scenario", "check_spec"]

@@ -44,10 +44,10 @@ Cell kinds
     fault budgets; no simulation at all.
 
 The historical per-algorithm kinds (``"ftgcs"``, ``"master_slave"``,
-``"gcs_single"``, ``"srikanth_toueg"``) remain registered as thin
-aliases that forward to the ``"protocol"`` runner with the matching
-protocol name; they accept the same payloads and return the unified
-result shape.
+``"gcs_single"``, ``"srikanth_toueg"``) remain registered with the
+``"protocol"`` runner, which runs the kind's own protocol
+(:func:`cell_protocol`); they accept the same payloads and return the
+unified result shape.
 
 Kind-specific knobs travel in ``spec.payload`` (a picklable dict);
 :func:`register_cell_kind` adds custom kinds.  Custom kinds registered
@@ -94,19 +94,26 @@ from typing import Any, Callable, Sequence
 
 from repro.core.params import Parameters
 from repro.core.protocol import (
+    ENGINES,
     ProtocolRunResult,
     SystemBuilder,
+    check_composition,
     get_protocol,
+    protocol_names,
 )
 from repro.core.system import FtgcsSystem, RunResult
 from repro.core.triggers import evaluate
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TopologyError
 from repro.faults.strategies import STRATEGIES
 from repro.harness import serialize
 from repro.harness.runner import steady_state_skews
 from repro.sim.rng import derive_seed
 from repro.topology.cluster_graph import ClusterGraph
-from repro.topology.schedule import build_schedule
+from repro.topology.schedule import (
+    SCHEDULES,
+    TopologySchedule,
+    build_schedule,
+)
 
 
 @dataclass(frozen=True)
@@ -403,8 +410,7 @@ def _run_protocol_cell(spec: ScenarioSpec) -> SweepCellResult:
     collectors run against the protocol's analysis system (FTGCS
     family only).
     """
-    name = cell_protocol(spec)
-    builder = SystemBuilder(get_protocol(name)())
+    builder = SystemBuilder(get_protocol(cell_protocol(spec))())
     if spec.graph:
         graph = _build_graph(spec)
         if spec.schedule and spec.schedule != "static":
@@ -455,34 +461,13 @@ def _run_protocol_cell(spec: ScenarioSpec) -> SweepCellResult:
         result = system.run()
 
     target = system.protocol.analysis_system()
-    needs_target = spec.collect or spec.collect_pulse_diameters
-    if needs_target and target is None:
-        raise ConfigError(
-            f"protocol {name!r} does not support in-worker collectors")
     for collector_name in spec.collect:
-        collector = COLLECTORS.get(collector_name)
-        if collector is None:
-            raise ConfigError(
-                f"unknown collector {collector_name!r}; known: "
-                f"{sorted(COLLECTORS)}")
-        extras[collector_name] = collector(target)
+        extras[collector_name] = COLLECTORS[collector_name](target)
     pulses = extras.get("pulse_diameters")
     if pulses is None and spec.collect_pulse_diameters:
         pulses = target.pulse_diameter_table()
     return SweepCellResult(key=spec.key, seed=spec.seed, result=result,
                            pulse_diameters=pulses, extras=extras)
-
-
-def _legacy_protocol_kind(name: str) -> Callable[[ScenarioSpec],
-                                                 SweepCellResult]:
-    """Back-compat alias: historical per-algorithm kinds forward to
-    the generic ``"protocol"`` runner with the matching protocol."""
-
-    def run(spec: ScenarioSpec) -> SweepCellResult:
-        return _run_protocol_cell(
-            replace(spec, kind="protocol", protocol=name))
-
-    return run
 
 
 #: ``(seed, draws_consumed) -> random.Random state`` — lets consecutive
@@ -602,8 +587,7 @@ def cell_protocol(spec: ScenarioSpec) -> str | None:
 #: Worker routines addressable by ``ScenarioSpec.kind``.
 CELL_KINDS: dict[str, Callable[[ScenarioSpec], SweepCellResult]] = {
     "protocol": _run_protocol_cell,
-    **{name: _legacy_protocol_kind(name)
-       for name in LEGACY_PROTOCOL_KINDS},
+    **dict.fromkeys(LEGACY_PROTOCOL_KINDS, _run_protocol_cell),
     "failure_mc": _run_failure_mc_cell,
     "trigger_fuzz": _run_trigger_fuzz_cell,
     "augment_counts": _run_augment_counts_cell,
@@ -620,22 +604,109 @@ def register_cell_kind(name: str,
     CELL_KINDS[name] = runner
 
 
+#: Built-in kinds that run no protocol: every builder feature on them
+#: would be silently ignored, so :func:`check_spec` rejects them.
+_PROTOCOL_FREE_KINDS = frozenset(
+    {"failure_mc", "trigger_fuzz", "augment_counts"})
+
+#: The spec fields only a cell that runs a protocol reads.
+_PROTOCOL_FIELDS = ("protocol", "schedule", "engine", "strategy",
+                    "adversary", "first_contact", "loss", "collect",
+                    "collect_pulse_diameters")
+
+
+def check_spec(spec: ScenarioSpec) -> ScenarioSpec:
+    """The check of a spec on every path it enters by
+    (``Scenario.build``, ``JobManager.submit_grid``, the scenario
+    library and :func:`run_cell`); returns ``spec``.
+
+    Types and names first: each name must be a string a registry
+    knows.  Then the composition through
+    :func:`~repro.core.protocol.check_composition`: the whole table
+    for a cell that runs a protocol, the feature values alone for a
+    custom kind, and no protocol field at all on a built-in kind that
+    runs no protocol.  Every failure is a
+    :class:`~repro.errors.ConfigError`.  No graph is built, except a
+    node-churn cell's own, to check the schedule's arguments against
+    it.
+    """
+    for name, types, what in (
+            ("graph", str, "a ClusterGraph constructor name"),
+            ("graph_args", (list, tuple), "a list"),
+            ("schedule_args", dict, "a mapping"),
+            ("collect", (list, tuple), "a list of collector names")):
+        value = getattr(spec, name)
+        if not isinstance(value, types):
+            raise ConfigError(f"{name} must be {what}: {value!r}")
+    known = [(spec.kind, CELL_KINDS, "cell kind"),
+             (spec.schedule, SCHEDULES, "topology schedule"),
+             (spec.engine, ENGINES, "engine")]
+    if spec.protocol is not None:
+        known.append((spec.protocol, protocol_names(), "protocol"))
+    known += [(name, COLLECTORS, "collector") for name in spec.collect]
+    for name, registry, what in known:
+        if not isinstance(name, str) or name not in registry:
+            raise ConfigError(f"unknown {what} {name!r}; known: "
+                              f"{sorted(registry)}")
+    if spec.kind in _PROTOCOL_FREE_KINDS:
+        blank = ScenarioSpec()
+        ignored = [name for name in _PROTOCOL_FIELDS
+                   if getattr(spec, name)
+                   and getattr(spec, name) != getattr(blank, name)]
+        if ignored:
+            raise ConfigError(
+                f"cell kind {spec.kind!r} runs no protocol and would "
+                f"ignore {ignored}; use a protocol cell")
+        return spec
+    protocol = cell_protocol(spec)
+    if protocol is not None and spec.protocol not in (None, protocol):
+        raise ConfigError(
+            f"cell kind {spec.kind!r} runs protocol {protocol!r}, not "
+            f"{spec.protocol!r}; use cell kind 'protocol'")
+    if spec.schedule == "node_churn" and spec.graph:
+        graph_factory = getattr(ClusterGraph, spec.graph, None)
+        if graph_factory is not None:
+            try:
+                build_schedule("node_churn",
+                               graph_factory(*spec.graph_args),
+                               **spec.schedule_args)
+            except (TypeError, ValueError, TopologyError) as exc:
+                raise ConfigError(f"bad node_churn cell: {exc}") from None
+    # Edge and node events by override identity on the class, the test
+    # TopologySchedule.has_edge_events makes: no schedule is built.  A
+    # schedule registered as a factory function shows its events only
+    # once built, so SystemBuilder.build checks them in the worker.
+    schedule = SCHEDULES[spec.schedule]
+    is_class = isinstance(schedule, type)
+    features = dict(
+        strategy=(spec.strategy is not None
+                  and (spec.strategy, spec.strategy_args)),
+        adversary=spec.adversary,
+        edge_events=(is_class
+                     and schedule.events is not TopologySchedule.events),
+        node_events=(is_class and schedule.node_events
+                     is not TopologySchedule.node_events),
+        first_contact=spec.first_contact, loss=spec.loss,
+        collectors=bool(spec.collect or spec.collect_pulse_diameters))
+    check_composition(None if protocol is None else get_protocol(protocol),
+                      spec.engine, **features)
+    return spec
+
+
 def run_cell(spec: ScenarioSpec) -> SweepCellResult:
-    """Build, run, and measure one cell (the pool worker).
+    """Check, build, run, and measure one cell (the pool worker).
 
     Module-level (hence picklable by reference) and usable directly for
     one-off cells.  ``spec.seed`` must be resolved (not ``None``) —
     :meth:`SweepRunner.run` does this before dispatch so serial and
-    parallel executions see identical seeds.
+    parallel executions see identical seeds.  The spec goes through
+    :func:`check_spec` first, so the worker rejects exactly what every
+    eager path rejects.
     """
     if spec.seed is None:
         raise ConfigError("run_cell needs a resolved seed "
                           "(use SweepRunner.run for derived seeds)")
-    runner = CELL_KINDS.get(spec.kind)
-    if runner is None:
-        raise ConfigError(f"unknown cell kind {spec.kind!r}; known: "
-                          f"{sorted(CELL_KINDS)}")
-    return runner(spec)
+    return CELL_KINDS[check_spec(spec).kind](spec)
 
 
 def _coerce_processes(value, source: str) -> int:
@@ -715,6 +786,7 @@ __all__ = [
     "SweepCellResult",
     "SweepRunner",
     "cell_protocol",
+    "check_spec",
     "default_processes",
     "register_cell_kind",
     "resolve_cell_seeds",

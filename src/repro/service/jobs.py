@@ -49,10 +49,10 @@ import time
 from repro.core.protocol import ProtocolRunResult
 from repro.errors import ConfigError
 from repro.harness.registry import REGISTRY
-from repro.harness.scenario import check_spec
 from repro.harness.sweep import (
     ScenarioSpec,
     SweepCellResult,
+    check_spec,
     default_processes,
     resolve_cell_seeds,
     run_cell,
@@ -243,7 +243,7 @@ class JobManager:
                     base_seed: int = 0,
                     label: str | None = None) -> Job:
         """Queue an ad-hoc grid of specs; each cell must pass
-        :func:`~repro.harness.scenario.check_spec` (a failure names
+        :func:`~repro.harness.sweep.check_spec` (a failure names
         its index), so a cell that could only fail is never queued and
         never looked up in the cache."""
         check_job_fields(base_seed=base_seed)

@@ -33,7 +33,7 @@ Two file shapes:
 shown above: ``preset`` names a :class:`~repro.core.params.Parameters`
 classmethod constructor (``practical``, ``paper``, ``custom``) and the
 remaining keys are its arguments.  Loading checks every cell eagerly
-with :func:`~repro.harness.scenario.check_spec` — a typo or a
+with :func:`~repro.harness.sweep.check_spec` — a typo or a
 composition the engine cannot realize fails at ``GET /scenarios``/submit
 time with a :class:`~repro.errors.ConfigError` naming the file and
 cell, never inside a worker.
@@ -50,8 +50,7 @@ from pathlib import Path
 
 from repro.core.params import Parameters
 from repro.errors import ConfigError
-from repro.harness.scenario import check_spec
-from repro.harness.sweep import ScenarioSpec
+from repro.harness.sweep import ScenarioSpec, check_spec
 from repro.service.jobs import check_job_fields
 
 try:

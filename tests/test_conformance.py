@@ -4,10 +4,11 @@ Every builder feature either takes observable effect on the chosen
 engine or is rejected when the system is built; it is never silently
 ignored.  The matrix pins three things:
 
-- the eager verdict (:func:`~repro.harness.scenario.check_spec`, what
+- the eager verdict (:func:`~repro.harness.sweep.check_spec`, what
   ``Scenario.build``, the service and the scenario library run) is the
-  worker's verdict (:func:`~repro.harness.sweep.run_cell` building
-  through ``SystemBuilder``), and both are the policy in ``ACCEPTED``;
+  worker's verdict (:func:`~repro.harness.sweep.run_cell`, which runs
+  the same check and then builds through ``SystemBuilder``), and both
+  are the policy in ``ACCEPTED``;
 - every accepted cell shows its feature's effect against the same cell
   without the feature;
 - every :class:`~repro.core.protocol.BuildContext` field is a row of
@@ -25,8 +26,7 @@ from repro.baselines.srikanth_toueg import StParams
 from repro.core.protocol import FEATURES, BuildContext, SystemBuilder
 from repro.errors import ConfigError
 from repro.harness import Scenario, default_params
-from repro.harness.scenario import check_spec
-from repro.harness.sweep import ScenarioSpec, run_cell
+from repro.harness.sweep import ScenarioSpec, check_spec, run_cell
 
 FT = default_params(f=1)
 GCS = GcsParams.default()

@@ -157,6 +157,78 @@ class TestFaultKnobsFailEagerly:
             run_cell(ScenarioSpec.from_dict(scenario.to_dict()))
 
 
+class TestCellsOutsideTheTable:
+    """Cells the capability table does not decide still get their
+    feature values, protocol field and schedule checked."""
+
+    @pytest.fixture
+    def custom(self):
+        from repro.harness.sweep import CELL_KINDS, register_cell_kind
+
+        register_cell_kind("test_scenario_custom", lambda spec: spec)
+        yield Scenario.of_kind("test_scenario_custom").seed(1)
+        del CELL_KINDS["test_scenario_custom"]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: s.attack("typo"), "unknown strategy"),
+        (lambda s: s.lossy(rate=2.0), "loss rate"),
+        (lambda s: s.adversarial("typo"), "unknown adversary"),
+        (lambda s: s.adversarial("crash", crash_time=-1.0), "crash"),
+    ], ids=["strategy", "loss", "adversary", "adversary-knob"])
+    def test_custom_kind_feature_values_checked(self, custom, edit,
+                                                message):
+        with pytest.raises(ConfigError, match=message):
+            edit(custom).build()
+        with pytest.raises(ConfigError, match=message):
+            run_cell(ScenarioSpec.from_dict(edit(custom).to_dict()))
+
+    def test_custom_kind_gets_its_features(self, custom):
+        # What a custom runner does with a feature is its own affair.
+        spec = (custom.attack("silent").lossy(rate=0.1)
+                .engine("vectorized").build())
+        assert run_cell(spec) is spec
+
+    @pytest.mark.parametrize("kind, protocol, message", [
+        ("ftgcs", "paxos", "unknown protocol"),
+        ("ftgcs", "gcs_single", "runs protocol 'ftgcs'"),
+        ("failure_mc", "ftgcs", r"ignore \['protocol'\]"),
+    ], ids=["legacy-unknown", "legacy-override", "protocol-free"])
+    def test_protocol_field_the_kind_overrides_or_ignores(
+            self, kind, protocol, message):
+        data = {"kind": kind, "protocol": protocol, "seed": 1}
+        with pytest.raises(ConfigError, match=message):
+            Scenario.from_dict(data).build()
+        with pytest.raises(ConfigError, match=message):
+            run_cell(ScenarioSpec.from_dict(data))
+
+    def test_legacy_kind_naming_its_own_protocol_builds(self):
+        spec = Scenario.from_dict({"kind": "ftgcs",
+                                   "protocol": "ftgcs"}).build()
+        assert spec.kind == "ftgcs"
+
+    def test_factory_function_schedule_left_to_the_worker(self):
+        from repro.topology.schedule import (
+            SCHEDULES,
+            EdgeChurnSchedule,
+            register_schedule,
+        )
+
+        register_schedule("test_factory_churn",
+                          lambda graph, **kw: EdgeChurnSchedule(graph, **kw))
+        try:
+            base = (Scenario.line(3).params(default_params()).rounds(2)
+                    .seed(1).dynamic("test_factory_churn", interval=5.0,
+                                     churn=0.5))
+            assert run_cell(base.build()).result.protocol == "ftgcs"
+            # Its events are known only once built: the worker's
+            # SystemBuilder.build rejects what the class test cannot.
+            spec = base.protocol("master_slave").build()
+            with pytest.raises(ConfigError, match="dynamic topologies"):
+                run_cell(spec)
+        finally:
+            del SCHEDULES["test_factory_churn"]
+
+
 class TestEndToEnd:
     def test_built_spec_runs(self):
         spec = (Scenario.line(2).params(default_params()).rounds(3)

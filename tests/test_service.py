@@ -600,8 +600,17 @@ class TestRestApi:
         ({"engine": "vectorized", "loss": {"kind": "bernoulli",
                                            "rate": 0.1}},
          "loss models"),
+        ({"adversary": {"amplitude": 1.0}}, "string 'name'"),
+        ({"schedule": "node_churn", "schedule_args": [10.0, 0.2]},
+         "schedule_args must be a mapping"),
+        ({"kind": ["protocol"]}, "unknown cell kind"),
+        ({"collect": [["pulse_diameters"]]}, "unknown collector"),
+        ({"graph": 3}, "graph must be"),
     ], ids=["protocol", "strategy", "adversary", "adversary-not-a-dict",
-            "collector", "strategy+adversary", "vectorized+loss"])
+            "collector", "strategy+adversary", "vectorized+loss",
+            "adversary-without-name", "node-churn-args-not-a-mapping",
+            "kind-not-a-string", "collector-not-a-string",
+            "graph-not-a-string"])
     def test_cells_that_cannot_build_are_400(self, client, edit,
                                              message):
         good = small_spec(seed=None).to_dict()
@@ -790,25 +799,32 @@ class TestScenarioLibrary:
         assert submit.status_code == 400
         assert repr(field) in submit.get_json()["error"]
 
+    @pytest.mark.parametrize("cell, message", [
+        ("engine: vectorized\n    loss: {kind: bernoulli, rate: 0.1}",
+         "loss models"),
+        ("adversary: {amplitude: 1.0}", "string 'name'"),
+        ("schedule: node_churn\n    schedule_args: [10.0, 0.2]",
+         "schedule_args must be a mapping"),
+        ("schedule: node_churn\n    schedule_args: {interval: 10.0, "
+         "crash: high}", "bad node_churn cell"),
+    ], ids=["vectorized+loss", "adversary-without-name",
+            "node-churn-args-not-a-mapping",
+            "node-churn-crash-not-a-number"])
     def test_unbuildable_cell_lists_as_error_entry(self, client,
-                                                   scenario_dir):
+                                                   scenario_dir, cell,
+                                                   message):
         self.write(scenario_dir, "good.yaml", "experiment: t01\n")
-        self.write(scenario_dir, "lossy.yaml", """\
-            cells:
-              - graph: line
-                graph_args: [3]
-                engine: vectorized
-                loss: {kind: bernoulli, rate: 0.1}
-        """)
+        self.write(scenario_dir, "bad.yaml",
+                   f"cells:\n  - graph: line\n    graph_args: [3]\n"
+                   f"    {cell}\n")
         listing = client.get("/scenarios")
         assert listing.status_code == 200
         by_name = {entry["name"]: entry
                    for entry in listing.get_json()["scenarios"]}
         assert by_name["good"]["experiment"] == "t01"
-        error = by_name["lossy"]["error"]
-        assert error.startswith("lossy.yaml: cell 0: ")
-        assert "loss models" in error
-        submit = client.post("/jobs", json={"scenario": "lossy"})
+        error = by_name["bad"]["error"]
+        assert error.startswith("bad.yaml: cell 0: ") and message in error
+        submit = client.post("/jobs", json={"scenario": "bad"})
         assert submit.status_code == 400
 
     def test_example_scenarios_load(self):
