@@ -230,9 +230,11 @@ def log_log_fit(xs: "list[float]", ys: "list[float]"
     the slope is undefined and ``(nan, nan, nan)`` is returned;
     inputs must be positive.
 
-    Pure float arithmetic in input order — no randomness, no
-    environment dependence — so finish steps using it stay
-    bit-identical between serial and pooled sweeps.
+    Every sum is :func:`math.fsum` (correctly rounded), so the fit
+    does not depend on the Python version: builtin ``sum`` became
+    compensated in 3.12 and rounds differently before it.  No
+    randomness either, so finish steps using it stay bit-identical
+    between serial and pooled sweeps.
     """
     if len(xs) != len(ys):
         raise ValueError(
@@ -245,14 +247,14 @@ def log_log_fit(xs: "list[float]", ys: "list[float]"
         return (nan, nan, nan)
     lx = [math.log(x) for x in xs]
     ly = [math.log(y) for y in ys]
-    mean_x = sum(lx) / n
-    mean_y = sum(ly) / n
-    sxx = sum((x - mean_x) ** 2 for x in lx)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(lx, ly))
+    mean_x = math.fsum(lx) / n
+    mean_y = math.fsum(ly) / n
+    sxx = math.fsum((x - mean_x) ** 2 for x in lx)
+    sxy = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(lx, ly))
     slope = sxy / sxx
     intercept = mean_y - slope * mean_x
-    sse = sum((y - (intercept + slope * x)) ** 2
-              for x, y in zip(lx, ly))
+    sse = math.fsum((y - (intercept + slope * x)) ** 2
+                    for x, y in zip(lx, ly))
     return (slope, intercept, math.sqrt(sse / n))
 
 

@@ -106,7 +106,7 @@ class InterclusterSync:
             own, estimates, self._params.kappa, self._params.delta_trigger)
 
         if decision.fast and decision.slow:
-            # Lemma 4.5 says this cannot happen for slack < 2*kappa;
+            # Lemma 4.5 says this cannot happen for slack < kappa/2;
             # count it so violations surface in experiment reports.
             self.stats.both_triggers_rounds += 1
 

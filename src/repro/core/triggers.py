@@ -19,8 +19,10 @@ where ``slack = 0`` gives the *conditions* (on true cluster clocks) and
 ``slack = delta_trigger`` gives the *triggers* (on estimates).  We
 solve the existence question directly instead of enumerating levels.
 
-Lemma 4.5: for ``slack < 2 kappa`` the two triggers are mutually
-exclusive; the library asserts this in its property-based tests.
+Lemma 4.5: for ``slack < kappa / 2`` the two triggers are mutually
+exclusive (firing at level ``s`` and odd rung ``m`` needs
+``|2s - m| kappa <= 2 slack``); the library asserts this in its
+property-based tests, and every parameter set uses ``kappa / 3``.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def evaluate(own_value: float, neighbor_values: dict[int, float],
     neighbor_values:
         Estimated (or true) clocks of the neighboring clusters.
     kappa, slack:
-        Level width and trigger slack (``slack < 2 * kappa``).
+        Level width and trigger slack (``slack < kappa / 2``).
 
     Returns
     -------

@@ -18,11 +18,7 @@ from repro.core.protocol import (
     SystemBuilder,
     register_protocol,
 )
-from repro.harness.experiments import (
-    ALL_EXPERIMENTS,
-    fast_dynamics_params,
-    run_all,
-)
+from repro.harness.experiments import fast_dynamics_params
 from repro.harness.registry import (
     REGISTRY,
     Experiment,
@@ -61,8 +57,6 @@ from repro.harness.tables import Table
 
 __all__ = [
     # experiments + registry
-    "ALL_EXPERIMENTS",
-    "run_all",
     "REGISTRY",
     "Experiment",
     "ExperimentPlan",

@@ -30,9 +30,7 @@ implementation bit-for-bit), the T10 randomized trigger check
 ``quick=True`` (the default) is the CI size; ``quick=False`` the full
 sweeps reported in EXPERIMENTS.md.
 
-The module-level ``t01_…()`` … ``t14_…()`` functions remain as thin
-wrappers over :func:`run_experiment` for backward compatibility; new
-code should call the registry directly::
+Run one through the registry::
 
     from repro.harness import run_experiment
     table = run_experiment("t09", quick=True, processes=4)
@@ -54,11 +52,7 @@ from repro.baselines.gcs_single import GcsParams
 from repro.baselines.srikanth_toueg import StParams
 from repro.core.params import Parameters
 from repro.core.rounds import RoundSchedule
-from repro.harness.registry import (
-    REGISTRY,
-    ExperimentPlan,
-    run_experiment,
-)
+from repro.harness.registry import REGISTRY, ExperimentPlan
 from repro.harness.runner import (
     default_params,
     gradient_offsets,
@@ -1200,8 +1194,8 @@ def t16_plan(quick: bool, seed: int) -> ExperimentPlan:
                            if r.stabilization_time is not None]
                 table.add_row(
                     group[0].key[0], loss, churn,
-                    sum(steady_local(r) for r in results) / reps,
-                    (sum(settles) / len(settles) if settles
+                    math.fsum(steady_local(r) for r in results) / reps,
+                    (math.fsum(settles) / len(settles) if settles
                      else float("nan")),
                     sum(r.messages_lost for r in results),
                     sum(r.dropped_link_down for r in results),
@@ -1490,200 +1484,3 @@ def t18_plan(quick: bool, seed: int) -> ExperimentPlan:
         return table
 
     return ExperimentPlan(specs=specs, finish=finish)
-
-
-# ----------------------------------------------------------------------
-# Backward-compatible wrappers
-# ----------------------------------------------------------------------
-
-def t01_local_skew_vs_diameter(quick: bool = True, seed: int = 1,
-                               processes: int | None = None) -> Table:
-    """Line networks with one equivocator per cluster and an initial
-    inter-cluster gradient of ``2.2 kappa`` per edge (forcing trigger
-    activity).  Measured steady local skews vs the Theorem 1.1 bounds.
-    """
-    return run_experiment("t01", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t02_intra_cluster_skew(quick: bool = True, seed: int = 2,
-                           processes: int | None = None) -> Table:
-    """Single clusters of size 3f+1 under the strongest pulse attacks;
-    steady intra-cluster skew against both forms of the bound."""
-    return run_experiment("t02", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t03_attack_gallery(quick: bool = True, seed: int = 3,
-                       processes: int | None = None) -> Table:
-    """Every strategy against a ring; all FTGCS bounds must hold.
-    The last rows run the *fault-intolerant* GCS baseline under a
-    single liar: its correct-edge local skew grows without bound."""
-    return run_experiment("t03", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t04_master_slave_compression(quick: bool = True, seed: int = 4,
-                                 processes: int | None = None) -> Table:
-    """Inject a global skew ``S`` at the root of a line; the classic
-    (jump-based) master–slave tree propagates the *full* S across every
-    interior edge, while FTGCS caps interior edges near ``2 kappa``."""
-    return run_experiment("t04", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t05_failure_probability(quick: bool = True, seed: int = 5,
-                            processes: int | None = None) -> Table:
-    """Monte Carlo estimate vs the exact tail and both printed bounds."""
-    return run_experiment("t05", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t06_unanimous_rates(quick: bool = True, seed: int = 6,
-                        processes: int | None = None) -> Table:
-    """Two clusters offset by 3*kappa: the laggard runs unanimously
-    fast, the leader unanimously slow.  Measures amortized per-round
-    rates and pulse diameters against Lemma 3.6's guarantees."""
-    return run_experiment("t06", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t07_ablation_c1(quick: bool = True, seed: int = 7,
-                    processes: int | None = None) -> Table:
-    """Sweep ``c1``: with a short phase 3 (small c1), Lynch–Welch
-    corrections eat the entire ``mu`` speed budget and fast clusters
-    cannot outrun slow ones; the paper's ``c1 = Theta(1/rho)`` restores
-    the gap.  This is the 'main obstacle' of Section 1, measured."""
-    return run_experiment("t07", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t08_overheads(quick: bool = True, seed: int = 8,
-                  processes: int | None = None) -> Table:
-    """Exact node/edge counts of the augmentation across topologies."""
-    return run_experiment("t08", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t09_global_skew(quick: bool = True, seed: int = 9,
-                    processes: int | None = None) -> Table:
-    """(a) Global skew stays below ``c_global * delta * (D+1)`` across
-    diameters; (b) a lagging tail converges faster with the Theorem C.3
-    max-rule than with slow-default (parallel vs sequential wakeup)."""
-    return run_experiment("t09", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t10_trigger_exclusion(quick: bool = True, seed: int = 10,
-                          processes: int | None = None) -> Table:
-    """(a) In every simulated scenario, no round ever satisfies both
-    triggers; (b) randomized check of Lemma 4.8's core step: conditions
-    on true cluster clocks imply triggers on estimates perturbed by up
-    to 2E, for delta = (k_stab+5)E and kappa = 3*delta."""
-    return run_experiment("t10", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t11_lw_vs_st(quick: bool = True, seed: int = 11,
-                 processes: int | None = None) -> Table:
-    """Clique synchronization quality as ``U`` shrinks relative to
-    ``d``: Lynch–Welch's bound is ``O(U + (theta-1)d)`` while
-    Srikanth–Toueg carries an ``O(d)`` worst case.  We report measured
-    steady skews (benign adversary) alongside both bounds."""
-    return run_experiment("t11", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t12_convergence(quick: bool = True, seed: int = 12,
-                    processes: int | None = None) -> Table:
-    """Single cluster started with pulse spread ~ e(1) >> E under the
-    adaptive round schedule: measured ``||p(r)||`` must stay below the
-    predicted ``e(r)`` as it contracts geometrically to E."""
-    return run_experiment("t12", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t13_dynamic_networks(quick: bool = True, seed: int = 13,
-                         processes: int | None = None) -> Table:
-    """Dynamic-topology sweep: FTGCS vs fault-intolerant GCS under
-    i.i.d. edge churn on line/ring/grid (skew vs churn rate)."""
-    return run_experiment("t13", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t14_parameter_grid(quick: bool = True, seed: int = 14,
-                       processes: int | None = None) -> Table:
-    """Gradient-TRIX-style design-space sweep: steady gradient skew
-    across the mu grid and diameters up to D=64, with a per-row-group
-    kappa-vs-measured-skew log-log regression column and an FTGCS
-    comparison block on the same mu grid (infeasible mu reported as
-    the Eq. (5) frontier)."""
-    return run_experiment("t14", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t15_t_interval(quick: bool = True, seed: int = 15,
-                   processes: int | None = None) -> Table:
-    """T-interval-connectivity sweep: local skew and stabilization
-    time vs T against a rotating worst-case spanning backbone, with
-    first-contact estimator bring-up."""
-    return run_experiment("t15", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t16_robustness(quick: bool = True, seed: int = 16,
-                   processes: int | None = None) -> Table:
-    """Robustness sweep: local skew, stabilization time, and loss/churn
-    accounting for FTGCS vs the GCS and master-slave baselines over a
-    message-loss-rate x node-churn-rate grid."""
-    return run_experiment("t16", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t17_scale(quick: bool = True, seed: int = 17,
-              processes: int | None = None) -> Table:
-    """Vectorized-engine scale sweep: cross-engine GCS skew agreement
-    at small diameters, then caterpillar graphs up to D=256 with 1e5+
-    nodes (1e6 in full mode), with measured rounds/s per engine."""
-    return run_experiment("t17", quick=quick, seed=seed,
-                          processes=processes)
-
-
-def t18_resilience(quick: bool = True, seed: int = 18,
-                   processes: int | None = None) -> Table:
-    """Adversarial resilience sweep: injected-error magnitude vs
-    achieved skew for FTGCS, gcs_single, and srikanth_toueg under the
-    unified adversary layer — static vs search-based adaptive models,
-    both engines, with the analytic absorption envelope alongside."""
-    return run_experiment("t18", quick=quick, seed=seed,
-                          processes=processes)
-
-
-#: All experiments, for "run everything" entry points.
-ALL_EXPERIMENTS = {
-    "t01": t01_local_skew_vs_diameter,
-    "t02": t02_intra_cluster_skew,
-    "t03": t03_attack_gallery,
-    "t04": t04_master_slave_compression,
-    "t05": t05_failure_probability,
-    "t06": t06_unanimous_rates,
-    "t07": t07_ablation_c1,
-    "t08": t08_overheads,
-    "t09": t09_global_skew,
-    "t10": t10_trigger_exclusion,
-    "t11": t11_lw_vs_st,
-    "t12": t12_convergence,
-    "t13": t13_dynamic_networks,
-    "t14": t14_parameter_grid,
-    "t15": t15_t_interval,
-    "t16": t16_robustness,
-    "t17": t17_scale,
-    "t18": t18_resilience,
-}
-
-
-def run_all(quick: bool = True,
-            processes: int | None = None) -> list[Table]:
-    """Run every experiment; returns the tables in order."""
-    return [run_experiment(id, quick=quick, processes=processes)
-            for id in REGISTRY.ids()]

@@ -392,6 +392,31 @@ class TestLogLogFit:
              + (2.0 * math.log(4.0) / 3.0) ** 2) / 3.0)
         assert residual == pytest.approx(expected_rms)
 
+    def test_sums_are_correctly_rounded(self):
+        import functools
+        import math
+        import operator
+
+        from repro.analysis.metrics import log_log_fit
+
+        # Builtin sum is compensated from Python 3.12 on and naive
+        # before it; the fit must give the same bits on every version.
+        xs, ys = [2.0, 4.0, 8.0, 16.0], [0.1, 0.2, 0.3, 0.7]
+        lx = [math.log(x) for x in xs]
+        ly = [math.log(y) for y in ys]
+        naive = functools.reduce(operator.add, lx)
+        assert naive != math.fsum(lx)  # the inputs tell the two apart
+        n = len(xs)
+        mean_x, mean_y = math.fsum(lx) / n, math.fsum(ly) / n
+        slope = (math.fsum((x - mean_x) * (y - mean_y)
+                           for x, y in zip(lx, ly))
+                 / math.fsum((x - mean_x) ** 2 for x in lx))
+        intercept = mean_y - slope * mean_x
+        residual = math.sqrt(math.fsum(
+            (y - (intercept + slope * x)) ** 2
+            for x, y in zip(lx, ly)) / n)
+        assert log_log_fit(xs, ys) == (slope, intercept, residual)
+
     def test_validation(self):
         from repro.analysis.metrics import log_log_fit
 

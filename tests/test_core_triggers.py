@@ -90,23 +90,30 @@ class TestValidation:
 
 
 class TestMutualExclusion:
-    """Lemma 4.5: FT and ST are mutually exclusive for slack < 2k."""
+    """Lemma 4.5: FT and ST are mutually exclusive for slack < k/2."""
 
     @given(
         own=st.floats(-1e4, 1e4),
         neighbors=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=6),
         kappa=st.floats(0.1, 100.0),
-        slack_frac=st.floats(0.0, 0.62),
+        slack_frac=st.floats(0.0, 0.49),
     )
     @settings(max_examples=400)
     def test_never_both(self, own, neighbors, kappa, slack_frac):
-        # Lemma 4.8 uses slack = kappa/3; we test well beyond, up to
-        # 0.62*kappa (the algebra holds for slack < 2/3*kappa given the
-        # integer-rung structure; the paper's claim is for the values
-        # it uses).
+        # Lemma 4.8 uses slack = kappa/3; we test up to 0.49*kappa.
+        # Firing fast at level s and slow at odd rung m needs
+        # |2s - m| * kappa <= 2 * slack, and |2s - m| >= 1, so the
+        # triggers exclude each other exactly for slack < kappa/2.
+        # The margin below kappa/2 absorbs rounding in up + slack.
         slack = slack_frac * kappa
         d = evaluate(own, dict(enumerate(neighbors)), kappa, slack)
         assert not (d.fast and d.slow)
+
+    def test_both_fire_at_half_kappa(self):
+        # The lemma's boundary: at slack = kappa/2, up = down = 1.5
+        # satisfies FT at s = 1 and ST at m = 1.
+        d = evaluate(0.0, {0: 1.5, 1: -1.5}, 1.0, 0.5)
+        assert d.fast and d.slow
 
     @given(
         own=st.floats(-1e3, 1e3),

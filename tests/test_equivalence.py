@@ -21,9 +21,8 @@ from repro.engine_vec.equivalence import (
 
 
 class TestQuickMatrix:
-    def test_full_matrix_passes(self):
-        report = run_equivalence()
-        assert report.passed, report.summary()
+    def test_full_matrix_passes(self, equivalence_report):
+        assert equivalence_report.passed, equivalence_report.summary()
 
     def test_matrix_covers_all_supported_protocols(self):
         protocols = {cell.protocol for cell in quick_cells()}
@@ -34,11 +33,11 @@ class TestQuickMatrix:
         modes = {cell.mode for cell in quick_cells()}
         assert modes == set(MODES)
 
-    def test_exact_cells_are_bit_equal(self):
-        for cell in quick_cells():
-            if cell.mode != "exact":
-                continue
-            result = run_cell(cell)
+    def test_exact_cells_are_bit_equal(self, equivalence_report):
+        exact = [result for result in equivalence_report.results
+                 if result.cell.mode == "exact"]
+        assert exact
+        for result in exact:
             assert result.passed, result.failures
             assert result.vec_local == result.event_local
             assert result.vec_global == result.event_global

@@ -154,38 +154,23 @@ class TestBoundsFunctions:
 class TestExperimentsSmoke:
     """Cheap structural checks; heavy lifting lives in benchmarks/."""
 
-    def test_t05_rows_and_ordering(self):
-        from repro.harness.experiments import t05_failure_probability
-
-        table = t05_failure_probability(quick=True)
+    def test_t05_rows_and_ordering(self, quick_tables):
+        table = quick_tables["t05"]
         assert len(table.rows) == 9
         assert all(table.column("ordered"))
 
-    def test_t08_overheads_factors(self):
-        from repro.harness.experiments import t08_overheads
-
-        table = t08_overheads(quick=True)
+    def test_t08_overheads_factors(self, quick_tables):
+        table = quick_tables["t08"]
         # Node factor is exactly k = 3f+1.
         for row in table.rows:
             f, k, factor = row[1], row[2], row[4]
             assert k == 3 * f + 1
             assert factor == pytest.approx(k)
 
-    def test_t10_no_violations(self):
-        from repro.harness.experiments import t10_trigger_exclusion
-
-        table = t10_trigger_exclusion(quick=True)
+    def test_t10_no_violations(self, quick_tables):
+        table = quick_tables["t10"]
         assert all(v == 0 for v in table.column("violations"))
 
-    def test_t12_convergence_within_envelope(self):
-        from repro.harness.experiments import t12_convergence
-
-        table = t12_convergence(quick=True)
+    def test_t12_convergence_within_envelope(self, quick_tables):
+        table = quick_tables["t12"]
         assert all(table.column("within"))
-
-    def test_run_all_registry(self):
-        from repro.harness.experiments import ALL_EXPERIMENTS
-
-        assert len(ALL_EXPERIMENTS) == 18
-        assert sorted(ALL_EXPERIMENTS) == [f"t{i:02d}"
-                                           for i in range(1, 19)]

@@ -94,9 +94,10 @@ class TestRegistryValidation:
 class TestRunExperiment:
     @pytest.mark.parametrize("experiment_id",
                              [f"t{i:02d}" for i in range(1, 19)])
-    def test_every_experiment_runs_quick(self, experiment_id):
+    def test_every_experiment_runs_quick(self, quick_tables,
+                                         experiment_id):
         experiment = REGISTRY.get(experiment_id)
-        table = run_experiment(experiment_id, quick=True)
+        table = quick_tables[experiment_id]
         assert isinstance(table, Table)
         assert table.title == experiment.title
         assert tuple(table.columns) == experiment.columns
@@ -140,8 +141,8 @@ class TestT14ProtocolGrid:
     comparison block, and the kappa regression column."""
 
     @pytest.fixture(scope="class")
-    def table(self):
-        return run_experiment("t14", quick=True)
+    def table(self, quick_tables):
+        return quick_tables["t14"]
 
     def test_grid_covers_large_diameters(self, table):
         diameters = {d for d, p in zip(table.column("D"),
@@ -221,8 +222,8 @@ class TestT17VectorizedScale:
     """t17: cross-engine skew agreement plus the 1e5-node D=256 cell."""
 
     @pytest.fixture(scope="class")
-    def table(self):
-        return run_experiment("t17", quick=True)
+    def table(self, quick_tables):
+        return quick_tables["t17"]
 
     def test_quick_shape(self, table):
         # Three small diameters x two engines, plus two big cells.
@@ -258,8 +259,9 @@ class TestTableContentSmoke:
     registry-coverage rule requires every id to be referenced by at
     least one test)."""
 
-    def test_t04_master_slave_leaks_skew_ftgcs_caps_it(self):
-        table = run_experiment("t04", quick=True)
+    def test_t04_master_slave_leaks_skew_ftgcs_caps_it(self,
+                                                       quick_tables):
+        table = quick_tables["t04"]
         assert table.columns[0] == "D"
         assert len(table.rows) == 2  # D = 3, 5 quick
         for row in table.rows:
@@ -270,14 +272,14 @@ class TestTableContentSmoke:
             assert ms_max > ft_max
             assert ft_max <= cap
 
-    def test_t06_unanimous_rates_hold(self):
-        table = run_experiment("t06", quick=True)
+    def test_t06_unanimous_rates_hold(self, quick_tables):
+        table = quick_tables["t06"]
         holds = table.column("holds")
         assert holds and all(holds)
         assert set(table.column("mode")) == {"fast", "slow"}
 
-    def test_t11_lw_tracks_bound_st_carries_od(self):
-        table = run_experiment("t11", quick=True)
+    def test_t11_lw_tracks_bound_st_carries_od(self, quick_tables):
+        table = quick_tables["t11"]
         assert len(table.rows) == 2  # U/d = 0.2, 0.05 quick
         for row in table.rows:
             lw_skew, lw_bound, st_skew, st_bound = row[1:5]
@@ -288,8 +290,8 @@ class TestTableContentSmoke:
         lw = table.column("LW steady skew")
         assert lw[1] <= lw[0]
 
-    def test_t18_resilience_rows_within_envelope(self):
-        table = run_experiment("t18", quick=True)
+    def test_t18_resilience_rows_within_envelope(self, quick_tables):
+        table = quick_tables["t18"]
         protected = [row for row in table.rows
                      if row[1] != "none" and row[0] != "gcs_single"]
         assert protected
