@@ -11,12 +11,12 @@ Run:  python examples/attack_gallery.py
 
 from repro import ClusterGraph
 from repro.faults import (
-    CrashStrategy,
-    EquivocatorStrategy,
-    FastClockStrategy,
-    PullApartStrategy,
-    RandomPulseStrategy,
-    SilentStrategy,
+    CrashAdversary,
+    EquivocateAdversary,
+    FastClockAdversary,
+    PullApartAdversary,
+    RandomPulseAdversary,
+    SilentAdversary,
 )
 from repro.harness.runner import default_params, run_scenario
 
@@ -24,13 +24,13 @@ params = default_params(f=1)
 graph = ClusterGraph.ring(4)
 
 strategies = [
-    ("silent", lambda n: SilentStrategy()),
-    ("crash @ 3T", lambda n: CrashStrategy(3 * params.round_length)),
-    ("random pulses", lambda n: RandomPulseStrategy(pulses_per_round=4.0)),
-    ("fast clock x1.5", lambda n: FastClockStrategy(1.5)),
-    ("slow clock x0.7", lambda n: FastClockStrategy(0.7)),
-    ("equivocator", lambda n: EquivocatorStrategy()),
-    ("pull-apart", lambda n: PullApartStrategy()),
+    ("silent", lambda n: SilentAdversary()),
+    ("crash @ 3T", lambda n: CrashAdversary(3 * params.round_length)),
+    ("random pulses", lambda n: RandomPulseAdversary(pulses_per_round=4.0)),
+    ("fast clock x1.5", lambda n: FastClockAdversary(1.5)),
+    ("slow clock x0.7", lambda n: FastClockAdversary(0.7)),
+    ("equivocator", lambda n: EquivocateAdversary()),
+    ("pull-apart", lambda n: PullApartAdversary()),
 ]
 
 print(f"ring of 4 clusters, k={params.cluster_size}, f=1, "

@@ -56,12 +56,12 @@ for i in range(0, len(samples), quarter):
     print(f"  t={t:7.0f}  local skew = {local:7.3f}")
 
 params_ft = Parameters.practical(rho=1e-4, d=1.0, u=0.1, f=1)
-from repro.faults import EquivocatorStrategy, place_in_clusters
+from repro.faults import EquivocateAdversary, place_in_clusters
 aug = ClusterGraph.ring(6).augment(params_ft.cluster_size)
 ft2 = FtgcsSystem.build(
     ClusterGraph.ring(6), params_ft, seed=2,
     config=SystemConfig(byzantine=place_in_clusters(
-        aug, [0], 1, lambda nid: EquivocatorStrategy())))
+        aug, [0], 1, lambda nid: EquivocateAdversary())))
 r2 = ft2.run_rounds(12)
 print(f"FTGCS under an equivocator   : local skew "
       f"{r2.max_local_cluster_skew:.3f} <= bound "

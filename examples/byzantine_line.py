@@ -15,7 +15,7 @@ Run:  python examples/byzantine_line.py
 
 from repro import ClusterGraph, Parameters
 from repro.core.system import FtgcsSystem, SystemConfig
-from repro.faults import EquivocatorStrategy, place_everywhere
+from repro.faults import EquivocateAdversary, place_everywhere
 
 params = Parameters.practical(rho=1e-4, d=1.0, u=0.1, f=1, eps=0.2,
                               k_stab=1)
@@ -24,7 +24,7 @@ graph = ClusterGraph.line(num_clusters)
 augmented = graph.augment(params.cluster_size)
 
 byzantine = place_everywhere(augmented, 1,
-                             lambda node_id: EquivocatorStrategy())
+                             lambda node_id: EquivocateAdversary())
 offsets = [i * 1.5 * params.kappa for i in range(num_clusters)]
 
 config = SystemConfig(byzantine=byzantine, cluster_offsets=offsets,

@@ -13,7 +13,7 @@ Run:  python examples/noc_grid.py
 
 from repro import ClusterGraph, Parameters
 from repro.core.system import FtgcsSystem, SystemConfig
-from repro.faults import CrashStrategy, EquivocatorStrategy, place_in_clusters
+from repro.faults import CrashAdversary, EquivocateAdversary, place_in_clusters
 
 params = Parameters.practical(rho=1e-4, d=1.0, u=0.1, f=1)
 graph = ClusterGraph.grid(4, 4)
@@ -23,10 +23,10 @@ augmented = graph.augment(params.cluster_size)
 # one row (stays within the f=1 per-cluster budget).
 byzantine = {}
 byzantine.update(place_in_clusters(
-    augmented, [0, 15], 1, lambda n: EquivocatorStrategy()))
+    augmented, [0, 15], 1, lambda n: EquivocateAdversary()))
 byzantine.update(place_in_clusters(
     augmented, [5, 6], 1,
-    lambda n: CrashStrategy(crash_time=5 * params.round_length)))
+    lambda n: CrashAdversary(crash_time=5 * params.round_length)))
 
 system = FtgcsSystem.build(
     graph, params, seed=11,

@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 
 from repro import ClusterGraph, Parameters
 from repro.core.system import FtgcsSystem, SystemConfig
-from repro.faults import SilentStrategy, place_everywhere
+from repro.faults import SilentAdversary, place_everywhere
 
 # 1. Model parameters: drift rho, max delay d, uncertainty U, faults f.
 params = Parameters.practical(rho=1e-4, d=1.0, u=0.1, f=1)
@@ -23,7 +23,7 @@ graph = ClusterGraph.ring(4)
 
 # 3. Faults: one silent Byzantine node in every cluster (= the budget).
 augmented = graph.augment(params.cluster_size)
-byzantine = place_everywhere(augmented, 1, lambda node_id: SilentStrategy())
+byzantine = place_everywhere(augmented, 1, lambda node_id: SilentAdversary())
 
 # 4. Build and run.
 system = FtgcsSystem.build(graph, params, seed=42,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.core.params import Parameters
 from repro.core.system import FtgcsSystem, RunResult, SystemConfig
 from repro.errors import ConfigError
-from repro.faults.strategies import ByzantineStrategy
+from repro.faults.adversary import AdversaryModel
 from repro.topology.cluster_graph import ClusterGraph
 
 
@@ -51,7 +51,7 @@ class LynchWelchSystem(FtgcsSystem):
 
 
 def build_clique_system(params: Parameters, seed: int = 0,
-                        byzantine: dict[int, ByzantineStrategy]
+                        byzantine: dict[int, AdversaryModel]
                         | None = None,
                         config: SystemConfig | None = None
                         ) -> LynchWelchSystem:
@@ -65,7 +65,7 @@ def build_clique_system(params: Parameters, seed: int = 0,
 
 
 def run_lynch_welch(params: Parameters, rounds: int, seed: int = 0,
-                    byzantine: dict[int, ByzantineStrategy]
+                    byzantine: dict[int, AdversaryModel]
                     | None = None,
                     config: SystemConfig | None = None) -> RunResult:
     """Run the clique for ``rounds`` rounds and return the result.

@@ -404,20 +404,6 @@ FEATURES = (
 )
 
 
-def _strategy(name: str, args: tuple) -> None:
-    """Construct a named strategy once, running its argument checks."""
-    from repro.faults.adversary import resolve_strategy
-
-    if not isinstance(name, str):
-        raise ConfigError(f"unknown strategy {name!r}")
-    strategy_cls = resolve_strategy(name)
-    try:
-        strategy_cls(*args)
-    except TypeError as exc:
-        raise ConfigError(
-            f"bad strategy args for {name!r}: {exc}") from None
-
-
 def check_composition(protocol: type[SyncProtocol] | None, engine: str,
                       **features) -> None:
     """Evaluate :data:`FEATURES`: raise :class:`~repro.errors.ConfigError`
@@ -426,8 +412,8 @@ def check_composition(protocol: type[SyncProtocol] | None, engine: str,
     ``features`` is keyed by row name, falsy meaning absent:
     ``strategy`` is ``(name, args)``, ``adversary`` and ``loss`` their
     specs, the rest flags.  The feature values are checked first, for
-    any ``protocol``: the named strategy, the adversary model and its
-    event strategy are constructed (on either engine) and the loss spec
+    any ``protocol``: the named strategy's model and the adversary
+    model are constructed (on either engine) and the loss spec
     validated, so bad knobs fail here too.  ``protocol`` ``None`` (a
     cell that runs no registered protocol) stops there.  Nothing is
     built.
@@ -437,19 +423,19 @@ def check_composition(protocol: type[SyncProtocol] | None, engine: str,
             "compose either a named fault strategy or an adversary, "
             "not both")
     if features.get("strategy"):
-        _strategy(*features["strategy"])
+        from repro.faults.adversary import strategy_model
+
+        strategy_model(*features["strategy"])
     if features.get("adversary"):
         from repro.faults.adversary import get_adversary
 
         spec = features["adversary"]
         try:
-            model = features["adversary"] = get_adversary(**spec)
+            features["adversary"] = get_adversary(**spec)
         except TypeError:
             raise ConfigError(
                 f"adversary spec must be a dict with a string 'name': "
                 f"{spec!r}") from None
-        if model.event_strategy() is not None:
-            _strategy(*model.event_strategy())
     if features.get("loss"):
         from repro.net.loss import validate_loss_spec
 
@@ -667,8 +653,9 @@ class SystemBuilder:
 
     def faults(self, strategy: str, *args,
                per_cluster: int | None = None) -> "SystemBuilder":
-        """Place a named fault strategy in every cluster (resolved via
-        :data:`repro.faults.strategies.STRATEGIES`)."""
+        """Place a named fault strategy in every cluster: the static
+        adversary ``strategy`` with its event knob as ``args``
+        (decoded by :func:`repro.faults.adversary.strategy_model`)."""
         self._strategy = strategy
         self._strategy_args = tuple(args)
         if per_cluster is not None:

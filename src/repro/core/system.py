@@ -3,7 +3,7 @@
 :class:`FtgcsSystem` wires everything together from a cluster graph and
 a parameter set: the kernel, per-node hardware clocks, the network over
 the augmented graph, honest :class:`~repro.core.node.FtgcsNode`
-instances, Byzantine strategy drivers, and a skew sampler.  It is the
+instances, Byzantine adversary drivers, and a skew sampler.  It is the
 entry point used by the examples and the benchmark harness:
 
 >>> from repro import ClusterGraph, Parameters
@@ -39,7 +39,7 @@ from repro.core.node import (
 from repro.core.params import Parameters
 from repro.core.rounds import RoundSchedule
 from repro.errors import ConfigError
-from repro.faults.strategies import ByzantineStrategy, StrategyContext
+from repro.faults.adversary import AdversaryModel, EventContext
 from repro.net.delays import DelayModel, ExtremalDelay, UniformDelay
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
@@ -77,7 +77,9 @@ class SystemConfig:
         Half-width of per-node initial offsets around the cluster base
         (default ``E / 4``; initialization must respect ``e(1)``).
     byzantine:
-        ``{node_id: strategy}`` — see :mod:`repro.faults`.
+        ``{node_id: model}`` of
+        :class:`~repro.faults.adversary.AdversaryModel` instances, one
+        per faulty node — see :mod:`repro.faults`.
     allow_fault_overflow:
         Permit more than ``f`` faults in a cluster (for "what breaks
         beyond the bound" experiments).
@@ -119,7 +121,7 @@ class SystemConfig:
     delay_model: str | DelayModelFactory = "uniform"
     cluster_offsets: list[float] | None = None
     init_jitter: float | None = None
-    byzantine: dict[int, ByzantineStrategy] = field(default_factory=dict)
+    byzantine: dict[int, AdversaryModel] = field(default_factory=dict)
     allow_fault_overflow: bool = False
     enable_max_estimate: bool = False
     max_estimate_unit: float | None = None
@@ -371,12 +373,12 @@ class FtgcsSystem:
         for node_id in range(self.graph.num_nodes):
             cluster = self.graph.cluster_of(node_id)
             rng = self.rng.stream(f"node/{node_id}")
-            strategy = cfg.byzantine.get(node_id)
+            adversary = cfg.byzantine.get(node_id)
 
             rate_model: RateModel
             enforce = True
-            if strategy is not None:
-                spec = strategy.hardware_spec(p, rng)
+            if adversary is not None:
+                spec = adversary.hardware_spec(p, rng)
                 if spec is not None:
                     rate_model, enforce = spec
                 else:
@@ -389,18 +391,18 @@ class FtgcsSystem:
 
             members = self.graph.members(cluster)
             adjacent = self.graph.inter_neighbors(node_id)
-            ctx = StrategyContext(
+            ctx = EventContext(
                 node_id=node_id, cluster_id=cluster, sim=self.sim,
                 network=self.network, params=p, schedule=self.schedule,
                 hardware=hardware, base=self._bases[cluster],
                 cluster_members=members, adjacent_members=adjacent,
                 rng=rng)
 
-            if strategy is not None and not strategy.wants_honest_node:
-                self.drivers[node_id] = strategy.build(ctx)
+            if adversary is not None and not adversary.wants_honest_node:
+                self.drivers[node_id] = adversary.build(ctx)
                 continue
 
-            is_faulty = strategy is not None
+            is_faulty = adversary is not None
             estimator_initials = {
                 b: self._bases[b] + self._jitter(rng)
                 for b in adjacent}
@@ -419,7 +421,7 @@ class FtgcsSystem:
             self.nodes[node_id] = node
             if is_faulty:
                 ctx.honest_node = node
-                self.drivers[node_id] = strategy.build(ctx)
+                self.drivers[node_id] = adversary.build(ctx)
 
     def _build_sample_layout(self) -> None:
         """Precompute the sampling hot path's data layout.
@@ -518,7 +520,7 @@ class FtgcsSystem:
         return self._diameter
 
     def honest_nodes(self) -> list[FtgcsNode]:
-        """Correct nodes (excludes every node with a strategy).
+        """Correct nodes (excludes every node with an adversary).
 
         The set is fixed at construction time, so this returns a cached
         list (do not mutate it).

@@ -1,21 +1,27 @@
-"""Byzantine fault strategies and placement policies."""
+"""Byzantine adversaries and fault placement policies.
 
+:mod:`repro.faults.adversary` holds one
+:class:`~repro.faults.adversary.AdversaryModel` per attack, realized on
+both engines; :mod:`repro.faults.placement` builds the
+``{node_id: model}`` maps an event-kernel system consumes.
+"""
+
+from repro.faults.adversary import (
+    AdversaryModel,
+    CollusionAdversary,
+    CrashAdversary,
+    EquivocateAdversary,
+    EventContext,
+    FastClockAdversary,
+    PullApartAdversary,
+    RandomPulseAdversary,
+    SilentAdversary,
+)
 from repro.faults.placement import (
     count_by_cluster,
     place_everywhere,
     place_in_clusters,
     place_random_iid,
-)
-from repro.faults.strategies import (
-    ByzantineStrategy,
-    ColludingEquivocatorStrategy,
-    CrashStrategy,
-    EquivocatorStrategy,
-    FastClockStrategy,
-    PullApartStrategy,
-    RandomPulseStrategy,
-    SilentStrategy,
-    StrategyContext,
 )
 
 __all__ = [
@@ -23,13 +29,13 @@ __all__ = [
     "place_everywhere",
     "place_in_clusters",
     "place_random_iid",
-    "ByzantineStrategy",
-    "ColludingEquivocatorStrategy",
-    "CrashStrategy",
-    "EquivocatorStrategy",
-    "FastClockStrategy",
-    "PullApartStrategy",
-    "RandomPulseStrategy",
-    "SilentStrategy",
-    "StrategyContext",
+    "AdversaryModel",
+    "CollusionAdversary",
+    "CrashAdversary",
+    "EquivocateAdversary",
+    "EventContext",
+    "FastClockAdversary",
+    "PullApartAdversary",
+    "RandomPulseAdversary",
+    "SilentAdversary",
 ]

@@ -1,26 +1,26 @@
-"""The engine-agnostic adversary layer.
+"""The adversary layer: one class per attack, on both engines.
 
-The paper's fault model is Byzantine — up to ``f`` corrupted members
-per cluster, no behavioural assumptions — but until this module the
-implementation of that model was welded to the event kernel: a
-:class:`~repro.faults.strategies.ByzantineStrategy` hooks per-message
-handlers and therefore only exists where messages exist.  An
-:class:`AdversaryModel` describes the *same* adversary one level up,
-in terms both engines can realize:
+The paper's faulty nodes are "fully Byzantine: we make no assumptions
+whatsoever about their behavior; in particular, they are not required
+to communicate by broadcast."  An :class:`AdversaryModel` is one such
+behaviour, with up to ``f`` corrupted members per cluster, written
+once and realized on both engines:
 
-observe / act phases
-    Each round (vectorized engine) or each delivery (event kernel) the
-    adversary first *observes* — a read-only view of public state —
-    and then *acts* within its budget.  On the vectorized engine the
-    act is literal: the model returns per-slot clock-estimate offsets
-    and a keep/silence mask, applied as masked numpy writes into the
-    struct-of-arrays round state.  On the event kernel the act phase
-    is realized by the existing strategy drivers: the seven
-    :data:`~repro.faults.strategies.STRATEGIES` classes *are* the
-    per-delivery act implementations, re-homed here as event-side
-    adapters behind the same names (legacy ``ScenarioSpec.strategy``
-    specs resolve through :func:`resolve_strategy` and stay
-    bit-identical, ``spec_hash`` included).
+event kernel
+    The model builds each faulty node's *driver* (:meth:`build`, any
+    object with ``start()``) from an :class:`EventContext`.  Attacks
+    that are "honest protocol plus a twist" set ``wants_honest_node``
+    and corrupt a fully built :class:`~repro.core.node.FtgcsNode`;
+    :meth:`hardware_spec` may swap the node's oscillator.  This is the
+    realization on the FTGCS family; ``gcs_single`` and
+    ``srikanth_toueg`` use their native ``liars``/``silent_faults``
+    payload knobs instead (:func:`validate_event_support`).
+
+vectorized engine: observe / act phases
+    Each round the adversary first *observes* a read-only view of
+    public state and then *acts* within its budget: it returns
+    per-slot clock-estimate offsets and a keep/silence mask, applied as
+    masked numpy writes into the struct-of-arrays round state.
 
 budget contract
     An adversary controls at most its fault budget (``count`` nodes —
@@ -44,21 +44,30 @@ adaptive models
 The registry :data:`ADVERSARIES` is the one name space:
 ``Scenario.adversarial("equivocate", ...)``,
 ``SystemBuilder.adversary(...)``, and ``ScenarioSpec.adversary`` all
-resolve here, eagerly.
+resolve here, eagerly.  The legacy ``strategy``/``strategy_args``
+spelling (``Scenario.attack``, ``SystemBuilder.faults``) names one of
+the :data:`STRATEGIES` and passes its event knob positionally;
+:func:`strategy_model` decodes it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+import random
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable
 
+from repro.clocks.logical import LogicalClock
+from repro.clocks.rate_models import ConstantRate, RateModel
 from repro.errors import ConfigError
-from repro.faults.strategies import STRATEGIES
+from repro.net.message import Pulse, PulseKind
 
-#: Kwargs every adversary accepts (the budget knobs); model-specific
-#: knobs are validated by each constructor.
-_COMMON_KWARGS = ("amplitude", "count")
-
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.clocks.hardware import HardwareClock
+    from repro.core.node import FtgcsNode
+    from repro.core.params import Parameters
+    from repro.core.rounds import RoundSchedule
+    from repro.net.network import Network
+    from repro.sim.kernel import Simulator
 
 @dataclass(frozen=True)
 class AdversaryBudget:
@@ -74,22 +83,50 @@ class AdversaryBudget:
     count: int
 
 
+@dataclass
+class EventContext:
+    """Everything an adversary may use to build a node's driver."""
+
+    node_id: int
+    cluster_id: int
+    sim: "Simulator"
+    network: "Network"
+    params: "Parameters"
+    schedule: "RoundSchedule"
+    hardware: "HardwareClock"
+    base: float
+    cluster_members: tuple[int, ...]
+    adjacent_members: dict[int, tuple[int, ...]]
+    rng: random.Random
+    honest_node: "FtgcsNode | None" = None
+
+    def all_neighbors(self) -> tuple[int, ...]:
+        peers = [m for m in self.cluster_members if m != self.node_id]
+        for members in self.adjacent_members.values():
+            peers.extend(members)
+        return tuple(peers)
+
+
 class AdversaryModel:
     """Base class: one adversary, realizable on one or both engines.
 
-    Subclasses override the vectorized :meth:`act` /
-    :meth:`act_pairs` hooks (graph and clique shapes respectively)
-    and/or the event-side :meth:`event_strategy` mapping.  ``observe``
+    Subclasses override the event-side :meth:`build` (plus
+    ``wants_honest_node`` / :meth:`hardware_spec` where the attack
+    needs them) and/or the vectorized :meth:`act` / :meth:`act_pairs`
+    hooks (graph and clique shapes respectively).  ``observe``
     defaults to a no-op; models that adapt to public state override
     it.
     """
 
     name = ""
-    #: Realizable on the event kernel (via a strategy adapter or a
-    #: protocol payload mechanism).
+    #: Realizable on the event kernel (:meth:`build` on the FTGCS
+    #: family, a native payload mechanism on the baselines).
     supports_event = False
     #: Has a vectorized act implementation (masked numpy writes).
     supports_vectorized = False
+    #: When True the event system builds a normal honest node first
+    #: and hands it to :meth:`build` via ``ctx.honest_node``.
+    wants_honest_node = False
 
     def __init__(self, *, amplitude: float | None = None,
                  count: int | None = None) -> None:
@@ -131,10 +168,23 @@ class AdversaryModel:
 
     # -- event-side realization -----------------------------------------
 
-    def event_strategy(self) -> tuple[str, tuple] | None:
-        """The FTGCS-family strategy realization ``(name, args)``, or
-        ``None`` when the model has no per-delivery driver."""
+    def hardware_spec(self, params: "Parameters", rng: random.Random
+                      ) -> tuple[RateModel, bool] | None:
+        """Override the node's hardware clock.
+
+        Returns ``(rate_model, enforce_bounds)`` or ``None`` to accept
+        the system default.  Returning ``enforce_bounds=False`` lets
+        the clock violate the ``[1, 1+rho]`` envelope — the faulty-
+        oscillator attack.
+        """
         return None
+
+    def build(self, ctx: EventContext):
+        """Create and return the node's event driver (any object with
+        ``start()``)."""
+        raise ConfigError(
+            f"adversary {self.name!r} has no event-engine driver; use "
+            f".engine('vectorized')")
 
     def spec(self) -> dict:
         """The model's resolved knobs, for counters and describe()."""
@@ -197,21 +247,126 @@ class PairActView:
 
 
 # ----------------------------------------------------------------------
-# Static adversaries (the seven legacy strategy names)
+# Event drivers
 # ----------------------------------------------------------------------
 
-class SilentAdversary(AdversaryModel):
-    """Controlled nodes say nothing at all.
+class _NullDriver:
+    """Driver for nodes that take no actions of their own."""
 
-    Event side: :class:`~repro.faults.strategies.SilentStrategy` on the
-    FTGCS family; the ``silent_faults`` payload mechanism on
-    Srikanth–Toueg (where silencing the first ``count`` members is the
-    protocol's native fault knob).
+    def start(self) -> None:
+        return None
+
+
+class _CrashDriver:
+    def __init__(self, sim: "Simulator", node: "FtgcsNode",
+                 crash_time: float) -> None:
+        self._sim = sim
+        self._node = node
+        self._crash_time = crash_time
+
+    def start(self) -> None:
+        self._sim.call_at(self._crash_time, self._node.crash)
+
+
+class _RandomPulseDriver:
+    def __init__(self, ctx: EventContext, mean_gap: float) -> None:
+        self._ctx = ctx
+        self._mean_gap = mean_gap
+
+    def start(self) -> None:
+        self._arm()
+
+    def _arm(self) -> None:
+        gap = self._ctx.rng.expovariate(1.0 / self._mean_gap)
+        self._ctx.sim.call_in(gap, self._fire)
+
+    def _fire(self) -> None:
+        self._ctx.network.broadcast(
+            self._ctx.node_id,
+            Pulse(sender=self._ctx.node_id, kind=PulseKind.SYNC))
+        self._arm()
+
+
+class _EquivocatorDriver:
+    """Round-driven two-faced pulse sender."""
+
+    def __init__(self, ctx: EventContext, spread: float,
+                 early: tuple[int, ...], late: tuple[int, ...],
+                 alternate: bool) -> None:
+        self._ctx = ctx
+        self._spread = spread
+        self._early = early
+        self._late = late
+        self._alternate = alternate
+        # Free-running logical clock at nominal honest rate; the
+        # attacker stays plausibly in-schedule without correcting.
+        self._clock = LogicalClock(
+            ctx.sim, ctx.hardware, phi=ctx.params.phi, mu=ctx.params.mu,
+            delta=1.0, gamma=0, initial_value=ctx.base,
+            name=f"byz[{ctx.node_id}]")
+        self._round = 1
+
+    def start(self) -> None:
+        self._arm_round(self._round)
+
+    def _arm_round(self, r: int) -> None:
+        sched = self._ctx.schedule
+        pulse = self._ctx.base + sched.pulse_offset(r)
+        early_at = max(pulse - self._spread,
+                       self._ctx.base + sched.round_start(r))
+        self._clock.at_value(early_at, self._send, r, True)
+        self._clock.at_value(pulse + self._spread, self._send, r, False)
+        self._clock.at_value(self._ctx.base + sched.round_start(r + 1),
+                             self._next_round, r + 1)
+
+    def _groups_for_round(self, r: int) -> tuple[tuple[int, ...],
+                                                 tuple[int, ...]]:
+        if self._alternate and r % 2 == 0:
+            return self._late, self._early
+        return self._early, self._late
+
+    def _send(self, r: int, is_early: bool) -> None:
+        early, late = self._groups_for_round(r)
+        targets = early if is_early else late
+        pulse = Pulse(sender=self._ctx.node_id, kind=PulseKind.SYNC,
+                      debug_round=r)
+        for target in targets:
+            self._ctx.network.send(self._ctx.node_id, target, pulse)
+
+    def _next_round(self, r: int) -> None:
+        self._round = r
+        self._arm_round(r)
+
+
+def _deaf(ctx: EventContext) -> None:
+    """The node ignores everything it receives."""
+    ctx.network.set_handler(ctx.node_id, lambda msg, t: None)
+
+
+# ----------------------------------------------------------------------
+# Static adversaries (the legacy strategy names)
+# ----------------------------------------------------------------------
+#
+# Each constructor's first positional parameter is the attack's event
+# knob, so the legacy ``strategy_args`` decode as ``cls(*args)``.
+
+class SilentAdversary(AdversaryModel):
+    """Controlled nodes say nothing at all (receivers must cope with
+    missing samples every round).
+
+    Event side: a deaf, mute driver on the FTGCS family; the
+    ``silent_faults`` payload mechanism on Srikanth–Toueg (where
+    silencing the first ``count`` members is the protocol's native
+    fault knob).
     """
 
     name = "silent"
     supports_event = True
     supports_vectorized = True
+
+    def build(self, ctx: EventContext) -> _NullDriver:
+        _deaf(ctx)
+        return _NullDriver()
 
     def act(self, view: ActView):
         import numpy as np
@@ -225,19 +380,20 @@ class SilentAdversary(AdversaryModel):
         return (np.zeros((fc, len(view.receiver_ids))),
                 np.zeros(fc, dtype=bool))
 
-    def event_strategy(self):
-        return ("silent", ())
-
 
 class CrashAdversary(AdversaryModel):
-    """Honest until ``crash_time``, then fail-stop (event-only: the
-    mid-run transition is inherently per-delivery state)."""
+    """Run the honest protocol, then fail-stop at ``crash_time``
+    (event-only: the mid-run transition is inherently per-delivery
+    state)."""
 
     name = "crash"
     supports_event = True
+    wants_honest_node = True
 
-    def __init__(self, *, crash_time: float = 0.0, **kwargs) -> None:
+    def __init__(self, crash_time: float = 0.0, **kwargs) -> None:
         super().__init__(**kwargs)
+        if crash_time < 0:
+            raise ConfigError(f"crash_time must be >= 0: {crash_time!r}")
         self.crash_time = crash_time
 
     def spec(self) -> dict:
@@ -245,25 +401,37 @@ class CrashAdversary(AdversaryModel):
         out["crash_time"] = self.crash_time
         return out
 
-    def event_strategy(self):
-        return ("crash", (self.crash_time,))
+    def build(self, ctx: EventContext) -> _CrashDriver:
+        if ctx.honest_node is None:
+            raise ConfigError("CrashAdversary requires an honest node")
+        return _CrashDriver(ctx.sim, ctx.honest_node, self.crash_time)
 
 
 class RandomPulseAdversary(AdversaryModel):
-    """Amplitude-capped noise: each controlled estimate is displaced
-    by an independent uniform draw in ``[-amplitude, +amplitude]``.
+    """Pulse spam at random times, stressing round attribution and
+    buffer bounds.
 
-    Event side: :class:`~repro.faults.strategies.RandomPulseStrategy`
-    (pulse spam at random times — the per-delivery analogue)."""
+    Event side: SYNC broadcasts at exponential random intervals,
+    ``pulses_per_round`` per round on average, so the attack matches
+    any parameter set.  Vectorized act: amplitude-capped noise — each
+    controlled estimate is displaced by an independent uniform draw in
+    ``[-amplitude, +amplitude]``."""
 
     name = "random_pulse"
     supports_event = True
     supports_vectorized = True
 
-    def __init__(self, *, pulses_per_round: float | None = None,
-                 **kwargs) -> None:
+    def __init__(self, pulses_per_round: float = 3.0, **kwargs) -> None:
         super().__init__(**kwargs)
+        if pulses_per_round <= 0:
+            raise ConfigError(
+                f"pulses_per_round must be positive: {pulses_per_round!r}")
         self.pulses_per_round = pulses_per_round
+
+    def build(self, ctx: EventContext) -> _RandomPulseDriver:
+        _deaf(ctx)
+        mean_gap = ctx.schedule.round_length(1) / self.pulses_per_round
+        return _RandomPulseDriver(ctx, mean_gap)
 
     def act(self, view: ActView):
         import numpy as np
@@ -284,27 +452,26 @@ class RandomPulseAdversary(AdversaryModel):
                                    (fc, rc))
         return offsets, np.ones(fc, dtype=bool)
 
-    def event_strategy(self):
-        if self.pulses_per_round is not None:
-            return ("random_pulse", (self.pulses_per_round,))
-        return ("random_pulse", ())
-
 
 class FastClockAdversary(AdversaryModel):
-    """An out-of-spec oscillator, amplitude-capped.
+    """The honest protocol on an out-of-spec oscillator: the classic
+    "sub/super-nominal clock that cannot be proven faulty" from the
+    introduction's impossibility discussion.
 
+    Event side: ``speed_factor > 1`` runs faster than ``1 + rho``
+    allows, ``speed_factor < 1`` slower than ``1`` allows; the node
+    obeys the algorithm to the letter — only its physics lies.
     Vectorized act: the controlled clock appears progressively ahead —
     a ramp of ``amplitude * r / ramp_rounds`` capped at ``amplitude``
     (the displacement a faster-than-``1+rho`` clock accumulates before
-    the lie saturates the plausible window).  Event side:
-    :class:`~repro.faults.strategies.FastClockStrategy` with
-    ``speed_factor``."""
+    the lie saturates the plausible window)."""
 
     name = "fast_clock"
     supports_event = True
     supports_vectorized = True
+    wants_honest_node = True
 
-    def __init__(self, *, speed_factor: float = 2.0,
+    def __init__(self, speed_factor: float = 2.0, *,
                  ramp_rounds: int = 8, **kwargs) -> None:
         super().__init__(**kwargs)
         if speed_factor <= 0:
@@ -320,6 +487,18 @@ class FastClockAdversary(AdversaryModel):
         out = super().spec()
         out["speed_factor"] = self.speed_factor
         return out
+
+    def hardware_spec(self, params: "Parameters", rng: random.Random
+                      ) -> tuple[RateModel, bool]:
+        if self.speed_factor >= 1.0:
+            rate = (1.0 + params.rho) * self.speed_factor
+        else:
+            rate = self.speed_factor
+        return ConstantRate(rate), False
+
+    def build(self, ctx: EventContext) -> _NullDriver:
+        # The honest node does all the work; its clock is the attack.
+        return _NullDriver()
 
     def _ramp(self, r: int, amplitude: float) -> float:
         return min(amplitude, amplitude * r / self.ramp_rounds)
@@ -342,13 +521,10 @@ class FastClockAdversary(AdversaryModel):
                           -self._ramp(view.round_index, view.amplitude))
         return offsets, np.ones(fc, dtype=bool)
 
-    def event_strategy(self):
-        return ("fast_clock", (self.speed_factor,))
-
 
 def _equivocate_signs(receivers, amplitude):
     """The two-faced split: even-id receivers see ``+amplitude``, odd
-    see ``-amplitude`` (mirrors the event strategy's parity split)."""
+    see ``-amplitude`` (mirrors the event driver's parity split)."""
     import numpy as np
 
     return np.where(receivers % 2 == 0, amplitude, -amplitude)
@@ -357,13 +533,62 @@ def _equivocate_signs(receivers, amplitude):
 class EquivocateAdversary(AdversaryModel):
     """The two-faced attack: each controlled sender shows one group of
     receivers a clock ``amplitude`` ahead and the other ``amplitude``
-    behind, maximizing disagreement.  Event side:
-    :class:`~repro.faults.strategies.EquivocatorStrategy` (``spread``
-    is the amplitude when given)."""
+    behind, maximizing disagreement; the trim-f midpoint is exactly
+    the defense this probes.
+
+    Event side: the node follows the honest round schedule on its own
+    logical clock (without corrections — it has no interest in
+    agreeing), but at each round's pulse time it unicasts to every
+    neighbor individually: *early* targets get the pulse ``amplitude``
+    logical time units before the honest pulse point, *late* targets
+    the same amount after.  ``amplitude`` defaults to the steady-state
+    error ``E`` — large enough to matter, small enough to stay inside
+    the plausible window (a grosser lie would land outside phase 2 and
+    be trimmed or substituted anyway, weakening the attack).
+
+    Group assignment: same-cluster peers split by id parity; entire
+    adjacent clusters get early when their id is below the attacker's
+    cluster id, late otherwise — sustained directional pressure that
+    tries to stretch the intercluster gradient.  With ``alternate``
+    the groups swap every even round, on both engines.
+    """
 
     name = "equivocate"
     supports_event = True
     supports_vectorized = True
+    #: Swap the early/late groups every even round.
+    alternate = False
+
+    def __init__(self, amplitude: float | None = None, **kwargs) -> None:
+        super().__init__(amplitude=amplitude, **kwargs)
+
+    def build(self, ctx: EventContext) -> _EquivocatorDriver:
+        _deaf(ctx)
+        spread = self.amplitude
+        if spread is None:
+            spread = ctx.params.cap_e
+        early, late = self._split_targets(ctx)
+        return _EquivocatorDriver(ctx, spread, early, late,
+                                  alternate=self.alternate)
+
+    @staticmethod
+    def _split_targets(ctx: EventContext
+                       ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        early: list[int] = []
+        late: list[int] = []
+        for m in ctx.cluster_members:
+            if m == ctx.node_id:
+                continue
+            (early if m % 2 == 0 else late).append(m)
+        for b_cluster, members in ctx.adjacent_members.items():
+            bucket = early if b_cluster < ctx.cluster_id else late
+            bucket.extend(members)
+        return tuple(early), tuple(late)
+
+    def _swap(self, offsets, round_index: int):
+        if self.alternate and round_index % 2 == 0:
+            return -offsets
+        return offsets
 
     def act(self, view: ActView):
         import numpy as np
@@ -371,59 +596,59 @@ class EquivocateAdversary(AdversaryModel):
         offsets = np.where(
             view.faulty_slots,
             _equivocate_signs(view.receivers, view.amplitude), 0.0)
-        return offsets, np.ones(view.num_slots, dtype=bool)
+        return (self._swap(offsets, view.round_index),
+                np.ones(view.num_slots, dtype=bool))
 
     def act_pairs(self, view: PairActView):
         import numpy as np
 
         fc = len(view.faulty_ids)
         signs = _equivocate_signs(view.receiver_ids, view.amplitude)
-        return (np.broadcast_to(signs, (fc, len(view.receiver_ids))
-                                ).copy(),
+        offsets = np.broadcast_to(signs, (fc, len(view.receiver_ids))
+                                  ).copy()
+        return (self._swap(offsets, view.round_index),
                 np.ones(fc, dtype=bool))
-
-    def event_strategy(self):
-        if self.amplitude is not None:
-            return ("equivocate", (self.amplitude,))
-        return ("equivocate", ())
 
 
 class PullApartAdversary(EquivocateAdversary):
     """Equivocation whose group assignment flips every round,
-    attempting to resonate with the correction loop."""
+    attempting to resonate with the per-round correction loop."""
 
     name = "pull_apart"
-
-    def act(self, view: ActView):
-        offsets, keep = super().act(view)
-        if view.round_index % 2 == 0:
-            offsets = -offsets
-        return offsets, keep
-
-    def act_pairs(self, view: PairActView):
-        offsets, keep = super().act_pairs(view)
-        if view.round_index % 2 == 0:
-            offsets = -offsets
-        return offsets, keep
-
-    def event_strategy(self):
-        if self.amplitude is not None:
-            return ("pull_apart", (self.amplitude,))
-        return ("pull_apart", ())
+    alternate = True
 
 
-class CollusionAdversary(AdversaryModel):
-    """Coordinated equivocators sharing one global push convention
-    (event-only: the coalition's vantage-point split is defined over
-    the cluster structure the vectorized skeletons abstract away)."""
+class CollusionAdversary(EquivocateAdversary):
+    """Equivocators coordinating a single global push direction.
+
+    Independent equivocators partially cancel (each picks groups from
+    its own vantage point); colluders share one convention — *every*
+    faulty node sends early to lower-indexed clusters and late to
+    higher-indexed ones, and splits its own cluster the same way by
+    node id.  This is the strongest coalition the model allows short of
+    exceeding the per-cluster budget, and the hardest test for the
+    trimmed-midpoint defense.  Event-only: the coalition's split is
+    defined over the cluster structure the vectorized skeletons
+    abstract away.
+    """
 
     name = "collusion"
-    supports_event = True
+    supports_vectorized = False
 
-    def event_strategy(self):
-        if self.amplitude is not None:
-            return ("collusion", (self.amplitude,))
-        return ("collusion", ())
+    @staticmethod
+    def _split_targets(ctx: EventContext
+                       ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        early: list[int] = []
+        late: list[int] = []
+        cutoff = ctx.cluster_members[len(ctx.cluster_members) // 2]
+        for m in ctx.cluster_members:
+            if m == ctx.node_id:
+                continue
+            (early if m < cutoff else late).append(m)
+        for b_cluster, members in ctx.adjacent_members.items():
+            bucket = early if b_cluster < ctx.cluster_id else late
+            bucket.extend(members)
+        return tuple(early), tuple(late)
 
 
 # ----------------------------------------------------------------------
@@ -592,9 +817,8 @@ class RandomRestartAdversary(_AdaptiveBase):
 # ----------------------------------------------------------------------
 
 #: Adversary models addressable by name from picklable specs.  The
-#: first seven are the legacy strategy names (event realizations are
-#: the re-homed :data:`~repro.faults.strategies.STRATEGIES` classes);
-#: ``greedy``/``random_restart`` are the adaptive searchers.
+#: first seven are the static attacks; ``greedy``/``random_restart``
+#: are the adaptive searchers.
 ADVERSARIES: dict[str, type[AdversaryModel]] = {
     "silent": SilentAdversary,
     "crash": CrashAdversary,
@@ -606,6 +830,11 @@ ADVERSARIES: dict[str, type[AdversaryModel]] = {
     "greedy": GreedyAdversary,
     "random_restart": RandomRestartAdversary,
 }
+
+#: The names the legacy ``strategy`` spelling accepts: every model
+#: with an event driver.
+STRATEGIES: tuple[str, ...] = tuple(
+    name for name, cls in ADVERSARIES.items() if cls.supports_event)
 
 
 def get_adversary(name: str, **kwargs) -> AdversaryModel:
@@ -622,21 +851,19 @@ def get_adversary(name: str, **kwargs) -> AdversaryModel:
             f"bad adversary kwargs for {name!r}: {exc}") from None
 
 
-def resolve_strategy(name: str):
-    """Resolve a legacy strategy name through the adversary registry.
-
-    Every :data:`~repro.faults.strategies.STRATEGIES` name is also an
-    :data:`ADVERSARIES` name; this is the single lookup the protocol
-    adapters use, so legacy ``strategy=`` specs and the new
-    ``adversary=`` specs share one namespace.  Returns the strategy
-    *class* (the event-side driver factory input).
-    """
-    model_cls = ADVERSARIES.get(name)
-    strategy_cls = STRATEGIES.get(name)
-    if model_cls is None or strategy_cls is None:
+def strategy_model(name: str, args: tuple = ()) -> AdversaryModel:
+    """Decode the legacy ``strategy``/``strategy_args`` spelling:
+    ``ADVERSARIES[name](*args)``, the event knob passed positionally.
+    Unknown names and bad arguments raise
+    :class:`~repro.errors.ConfigError`."""
+    if not isinstance(name, str) or name not in STRATEGIES:
         raise ConfigError(f"unknown strategy {name!r}; known: "
                           f"{sorted(STRATEGIES)}")
-    return strategy_cls
+    try:
+        return ADVERSARIES[name](*args)
+    except TypeError as exc:
+        raise ConfigError(
+            f"bad strategy args for {name!r}: {exc}") from None
 
 
 def stride_placement(num_nodes: int, count: int):
@@ -868,8 +1095,9 @@ class CliqueAdversaryRuntime(_CounterMixin):
 # Event-side validation helpers
 # ----------------------------------------------------------------------
 
-#: Per-protocol event-engine realizations: strategy adapters for the
-#: FTGCS family, native payload mechanisms for the baselines.
+#: Per-protocol event-engine realizations: the model's own driver on
+#: the FTGCS family (named "strategy" in every counters block), native
+#: payload mechanisms for the baselines.
 _EVENT_MECHANISMS = {
     "ftgcs": "strategy",
     "lynch_welch": "strategy",
@@ -891,12 +1119,7 @@ def validate_event_support(model: AdversaryModel,
         raise ConfigError(
             f"adversary {model.name!r} is search-based "
             f"(vectorized-only); use .engine('vectorized')")
-    if mechanism == "strategy":
-        if model.event_strategy() is None:
-            raise ConfigError(
-                f"adversary {model.name!r} has no event-side strategy "
-                f"adapter for protocol {protocol!r}")
-    elif mechanism == "silent_faults":
+    if mechanism == "silent_faults":
         if model.name != "silent":
             raise ConfigError(
                 f"srikanth_toueg on the event engine realizes only "
@@ -915,6 +1138,7 @@ def validate_event_support(model: AdversaryModel,
 
 __all__ = [
     "ADVERSARIES",
+    "STRATEGIES",
     "ActView",
     "AdversaryBudget",
     "AdversaryModel",
@@ -922,6 +1146,7 @@ __all__ = [
     "CollusionAdversary",
     "CrashAdversary",
     "EquivocateAdversary",
+    "EventContext",
     "FastClockAdversary",
     "GreedyAdversary",
     "ObserveView",
@@ -933,7 +1158,7 @@ __all__ = [
     "VecAdversaryRuntime",
     "default_count",
     "get_adversary",
-    "resolve_strategy",
     "stride_placement",
+    "strategy_model",
     "validate_event_support",
 ]

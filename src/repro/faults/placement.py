@@ -1,7 +1,8 @@
 """Fault placement policies.
 
 The model fixes a set ``F`` of faulty nodes with at most ``f`` per
-cluster.  These helpers build the ``{node_id: strategy}`` maps that
+cluster.  These helpers build the ``{node_id: model}`` maps of
+:class:`~repro.faults.adversary.AdversaryModel` instances that
 :class:`~repro.core.system.SystemConfig` consumes.
 """
 
@@ -11,18 +12,18 @@ import random
 from typing import Callable
 
 from repro.errors import ConfigError
-from repro.faults.strategies import ByzantineStrategy
+from repro.faults.adversary import AdversaryModel
 from repro.topology.cluster_graph import AugmentedGraph
 
-#: Builds a fresh strategy for a node id (strategies are stateful).
-StrategyFactory = Callable[[int], ByzantineStrategy]
+#: Builds a fresh model for a node id (models may keep state).
+AdversaryFactory = Callable[[int], AdversaryModel]
 
 
 def place_in_clusters(graph: AugmentedGraph, clusters: list[int],
-                      per_cluster: int, factory: StrategyFactory,
+                      per_cluster: int, factory: AdversaryFactory,
                       rng: random.Random | None = None,
                       pick: str = "first"
-                      ) -> dict[int, ByzantineStrategy]:
+                      ) -> dict[int, AdversaryModel]:
     """Make ``per_cluster`` nodes faulty in each listed cluster.
 
     ``pick`` selects which members: ``"first"`` (deterministic: lowest
@@ -34,7 +35,7 @@ def place_in_clusters(graph: AugmentedGraph, clusters: list[int],
         raise ConfigError(f"pick must be 'first' or 'random': {pick!r}")
     if pick == "random" and rng is None:
         raise ConfigError("pick='random' requires an rng")
-    result: dict[int, ByzantineStrategy] = {}
+    result: dict[int, AdversaryModel] = {}
     for cluster in clusters:
         members = list(graph.members(cluster))
         if per_cluster > len(members):
@@ -51,9 +52,9 @@ def place_in_clusters(graph: AugmentedGraph, clusters: list[int],
 
 
 def place_everywhere(graph: AugmentedGraph, per_cluster: int,
-                     factory: StrategyFactory,
+                     factory: AdversaryFactory,
                      rng: random.Random | None = None,
-                     pick: str = "first") -> dict[int, ByzantineStrategy]:
+                     pick: str = "first") -> dict[int, AdversaryModel]:
     """``per_cluster`` faults in *every* cluster — the worst allowed
     deterministic placement."""
     clusters = list(range(graph.cluster_graph.num_clusters))
@@ -62,9 +63,9 @@ def place_everywhere(graph: AugmentedGraph, per_cluster: int,
 
 
 def place_random_iid(graph: AugmentedGraph, p: float,
-                     factory: StrategyFactory, rng: random.Random,
+                     factory: AdversaryFactory, rng: random.Random,
                      cap_per_cluster: int | None = None
-                     ) -> dict[int, ByzantineStrategy]:
+                     ) -> dict[int, AdversaryModel]:
     """Each node fails independently with probability ``p``.
 
     This is the stochastic model behind Inequality (1).  When
@@ -74,7 +75,7 @@ def place_random_iid(graph: AugmentedGraph, p: float,
     """
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"p must be a probability: {p!r}")
-    result: dict[int, ByzantineStrategy] = {}
+    result: dict[int, AdversaryModel] = {}
     for cluster in range(graph.cluster_graph.num_clusters):
         failed = [m for m in graph.members(cluster) if rng.random() < p]
         if cap_per_cluster is not None:
@@ -85,7 +86,7 @@ def place_random_iid(graph: AugmentedGraph, p: float,
 
 
 def count_by_cluster(graph: AugmentedGraph,
-                     faulty: dict[int, ByzantineStrategy]
+                     faulty: dict[int, AdversaryModel]
                      ) -> dict[int, int]:
     """Number of faulty nodes per cluster (validation/reporting)."""
     counts: dict[int, int] = {}

@@ -104,7 +104,7 @@ from repro.core.protocol import (
 from repro.core.system import FtgcsSystem, RunResult
 from repro.core.triggers import evaluate
 from repro.errors import ConfigError, TopologyError
-from repro.faults.strategies import STRATEGIES
+from repro.faults.adversary import STRATEGIES
 from repro.harness import serialize
 from repro.harness.runner import steady_state_skews
 from repro.sim.rng import derive_seed
@@ -138,15 +138,17 @@ class ScenarioSpec:
         Explicit master seed, or ``None`` to derive one per cell from
         the sweep's ``base_seed`` (see module docstring).
     strategy / strategy_args:
-        Optional fault strategy registry name (see :data:`STRATEGIES`)
-        and its constructor arguments; faults are placed everywhere via
-        the standard ``run_scenario`` placement.
+        Optional static adversary name (see :data:`STRATEGIES`) and its
+        event knob as positional constructor arguments (decoded by
+        :func:`~repro.faults.adversary.strategy_model`); faults are
+        placed everywhere via the standard ``run_scenario`` placement.
     faults_per_cluster:
         Override for the per-cluster fault count (default ``params.f``).
     config:
         Keyword arguments for
         :class:`~repro.core.system.SystemConfig`; values must be
-        picklable (no strategy instances — use ``strategy``).
+        picklable (no adversary instances — use ``strategy`` or
+        ``adversary``).
     key:
         Free-form cell coordinates (e.g. ``("D", 8)``), carried through
         to the result for labeling.

@@ -4,7 +4,7 @@ Every algorithm in the library — the paper's FTGCS construction, the
 standalone Lynch–Welch clique, and the three baselines — implements
 the unified protocol interface here, so one
 :class:`~repro.core.protocol.SystemBuilder` composes any of them with
-topologies, topology schedules, fault strategies, and clock/delay
+topologies, topology schedules, adversaries, and clock/delay
 models, and every run returns one
 :class:`~repro.core.protocol.ProtocolRunResult` shape.
 
@@ -31,12 +31,13 @@ srikanth_toueg silent*  no        no            no     yes        yes        no 
 
 ``*`` — these baselines model faults through protocol-specific payload
 knobs (``liars``, ``silent_faults``) rather than the named-strategy
-model, so their ``supports_faults`` flag is ``False``.
+spelling, so their ``supports_faults`` flag is ``False``.
 
-The engine-agnostic adversary layer (:mod:`repro.faults.adversary`,
+The adversary layer (:mod:`repro.faults.adversary`,
 ``SystemBuilder.adversary(...)``) sits above both mechanisms: on the
-event kernel it realizes through the strategy adapters (FTGCS family)
-or the native payload knobs (``gcs_single`` equivocate → ``liars``,
+event kernel it realizes through each model's own driver (FTGCS
+family; the legacy ``.faults(name, *args)`` spelling decodes to the
+same models) or the native payload knobs (``gcs_single`` equivocate → ``liars``,
 ``srikanth_toueg`` silent → ``silent_faults``), and on the vectorized
 engine through per-round fault-vector injection for the protocols
 declaring ``supports_vectorized_faults`` (``ftgcs``, ``gcs_single``,
@@ -85,12 +86,11 @@ from repro.core.system import FtgcsSystem, SystemConfig
 from repro.errors import ConfigError
 from repro.faults.adversary import (
     get_adversary,
-    resolve_strategy,
+    strategy_model,
     stride_placement,
     validate_event_support,
 )
 from repro.faults.placement import place_everywhere
-from repro.faults.strategies import STRATEGIES  # noqa: F401  (re-export)
 
 
 def _fault_counters(protocol: SyncProtocol) -> dict:
@@ -103,11 +103,6 @@ def _fault_counters(protocol: SyncProtocol) -> dict:
         "node_rejoins": protocol.node_rejoins,
         "adversary": protocol.adversary_counters,
     }
-
-
-def _strategy_factory(name: str, args: tuple):
-    cls = resolve_strategy(name)
-    return lambda _node, _cls=cls, _args=args: _cls(*_args)
 
 
 def _event_adversary(protocol: SyncProtocol, ctx: BuildContext):
@@ -138,7 +133,8 @@ def prepare_ftgcs_config(graph, params, config=None,
     The single source of truth shared by the ``ftgcs``/``lynch_welch``
     protocols and the direct :func:`repro.harness.runner.run_scenario`
     path: sample interval defaults to a quarter round, the series and
-    per-edge maxima are always recorded, and a strategy factory places
+    per-edge maxima are always recorded, and a factory of
+    :class:`~repro.faults.adversary.AdversaryModel` instances places
     ``faults_per_cluster`` (default ``params.f``) faults in every
     cluster.  The passed ``config`` is never modified — defaults are
     applied to a private copy.
@@ -184,16 +180,16 @@ class FtgcsProtocol(SyncProtocol):
 
     def build_nodes(self, ctx: BuildContext) -> None:
         params = ctx.params
-        strategy_factory = None
+        factory = None
         faults_per_cluster = ctx.faults_per_cluster
         if ctx.strategy is not None:
-            strategy_factory = _strategy_factory(ctx.strategy,
-                                                 ctx.strategy_args)
+            factory = lambda _node: strategy_model(
+                ctx.strategy, ctx.strategy_args)
         model = _event_adversary(self, ctx)
         if model is not None:
-            # The adversary's act phase IS the re-homed strategy
-            # driver — same factory path, bit-identical placement.
-            strategy_factory = _strategy_factory(*model.event_strategy())
+            # One fresh model per faulty node; its driver is the act
+            # phase on this engine.
+            factory = lambda _node: get_adversary(**ctx.adversary)
             if model.count is not None:
                 faults_per_cluster = model.count
             self.adversary_counters.update(
@@ -202,7 +198,7 @@ class FtgcsProtocol(SyncProtocol):
         config = prepare_ftgcs_config(
             ctx.graph, params,
             config=SystemConfig(**ctx.config) if ctx.config else None,
-            strategy_factory=strategy_factory,
+            strategy_factory=factory,
             faults_per_cluster=faults_per_cluster)
         if ctx.first_contact:
             config.dynamic_estimators = True

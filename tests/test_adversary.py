@@ -12,12 +12,12 @@ from repro.core.protocol import SystemBuilder
 from repro.errors import ConfigError
 from repro.faults.adversary import (
     ADVERSARIES,
+    STRATEGIES,
     AdversaryModel,
     get_adversary,
-    resolve_strategy,
+    strategy_model,
     stride_placement,
 )
-from repro.faults.strategies import STRATEGIES
 from repro.harness.experiments import fast_dynamics_params
 from repro.harness.scenario import Scenario
 from repro.harness.sweep import SweepRunner, run_cell, spec_hash
@@ -62,10 +62,24 @@ class TestLegacyCompat:
         assert spec_hash(st) \
             == "f613590771aa97fe45a2e03723dee533a3c27de1"
 
-    def test_every_legacy_strategy_name_resolves(self):
-        assert set(STRATEGIES) <= set(ADVERSARIES)
+    def test_every_legacy_strategy_name_decodes_to_its_model(self):
+        assert STRATEGIES == ("silent", "crash", "random_pulse",
+                              "fast_clock", "equivocate", "pull_apart",
+                              "collusion")
         for name in STRATEGIES:
-            assert resolve_strategy(name) is STRATEGIES[name]
+            assert type(strategy_model(name)) is ADVERSARIES[name]
+        with pytest.raises(ConfigError, match="unknown strategy"):
+            strategy_model("greedy")  # no event driver
+        with pytest.raises(ConfigError, match="bad strategy args"):
+            strategy_model("silent", (1.0,))
+
+    def test_strategy_args_are_the_event_knob(self):
+        assert strategy_model("crash", (3.0,)).crash_time == 3.0
+        assert strategy_model("random_pulse",
+                              (4.0,)).pulses_per_round == 4.0
+        assert strategy_model("fast_clock", (1.5,)).speed_factor == 1.5
+        for name in ("equivocate", "pull_apart", "collusion"):
+            assert strategy_model(name, (0.25,)).amplitude == 0.25
 
     def test_adversary_field_round_trips_but_hashes_apart(self):
         legacy = ft_cell().build()

@@ -28,10 +28,10 @@ class TestLynchWelch:
         assert result.max_local_cluster_skew == 0.0
 
     def test_with_silent_fault(self, params):
-        from repro.faults import SilentStrategy
+        from repro.faults import SilentAdversary
 
         result = run_lynch_welch(params, rounds=8, seed=2,
-                                 byzantine={0: SilentStrategy()})
+                                 byzantine={0: SilentAdversary()})
         assert result.within_intra_bound
         assert result.missing_pulses > 0
 

@@ -90,11 +90,11 @@ class TestEstimatorIntegration:
     def test_corollary_3_5_bound_under_faults(self, params):
         """|L~_vB - L_C| <= E/ ... measured across a real system with
         Byzantine members in the observed cluster."""
-        from repro.faults import EquivocatorStrategy, place_everywhere
+        from repro.faults import EquivocateAdversary, place_everywhere
 
         graph = ClusterGraph.line(2)
         aug = graph.augment(params.cluster_size)
-        byz = place_everywhere(aug, 1, lambda n: EquivocatorStrategy())
+        byz = place_everywhere(aug, 1, lambda n: EquivocateAdversary())
         from repro.core.system import SystemConfig
 
         system = FtgcsSystem.build(graph, params, seed=5,

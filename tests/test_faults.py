@@ -1,4 +1,4 @@
-"""Unit tests for fault strategies and placement policies."""
+"""Unit tests for the adversaries' event side and placement policies."""
 
 import random
 
@@ -7,11 +7,11 @@ import pytest
 from repro.core.params import Parameters
 from repro.errors import ConfigError
 from repro.faults import (
-    CrashStrategy,
-    EquivocatorStrategy,
-    FastClockStrategy,
-    RandomPulseStrategy,
-    SilentStrategy,
+    CrashAdversary,
+    EquivocateAdversary,
+    FastClockAdversary,
+    RandomPulseAdversary,
+    SilentAdversary,
     count_by_cluster,
     place_everywhere,
     place_in_clusters,
@@ -28,27 +28,27 @@ def augmented():
 class TestPlacement:
     def test_place_in_clusters_first(self, augmented):
         faults = place_in_clusters(augmented, [1, 3], 2,
-                                   lambda n: SilentStrategy())
+                                   lambda n: SilentAdversary())
         assert set(faults) == {4, 5, 12, 13}
 
     def test_place_in_clusters_random(self, augmented):
         rng = random.Random(0)
         faults = place_in_clusters(augmented, [0], 2,
-                                   lambda n: SilentStrategy(),
+                                   lambda n: SilentAdversary(),
                                    rng=rng, pick="random")
         assert len(faults) == 2
         assert all(augmented.cluster_of(n) == 0 for n in faults)
 
     def test_place_everywhere(self, augmented):
         faults = place_everywhere(augmented, 1,
-                                  lambda n: SilentStrategy())
+                                  lambda n: SilentAdversary())
         counts = count_by_cluster(augmented, faults)
         assert counts == {0: 1, 1: 1, 2: 1, 3: 1}
 
     def test_place_random_iid_capped(self, augmented):
         rng = random.Random(3)
         faults = place_random_iid(augmented, p=0.9,
-                                  factory=lambda n: SilentStrategy(),
+                                  factory=lambda n: SilentAdversary(),
                                   rng=rng, cap_per_cluster=1)
         counts = count_by_cluster(augmented, faults)
         assert all(count <= 1 for count in counts.values())
@@ -56,7 +56,7 @@ class TestPlacement:
     def test_place_random_iid_uncapped_measures_overflow(self, augmented):
         rng = random.Random(4)
         faults = place_random_iid(augmented, p=0.9,
-                                  factory=lambda n: SilentStrategy(),
+                                  factory=lambda n: SilentAdversary(),
                                   rng=rng)
         counts = count_by_cluster(augmented, faults)
         # With p=0.9 and k=4, some cluster exceeds 1 fault w.h.p.
@@ -65,14 +65,14 @@ class TestPlacement:
     def test_validation(self, augmented):
         with pytest.raises(ConfigError):
             place_in_clusters(augmented, [0], 5,
-                              lambda n: SilentStrategy())
+                              lambda n: SilentAdversary())
         with pytest.raises(ConfigError):
             place_in_clusters(augmented, [0], 1,
-                              lambda n: SilentStrategy(),
+                              lambda n: SilentAdversary(),
                               pick="random")  # rng missing
         with pytest.raises(ConfigError):
             place_random_iid(augmented, p=1.5,
-                             factory=lambda n: SilentStrategy(),
+                             factory=lambda n: SilentAdversary(),
                              rng=random.Random(0))
 
     def test_factory_receives_node_id(self, augmented):
@@ -80,7 +80,7 @@ class TestPlacement:
 
         def factory(node_id):
             seen.append(node_id)
-            return SilentStrategy()
+            return SilentAdversary()
 
         place_in_clusters(augmented, [2], 2, factory)
         assert seen == [8, 9]
@@ -89,52 +89,52 @@ class TestPlacement:
 class TestStrategyValidation:
     def test_crash_time_must_be_nonnegative(self):
         with pytest.raises(ConfigError):
-            CrashStrategy(-1.0)
+            CrashAdversary(-1.0)
 
     def test_random_pulse_rate_positive(self):
         with pytest.raises(ConfigError):
-            RandomPulseStrategy(pulses_per_round=0.0)
+            RandomPulseAdversary(pulses_per_round=0.0)
 
     def test_fast_clock_factor_positive(self):
         with pytest.raises(ConfigError):
-            FastClockStrategy(0.0)
+            FastClockAdversary(0.0)
 
     def test_describe(self):
-        assert "Crash" in CrashStrategy(1.0).describe()
-        assert "x1.5" in FastClockStrategy(1.5).describe()
-        assert "Silent" in SilentStrategy().describe()
+        assert "Crash" in CrashAdversary(1.0).describe()
+        assert "1.5" in FastClockAdversary(1.5).describe()
+        assert "Silent" in SilentAdversary().describe()
 
     def test_fast_clock_hardware_spec(self):
         params = Parameters.practical(rho=1e-4, d=1.0, u=0.1, f=1)
-        fast = FastClockStrategy(2.0)
+        fast = FastClockAdversary(2.0)
         model, enforce = fast.hardware_spec(params, random.Random(0))
         assert not enforce
         assert model.initial_rate() == pytest.approx(
             (1 + params.rho) * 2.0)
-        slow = FastClockStrategy(0.5)
+        slow = FastClockAdversary(0.5)
         model, _ = slow.hardware_spec(params, random.Random(0))
         assert model.initial_rate() == pytest.approx(0.5)
 
     def test_silent_hardware_spec_default(self):
         params = Parameters.practical(rho=1e-4, d=1.0, u=0.1, f=1)
-        assert SilentStrategy().hardware_spec(
+        assert SilentAdversary().hardware_spec(
             params, random.Random(0)) is None
 
 
 class TestEquivocatorGrouping:
     def test_split_targets_partitions_neighbors(self):
-        from repro.faults.strategies import StrategyContext
+        from repro.faults import EventContext
 
         graph = ClusterGraph.line(3)
         aug = graph.augment(4)
         node_id = 4  # in middle cluster 1
-        ctx = StrategyContext(
+        ctx = EventContext(
             node_id=node_id, cluster_id=1, sim=None, network=None,
             params=None, schedule=None, hardware=None, base=0.0,
             cluster_members=aug.members(1),
             adjacent_members=aug.inter_neighbors(node_id),
             rng=random.Random(0))
-        early, late = EquivocatorStrategy._split_targets(ctx)
+        early, late = EquivocateAdversary._split_targets(ctx)
         # Every neighbor is in exactly one group.
         all_targets = set(early) | set(late)
         assert set(ctx.all_neighbors()) == all_targets

@@ -79,12 +79,12 @@ class TestRunnerHelpers:
                                "local_node"}
 
     def test_run_scenario_with_faults(self):
-        from repro.faults import SilentStrategy
+        from repro.faults import SilentAdversary
 
         params = default_params()
         scenario = run_scenario(
             ClusterGraph.line(2), params, rounds=4, seed=1,
-            strategy_factory=lambda n: SilentStrategy())
+            strategy_factory=lambda n: SilentAdversary())
         assert scenario.result.missing_pulses > 0
 
     def test_run_scenario_leaves_caller_config_unchanged(self):
@@ -92,12 +92,12 @@ class TestRunnerHelpers:
         # fault placement on the caller's object, so a reused config
         # silently accumulated state.
         from repro.core.system import SystemConfig
-        from repro.faults import SilentStrategy
+        from repro.faults import SilentAdversary
 
         params = default_params()
         config = SystemConfig(cluster_offsets=[0.0, 1.0])
         run_scenario(ClusterGraph.line(2), params, rounds=3, seed=1,
-                     strategy_factory=lambda n: SilentStrategy(),
+                     strategy_factory=lambda n: SilentAdversary(),
                      config=config)
         assert config.sample_interval is None
         assert config.record_series is False

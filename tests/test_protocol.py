@@ -97,11 +97,11 @@ class TestFtgcsEquivalence:
         result = (SystemBuilder("ftgcs").topology(graph).params(params)
                   .rounds(3).faults("equivocate").seed(7).build().run())
 
-        from repro.faults.strategies import EquivocatorStrategy
+        from repro.faults import EquivocateAdversary
 
         legacy = run_scenario(
             graph, params, rounds=3, seed=7,
-            strategy_factory=lambda _n: EquivocatorStrategy())
+            strategy_factory=lambda _n: EquivocateAdversary())
         assert isinstance(result, ProtocolRunResult)
         assert isinstance(result.detail, RunResult)
         assert result.max_global_skew == legacy.result.max_global_skew

@@ -138,15 +138,16 @@ class TestValidation:
 
 class TestFaultKnobsFailEagerly:
     """Strategy and adversary knobs are checked by constructing the
-    strategy at build time, not first in the worker."""
+    adversary model at build time, not first in the worker."""
 
     @pytest.mark.parametrize("edit", [
         lambda s: s.attack("crash", -1.0),
         lambda s: s.attack("fast_clock", 0.0),
+        lambda s: s.attack("equivocate", -1.0),
         lambda s: s.adversarial("crash", crash_time=-1.0),
         lambda s: s.adversarial("random_pulse", pulses_per_round=0.0),
-    ], ids=["attack-crash", "attack-fast_clock", "adversarial-crash",
-            "adversarial-random_pulse"])
+    ], ids=["attack-crash", "attack-fast_clock", "attack-equivocate",
+            "adversarial-crash", "adversarial-random_pulse"])
     def test_bad_knob_rejected_at_build(self, edit):
         scenario = edit(Scenario.line(2).params(default_params())
                         .rounds(2).seed(1))
@@ -155,6 +156,29 @@ class TestFaultKnobsFailEagerly:
         # The worker agrees: the unchecked spec fails its build too.
         with pytest.raises(ConfigError):
             run_cell(ScenarioSpec.from_dict(scenario.to_dict()))
+
+    def test_negative_spread_fails_the_amplitude_check(self):
+        # The spread is the equivocators' amplitude, checked once.
+        for edit in (lambda s: s.attack("equivocate", -1.0),
+                     lambda s: s.adversarial("equivocate",
+                                             amplitude=-1.0)):
+            with pytest.raises(ConfigError, match="amplitude"):
+                edit(Scenario.line(2)).build()
+
+    @pytest.mark.parametrize("name, knob, default", [
+        ("crash", "crash_time", 0.0),
+        ("fast_clock", "speed_factor", 2.0),
+    ])
+    def test_attack_without_knob_uses_model_default(self, name, knob,
+                                                     default):
+        from repro.faults.adversary import get_adversary, strategy_model
+
+        spec = (Scenario.line(2).params(default_params()).rounds(2)
+                .seed(1).attack(name).build())
+        model = strategy_model(spec.strategy, spec.strategy_args)
+        assert getattr(model, knob) == default
+        assert getattr(get_adversary(name), knob) == default
+        assert run_cell(spec).result.max_local_skew >= 0.0
 
 
 class TestCellsOutsideTheTable:

@@ -8,13 +8,13 @@ from repro.core.params import Parameters
 from repro.core.system import FtgcsSystem, SystemConfig
 from repro.errors import ConfigError
 from repro.faults import (
-    ColludingEquivocatorStrategy,
-    CrashStrategy,
-    EquivocatorStrategy,
-    FastClockStrategy,
-    PullApartStrategy,
-    RandomPulseStrategy,
-    SilentStrategy,
+    CollusionAdversary,
+    CrashAdversary,
+    EquivocateAdversary,
+    FastClockAdversary,
+    PullApartAdversary,
+    RandomPulseAdversary,
+    SilentAdversary,
     place_everywhere,
     place_in_clusters,
 )
@@ -158,45 +158,45 @@ class TestByzantine:
 
     def test_silent_faults_bounds_hold(self, params):
         result = self.run_with(params, ClusterGraph.line(3),
-                               lambda n: SilentStrategy(), seed=10)
+                               lambda n: SilentAdversary(), seed=10)
         assert result.within_intra_bound
         assert result.within_local_cluster_bound
         assert result.missing_pulses > 0
 
     def test_equivocator_bounds_hold(self, params):
         result = self.run_with(params, ClusterGraph.line(3),
-                               lambda n: EquivocatorStrategy(), seed=11)
+                               lambda n: EquivocateAdversary(), seed=11)
         assert result.within_intra_bound
         assert result.within_local_cluster_bound
 
     def test_pull_apart_bounds_hold(self, params):
         result = self.run_with(params, ClusterGraph.ring(3),
-                               lambda n: PullApartStrategy(), seed=12)
+                               lambda n: PullApartAdversary(), seed=12)
         assert result.within_intra_bound
 
     def test_colluding_equivocators_bounds_hold(self, params):
         result = self.run_with(
             params, ClusterGraph.line(3),
-            lambda n: ColludingEquivocatorStrategy(), seed=16)
+            lambda n: CollusionAdversary(), seed=16)
         assert result.within_intra_bound
         assert result.within_local_cluster_bound
 
     def test_random_pulses_bounds_hold(self, params):
         result = self.run_with(
             params, ClusterGraph.line(2),
-            lambda n: RandomPulseStrategy(pulses_per_round=5.0), seed=13)
+            lambda n: RandomPulseAdversary(pulses_per_round=5.0), seed=13)
         assert result.within_intra_bound
         assert result.stale_pulses + result.flooded_pulses > 0
 
     def test_fast_clock_bounds_hold(self, params):
         result = self.run_with(params, ClusterGraph.line(2),
-                               lambda n: FastClockStrategy(1.5), seed=14)
+                               lambda n: FastClockAdversary(1.5), seed=14)
         assert result.within_intra_bound
 
     def test_crash_mid_run(self, params):
         crash_time = 3 * params.round_length
         result = self.run_with(params, ClusterGraph.line(2),
-                               lambda n: CrashStrategy(crash_time),
+                               lambda n: CrashAdversary(crash_time),
                                seed=15)
         assert result.within_intra_bound
         assert result.rounds_completed >= 10
@@ -205,7 +205,7 @@ class TestByzantine:
         graph = ClusterGraph.line(2)
         aug = graph.augment(params.cluster_size)
         byz = place_in_clusters(aug, [0], per_cluster=2,
-                                factory=lambda n: SilentStrategy())
+                                factory=lambda n: SilentAdversary())
         with pytest.raises(ConfigError):
             FtgcsSystem.build(graph, params, seed=0,
                               config=SystemConfig(byzantine=byz))
@@ -214,7 +214,7 @@ class TestByzantine:
         graph = ClusterGraph.line(2)
         aug = graph.augment(params.cluster_size)
         byz = place_in_clusters(aug, [0], per_cluster=2,
-                                factory=lambda n: SilentStrategy())
+                                factory=lambda n: SilentAdversary())
         config = SystemConfig(byzantine=byz, allow_fault_overflow=True)
         system = FtgcsSystem.build(graph, params, seed=0, config=config)
         result = system.run_rounds(5)  # runs; bounds may legitimately fail
@@ -261,7 +261,7 @@ class TestMaxEstimate:
                    for _ in range(graph.num_clusters)]
         byzantine = place_everywhere(
             graph.augment(params_fast.cluster_size), 1,
-            lambda node: EquivocatorStrategy())
+            lambda node: EquivocateAdversary())
         config = SystemConfig(policy="max_rule", enable_max_estimate=True,
                               cluster_offsets=offsets, byzantine=byzantine)
         system = FtgcsSystem.build(graph, params_fast, seed=5,
