@@ -1,10 +1,17 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test verify lint list run serve smoke-t16 smoke-serve smoke-vec smoke-adversary bench-quick bench-quick-ci bench-check bench bench-record
+.PHONY: test golden verify lint list run serve smoke-t16 smoke-serve smoke-vec smoke-adversary bench-quick bench-quick-ci bench-check bench bench-record
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Re-record tests/golden_outputs.json, the quick tables, equivalence
+# matrix and quick-plan spec hashes that tests/test_golden.py pins.
+# Only for a change that means to move an output; give the reason in
+# CHANGES.md.
+golden:
+	$(PYTHON) tests/record_golden.py
 
 # What CI runs (.github/workflows/ci.yml): the determinism/contract
 # lint + tier-1 tests + the pre-merge smoke check in its non-strict

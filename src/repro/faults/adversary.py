@@ -338,11 +338,6 @@ class _EquivocatorDriver:
         self._arm_round(r)
 
 
-def _deaf(ctx: EventContext) -> None:
-    """The node ignores everything it receives."""
-    ctx.network.set_handler(ctx.node_id, lambda msg, t: None)
-
-
 # ----------------------------------------------------------------------
 # Static adversaries (the legacy strategy names)
 # ----------------------------------------------------------------------
@@ -365,7 +360,7 @@ class SilentAdversary(AdversaryModel):
     supports_vectorized = True
 
     def build(self, ctx: EventContext) -> _NullDriver:
-        _deaf(ctx)
+        ctx.network.set_handler(ctx.node_id, lambda msg, t: None)
         return _NullDriver()
 
     def act(self, view: ActView):
@@ -429,7 +424,7 @@ class RandomPulseAdversary(AdversaryModel):
         self.pulses_per_round = pulses_per_round
 
     def build(self, ctx: EventContext) -> _RandomPulseDriver:
-        _deaf(ctx)
+        ctx.network.set_handler(ctx.node_id, lambda msg, t: None)
         mean_gap = ctx.schedule.round_length(1) / self.pulses_per_round
         return _RandomPulseDriver(ctx, mean_gap)
 
@@ -563,7 +558,7 @@ class EquivocateAdversary(AdversaryModel):
         super().__init__(amplitude=amplitude, **kwargs)
 
     def build(self, ctx: EventContext) -> _EquivocatorDriver:
-        _deaf(ctx)
+        ctx.network.set_handler(ctx.node_id, lambda msg, t: None)
         spread = self.amplitude
         if spread is None:
             spread = ctx.params.cap_e

@@ -84,10 +84,6 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def _show(value) -> str:
-    return json.dumps(value)
-
-
 def diff_table(experiment_id: str, golden: dict, actual: dict
                ) -> list[str]:
     """Every difference between two canonical tables, each naming the
@@ -96,8 +92,8 @@ def diff_table(experiment_id: str, golden: dict, actual: dict
     for key in ("title", "columns", "notes"):
         if golden[key] != actual[key]:
             problems.append(f"{experiment_id} {key}: golden "
-                            f"{_show(golden[key])}, got "
-                            f"{_show(actual[key])}")
+                            f"{json.dumps(golden[key])}, got "
+                            f"{json.dumps(actual[key])}")
     if len(golden["rows"]) != len(actual["rows"]):
         problems.append(f"{experiment_id}: golden has "
                         f"{len(golden['rows'])} rows, got "
@@ -108,8 +104,8 @@ def diff_table(experiment_id: str, golden: dict, actual: dict
         for column, a, b in zip(columns, want, got):
             if not _same(a, b):
                 problems.append(f"{experiment_id} row {index} column "
-                                f"{column!r}: golden {_show(a)}, got "
-                                f"{_show(b)}")
+                                f"{column!r}: golden {json.dumps(a)}, got "
+                                f"{json.dumps(b)}")
     return problems
 
 
@@ -124,7 +120,7 @@ def diff_matrix(golden: dict, actual: dict) -> list[str]:
             a, b = golden[name][field], actual[name][field]
             if not _same(a, b):
                 problems.append(f"equivalence cell {name!r} {field}: "
-                                f"golden {_show(a)}, got {_show(b)}")
+                                f"golden {json.dumps(a)}, got {json.dumps(b)}")
     return problems
 
 
@@ -144,11 +140,6 @@ def record() -> dict:
     }
 
 
-def write(golden: dict, path: Path) -> None:
-    path.write_text(json.dumps(golden, indent=1, allow_nan=False)
-                    + "\n", encoding="utf-8")
-
-
 def load(path: Path = GOLDEN_PATH) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
@@ -161,7 +152,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     golden = record()
     path = args.dump or GOLDEN_PATH
-    write(golden, path)
+    path.write_text(json.dumps(golden, indent=1, allow_nan=False) + "\n",
+                    encoding="utf-8")
     cells = sum(len(t["rows"]) for t in golden["tables"].values())
     hashes = sum(len(h) for h in golden["plan_hashes"].values())
     print(f"wrote {path}: {len(golden['tables'])} tables "
