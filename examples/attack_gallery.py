@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Run every Byzantine strategy against the same deployment.
+"""Run the Byzantine attacks one by one against the same deployment.
 
-A ring of 4 clusters, one faulty node per cluster, each strategy in
+A ring of 4 clusters, one faulty node per cluster, each adversary in
 turn.  For each attack the script reports steady-state skews and
 whether every bound held — the empirical content of Theorem 1.1's
 "tolerates f Byzantine faults per cluster".
@@ -23,7 +23,7 @@ from repro.harness.runner import default_params, run_scenario
 params = default_params(f=1)
 graph = ClusterGraph.ring(4)
 
-strategies = [
+attacks = [
     ("silent", lambda n: SilentAdversary()),
     ("crash @ 3T", lambda n: CrashAdversary(3 * params.round_length)),
     ("random pulses", lambda n: RandomPulseAdversary(pulses_per_round=4.0)),
@@ -38,7 +38,7 @@ print(f"ring of 4 clusters, k={params.cluster_size}, f=1, "
 print()
 print(f"{'attack':18s} {'intra':>8s} {'local':>8s} {'global':>8s} "
       f"{'missing':>8s} {'bounds':>7s}")
-for name, factory in strategies:
+for name, factory in attacks:
     scenario = run_scenario(graph, params, rounds=15, seed=3,
                             strategy_factory=factory)
     result = scenario.result

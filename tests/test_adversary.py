@@ -62,7 +62,7 @@ class TestLegacyCompat:
         assert spec_hash(st) \
             == "f613590771aa97fe45a2e03723dee533a3c27de1"
 
-    def test_every_legacy_strategy_name_decodes_to_its_model(self):
+    def test_every_legacy_strategy_name_resolves(self):
         assert STRATEGIES == ("silent", "crash", "random_pulse",
                               "fast_clock", "equivocate", "pull_apart",
                               "collusion")
