@@ -143,11 +143,10 @@ class TestFaultKnobsFailEagerly:
     @pytest.mark.parametrize("edit", [
         lambda s: s.attack("crash", -1.0),
         lambda s: s.attack("fast_clock", 0.0),
-        lambda s: s.attack("equivocate", -1.0),
         lambda s: s.adversarial("crash", crash_time=-1.0),
         lambda s: s.adversarial("random_pulse", pulses_per_round=0.0),
-    ], ids=["attack-crash", "attack-fast_clock", "attack-equivocate",
-            "adversarial-crash", "adversarial-random_pulse"])
+    ], ids=["attack-crash", "attack-fast_clock", "adversarial-crash",
+            "adversarial-random_pulse"])
     def test_bad_knob_rejected_at_build(self, edit):
         scenario = edit(Scenario.line(2).params(default_params())
                         .rounds(2).seed(1))
