@@ -179,8 +179,14 @@ def canonical_json(value: Any) -> str:
 
 def content_hash(value: Any, *, digest_size: int = 20) -> str:
     """Hex BLAKE2b digest of :func:`canonical_json` — the cache key."""
-    payload = canonical_json(value).encode("utf-8")
-    return hashlib.blake2b(payload, digest_size=digest_size).hexdigest()
+    return text_hash(canonical_json(value), digest_size=digest_size)
+
+
+def text_hash(text: str, *, digest_size: int = 20) -> str:
+    """:func:`content_hash` of the value whose canonical JSON is
+    ``text``, computed from the text alone."""
+    return hashlib.blake2b(text.encode("utf-8"),
+                           digest_size=digest_size).hexdigest()
 
 
 def _register_builtin_types() -> None:
@@ -215,4 +221,5 @@ __all__ = [
     "encode",
     "register_serializable",
     "serializable_names",
+    "text_hash",
 ]

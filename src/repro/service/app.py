@@ -17,15 +17,19 @@ Routes (all JSON unless noted):
                                       ``{"cells": [...], "base_seed":
                                       0}`` (spec plain-data form) →
                                       202 + job snapshot
-``GET  /jobs``                        all job snapshots
-``GET  /jobs/<id>``                   one job snapshot (poll this)
+``GET  /jobs``                        snapshots of the retained jobs
+``GET  /jobs/<id>``                   one job snapshot (poll this);
+                                      404 once evicted from the
+                                      finished-job history
 ``DELETE /jobs/<id>``                 request cancellation
 ``GET  /jobs/<id>/result``            the finished table;
                                       ``?format=table|json|csv``
                                       (text, ``Table.to_json`` bytes,
                                       ``Table.to_csv`` text)
-``GET  /jobs/<id>/cells``             the executed cells, encoded with
-                                      the canonical tagged codec
+``GET  /jobs/<id>/cells``             the job's cells in the canonical
+                                      tagged encoding, spliced from
+                                      the result store's stored text;
+                                      410 once an entry is gone
 ``GET  /cache/stats``                 result-store entry count/bytes
 ``POST /cache/clear``                 drop every cached result
 ====================================  =================================
@@ -44,13 +48,13 @@ sockets; ``python -m repro serve`` wraps :func:`serve`.
 
 from __future__ import annotations
 
+import json
 import sys
 
 from repro.errors import ConfigError
-from repro.harness import serialize
 from repro.harness.registry import REGISTRY
 from repro.harness.sweep import ScenarioSpec
-from repro.service.jobs import JobManager
+from repro.service.jobs import CellsGone, JobManager
 from repro.service.library import ScenarioLibrary
 from repro.service.store import ResultStore
 
@@ -205,7 +209,7 @@ def create_app(cache_dir=None, scenario_dir=None, processes=None,
         if job.state == "failed":
             return {"id": job.id, "state": job.state,
                     "error": job.error}, 500
-        if job.state != "done" or job.table is None:
+        if job.state != "done":
             return {"id": job.id, "state": job.state,
                     "error": "result not ready"}, 409
         fmt = fl.request.args.get("format", "table")
@@ -223,12 +227,19 @@ def create_app(cache_dir=None, scenario_dir=None, processes=None,
     @app.get("/jobs/<job_id>/cells")
     def job_cells(job_id):
         job = _job_or_404(job_id)
-        if job.state != "done" or job.cells is None:
+        if job.state != "done":
             return {"id": job.id, "state": job.state,
                     "error": "cells not ready"}, 409
-        return {"id": job.id,
-                "cells": [serialize.encode(cell)
-                          for cell in job.cells]}
+        try:
+            texts = manager.cell_texts(job.id)
+        except CellsGone as error:
+            return {"id": job.id, "state": job.state,
+                    "error": str(error)}, 410
+        # The bytes Flask would emit for {"id": ..., "cells": [...]}
+        # (sorted keys, compact), with each cell as the store holds it.
+        body = ('{"cells":[' + ",".join(texts) + '],"id":'
+                + json.dumps(job.id) + "}\n")
+        return fl.Response(body, mimetype="application/json")
 
     # ------------------------------------------------------------------
     # Cache maintenance

@@ -16,7 +16,9 @@ Execution path, per job:
 2. Partition the grid against the content-addressed
    :class:`~repro.service.store.ResultStore`: hits are decoded from
    disk and never touch the kernel (the per-job ``executed_cells``
-   counter stays at 0 for a fully cached resubmission).
+   counter stays at 0 for a fully cached resubmission).  The job keeps
+   its resolved spec hashes, which address the stored cells from then
+   on; the request specs of a grid job are dropped.
 3. Execute the misses — serially in-process, or streamed through
    **one warm ``multiprocessing`` pool** shared by every job the
    manager ever runs (created once, reused; no per-job pool startup).
@@ -25,7 +27,10 @@ Execution path, per job:
    keep computing while the job thread persists each result (and
    merges it back at its grid index) as it arrives.
 4. Finish the table (the experiment's registered ``finish`` step, or
-   a generic per-cell summary for ad-hoc grids).
+   a generic per-cell summary for ad-hoc grids) and drop the decoded
+   cells: a finished job keeps its table, counters and spec hashes,
+   and :meth:`JobManager.cell_texts` reads its cells back from the
+   store as stored.
 
 Job states: ``queued → running → done | failed | cancelled``.
 Cancellation is checked before each cell is started: a queued job
@@ -35,19 +40,22 @@ keeps every persisted cell in the cache.  A failing cell fails the job
 with the first error in grid order, after the cells still in flight
 are collected and the successful ones persisted, so no leftover work
 stays on the shared pool.
+
+The manager keeps the last :data:`JOB_HISTORY` finished jobs; queued
+and running jobs are never evicted.  Job ids are sequential and never
+reused, so an evicted id is told apart from one never issued.
 """
 
 from __future__ import annotations
 
 import collections
-import itertools
 import multiprocessing
 import queue
 import threading
 import time
 
 from repro.core.protocol import ProtocolRunResult
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.harness.registry import REGISTRY
 from repro.harness.sweep import (
     ScenarioSpec,
@@ -56,12 +64,30 @@ from repro.harness.sweep import (
     default_processes,
     resolve_cell_seeds,
     run_cell,
+    spec_hash,
 )
 from repro.harness.tables import Table
-from repro.service.store import ResultStore
+from repro.service.store import ResultStore, decode_cell
 
 #: Legal :attr:`Job.state` values, in lifecycle order.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+
+#: Finished jobs a manager keeps for lookup; older ones are evicted.
+JOB_HISTORY = 1000
+
+
+class CellsGone(ReproError):
+    """A done job's cell is no longer in the result store (absent,
+    stale or corrupt, e.g. after a cache clear)."""
+
+    def __init__(self, job_id: str, index: int) -> None:
+        super().__init__(
+            f"cell {index} of job {job_id} is no longer in the result "
+            f"store; resubmit the job to recompute it")
+
+
+def _job_id(number: int) -> str:
+    return f"job-{number:04d}"
 
 
 def check_job_fields(**fields) -> None:
@@ -85,9 +111,11 @@ def check_job_fields(**fields) -> None:
 class Job:
     """One submitted unit of work and its observable progress.
 
-    All mutable fields are single assignments of immutable values
-    (ints, strs, floats), so readers on other threads — the REST
-    layer polling progress — see consistent snapshots without locks.
+    Readers on other threads — the REST layer polling progress — need
+    no lock: every field is published by a single assignment, and
+    ``state`` is assigned last, after the fields its value promises
+    (``started`` before ``running``; ``finished``, ``table`` and
+    ``error`` before a terminal state).
     """
 
     def __init__(self, id: str, kind: str, request: dict,
@@ -108,7 +136,8 @@ class Job:
         self.started: float | None = None
         self.finished: float | None = None
         self.table: Table | None = None
-        self.cells: list[SweepCellResult] | None = None
+        self.spec_hashes: list[str] | None = None
+        self._grid: tuple[list[ScenarioSpec], int] | None = None
         self.cancel_event = threading.Event()
         self.finished_event = threading.Event()
 
@@ -194,10 +223,10 @@ class JobManager:
         self.store = store if store is not None else ResultStore()
         self.processes = default_processes(processes)
         self._queue: queue.Queue = queue.Queue()
-        self._jobs: dict[str, Job] = {}
-        self._order: list[str] = []
+        self._jobs: dict[str, Job] = {}  # retained, in submission order
+        self._finished: collections.deque[str] = collections.deque()
         self._lock = threading.Lock()
-        self._ids = itertools.count(1)
+        self._issued = 0
         self._pool = None
         self._pool_lock = threading.Lock()
         self._closed = False
@@ -212,12 +241,14 @@ class JobManager:
     # Submission / lookup
     # ------------------------------------------------------------------
 
-    def _register(self, kind: str, request: dict, label: str) -> Job:
+    def _register(self, kind: str, request: dict, label: str,
+                  grid: tuple | None = None) -> Job:
         with self._lock:
-            job = Job(id=f"job-{next(self._ids):04d}", kind=kind,
+            self._issued += 1
+            job = Job(id=_job_id(self._issued), kind=kind,
                       request=request, label=label)
+            job._grid = grid  # worker-side payload of a grid job
             self._jobs[job.id] = job
-            self._order.append(job.id)
         self._queue.put(job.id)
         return job
 
@@ -259,22 +290,50 @@ class JobManager:
             except ConfigError as error:
                 raise ConfigError(f"cell {index}: {error}") from None
         request = {"cells": len(specs), "base_seed": base_seed}
-        job = self._register(
-            "grid", request, label or f"grid ({len(specs)} cells)")
-        job._grid = (list(specs), base_seed)  # worker-side payload
-        return job
+        return self._register(
+            "grid", request, label or f"grid ({len(specs)} cells)",
+            grid=(list(specs), base_seed))
 
     def get(self, job_id: str) -> Job:
+        """The job ``job_id``; a :class:`ConfigError` says whether an
+        unknown id was evicted or never issued."""
         with self._lock:
             job = self._jobs.get(job_id)
-        if job is None:
-            raise ConfigError(f"unknown job {job_id!r}")
-        return job
+            issued = self._issued
+        if job is not None:
+            return job
+        digits = job_id.removeprefix("job-")
+        if digits.isdecimal() and _job_id(int(digits)) == job_id \
+                and 0 < int(digits) <= issued:
+            raise ConfigError(
+                f"job {job_id!r} was evicted: the service keeps only "
+                f"the last {JOB_HISTORY} finished jobs")
+        raise ConfigError(f"unknown job {job_id!r}")
 
     def jobs(self) -> list[Job]:
-        """All jobs, in submission order."""
+        """The retained jobs, in submission order."""
         with self._lock:
-            return [self._jobs[id] for id in self._order]
+            return list(self._jobs.values())
+
+    def cell_texts(self, job_id: str) -> list[str]:
+        """A done job's cells in grid order, each the canonical text
+        its store entry holds; nothing is decoded.  Raises
+        :class:`CellsGone` naming the first cell whose entry is absent,
+        stale or corrupt."""
+        job = self.get(job_id)
+        if job.state != "done":
+            raise ConfigError(f"job {job_id!r} is {job.state}, not done")
+        texts = []
+        for index, key in enumerate(job.spec_hashes):
+            text = self.store.cell_text(key)
+            if text is None:
+                raise CellsGone(job_id, index)
+            texts.append(text)
+        return texts
+
+    def cells(self, job_id: str) -> list[SweepCellResult]:
+        """A done job's cells, decoded from the result store."""
+        return [decode_cell(text) for text in self.cell_texts(job_id)]
 
     # ------------------------------------------------------------------
     # Control
@@ -314,10 +373,7 @@ class JobManager:
             thread.join(timeout=5.0)
         for job in self.jobs():
             if job.state == "queued":
-                job.state = "cancelled"
-                # repro: allow[wall-clock] -- lifecycle timestamp.
-                job.finished = time.time()
-                job.finished_event.set()
+                self._finish(job, "cancelled")
         with self._pool_lock:
             if self._pool is not None:
                 self._pool.terminate()
@@ -401,7 +457,7 @@ class JobManager:
             plan = experiment.plan(quick=request["quick"], seed=seed)
             specs = resolve_cell_seeds(plan.specs, seed)
             return specs, plan.finish, experiment.make_table()
-        specs, base_seed = job._grid
+        (specs, base_seed), job._grid = job._grid, None
         resolved = resolve_cell_seeds(specs, base_seed)
 
         def finish(cells, table):  # table arrives pre-built (None here)
@@ -409,8 +465,11 @@ class JobManager:
 
         return resolved, finish, None
 
-    def _run_job(self, job: Job) -> None:
+    def _run_job(self, job: Job) -> str:
+        """Run one job; returns its terminal state for the caller to
+        publish after stamping ``finished``."""
         specs, finish, table = self._compile(job)
+        job.spec_hashes = [spec_hash(spec) for spec in specs]
         job.total_cells = len(specs)
         results: list[SweepCellResult | None] = [None] * len(specs)
         misses: list[tuple[int, ScenarioSpec]] = []
@@ -424,11 +483,21 @@ class JobManager:
                 misses.append((index, spec))
         self._execute_misses(job, misses, results)
         if job.cancel_event.is_set():
-            job.state = "cancelled"
-            return
-        job.cells = results
-        job.table = finish(job.cells, table)
-        job.state = "done"
+            return "cancelled"
+        job.table = finish(results, table)
+        return "done"
+
+    def _finish(self, job: Job, state: str) -> None:
+        """Stamp ``finished``, then publish the terminal ``state``, then
+        wake waiters; evict the oldest finished jobs past the bound."""
+        # repro: allow[wall-clock] -- lifecycle timestamp.
+        job.finished = time.time()
+        job.state = state
+        job.finished_event.set()
+        with self._lock:
+            self._finished.append(job.id)
+            while len(self._finished) > JOB_HISTORY:
+                self._jobs.pop(self._finished.popleft(), None)
 
     def _worker_loop(self) -> None:
         while True:
@@ -440,24 +509,19 @@ class JobManager:
             if job is None:  # pragma: no cover - defensive
                 continue
             if job.cancel_event.is_set():
-                job.state = "cancelled"
-                # repro: allow[wall-clock] -- lifecycle timestamp.
-                job.finished = time.time()
-                job.finished_event.set()
+                self._finish(job, "cancelled")
                 continue
-            job.state = "running"
             # repro: allow[wall-clock] -- lifecycle timestamp.
             job.started = time.time()
+            job.state = "running"
+            state = "failed"
             try:
-                self._run_job(job)
+                state = self._run_job(job)
             except Exception as error:
-                job.state = "failed"
                 job.error = f"{type(error).__name__}: {error}"
             finally:
-                # repro: allow[wall-clock] -- lifecycle timestamp.
-                job.finished = time.time()
-                job.finished_event.set()
+                self._finish(job, state)
 
 
-__all__ = ["JOB_STATES", "Job", "JobManager", "check_job_fields",
-           "grid_summary_table"]
+__all__ = ["JOB_HISTORY", "JOB_STATES", "CellsGone", "Job", "JobManager",
+           "check_job_fields", "grid_summary_table"]

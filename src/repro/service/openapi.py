@@ -10,6 +10,8 @@ route added without a matching path entry fails CI.
 
 from __future__ import annotations
 
+from repro.service.jobs import JOB_HISTORY
+
 OPENAPI_VERSION = "3.0.3"
 
 _JOB_SNAPSHOT = {
@@ -167,7 +169,9 @@ def openapi_document() -> dict:
             },
             "/jobs": {
                 "get": {
-                    "summary": "All job snapshots.",
+                    "summary": "Snapshots of the retained jobs (the "
+                               f"last {JOB_HISTORY} finished ones plus "
+                               "every queued or running one).",
                     "responses": _json_response(
                         "Snapshot list.",
                         {"type": "object", "properties": {
@@ -211,7 +215,9 @@ def openapi_document() -> dict:
                             {"$ref": "#/components/schemas/"
                                      "JobSnapshot"}),
                         **_json_response(
-                            "Unknown job id.",
+                            "Unknown job id, or a finished job "
+                            "evicted from the history (the error "
+                            "says which and gives the bound).",
                             {"$ref": "#/components/schemas/Error"},
                             status="404"),
                     },
@@ -257,9 +263,10 @@ def openapi_document() -> dict:
             },
             "/jobs/{job_id}/cells": {
                 "get": {
-                    "summary": "Executed cells in the canonical "
+                    "summary": "The job's cells in the canonical "
                                "tagged encoding "
-                               "(repro.harness.serialize).",
+                               "(repro.harness.serialize), as the "
+                               "result store holds them.",
                     "parameters": [_JOB_ID_PARAM],
                     "responses": {
                         **_json_response("Encoded cell list."),
@@ -267,6 +274,13 @@ def openapi_document() -> dict:
                             "Cells not ready.",
                             {"$ref": "#/components/schemas/Error"},
                             status="409"),
+                        **_json_response(
+                            "A cell's store entry is gone, stale or "
+                            "corrupt (e.g. after POST /cache/clear); "
+                            "the error names the first such cell "
+                            "index.  Resubmit the job.",
+                            {"$ref": "#/components/schemas/Error"},
+                            status="410"),
                     },
                 },
             },

@@ -12,20 +12,39 @@ def pytest_configure(config):
 
 
 class _QuickTables(dict):
-    """Quick tables by experiment id, each run on first lookup."""
+    """Quick tables by experiment id, each run by ``run_experiment`` on
+    first lookup; ``cells`` keeps the cells its sweep returned."""
+
+    def __init__(self):
+        super().__init__()
+        self.cells = {}
 
     def __missing__(self, experiment_id):
-        from repro.harness.registry import run_experiment
+        from repro.harness import registry
 
-        table = self[experiment_id] = run_experiment(experiment_id,
-                                                     quick=True)
+        sweeps = []
+
+        class KeepingRunner(registry.SweepRunner):
+            def run(self, specs, base_seed=0):
+                cells = super().run(specs, base_seed=base_seed)
+                sweeps.append(cells)
+                return cells
+
+        real, registry.SweepRunner = registry.SweepRunner, KeepingRunner
+        try:
+            table = self[experiment_id] = registry.run_experiment(
+                experiment_id, quick=True)
+        finally:
+            registry.SweepRunner = real
+        (self.cells[experiment_id],) = sweeps
         return table
 
 
 @pytest.fixture(scope="session")
 def quick_tables():
     """Every quick table, built once per session and shared by the
-    registry smoke tests and the golden-output gate.  Read-only."""
+    registry smoke tests, the golden-output gate and the stored-form
+    finish check.  Read-only."""
     return _QuickTables()
 
 

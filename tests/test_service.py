@@ -10,13 +10,16 @@ here through ``app.test_client()`` (no sockets):
   cache with ``executed_cells == 0``.
 """
 
+import gc
 import json
 import logging
+import math
 import os
 import sys
 import textwrap
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -36,9 +39,10 @@ from repro.harness.sweep import (
     spec_hash,
 )
 from repro.service import JobManager, ResultStore, ScenarioLibrary
+from repro.service import jobs as jobs_module
 from repro.service.app import create_app
 from repro.service.library import LibraryScenario
-from repro.service.store import STORE_FORMAT
+from repro.service.store import STORE_FORMAT, decode_cell
 
 PARAMS = Parameters.practical(rho=1e-4, d=1.0, u=0.1, f=1)
 
@@ -50,6 +54,7 @@ def small_spec(seed=5, rounds=3):
 
 SLEEP_KIND = "test_service_sleep"
 PID_KIND = "test_service_pid"
+ODD_KIND = "test_service_odd_values"
 
 
 def _sleep_cell(spec):
@@ -66,6 +71,15 @@ def _pid_cell(spec):
                            result=os.getpid())
 
 
+def _odd_values_cell(spec):
+    # Every tagged form of the codec plus non-ASCII text.
+    return SweepCellResult(
+        key=spec.key, seed=spec.seed,
+        result={"nan": math.nan, "-inf": -math.inf, "text": "µs ✓",
+                (1, 2): (0.1, None)},
+        extras={"__tuple__": [1.5e-300, True]})
+
+
 def sleep_specs(*seconds):
     return [ScenarioSpec(kind=SLEEP_KIND, payload={"seconds": s},
                          key=("cell", index))
@@ -75,6 +89,22 @@ def sleep_specs(*seconds):
 def stored_count(store, specs, base_seed=0):
     return sum(store.get(spec) is not None
                for spec in resolve_cell_seeds(specs, base_seed))
+
+
+def entry_header(path):
+    """Line 1 of a stored entry, decoded."""
+    return json.loads(path.read_text().partition("\n")[0])
+
+
+def edit_entry(path, edit=None, cell_line=None):
+    """Rewrite a stored entry: ``edit`` mutates its header dict;
+    ``cell_line`` replaces line 2."""
+    header, _, line = path.read_text().partition("\n")
+    header = json.loads(header)
+    if edit is not None:
+        edit(header)
+    path.write_text(json.dumps(header) + "\n"
+                    + (line if cell_line is None else cell_line))
 
 
 @pytest.fixture
@@ -152,9 +182,7 @@ class TestResultStore:
     def test_wrong_hash_entry_is_a_miss(self, store):
         spec = small_spec()
         path = store.put(spec, run_cell(spec))
-        entry = json.loads(path.read_text())
-        entry["spec_hash"] = "0" * 40
-        path.write_text(json.dumps(entry))
+        edit_entry(path, lambda header: header.update(spec_hash="0" * 40))
         assert store.get(spec) is None
         assert store.corrupt == 1
 
@@ -166,28 +194,31 @@ class TestResultStore:
         # format.
         spec = small_spec()
         path = store.put(spec, run_cell(spec))
-        entry = json.loads(path.read_text())
-        assert entry["format"] == STORE_FORMAT == 2
-        if version is None:
-            del entry["format"]
-        else:
-            entry["format"] = version
-        path.write_text(json.dumps(entry))
+        assert entry_header(path)["format"] == STORE_FORMAT == 3
+
+        def edit(header):
+            if version is None:
+                del header["format"]
+            else:
+                header["format"] = version
+
+        edit_entry(path, edit)
         with caplog.at_level(logging.WARNING, "repro.service.store"):
             assert store.get(spec) is None
         assert store.misses == 1 and store.corrupt == 0
         assert "stale cache entry" in caplog.text
         store.put(spec, run_cell(spec))
-        assert json.loads(path.read_text())["format"] == STORE_FORMAT
+        assert entry_header(path)["format"] == STORE_FORMAT
         assert store.get(spec) is not None
         assert store.hits == 1
 
     def test_non_cell_payload_is_a_miss(self, store):
         spec = small_spec()
         path = store.put(spec, run_cell(spec))
-        entry = json.loads(path.read_text())
-        entry["cell"] = {"not": "a cell"}
-        path.write_text(json.dumps(entry))
+        payload = {"not": "a cell"}
+        edit_entry(path, lambda header: header.update(
+            digest=serialize.content_hash(payload)),
+            cell_line=serialize.canonical_json(payload))
         assert store.get(spec) is None
 
     def test_stats_and_clear(self, store):
@@ -206,6 +237,56 @@ class TestResultStore:
         key = spec_hash(spec)
         assert path.parent.name == key[:2]
         assert path.name == f"{key}.json"
+
+    def test_entry_is_a_header_line_and_the_canonical_cell(self, store):
+        spec = small_spec()
+        cell = run_cell(spec)
+        path = store.put(spec, cell)
+        header, cell_line = path.read_text().split("\n")
+        assert json.loads(header) == {
+            "format": 3, "spec_hash": spec_hash(spec),
+            "spec": spec.to_dict(),
+            "digest": serialize.content_hash(cell)}
+        assert cell_line == serialize.canonical_json(cell)
+        assert store.cell_text(spec_hash(spec)) == cell_line
+
+    @pytest.mark.parametrize("damage", ["truncated", "digest"])
+    def test_damaged_cell_line_is_a_corrupt_miss(self, store, caplog,
+                                                 damage):
+        spec = small_spec()
+        cell = run_cell(spec)
+        path = store.put(spec, cell)
+        if damage == "truncated":
+            line = serialize.canonical_json(cell)[:-20]
+        else:  # a well-formed cell, but not the one the digest names
+            cell.seed += 1
+            line = serialize.canonical_json(cell)
+        edit_entry(path, cell_line=line)
+        with caplog.at_level(logging.WARNING, "repro.service.store"):
+            assert store.cell_text(spec_hash(spec)) is None
+            assert store.get(spec) is None
+        assert store.corrupt == 2 and store.misses == 1
+        assert "does not match its digest" in caplog.text
+
+    def test_format_2_entry_is_stale_then_rewritten(self, store, caplog):
+        spec = small_spec()
+        cell = run_cell(spec)
+        path = store.path_for(spec_hash(spec))
+        path.parent.mkdir(parents=True)
+        # Format 2 stored one JSON document with the encoded cell in it.
+        path.write_text(json.dumps(
+            {"format": 2, "spec_hash": spec_hash(spec),
+             "spec": spec.to_dict(), "cell": serialize.encode(cell)},
+            allow_nan=False))
+        with caplog.at_level(logging.WARNING, "repro.service.store"):
+            assert store.get(spec) is None
+        assert store.misses == 1 and store.corrupt == 0
+        assert "stale cache entry" in caplog.text
+        assert "format 2" in caplog.text
+        store.put(spec, cell)
+        assert entry_header(path)["format"] == STORE_FORMAT
+        assert path.read_text().count("\n") == 1
+        assert store.get(spec) is not None
 
 
 class TestJobManager:
@@ -242,7 +323,7 @@ class TestJobManager:
         assert job.total_cells == 2
         # The grid rode SweepRunner's seed derivation.
         resolved = resolve_cell_seeds(specs, 7)
-        assert [cell.seed for cell in job.cells] \
+        assert [cell.seed for cell in manager.cells(job.id)] \
             == [spec.seed for spec in resolved]
         assert job.table.columns[0] == "cell"
 
@@ -298,6 +379,60 @@ class TestJobManager:
         b = idle_manager.submit_experiment("t02")
         assert [job.id for job in idle_manager.jobs()] == [a.id, b.id]
 
+    @staticmethod
+    def state_clock(manager, seen):
+        """A stand-in for the ``time`` module that records the state
+        of the manager's first job whenever a time is stamped on it."""
+
+        class Clock:
+            @staticmethod
+            def time():
+                jobs = list(manager._jobs.values())
+                if jobs:  # not the job's own creation stamp
+                    seen.append(jobs[0].state)
+                return 0.0
+
+        return Clock
+
+    def test_each_time_is_stamped_before_its_state(self, store,
+                                                   monkeypatch):
+        # A reader that sees "running" also sees ``started``, and one
+        # that sees a terminal state also sees ``finished``.
+        manager = JobManager(store=store, processes=1)
+        seen = []
+        monkeypatch.setattr(jobs_module, "time",
+                            self.state_clock(manager, seen))
+        try:
+            job = manager.wait(manager.submit_grid([small_spec()]).id,
+                               timeout=60)
+        finally:
+            manager.shutdown()
+        assert job.state == "done"
+        assert seen == ["queued", "running"]
+
+    def test_shutdown_stamps_finished_before_cancelling(
+            self, idle_manager, monkeypatch):
+        seen = []
+        monkeypatch.setattr(jobs_module, "time",
+                            self.state_clock(idle_manager, seen))
+        job = idle_manager.submit_experiment("t01")
+        idle_manager.shutdown()
+        assert job.state == "cancelled"
+        assert seen == ["queued"]
+
+    def test_finished_jobs_keep_no_cells_but_serve_them(self, manager):
+        specs = [small_spec(seed=None, rounds=r) for r in (2, 3)]
+        job = manager.wait(manager.submit_grid(specs).id, timeout=120)
+        assert not hasattr(job, "cells") and job._grid is None
+        assert job.spec_hashes == [
+            spec_hash(spec) for spec in resolve_cell_seeds(specs, 0)]
+        assert [serialize.canonical_json(cell)
+                for cell in manager.cells(job.id)] \
+            == manager.cell_texts(job.id)
+        manager.store.clear()
+        with pytest.raises(jobs_module.CellsGone, match="cell 0 of"):
+            manager.cells(job.id)
+
 
 class TestPooledJobManager:
     """The warm-pool path (``processes=2``).  The test cell kinds are
@@ -327,22 +462,24 @@ class TestPooledJobManager:
         try:
             expected = serial.wait(
                 serial.submit_grid(specs, base_seed=4).id, timeout=120)
+            expected_cells = [serialize.encode(cell)
+                              for cell in serial.cells(expected.id)]
         finally:
             serial.shutdown()
         job = pooled.wait(pooled.submit_grid(specs, base_seed=4).id,
                           timeout=120)
         assert job.state == expected.state == "done"
         assert job.executed_cells == len(specs)
-        assert [serialize.encode(cell) for cell in job.cells] \
-            == [serialize.encode(cell) for cell in expected.cells]
+        assert [serialize.encode(cell) for cell in pooled.cells(job.id)] \
+            == expected_cells
         assert stored_count(pooled.store, specs, 4) == len(specs)
         again = pooled.wait(pooled.submit_grid(specs, base_seed=4).id,
                             timeout=120)
         assert again.state == "done"
         assert again.executed_cells == 0
         assert again.cached_cells == len(specs)
-        assert [serialize.encode(cell) for cell in again.cells] \
-            == [serialize.encode(cell) for cell in expected.cells]
+        assert [serialize.encode(cell)
+                for cell in pooled.cells(again.id)] == expected_cells
 
     def test_cells_stream_past_a_slow_cell(self, pooled):
         # No batch barrier: while cell 0 runs on one worker, the other
@@ -352,7 +489,7 @@ class TestPooledJobManager:
             timeout=60)
         assert job.state == "done"
         (_, slow_end), _, (third_start, _), _ = \
-            [cell.result for cell in job.cells]
+            [cell.result for cell in pooled.cells(job.id)]
         assert third_start < slow_end
 
     def test_lone_miss_runs_in_a_worker(self, pooled):
@@ -360,7 +497,31 @@ class TestPooledJobManager:
             pooled.submit_grid([ScenarioSpec(kind=PID_KIND)]).id,
             timeout=60)
         assert job.state == "done" and job.executed_cells == 1
-        assert job.cells[0].result != os.getpid()
+        assert pooled.cells(job.id)[0].result != os.getpid()
+
+    def test_no_decoded_cell_outlives_its_job(self, pooled, monkeypatch):
+        refs = []
+        get, put = pooled.store.get, pooled.store.put
+
+        def tracked_get(spec):
+            cell = get(spec)
+            if cell is not None:
+                refs.append(weakref.ref(cell))
+            return cell
+
+        def tracked_put(spec, cell):
+            refs.append(weakref.ref(cell))
+            return put(spec, cell)
+
+        monkeypatch.setattr(pooled.store, "get", tracked_get)
+        monkeypatch.setattr(pooled.store, "put", tracked_put)
+        specs = [small_spec(seed=None, rounds=r) for r in (2, 3, 4)]
+        for executed in (len(specs), 0):  # cold, then warm
+            job = pooled.wait(pooled.submit_grid(specs).id, timeout=120)
+            assert (job.state, job.executed_cells) == ("done", executed)
+        assert len(refs) == 2 * len(specs)
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
 
     def test_cancel_finishes_in_flight_cells(self, pooled, monkeypatch):
         put = pooled.store.put
@@ -428,9 +589,10 @@ class TestPooledJobManager:
         assert store.stats()["entries"] == 18
         # One whole job at a time: no cell of the next job starts
         # before the last cell of the previous one ends.
-        spans = sorted((min(cell.result[0] for cell in job.cells),
-                        max(cell.result[1] for cell in job.cells))
-                       for job in jobs)
+        cells = [manager.cells(job.id) for job in jobs]
+        spans = sorted((min(cell.result[0] for cell in job_cells),
+                        max(cell.result[1] for cell in job_cells))
+                       for job_cells in cells)
         for (_, end), (start, _) in zip(spans, spans[1:]):
             assert end <= start
 
@@ -679,6 +841,116 @@ class TestRestApi:
         cleared = client.post("/cache/clear").get_json()
         assert cleared["removed"] == stats["entries"]
         assert client.get("/cache/stats").get_json()["entries"] == 0
+
+    def test_finished_job_history_is_bounded(self, client, monkeypatch):
+        monkeypatch.setattr(jobs_module, "JOB_HISTORY", 2)
+        body = {"cells": [small_spec(seed=None).to_dict()]}
+        ids = []
+        for _ in range(4):
+            ids.append(client.post("/jobs", json=body).get_json()["id"])
+            finish(client, ids[-1])
+        for job_id in ids[:2]:
+            for path in ("", "/result", "/cells"):
+                response = client.get(f"/jobs/{job_id}{path}")
+                assert response.status_code == 404
+                error = response.get_json()["error"]
+                assert "evicted" in error
+                assert "last 2 finished jobs" in error
+            assert client.delete(f"/jobs/{job_id}").status_code == 404
+        for job_id in ids[2:]:
+            assert client.get(f"/jobs/{job_id}/result").status_code == 200
+            assert client.get(f"/jobs/{job_id}/cells").status_code == 200
+        listed = client.get("/jobs").get_json()["jobs"]
+        assert [job["id"] for job in listed] == ids[2:]
+        never = client.get("/jobs/job-0005")
+        assert never.status_code == 404
+        assert "unknown job" in never.get_json()["error"]
+
+
+class TestServedCells:
+    """``GET /jobs/<id>/cells`` splices the result store's stored text
+    and serves the bytes the re-encoding endpoint used to serve."""
+
+    @pytest.fixture(autouse=True)
+    def odd_kind(self):
+        register_cell_kind(ODD_KIND, _odd_values_cell)
+        yield
+        CELL_KINDS.pop(ODD_KIND)
+
+    SPECS = [
+        Scenario.line(3).params(PARAMS).rounds(3)
+        .measure("pulse_diameters").tag("D", 2).build(),
+        Scenario.line(3).params(PARAMS).rounds(3).lossy(rate=0.1)
+        .tag("lossy").build(),
+        ScenarioSpec(kind=ODD_KIND, key=("odd",)),
+    ]
+
+    def submit(self, client):
+        job = client.post("/jobs", json={
+            "cells": [spec.to_dict() for spec in self.SPECS],
+            "base_seed": 3})
+        return finish(client, job.get_json()["id"])
+
+    def test_bytes_equal_the_re_encoded_cells(self, client):
+        cells = [run_cell(spec)
+                 for spec in resolve_cell_seeds(self.SPECS, 3)]
+        for cached in (0, len(cells)):  # cold, then warm
+            snapshot = self.submit(client)
+            assert snapshot["progress"]["cached_cells"] == cached
+            served = client.get(f"/jobs/{snapshot['id']}/cells")
+            assert served.status_code == 200
+            assert served.mimetype == "application/json"
+            body = {"id": snapshot["id"],
+                    "cells": [serialize.encode(cell) for cell in cells]}
+            assert served.data == (json.dumps(
+                body, sort_keys=True, separators=(",", ":"))
+                + "\n").encode("ascii")
+            # ... which is what Flask makes of the same dict.
+            assert served.data \
+                == client.application.json.response(body).get_data()
+
+    def test_cache_clear_makes_cells_gone(self, client):
+        snapshot = self.submit(client)
+        client.post("/cache/clear")
+        gone = client.get(f"/jobs/{snapshot['id']}/cells")
+        assert gone.status_code == 410
+        error = gone.get_json()["error"]
+        assert error.startswith("cell 0 of ") and "resubmit" in error
+        result = client.get(f"/jobs/{snapshot['id']}/result")
+        assert result.status_code == 200
+
+    @pytest.mark.parametrize("damage", ["truncated", "digest", "stale"])
+    def test_damaged_entry_makes_cells_gone(self, client, store, damage):
+        snapshot = self.submit(client)
+        spec = resolve_cell_seeds(self.SPECS, 3)[1]
+        path = store.path_for(spec_hash(spec))
+        line = path.read_text().partition("\n")[2]
+        if damage == "truncated":
+            edit_entry(path, cell_line=line[:-20])
+        elif damage == "digest":  # well-formed, but not the digest's
+            cell = decode_cell(line)
+            cell.seed += 1
+            edit_entry(path, cell_line=serialize.canonical_json(cell))
+        else:
+            edit_entry(path, lambda header: header.update(format=2))
+        gone = client.get(f"/jobs/{snapshot['id']}/cells")
+        assert gone.status_code == 410
+        assert gone.get_json()["error"].startswith("cell 1 of ")
+
+
+@pytest.mark.parametrize("experiment_id", REGISTRY.ids())
+def test_finish_does_not_depend_on_key_order(quick_tables,
+                                             experiment_id):
+    """A cache hit decodes str-keyed dicts in sorted key order (line 2
+    of an entry is canonical JSON); every quick table must finish
+    byte-identically on such stored-form cells."""
+    table = quick_tables[experiment_id]
+    experiment = REGISTRY.get(experiment_id)
+    plan = experiment.plan(quick=True, seed=experiment.default_seed)
+    stored = [decode_cell(serialize.canonical_json(cell))
+              for cell in quick_tables.cells[experiment_id]]
+    assert plan.finish(stored, experiment.make_table()).to_json() \
+        == table.to_json()
 
 
 class TestScenarioLibrary:
