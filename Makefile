@@ -7,7 +7,8 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # Re-record tests/golden_outputs.json, the quick tables, equivalence
-# matrix and quick-plan spec hashes that tests/test_golden.py pins.
+# matrix, quick-plan spec hashes and event-cell counters that
+# tests/test_golden.py pins.
 # Only for a change that means to move an output; give the reason in
 # CHANGES.md.
 golden:

@@ -8,7 +8,7 @@ the second writes the same canonical form of the current tree to
 ``out.json`` and leaves the committed file alone (CI uploads it, so a
 failing job can be diffed against the file or against another job).
 
-The file pins three things:
+The file pins four things:
 
 * ``tables`` -- every quick table of the registry in its canonical
   ``Table.to_dict(json_safe=True)`` form.  The wall-clock columns
@@ -17,6 +17,13 @@ The file pins three things:
   the cross-engine equivalence matrix (``run_equivalence()``).
 * ``plan_hashes`` -- the ``spec_hash`` of every cell of every quick
   plan, seeds resolved as a sweep resolves them.
+* ``event_cells`` -- the event kernel's counters and the two skew
+  maxima of a few small event-engine cells (``event_cell_specs()``):
+  one per protocol, plus the MAX channel under an equivocator and
+  loss with node churn.  The tables pin skews but no kernel counter,
+  so a change in how wake-ups are armed would otherwise pass.
+  Integers and maxima only: builtin ``sum`` over floats rounds
+  differently from Python 3.12 on.
 
 Re-record only in a change that means to move one of these outputs,
 and give the reason in CHANGES.md.
@@ -38,6 +45,10 @@ MASK = "<volatile>"
 #: The per-cell fields of the equivalence matrix the gate pins.
 MATRIX_FIELDS = ("event_local", "event_global", "vec_local",
                  "vec_global", "passed")
+
+#: The ``ProtocolRunResult`` fields of each event cell the gate pins.
+EVENT_FIELDS = ("events_processed", "messages_sent", "messages_dropped",
+                "messages_lost", "max_local_skew", "max_global_skew")
 
 
 def canonical_table(experiment_id: str, table, volatile: dict) -> dict:
@@ -73,6 +84,61 @@ def plan_hashes() -> dict:
         hashes[experiment.id] = [
             spec_hash(spec) for spec in resolve_cell_seeds(specs, seed)]
     return hashes
+
+
+def event_cell_specs() -> dict:
+    """Per name, one small event-engine cell: one per protocol, then
+    the two shapes the benchmark times (``perfbench/workloads.py``):
+    FTGCS with the MAX channel under an equivocator, and FTGCS on a
+    lossy wire with node churn."""
+    from repro import Scenario
+    from repro.baselines.gcs_single import GcsParams
+    from repro.baselines.srikanth_toueg import StParams
+    from repro.harness.experiments import (
+        default_params,
+        fast_dynamics_params,
+    )
+
+    ft = fast_dynamics_params(f=1)
+    gcs = GcsParams.default(rho=1e-2, d=1.0, u=0.05, mu=0.05, period=2.0)
+    st = StParams(n=4, f=1, rho=1e-4, d=1.0, u=0.05, period=10.0)
+    offsets = [0.8 * ft.kappa, -0.5 * ft.kappa, 0.1 * ft.kappa,
+               -0.9 * ft.kappa, 0.4 * ft.kappa]
+    cells = {
+        "ftgcs": Scenario.line(4).params(ft).rounds(6).seed(1),
+        "gcs_single": (Scenario.line(4).protocol("gcs_single")
+                       .payload(params=gcs, until=200.0).seed(2)),
+        "master_slave": (Scenario.line(4).protocol("master_slave")
+                         .params(ft).rounds(6).seed(3)),
+        "srikanth_toueg": (Scenario.of_protocol("srikanth_toueg")
+                           .payload(params=st, silent_faults=1,
+                                    rounds=10).seed(4)),
+        "lynch_welch": (Scenario.of_protocol("lynch_welch")
+                        .params(default_params(rho=1e-4, d=1.0, u=0.05,
+                                               f=1))
+                        .rounds(10).attack("equivocate").seed(5)),
+        "ftgcs_max_equivocate": (
+            Scenario.line(5).params(ft).rounds(6).seed(6)
+            .adversarial("equivocate")
+            .configure(cluster_offsets=offsets, policy="max_rule",
+                       enable_max_estimate=True)),
+        "ftgcs_loss_churn": (
+            Scenario.line(4).params(ft).rounds(8).seed(7)
+            .lossy(kind="bernoulli", rate=0.2)
+            .churn_nodes(interval=2.0 * ft.round_length, crash=0.25,
+                         rejoin=0.8)),
+    }
+    return {name: scenario.tag("golden", name).build()
+            for name, scenario in cells.items()}
+
+
+def event_counters() -> dict:
+    """Per event cell, the pinned fields of its run."""
+    from repro.harness.sweep import run_cell
+
+    return {name: {field: getattr(run_cell(spec).result, field)
+                   for field in EVENT_FIELDS}
+            for name, spec in event_cell_specs().items()}
 
 
 def _same(a, b) -> bool:
@@ -124,6 +190,21 @@ def diff_matrix(golden: dict, actual: dict) -> list[str]:
     return problems
 
 
+def diff_event_cells(golden: dict, actual: dict) -> list[str]:
+    """Every difference between two sets of event-cell counters."""
+    problems = []
+    if sorted(golden) != sorted(actual):
+        problems.append(f"event cells: golden {sorted(golden)}, "
+                        f"got {sorted(actual)}")
+    for name in sorted(set(golden) & set(actual)):
+        for field in EVENT_FIELDS:
+            a, b = golden[name][field], actual[name][field]
+            if not _same(a, b):
+                problems.append(f"event cell {name!r} {field}: "
+                                f"golden {json.dumps(a)}, got {json.dumps(b)}")
+    return problems
+
+
 def record() -> dict:
     """Build every pinned output of the current tree."""
     from repro.engine_vec.equivalence import run_equivalence
@@ -137,6 +218,7 @@ def record() -> dict:
         "tables": tables,
         "equivalence": canonical_matrix(run_equivalence()),
         "plan_hashes": plan_hashes(),
+        "event_cells": event_counters(),
     }
 
 
@@ -158,7 +240,8 @@ def main(argv: list[str] | None = None) -> int:
     hashes = sum(len(h) for h in golden["plan_hashes"].values())
     print(f"wrote {path}: {len(golden['tables'])} tables "
           f"({cells} rows), {len(golden['equivalence'])} equivalence "
-          f"cells, {hashes} plan hashes")
+          f"cells, {hashes} plan hashes, {len(golden['event_cells'])} "
+          f"event cells")
     return 0
 
 

@@ -1,5 +1,6 @@
-"""The golden-output gate: quick tables, equivalence matrix and quick
-plan hashes must equal ``tests/golden_outputs.json`` exactly.
+"""The golden-output gate: quick tables, equivalence matrix, quick
+plan hashes and event-cell counters must equal
+``tests/golden_outputs.json`` exactly.
 
 The file is written by ``tests/record_golden.py`` (``make golden``).
 A change that means to move an output re-records it and says why in
@@ -10,16 +11,21 @@ import math
 
 import pytest
 from record_golden import (
+    EVENT_FIELDS,
     MATRIX_FIELDS,
     canonical_matrix,
     canonical_table,
+    diff_event_cells,
     diff_matrix,
     diff_table,
+    event_cell_specs,
+    event_counters,
     load,
     plan_hashes,
 )
 
 from repro.harness.registry import REGISTRY
+from repro.harness.sweep import cell_protocol
 
 GOLDEN = load()
 
@@ -48,6 +54,20 @@ def test_quick_plan_hashes_match_golden():
     actual = plan_hashes()
     for experiment_id, hashes in GOLDEN["plan_hashes"].items():
         assert actual[experiment_id] == hashes, experiment_id
+
+
+def test_event_cell_counters_match_golden():
+    problems = diff_event_cells(GOLDEN["event_cells"], event_counters())
+    assert not problems, "\n".join(problems)
+
+
+def test_event_cells_cover_every_event_protocol():
+    specs = event_cell_specs()
+    assert sorted(GOLDEN["event_cells"]) == sorted(specs)
+    assert {cell_protocol(spec) for spec in specs.values()} == {
+        "ftgcs", "gcs_single", "master_slave", "srikanth_toueg",
+        "lynch_welch"}
+    assert all(spec.engine == "event" for spec in specs.values())
 
 
 def _nudge(value):
@@ -106,3 +126,14 @@ class TestGateSensitivity:
                 assert len(problems) == 1, (name, field, problems)
                 assert problems[0].startswith(
                     f"equivalence cell {name!r} {field}: golden ")
+
+    def test_any_event_counter_nudged_fails(self):
+        golden = GOLDEN["event_cells"]
+        for name, cell in golden.items():
+            for field in EVENT_FIELDS:
+                actual = {**golden, name: {**cell,
+                                           field: _nudge(cell[field])}}
+                problems = diff_event_cells(golden, actual)
+                assert len(problems) == 1, (name, field, problems)
+                assert problems[0].startswith(
+                    f"event cell {name!r} {field}: golden ")
