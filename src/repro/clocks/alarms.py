@@ -43,9 +43,6 @@ class Alarm:
         self._args = args
         self.cancelled = False
 
-    def fire(self) -> None:
-        self._callback(*self._args)
-
     def __lt__(self, other: "Alarm") -> bool:
         if self.target != other.target:
             return self.target < other.target
@@ -119,4 +116,4 @@ class AlarmManager:
         # themselves; doing ours first keeps the invariant simple.
         self.reschedule()
         for alarm in due:
-            alarm.fire()
+            alarm._callback(*alarm._args)

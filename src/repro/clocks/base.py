@@ -55,7 +55,7 @@ class IntegratingClock:
         precede the segment start (i.e. the last rate change).
         """
         if t is None:
-            t = self._sim.now
+            t = self._sim._now
         if t < self._t0 - 1e-9:
             raise ClockError(
                 f"cannot read clock {self.name!r} at t={t!r}: current "
@@ -70,7 +70,7 @@ class IntegratingClock:
         the current time.
         """
         t = self._t0 + (target - self._v0) / self._rate
-        now = self._sim.now
+        now = self._sim._now
         return t if t > now else now
 
     # ------------------------------------------------------------------
@@ -79,7 +79,7 @@ class IntegratingClock:
 
     def _advance_to_now(self) -> None:
         """Fold elapsed time into ``(t0, v0)`` before a state change."""
-        now = self._sim.now
+        now = self._sim._now
         if now != self._t0:
             self._v0 += self._rate * (now - self._t0)
             self._t0 = now

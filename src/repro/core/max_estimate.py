@@ -121,6 +121,8 @@ class MaxEstimate:
         self.sender_resets = 0
         self.quarantined_pulses = 0
         self._running = False
+        #: The pending level alarm (``at_value`` handle), or ``None``.
+        self._level_alarm = None
 
     # ------------------------------------------------------------------
 
@@ -195,12 +197,23 @@ class MaxEstimate:
         self._arm_next_level()
 
     def stop(self) -> None:
+        """Stop announcing and decoding until :meth:`start`.
+
+        Cancels the pending level alarm, so a later :meth:`start`
+        (a rejoin after a crash) re-arms exactly one alarm chain.  The
+        announced level, the per-sender counts and the estimate clock
+        are kept (see :meth:`FtgcsNode.rejoin
+        <repro.core.node.FtgcsNode.rejoin>`).
+        """
         self._running = False
+        if self._level_alarm is not None:
+            self._clock.cancel_alarm(self._level_alarm)
+            self._level_alarm = None
 
     def _arm_next_level(self) -> None:
         next_level = self._announced_level + 1
-        self._clock.at_value(next_level * self._unit,
-                             self._on_level_reached, next_level)
+        self._level_alarm = self._clock.at_value(
+            next_level * self._unit, self._on_level_reached, next_level)
 
     def _on_level_reached(self, level: int) -> None:
         if not self._running:
@@ -253,10 +266,13 @@ class MaxEstimate:
         target = confirmed * self._unit + self._transit_bonus
         if self._clock.jump_to(target):
             self.jumps += 1
-            self._announce_up_to(self._level_of(self.value()))
+            self._announce_up_to(self._level_of(self._clock.value()))
 
     def _count_above(self, cluster: int, confirmed: int) -> int:
         """How many members of ``cluster`` count more than ``confirmed``."""
         levels = self._sender_levels
-        return sum(1 for m in self._members[cluster]
-                   if levels.get(m, 0) > confirmed)
+        above = 0
+        for member in self._members[cluster]:
+            if levels.get(member, 0) > confirmed:
+                above += 1
+        return above

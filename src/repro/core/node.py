@@ -60,6 +60,10 @@ from repro.net.network import Network
 from repro.sim.kernel import Simulator
 
 
+#: The pulse channels, bound once for the message handler.
+_MAX = PulseKind.MAX
+_SYNC = PulseKind.SYNC
+
 #: Default cap on MAX pulses re-sent per neighbor at link bring-up.  A
 #: capped re-announcement makes the receiver's level decode an
 #: underestimate, which is the sound direction for the ``M <= true
@@ -184,6 +188,10 @@ class FtgcsNode:
                 auto_resync=dynamic_estimators,
                 name=f"est[{node_id}->{b_cluster}]")
 
+        #: The node's one MAX pulse: frozen and contentless (a MAX
+        #: pulse never carries a ``debug_round``), so every broadcast
+        #: and re-announcement sends this same object.
+        self._max_pulse = Pulse(sender=node_id, kind=_MAX)
         self.max_estimate: MaxEstimate | None = None
         if max_estimate is not None and max_estimate.enabled:
             self.max_estimate = MaxEstimate(
@@ -235,16 +243,24 @@ class FtgcsNode:
         """Come back from :meth:`crash` *with amnesia*.
 
         The hardware oscillator kept counting through the outage (and
-        with it the uncorrected logical clock, which drifted), but all
-        protocol state is gone: round bookkeeping, estimator values,
-        warm-up status, and max-estimate levels.  Everything restarts
-        through the same first-contact machinery a freshly appearing
-        link uses — the round engine resumes at the round the node's
-        own progress implies (the :meth:`_bring_up` computation),
-        estimators re-seed via ``bring_up`` and must complete a
-        warm-up exchange before re-entering the trigger aggregation
-        (dynamic mode), and gamma resets to the neutral mode.  No-op
-        when not crashed.
+        with it the uncorrected logical clock, which drifted), but the
+        sync protocol state is gone: round bookkeeping, estimator
+        values and warm-up status.  It restarts through the same
+        first-contact machinery a freshly appearing link uses — the
+        round engine resumes at the round the node's own progress
+        implies (the :meth:`_bring_up` computation), estimators
+        re-seed via ``bring_up`` and must complete a warm-up exchange
+        before re-entering the trigger aggregation (dynamic mode), and
+        gamma resets to the neutral mode.
+
+        The max-estimate keeps its state on purpose: receivers decode
+        "k-th pulse from a sender = level k", so the announced level
+        and the per-sender counts must survive, and ``M_v`` kept
+        advancing at ``h/(1+rho)`` through the outage, so it still
+        never exceeds the largest logical clock.  Only its level
+        alarm restarts (:meth:`MaxEstimate.start
+        <repro.core.max_estimate.MaxEstimate.start>`).  No-op when not
+        crashed.
         """
         if not self._crashed:
             return
@@ -344,7 +360,7 @@ class FtgcsNode:
             # (announced - level) levels — sound, but counted so runs
             # with long outages can tell the cap was binding.
             self.stats.reannounce_cap_hits += 1
-        pulse = Pulse(sender=self.node_id, kind=PulseKind.MAX)
+        pulse = self._max_pulse
         for member in members:
             for _ in range(level):
                 self._network.send(self.node_id, member, pulse)
@@ -356,12 +372,11 @@ class FtgcsNode:
 
     def _broadcast_pulse(self) -> None:
         self._network.broadcast(self.node_id, Pulse(
-            sender=self.node_id, kind=PulseKind.SYNC,
+            sender=self.node_id, kind=_SYNC,
             debug_round=self.core.current_round))
 
     def _broadcast_max_pulse(self) -> None:
-        self._network.broadcast(self.node_id, Pulse(
-            sender=self.node_id, kind=PulseKind.MAX))
+        self._network.broadcast(self.node_id, self._max_pulse)
 
     def on_message(self, message, receive_time: float) -> None:
         """Network handler: route pulses to the right engine."""
@@ -371,11 +386,12 @@ class FtgcsNode:
         if not isinstance(message, Pulse):
             self.stats.unknown_sender_pulses += 1
             return
-        if message.kind is PulseKind.MAX:
+        kind = message.kind
+        if kind is _MAX:
             if self.max_estimate is not None:
                 self.max_estimate.on_pulse(message.sender, receive_time)
             return
-        if message.kind is not PulseKind.SYNC:
+        if kind is not _SYNC:
             return  # other channels (e.g. PROPOSE) are not ours
         sender_cluster = self._cluster_of.get(message.sender)
         if sender_cluster is None:

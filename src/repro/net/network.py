@@ -57,13 +57,14 @@ In-flight messages dominate the event population of large runs (at
 diameter 64 they outnumber every alarm and sampler event combined), so
 by default the network does **not** allocate one kernel event per
 message.  Instead every send pushes a plain ``(time, seq, receiver,
-message)`` tuple onto an internal delivery heap — with ``seq`` drawn
-from the *kernel's* sequence counter, exactly the number the legacy
-per-message event would have carried — and a single *flush* event,
-co-keyed with the earliest pending delivery, wakes the network up.
-One wake-up then drains every consecutively-due delivery (all entries
-whose ``(time, seq)`` key precedes the kernel's next queued event and
-the current run horizon), advancing ``sim.now`` per entry.
+message, sender)`` tuple onto an internal delivery heap — with ``seq``
+drawn from the *kernel's* sequence counter, exactly the number the
+legacy per-message event would have carried; ``sender`` only serves
+in-flight quarantine — and a single *flush* event, co-keyed with the
+earliest pending delivery, wakes the network up.  One wake-up then
+drains every consecutively-due delivery (all entries whose ``(time,
+seq)`` key precedes the kernel's next queued event and the current run
+horizon), advancing ``sim.now`` per entry.
 
 Because seq allocation, delivery times, and the position of every
 delivery relative to every other kernel event are all unchanged,
@@ -73,6 +74,21 @@ shrinks (one flush per batch instead of one event per message).
 ``batched=False`` restores the legacy stream for A/B measurements
 (``SystemConfig.batched_delivery`` surfaces the knob on the FTGCS
 family).
+
+Fan-out plans
+-------------
+Broadcasts dominate the message volume (the MAX-pulse flood above
+all), so :meth:`Network.broadcast` resolves a sender's neighbours, each
+link's delay-model ``draw`` and its ``in_model`` flag once, into a
+per-sender *fan-out plan*: a tuple of ``(receiver, draw, in_model)``
+rows in neighbour insertion order, built on the sender's first
+broadcast.  :meth:`Network.add_link` and
+:meth:`Network.set_link_delay_model` drop the plans they affect.
+Everything else stays per copy, in the order :meth:`Network.send`
+runs it — the down-link test, the loss test, one ``draw``, the
+envelope check, the counters, the kernel ``seq`` and the flush-arming
+test — so a broadcast is observationally identical to one ``send``
+per neighbour.
 """
 
 from __future__ import annotations
@@ -90,6 +106,9 @@ _ENVELOPE_TOL = 1e-9
 
 #: A message handler: ``handler(message, receive_time)``.
 Handler = Callable[[Any, float], None]
+
+#: A delay model's bound ``draw(sender, receiver, now)``.
+DrawFn = Callable[[int, int, float], float]
 
 
 class Network:
@@ -125,6 +144,9 @@ class Network:
         self._handlers: dict[int, Handler] = {}
         self._adjacency: dict[int, list[int]] = {}
         self._link_models: dict[tuple[int, int], DelayModel] = {}
+        #: Per-sender fan-out plans (module docstring), built by the
+        #: first broadcast and dropped when a link or model changes.
+        self._plans: dict[int, tuple[tuple[int, DrawFn, bool], ...]] = {}
         #: Directed pairs currently down (both directions are stored,
         #: so membership tests need no normalization).  Empty for
         #: static topologies — the common case the hot paths check
@@ -219,6 +241,8 @@ class Network:
         if delay_model is not None:
             self._link_models[(a, b)] = delay_model
             self._link_models[(b, a)] = delay_model
+        self._plans.pop(a, None)
+        self._plans.pop(b, None)
 
     def set_link_delay_model(self, a: int, b: int, model: DelayModel,
                              direction: str = "both") -> None:
@@ -233,8 +257,10 @@ class Network:
             raise NetworkError(f"bad direction: {direction!r}")
         if direction in ("both", "ab"):
             self._link_models[(a, b)] = model
+            self._plans.pop(a, None)
         if direction in ("both", "ba"):
             self._link_models[(b, a)] = model
+            self._plans.pop(b, None)
 
     def neighbors(self, node_id: int) -> tuple[int, ...]:
         """Neighbors of ``node_id`` in deterministic insertion order."""
@@ -284,13 +310,15 @@ class Network:
         """
         dropped = 0
         directed = set(pairs)
-        if self._pending:
-            kept = [entry for entry in self._pending
+        pending = self._pending
+        if pending:
+            kept = [entry for entry in pending
                     if (entry[4], entry[2]) not in directed]
-            dropped += len(self._pending) - len(kept)
+            dropped += len(pending) - len(kept)
             if dropped:
-                heapify(kept)
-                self._pending = kept
+                # In place: a running drain holds the list by alias.
+                pending[:] = kept
+                heapify(pending)
         # Legacy per-message events (and any scheduled before a
         # batched-mode switch): cancel without reordering survivors.
         # NB: ``==``, not ``is`` — every ``self._deliver`` access makes
@@ -320,15 +348,16 @@ class Network:
     # Messaging
     # ------------------------------------------------------------------
 
-    def _model_for(self, sender: int, receiver: int) -> DelayModel:
+    def _model_for(self, sender: int, receiver: int) -> DelayModel | None:
+        """The link's own delay model, else the network default."""
         model = self._link_models.get((sender, receiver))
-        if model is None:
-            model = self._default_model
-        if model is None:
-            raise NetworkError(
-                f"link ({sender!r}, {receiver!r}) has no delay model and "
-                f"no network default is set")
-        return model
+        return self._default_model if model is None else model
+
+    def _no_model(self, sender: int, receiver: int, now: float) -> float:
+        """The ``draw`` of a link without any delay model: raises."""
+        raise NetworkError(
+            f"link ({sender!r}, {receiver!r}) has no delay model and "
+            f"no network default is set")
 
     def _validate_delay(self, delay: float) -> None:
         low = self._d - self._u - _ENVELOPE_TOL
@@ -338,10 +367,10 @@ class Network:
                 f"delay {delay!r} outside envelope [{self._d - self._u!r}, "
                 f"{self._d!r}]")
 
-    def _validate_drawn(self, model: DelayModel, delay: float) -> None:
+    def _validate_drawn(self, in_model: bool, delay: float) -> None:
         """Envelope-check a model draw; out-of-model models (fault
         injection) only need non-negativity."""
-        if model.in_model:
+        if in_model:
             self._validate_delay(delay)
         elif delay < 0:
             raise NetworkError(
@@ -367,8 +396,10 @@ class Network:
             self.dropped_loss += 1
             return
         model = self._model_for(sender, receiver)
+        if model is None:
+            self._no_model(sender, receiver, self._sim.now)
         delay = model.draw(sender, receiver, self._sim.now)
-        self._validate_drawn(model, delay)
+        self._validate_drawn(model.in_model, delay)
         self.messages_sent += 1
         if self.batched:
             self._schedule_delivery(delay, receiver, message, sender)
@@ -410,33 +441,74 @@ class Network:
         model: "when a (correct) node broadcasts a pulse, all of its
         neighbors receive the pulse after some delay, which is itself
         subject to some uncertainty".
+
+        Observationally identical to :meth:`send` to each neighbour in
+        insertion order: the same per-copy checks, draws, counters and
+        kernel sequence numbers.  The loop runs over the sender's
+        fan-out plan (module docstring) with the envelope check and
+        the batched-delivery queueing of :meth:`_schedule_delivery`
+        inlined, as this is the hottest send path.
         """
-        neighbors = self._adjacency.get(sender)
-        if neighbors is None:
-            raise NetworkError(f"unknown node: {sender!r}")
-        now = self._sim.now
+        plan = self._plans.get(sender)
+        if plan is None:
+            plan = self._plan_for(sender)
+        sim = self._sim
+        now = sim._now
+        queue = sim._queue
+        pending = self._pending
         inactive = self._inactive
         loss = self._loss
         batched = self.batched
+        low = self._d - self._u - _ENVELOPE_TOL
+        high = self._d + _ENVELOPE_TOL
         copies = 0
-        for receiver in neighbors:
+        for receiver, draw, in_model in plan:
             if inactive and (sender, receiver) in inactive:
                 self.dropped_link_down += 1
                 continue
             if loss is not None and loss.drop(sender, receiver, now):
                 self.dropped_loss += 1
                 continue
-            model = self._model_for(sender, receiver)
-            delay = model.draw(sender, receiver, now)
-            self._validate_drawn(model, delay)
+            delay = draw(sender, receiver, now)
+            if not (low <= delay <= high if in_model else delay >= 0):
+                self._validate_drawn(in_model, delay)  # raises
             self.messages_sent += 1
-            if batched:
-                self._schedule_delivery(delay, receiver, message, sender)
-            else:
-                self._sim.call_in(delay, self._deliver, receiver,
-                                  message, sender)
             copies += 1
+            if not batched:
+                sim.call_in(delay, self._deliver, receiver, message,
+                            sender)
+                continue
+            # Inlined _schedule_delivery (see there).
+            time = now + delay
+            if time < now:
+                time = now
+            seq = queue._seq
+            queue._seq = seq + 1
+            heappush(pending, (time, seq, receiver, message, sender))
+            if self._draining:
+                continue
+            key = self._flush_key
+            if key is None or time < key[0] or (time == key[0]
+                                                and seq < key[1]):
+                self._flush_key = (time, seq)
+                sim.call_at_key(time, seq, self._flush_cb, time, seq)
         return copies
+
+    def _plan_for(self, sender: int) -> tuple[tuple[int, DrawFn, bool], ...]:
+        """Build and keep ``sender``'s fan-out plan."""
+        neighbors = self._adjacency.get(sender)
+        if neighbors is None:
+            raise NetworkError(f"unknown node: {sender!r}")
+        rows = []
+        for receiver in neighbors:
+            model = self._model_for(sender, receiver)
+            if model is None:
+                # Raises when a copy is drawn, as send does.
+                rows.append((receiver, self._no_model, True))
+            else:
+                rows.append((receiver, model.draw, model.in_model))
+        plan = self._plans[sender] = tuple(rows)
+        return plan
 
     @property
     def pending_deliveries(self) -> int:

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import NetworkError, SimulationError
 from repro.net import (
     BiasedDelay,
+    DelayModel,
     ExtremalDelay,
     FixedDelay,
     Network,
@@ -15,6 +16,8 @@ from repro.net import (
     PulseKind,
     UniformDelay,
 )
+from repro.net.delays import AsymmetricDelay, ParetoDelay
+from repro.net.loss import BernoulliLoss
 from repro.sim import Simulator
 
 
@@ -379,3 +382,131 @@ class TestBatchedDelivery:
             sim.run_until_idle()
             seen[batched] = observed
         assert seen[True] == seen[False] == [1, 2]
+
+
+class TestBroadcastFanOut:
+    """``broadcast`` runs an inlined loop over a cached per-sender plan;
+    it must stay observationally identical to one ``send`` per
+    neighbour, and the plan must follow the topology."""
+
+    LINKS = ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (4, 5),
+             (5, 0), (1, 4))
+
+    def run_fan_outs(self, use_broadcast):
+        sim = Simulator()
+        delay_rng, loss_rng = random.Random(11), random.Random(12)
+        tail_rng, back_rng = random.Random(13), random.Random(14)
+        net = Network(sim, d=1.0, u=0.3,
+                      default_delay_model=UniformDelay(1.0, 0.3,
+                                                       delay_rng))
+        log = []
+
+        def fan_out(sender, message):
+            if use_broadcast:
+                net.broadcast(sender, message)
+            else:
+                for receiver in net.neighbors(sender):
+                    net.send(sender, receiver, message)
+
+        for i in range(6):
+            def handler(message, t, i=i):
+                log.append((i, message, t))
+                if message[2] > 0:
+                    # Fan out again from inside the delivery drain.
+                    fan_out(i, (i, message[1], message[2] - 1))
+            net.add_node(i, handler)
+        for a, b in self.LINKS:
+            net.add_link(a, b)
+        # Out of model one way (heavy tail), uniform the other.
+        net.set_link_delay_model(1, 4, AsymmetricDelay(
+            ParetoDelay(1.0, 0.3, 1.5, tail_rng),
+            UniformDelay(1.0, 0.3, back_rng)))
+        net.set_link_active(2, 3, False)
+        net.set_loss_model(BernoulliLoss(0.25, loss_rng))
+        for k, t in enumerate((0.0, 0.35, 0.35, 1.2, 2.05)):
+            for sender in (0, 2, 4, 1):
+                sim.call_at(t, fan_out, sender, (sender, k, 1))
+        # Foreign kernel events between the deliveries: a wake-up armed
+        # late moves a delivery past one of them in the log.
+        for step in range(80):
+            sim.call_at(step * 0.05, log.append, ("tick", step))
+        sim.run_until_idle()
+        return (log, net.messages_sent, net.dropped_link_down,
+                net.dropped_loss, sim.events_processed,
+                [rng.random() for rng in (delay_rng, loss_rng, tail_rng,
+                                          back_rng)])
+
+    def test_broadcast_equals_per_neighbour_sends(self):
+        broadcast = self.run_fan_outs(use_broadcast=True)
+        sends = self.run_fan_outs(use_broadcast=False)
+        assert broadcast == sends
+        log, sent, link_down, lost, _, _ = broadcast
+        assert len(log) - 80 == sent > 100
+        assert link_down > 0 and lost > 0
+
+    def test_plan_follows_delay_models_and_links(self):
+        sim, net = make_net(d=1.0, u=0.5, model=FixedDelay(1.0))
+        received = []
+        for i in range(3):
+            net.add_node(i, lambda m, t, i=i: received.append((i, m, t)))
+        net.add_link(0, 1)
+        assert net.broadcast(0, "a") == 1
+        sim.run(until=2.0)
+        net.set_link_delay_model(0, 1, FixedDelay(0.5))
+        net.add_link(0, 2)
+        assert net.broadcast(0, "b") == 2
+        sim.run(until=4.0)
+        # Messages 0 -> 1 are the "ba" direction of the pair (1, 0).
+        net.set_link_delay_model(1, 0, FixedDelay(0.6), direction="ba")
+        net.broadcast(0, "c")
+        sim.run(until=6.0)
+        assert received == [(1, "a", 1.0), (1, "b", 2.5), (2, "b", 3.0),
+                            (1, "c", pytest.approx(4.6)),
+                            (2, "c", 5.0)]
+
+    def test_in_model_draw_outside_envelope_rejected(self):
+        _, net = make_net(d=1.0, u=0.1, model=FixedDelay(1.0))
+        net.add_node(0)
+        net.add_node(1, lambda m, t: None)
+        net.add_link(0, 1)
+        net.broadcast(0, "ok")
+        net.set_link_delay_model(0, 1, FixedDelay(0.2))
+        with pytest.raises(NetworkError, match="outside envelope"):
+            net.broadcast(0, "early")
+        net.set_link_delay_model(0, 1, FixedDelay(1.5))
+        with pytest.raises(NetworkError, match="outside envelope"):
+            net.broadcast(0, "late")
+
+    def test_negative_out_of_model_draw_rejected(self):
+        class Negative(DelayModel):
+            in_model = False
+
+            def draw(self, sender, receiver, now):
+                return -0.1
+
+        _, net = make_net(d=1.0, u=0.1)
+        net.add_node(0)
+        net.add_node(1, lambda m, t: None)
+        net.add_link(0, 1, Negative())
+        with pytest.raises(NetworkError, match="non-negative"):
+            net.broadcast(0, "x")
+
+    def test_unknown_sender_rejected(self):
+        _, net = make_net()
+        net.add_node(0)
+        with pytest.raises(NetworkError, match="unknown node"):
+            net.broadcast(99, "x")
+
+    def test_missing_model_raises_only_for_a_drawn_copy(self):
+        # Like send: a down link drops the copy before any model
+        # lookup, a live link without a model raises.
+        sim = Simulator()
+        net = Network(sim, d=1.0, u=0.1)
+        net.add_node(0)
+        net.add_node(1, lambda m, t: None)
+        net.add_link(0, 1)
+        with pytest.raises(NetworkError, match="no delay model"):
+            net.broadcast(0, "x")
+        net.set_link_active(0, 1, False)
+        assert net.broadcast(0, "x") == 0
+        assert net.dropped_link_down == 1

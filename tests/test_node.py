@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.max_estimate import MaxEstimate
 from repro.core.params import Parameters
 from repro.core.system import FtgcsSystem, SystemConfig
 from repro.net.message import Pulse, PulseKind, ValueMessage
@@ -108,3 +109,47 @@ class TestMaxEstimateWiring:
         assert node.max_estimate is not None
         assert node.max_estimate.pulses_sent > 0
         assert node.max_estimate.pulses_received > 0
+
+    @staticmethod
+    def churned_cluster(cycles):
+        """line(3) with the MAX channel; cluster 1 crashes and rejoins
+        ``cycles`` times, each outage 0.2 of a level."""
+        params = Parameters.practical(rho=1e-4, d=1.0, u=0.1, f=1)
+        unit = params.cap_e
+        config = SystemConfig(policy="max_rule", enable_max_estimate=True,
+                              max_estimate_unit=unit)
+        system = FtgcsSystem.build(ClusterGraph.line(3), params, seed=3,
+                                   config=config)
+        members = [n for n in system.honest_nodes() if n.cluster_id == 1]
+        system.start()
+        t = 0.0
+        for _ in range(cycles):
+            t += 2.5 * unit
+            system.sim.run(until=t)
+            for node in members:
+                node.crash()
+            system.sim.run(until=t + 0.2 * unit)
+            for node in members:
+                node.rejoin()
+        system.sim.run(until=t + 3 * unit)
+        return system, members
+
+    def test_rejoin_keeps_one_level_alarm(self, monkeypatch):
+        # stop() cancels the level alarm, so start() after a rejoin
+        # arms the one chain; the pulses are those of the old stop(),
+        # which left one more chain per cycle on the same targets.
+        system, members = self.churned_cluster(4)
+        assert [n.max_estimate._clock.pending_alarms()
+                for n in members] == [1] * len(members)
+
+        def leaky_stop(estimate):
+            estimate._running = False
+
+        monkeypatch.setattr(MaxEstimate, "stop", leaky_stop)
+        leaky, leaky_members = self.churned_cluster(4)
+        assert [n.max_estimate._clock.pending_alarms()
+                for n in leaky_members] == [5] * len(members)
+        assert ([n.max_estimate.pulses_sent for n in system.honest_nodes()]
+                == [n.max_estimate.pulses_sent
+                    for n in leaky.honest_nodes()])
+        assert system.sim.events_processed == leaky.sim.events_processed
