@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test golden verify lint list run serve smoke-t16 smoke-serve smoke-vec smoke-adversary bench-quick bench-quick-ci bench-check bench bench-record
+.PHONY: test golden verify lint list run serve smoke-t16 smoke-serve smoke-vec smoke-adversary bench-quick bench-quick-ci bench-check bench-ab bench bench-record
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -100,6 +100,22 @@ bench-quick-ci:
 bench-check:
 	$(PYTHON) perfbench/run.py --workload event_ftgcs --seed 1 --seconds 1 --trace 0
 	$(PYTHON) perfbench/run.py --workload service_faulted --seed 1 --seconds 1 --trace 0
+
+# A/B pairs of two revisions on one benchmark workload: both exported
+# with git archive (same BENCHMARK.json and perfbench/ required), PAIRS
+# alternating runs at the benchmark's run_seconds with seeds SEED,
+# SEED+1, ...  Reports each end-to-end metric against its bound and,
+# with CLAIM=<metric>, whether a claimed gain is met (9/10 pairs won,
+# medians apart by more than the base's quartile distance).  Every
+# run's JSON goes to OUT; exits non-zero if any run was not correct.
+#   make bench-ab BASE=<rev> WORKLOAD=<w> [CHANGE=HEAD] [CLAIM=<metric>]
+#                 [PAIRS=10] [SEED=1000] [OUT=bench-ab-<w>.jsonl]
+bench-ab:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-ab BASE=<rev> WORKLOAD=<w> [CHANGE=HEAD] [CLAIM=<metric>] [PAIRS=10] [SEED=1000] [OUT=<file>]"; exit 2; }
+	$(PYTHON) benchmarks/ab_pairs.py --base $(BASE) --workload $(WORKLOAD) \
+		--change $(or $(CHANGE),HEAD) --pairs $(or $(PAIRS),10) \
+		--first-seed $(or $(SEED),1000) $(if $(CLAIM),--claim $(CLAIM)) \
+		$(if $(OUT),--out $(OUT))
 
 # Full pytest-benchmark suite (tables T1-T18 + kernel microbenches).
 bench:
