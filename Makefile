@@ -113,8 +113,8 @@ bench-check:
 bench-ab:
 	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-ab BASE=<rev> WORKLOAD=<w> [CHANGE=HEAD] [CLAIM=<metric>] [PAIRS=10] [SEED=1000] [OUT=<file>]"; exit 2; }
 	$(PYTHON) benchmarks/ab_pairs.py --base $(BASE) --workload $(WORKLOAD) \
-		--change $(or $(CHANGE),HEAD) --pairs $(or $(PAIRS),10) \
-		--first-seed $(or $(SEED),1000) $(if $(CLAIM),--claim $(CLAIM)) \
+		$(if $(CHANGE),--change $(CHANGE)) $(if $(PAIRS),--pairs $(PAIRS)) \
+		$(if $(SEED),--first-seed $(SEED)) $(if $(CLAIM),--claim $(CLAIM)) \
 		$(if $(OUT),--out $(OUT))
 
 # Full pytest-benchmark suite (tables T1-T18 + kernel microbenches).

@@ -84,8 +84,8 @@ def summarize_metric(metric: dict, pairs: list[tuple[float, float]]
         verdict = "unresolved"
     else:
         verdict = "ok"
-    return {"name": metric["name"], "unit": metric.get("unit", ""),
-            "better": metric["better"], "bound": metric["bound"],
+    return {"name": metric["name"], "better": metric["better"],
+            "bound": metric["bound"],
             "base_q1": q1, "base_median": median, "base_q3": q3,
             "change_median": change_median,
             "ratio": change_median / median if median else float("nan"),
@@ -115,7 +115,8 @@ def summarize(end_to_end: list[dict], runs: list[dict]) -> list[dict]:
     ``runs`` are the records this script writes: ``pair``, ``side``
     (``"base"`` or ``"change"``) and ``result``, the benchmark's JSON
     result (``None`` when the run produced none).  Only pairs with a
-    result on both sides count.
+    result on both sides count; with fewer than two there is no
+    summary (empty list).
     """
     by_pair: dict[int, dict] = {}
     for run in runs:
@@ -123,6 +124,8 @@ def summarize(end_to_end: list[dict], runs: list[dict]) -> list[dict]:
             by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]
     complete = [sides for _, sides in sorted(by_pair.items())
                 if len(sides) == 2]
+    if len(complete) < 2:
+        return []
     rows = []
     for metric in end_to_end:
         name = metric["name"]
@@ -167,11 +170,23 @@ def resolve(rev: str) -> str:
     return _git("rev-parse", "--verify", f"{rev}^{{commit}}")
 
 
+def _object_id(rev: str, path: str) -> str | None:
+    """The git object of ``path`` in ``rev``; ``None`` when absent."""
+    done = subprocess.run(["git", "rev-parse", "--verify", "--quiet",
+                           f"{rev}:{path}"], cwd=ROOT, capture_output=True,
+                          text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
 def benchmark_differs(base: str, change: str) -> list[str]:
-    """The benchmark paths whose content differs between the two."""
-    return [path for path in BENCHMARK_PATHS
-            if _git("rev-parse", f"{base}:{path}")
-            != _git("rev-parse", f"{change}:{path}")]
+    """The benchmark paths whose content differs between the two (a
+    path missing from either counts as differing)."""
+    differs = []
+    for path in BENCHMARK_PATHS:
+        base_id = _object_id(base, path)
+        if base_id is None or base_id != _object_id(change, path):
+            differs.append(path)
+    return differs
 
 
 def export(rev: str, dest: Path) -> None:
@@ -192,11 +207,15 @@ def run_once(tree: Path, command: list[str], workload: str, seed: int,
     env = {key: value for key, value in os.environ.items()
            if key != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    done = subprocess.run(
-        command + ["--workload", workload, "--seed", str(seed),
-                   "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, env=env, capture_output=True, text=True,
-        timeout=max(600.0, 20.0 * seconds))
+    timeout = max(600.0, 20.0 * seconds)
+    try:
+        done = subprocess.run(
+            command + ["--workload", workload, "--seed", str(seed),
+                       "--seconds", str(seconds), "--trace", "0"],
+            cwd=tree, env=env, capture_output=True, text=True,
+            timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return -1, None, f"timed out after {timeout:.0f} s"
     output = done.stdout + done.stderr
     lines = done.stdout.strip().splitlines()
     try:
@@ -265,9 +284,12 @@ def main(argv: list[str] | None = None) -> int:
           f", change {revs['change'][:12]}, seeds {args.first_seed}.."
           f"{args.first_seed + args.pairs - 1}, {seconds} s per run; "
           f"runs in {out}")
-    for line in report_lines(summarize(spec["end_to_end"], runs),
-                             args.claim):
-        print(line)
+    rows = summarize(spec["end_to_end"], runs)
+    if rows:
+        print("\n".join(report_lines(rows, args.claim)))
+    else:
+        print("fewer than two pairs have a result on both sides; "
+              "no summary")
     failed = [run for run in runs
               if run["result"] is None or not run["result"]["correct"]]
     for run in failed:

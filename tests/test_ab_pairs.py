@@ -87,3 +87,6 @@ def test_pairs_missing_a_side_are_left_out():
     runs[-1]["result"] = None
     (row,) = summarize([WALL], runs)
     assert row["pairs"] == 9
+    for run in runs[2:]:
+        run["result"] = None
+    assert summarize([WALL], runs) == []
