@@ -89,16 +89,19 @@ bench-quick-ci:
 	$(PYTHON) -m repro bench-quick
 
 # Bit-identity gate (CI runs this after the tier-1 tests): the shortest
-# untraced runs (their minimum of 7 passes) of two benchmark workloads.
-# event_ftgcs: every executed FTGCS event cell must match its
-# fingerprint in perfbench/reference.json and the paper bounds.
-# service_faulted: the lossy, churning grid as REST jobs, cold and warm,
-# so every cell is checked the same way after the warm pool, the result
-# store round trip and GET /jobs/<id>/cells.  Either run exits non-zero
-# on a miss.  Gate on the exit code only: the timings they print are
-# not compared to anything.  About 45-60 s.
+# untraced runs (their minimum of 7 passes) of all three benchmark
+# workloads.  event_ftgcs: every executed FTGCS event cell must match
+# its fingerprint in perfbench/reference.json and the paper bounds.
+# vec_scale: every vectorized-engine cell (caterpillars, cliques, static
+# and adaptive adversaries) against its fingerprint and its resilience
+# envelope.  service_faulted: the lossy, churning grid as REST jobs,
+# cold and warm, so every cell is checked the same way after the warm
+# pool, the result store round trip and GET /jobs/<id>/cells.  Each run
+# exits non-zero on a miss.  Gate on the exit code only: the timings
+# they print are not compared to anything.  About 60-80 s.
 bench-check:
 	$(PYTHON) perfbench/run.py --workload event_ftgcs --seed 1 --seconds 1 --trace 0
+	$(PYTHON) perfbench/run.py --workload vec_scale --seed 1 --seconds 1 --trace 0
 	$(PYTHON) perfbench/run.py --workload service_faulted --seed 1 --seconds 1 --trace 0
 
 # A/B pairs of two revisions on one benchmark workload: both exported
