@@ -753,13 +753,7 @@ class SystemBuilder:
                 f"protocol {protocol.name!r} needs params; call "
                 f".params(...)")
         if self._engine == "vectorized":
-            try:
-                from repro.engine_vec.engine import build_vec_system
-            except ImportError as exc:
-                raise ConfigError(
-                    "the vectorized engine requires numpy, which is "
-                    "not importable here; install it or use the "
-                    "event engine") from exc
+            from repro.engine_vec.engine import build_vec_system
             return build_vec_system(protocol.name, ctx)
         return System(protocol, ctx)
 

@@ -16,10 +16,10 @@ The equivalence contract against the event kernel (bit-equal where the
 math permits, documented tolerance otherwise) is implemented and
 enforced by :mod:`repro.engine_vec.equivalence`.
 
-numpy is the only third-party dependency, imported lazily: the rest
-of the library stays importable without it, and selecting the
-vectorized engine on a numpy-less install raises a clear
-:class:`~repro.errors.ConfigError` at build time.
+numpy is the only third-party dependency of the simulation code.  The
+topology layer needs it too: every
+:class:`~repro.topology.cluster_graph.ClusterGraph` keeps its edges as
+one numpy array, which this engine's CSR view reads directly.
 """
 
 from repro.engine_vec.engine import VecSystem, build_vec_system

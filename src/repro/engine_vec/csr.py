@@ -13,8 +13,9 @@ so it fixes the output of every seeded run.  Node ``i``'s slots hold,
 in order, the ``b`` of each edge ``(i, b)`` and then the ``a`` of each
 edge ``(a, i)``, each group in edge-list order — a stable sort of the
 directed slots by source.  The CSR is built straight from the graph's
-edge list with no Python object per vertex, in time linear in its
-edges.
+edge array (:attr:`~repro.topology.cluster_graph.ClusterGraph.edge_array`)
+with no Python object per edge or per vertex, in one stable sort of
+its slots.
 
 ``reduceat`` needs care at degree-0 vertices: an empty segment makes
 it return (or index past) a neighboring slot's value, so
@@ -30,8 +31,6 @@ vertices (every caterpillar) skips the mask and returns the
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 import numpy as np
 
@@ -56,12 +55,10 @@ class CSRAdjacency:
 
     def __init__(self, graph: ClusterGraph) -> None:
         n = graph.num_clusters
-        edges = graph.edges
-        m = len(edges)
+        edges = graph.edge_array
         self.num_nodes = n
-        self.num_edges = m
-        flat = np.fromiter(chain.from_iterable(edges), np.int64, 2 * m)
-        ea, eb = flat[0::2], flat[1::2]
+        self.num_edges = len(edges)
+        ea, eb = edges[:, 0], edges[:, 1]
         self.edge_a = ea
         self.edge_b = eb
         src = np.concatenate([ea, eb])

@@ -225,10 +225,7 @@ def check_equivalence_coverage(
     if protocols is None:
         protocols = _live_protocols()
     if cells is None:
-        try:
-            from repro.engine_vec.equivalence import quick_cells
-        except ImportError:  # numpy-less environment: nothing to check
-            return []
+        from repro.engine_vec.equivalence import quick_cells
         cells = quick_cells()
     covered = {cell.protocol for cell in cells}
     findings = []

@@ -14,18 +14,23 @@ the simulator wires up, plus the grouping metadata nodes need ("which
 cluster does this neighbor belong to" — the paper assumes each node
 knows this).
 
-Validation is eager and adjacency is lazy: the constructor checks and
-canonicalizes the edge list (so a malformed graph raises where it is
-built), but the sorted per-cluster adjacency lists are only built the
-first time :meth:`ClusterGraph.neighbors`, ``degree``, ``max_degree``,
+Validation is eager and everything else is lazy.  The constructor
+checks and canonicalizes the edges into one read-only ``(m, 2)`` int64
+array, :attr:`ClusterGraph.edge_array` (so a malformed graph raises
+where it is built).  The list of ``(int, int)`` tuples behind
+:attr:`ClusterGraph.edges` is built from that array on first use, and
+the sorted per-cluster adjacency lists the first time
+:meth:`ClusterGraph.neighbors`, ``degree``, ``max_degree``,
 ``diameter`` or ``is_connected`` asks for them.  The vectorized engine
-reads only :attr:`ClusterGraph.edges`, so a million-vertex graph it
-runs on never pays for a Python list per vertex.
+reads only :attr:`ClusterGraph.edge_array`, so a million-vertex graph
+it runs on never pays for a Python object per edge or per vertex.
 """
 
 from __future__ import annotations
 
 import random
+
+import numpy as np
 
 from repro.errors import TopologyError
 from repro.topology import graphs as g
@@ -34,12 +39,13 @@ from repro.topology import graphs as g
 class ClusterGraph:
     """The abstract network ``G = (C, E)`` of supernodes."""
 
-    def __init__(self, num_clusters: int, edges: list[tuple[int, int]],
-                 name: str = "") -> None:
+    def __init__(self, num_clusters: int, edges, name: str = "") -> None:
         if num_clusters < 1:
             raise TopologyError(f"need at least one cluster: {num_clusters!r}")
-        self._edges = g.normalize_edges(num_clusters, edges)
+        self._edge_array = g.normalize_edges(num_clusters, edges)
+        self._edge_array.flags.writeable = False
         self._num_clusters = num_clusters
+        self._edges: list[tuple[int, int]] | None = None
         self._adjacency: list[list[int]] | None = None
         self.name = name or f"cluster-graph({num_clusters})"
 
@@ -103,18 +109,32 @@ class ClusterGraph:
         return self._num_clusters
 
     @property
+    def edge_array(self) -> np.ndarray:
+        """The canonical ``(min, max)`` edges as a read-only ``(m, 2)``
+        int64 array, in construction order."""
+        return self._edge_array
+
+    @property
     def edges(self) -> list[tuple[int, int]]:
-        return list(self._edges)
+        """A fresh list of the canonical edges as ``(int, int)``
+        tuples, in construction order."""
+        return list(self._edge_tuples())
 
     @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return len(self._edge_array)
+
+    def _edge_tuples(self) -> list[tuple[int, int]]:
+        """The edge tuples, built from the array on the first query."""
+        if self._edges is None:
+            self._edges = list(map(tuple, self._edge_array.tolist()))
+        return self._edges
 
     def _adjacent(self) -> list[list[int]]:
         """Sorted adjacency lists, built on the first query."""
         if self._adjacency is None:
             self._adjacency = g.adjacency_from_edges(self._num_clusters,
-                                                     self._edges)
+                                                     self._edge_tuples())
         return self._adjacency
 
     def neighbors(self, cluster: int) -> tuple[int, ...]:

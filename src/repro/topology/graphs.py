@@ -10,36 +10,65 @@ from __future__ import annotations
 import random
 from collections import deque
 
+import numpy as np
+
 from repro.errors import TopologyError
 
 
-def normalize_edges(num_vertices: int,
-                    edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+def normalize_edges(num_vertices: int, edges) -> np.ndarray:
     """Validate and canonicalize an undirected edge list.
 
-    Each edge is returned as ``(min, max)``; duplicates and self-loops
-    raise :class:`TopologyError`.  Input tuples already in that form
-    are reused rather than rebuilt (the generators emit them).
+    ``edges`` is a sequence of integer pairs or an ``(m, 2)`` integer
+    array.  The result is a fresh ``(m, 2)`` int64 array holding each
+    edge as ``(min, max)``, in input order.  The first offending edge
+    in input order raises :class:`TopologyError`: an id outside
+    ``0..num_vertices - 1`` (the edge named as given), a self-loop, or
+    a duplicate (named by its canonical pair); so does input that is
+    not integer pairs (fractional or string ids, ragged rows, rows
+    that are not pairs).  Duplicates are found with one sort of a
+    canonical key; the first offender is searched for only once one is
+    known to exist.
     """
-    seen: set[tuple[int, int]] = set()
-    result: list[tuple[int, int]] = []
-    for edge in edges:
-        a, b = edge
-        if not (0 <= a < num_vertices and 0 <= b < num_vertices):
-            raise TopologyError(
-                f"edge ({a!r}, {b!r}) references a vertex outside "
-                f"0..{num_vertices - 1}")
-        if a == b:
-            raise TopologyError(f"self-loop at vertex {a!r}")
-        if a > b:
-            edge = (b, a)
-        elif type(edge) is not tuple:
-            edge = (a, b)
-        if edge in seen:
-            raise TopologyError(f"duplicate edge {edge!r}")
-        seen.add(edge)
-        result.append(edge)
-    return result
+    try:
+        given = np.asarray(edges)
+    except ValueError as exc:  # ragged rows
+        raise TopologyError(f"edges are not integer pairs: {exc}") from None
+    if given.ndim == 1 and given.size == 0:
+        given = given.reshape(0, 2).astype(np.int64)
+    if given.ndim != 2 or given.shape[1] != 2 \
+            or given.dtype.kind not in "iu":
+        raise TopologyError(
+            f"edges are not integer pairs: a {given.dtype} array of "
+            f"shape {given.shape}")
+    given = given.astype(np.int64, copy=False)
+    a, b = given[:, 0], given[:, 1]
+    result = np.empty(given.shape, dtype=np.int64)
+    lo, hi = result[:, 0], result[:, 1]
+    np.minimum(a, b, out=lo)
+    np.maximum(a, b, out=hi)
+    bad = (lo < 0) | (hi >= num_vertices) | (lo == hi)
+    # Duplicate keys are only compared before the first range or loop
+    # error, where every id is in range and ``lo * n + hi`` is unique
+    # per canonical pair.
+    valid = int(bad.argmax()) if bad.any() else len(result)
+    key = lo[:valid] * num_vertices + hi[:valid]
+    # Timsort: generated edge lists come in long ascending key runs.
+    ordered = np.sort(key, kind="stable")
+    if valid == len(result) and not (ordered[1:] == ordered[:-1]).any():
+        return result
+    _, first = np.unique(key, return_index=True)
+    repeated = np.ones(valid, dtype=bool)
+    repeated[first] = False
+    offender = int(repeated.argmax()) if repeated.any() else valid
+    if offender < valid:
+        raise TopologyError(
+            f"duplicate edge {(int(lo[offender]), int(hi[offender]))!r}")
+    x, y = int(a[offender]), int(b[offender])
+    if not (0 <= x < num_vertices and 0 <= y < num_vertices):
+        raise TopologyError(
+            f"edge ({x!r}, {y!r}) references a vertex outside "
+            f"0..{num_vertices - 1}")
+    raise TopologyError(f"self-loop at vertex {x!r}")
 
 
 def adjacency_from_edges(num_vertices: int,
@@ -151,7 +180,7 @@ def torus_edges(width: int, height: int) -> list[tuple[int, int]]:
             down = ((y + 1) % height) * width + x
             edges.append((min(v, right), max(v, right)))
             edges.append((min(v, down), max(v, down)))
-    return normalize_edges(width * height, edges)
+    return edges
 
 
 def balanced_tree_edges(branching: int, height: int) -> list[tuple[int, int]]:
@@ -172,7 +201,7 @@ def balanced_tree_edges(branching: int, height: int) -> list[tuple[int, int]]:
     return edges
 
 
-def caterpillar_edges(length: int, width: int) -> list[tuple[int, int]]:
+def caterpillar_edges(length: int, width: int) -> np.ndarray:
     """Caterpillar: a spine path of ``length`` hubs, each carrying
     ``width - 1`` leaves; ``length * width`` vertices total.
 
@@ -182,17 +211,22 @@ def caterpillar_edges(length: int, width: int) -> list[tuple[int, int]]:
     and ``length - 1`` for ``width == 1`` (a plain path) — the shape
     that decouples vertex count from diameter, so scale sweeps can fix
     ``D`` while pushing ``n`` to 1e5-1e6.
+
+    Returns an ``(n - 1, 2)`` int64 array.  Its order is a contract
+    (the CSR slot order, and so every per-slot draw, follows it): each
+    hub contributes its spine edge ``(hub, hub + width)`` and then its
+    leaf edges ``(hub, hub + 1), ..., (hub, hub + width - 1)``; the
+    last hub has no spine edge.
     """
     if length < 1 or width < 1:
         raise TopologyError("caterpillar dimensions must be positive")
-    edges: list[tuple[int, int]] = []
-    for i in range(length):
-        hub = i * width
-        if i + 1 < length:
-            edges.append((hub, hub + width))
-        for leaf in range(hub + 1, hub + width):
-            edges.append((hub, leaf))
-    return edges
+    hubs = np.arange(0, length * width, width, dtype=np.int64)[:, None]
+    step = np.arange(width, dtype=np.int64)
+    step[0] = width
+    edges = np.empty((length, width, 2), dtype=np.int64)
+    edges[:, :, 0] = hubs
+    edges[:, :, 1] = hubs + step
+    return np.delete(edges.reshape(-1, 2), (length - 1) * width, axis=0)
 
 
 def hypercube_edges(dim: int) -> list[tuple[int, int]]:

@@ -11,6 +11,7 @@ cross-engine skew agreement itself lives in
 
 import math
 import random
+from itertools import chain
 
 import pytest
 
@@ -37,6 +38,7 @@ from repro.harness.sweep import (
 from repro.service.store import ResultStore
 from repro.topology import ClusterGraph, EdgeChurnSchedule
 from repro.topology import graphs
+from test_topology import NAMED_GRAPHS
 
 GCS = GcsParams(rho=1e-3, d=1.0, u=0.01, mu=0.01, period=10.0,
                 kappa=0.3, slack=0.1)
@@ -153,6 +155,33 @@ class TestCSRReference:
             own = values[csr.indptr[i]:csr.indptr[i + 1]].tolist()
             assert up[i] == (max(own) if own else -math.inf)
             assert down[i] == (min(own) if own else 7.5)
+
+
+def reference_csr(graph):
+    """The CSR arrays as built from the tuple list with ``np.fromiter``
+    before the graph kept an edge array."""
+    n = graph.num_clusters
+    edges = graph.edges
+    flat = np.fromiter(chain.from_iterable(edges), np.int64,
+                       2 * len(edges))
+    ea, eb = flat[0::2], flat[1::2]
+    src = np.concatenate([ea, eb])
+    dst = np.concatenate([eb, ea])
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return {"row": src[order], "indices": dst[order], "indptr": indptr,
+            "edge_a": ea, "edge_b": eb}
+
+
+@pytest.mark.parametrize("graph", NAMED_GRAPHS + CSR_GRAPHS,
+                         ids=lambda graph: graph.name)
+def test_csr_from_edge_array_matches_tuple_build(graph):
+    csr = CSRAdjacency(graph)
+    for name, expected in reference_csr(graph).items():
+        got = getattr(csr, name)
+        assert got.dtype == expected.dtype, name
+        assert np.array_equal(got, expected), name
 
 
 @pytest.mark.parametrize("protocol", ["gcs_single", "ftgcs"])

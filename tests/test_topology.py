@@ -2,7 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.topology import ClusterGraph, hop_diameter, adjacency_from_edges
@@ -118,6 +121,139 @@ class TestValidation:
             graph.neighbors(cluster)
         with pytest.raises(TopologyError, match="unknown cluster"):
             graph.degree(cluster)
+
+
+def reference_normalize(num_vertices, edges):
+    """The edge check as a Python loop over tuples: the oracle
+    :func:`graphs.normalize_edges` must agree with, error text and
+    all."""
+    seen = set()
+    result = []
+    for edge in edges:
+        a, b = edge
+        if not (0 <= a < num_vertices and 0 <= b < num_vertices):
+            raise TopologyError(
+                f"edge ({a!r}, {b!r}) references a vertex outside "
+                f"0..{num_vertices - 1}")
+        if a == b:
+            raise TopologyError(f"self-loop at vertex {a!r}")
+        if a > b:
+            edge = (b, a)
+        elif type(edge) is not tuple:
+            edge = (a, b)
+        if edge in seen:
+            raise TopologyError(f"duplicate edge {edge!r}")
+        seen.add(edge)
+        result.append(edge)
+    return result
+
+
+def reference_caterpillar(length, width):
+    """The caterpillar's edge order as a Python loop."""
+    edges = []
+    for i in range(length):
+        hub = i * width
+        if i + 1 < length:
+            edges.append((hub, hub + width))
+        for leaf in range(hub + 1, hub + width):
+            edges.append((hub, leaf))
+    return edges
+
+
+@st.composite
+def small_edge_lists(draw):
+    """``(n, edges)``: ids from -2 to n + 1, pairs drawn from a small
+    pool so repeats and reversed repeats are common."""
+    n = draw(st.integers(1, 6))
+    ids = st.integers(-2, n + 1)
+    pool = draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=6))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()),
+                          max_size=10))
+    return n, [(b, a) if flip else (a, b) for (a, b), flip in picks]
+
+
+class TestEdgeArray:
+    """The array edge check, the caterpillar generator and the graph's
+    edge store against the Python loops they replace."""
+
+    @given(case=small_edge_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_normalize_matches_reference_loop(self, case):
+        n, edges = case
+        as_array = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        try:
+            expected = reference_normalize(n, edges)
+        except TopologyError as exc:
+            for given_edges in (edges, as_array):
+                with pytest.raises(TopologyError) as raised:
+                    graphs.normalize_edges(n, given_edges)
+                assert str(raised.value) == str(exc)
+            return
+        for given_edges in (edges, as_array):
+            result = graphs.normalize_edges(n, given_edges)
+            assert result.dtype == np.int64
+            assert result.shape == (len(edges), 2)
+            assert list(map(tuple, result.tolist())) == expected
+        assert ClusterGraph(n, edges).edges == expected
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (1, 0), (0, 5)], "duplicate edge (0, 1)"),
+        ([(0, 1), (0, 5), (1, 0)], "edge (0, 5) references a vertex"),
+        ([(2, 0), (5, 0)], "edge (5, 0) references a vertex"),
+        # (1, 2) and (0, 5) share the key 1 * 3 + 2 == 0 * 3 + 5.
+        ([(1, 2), (0, 5)], "edge (0, 5) references a vertex"),
+        ([(0, 1), (2, 2), (1, 0)], "self-loop at vertex 2"),
+    ])
+    def test_first_offender_in_input_order(self, edges, message):
+        with pytest.raises(TopologyError) as raised:
+            ClusterGraph(3, edges)
+        assert str(raised.value).startswith(message)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1.5), (1, 2)],
+        [(0, 1.5), (0, 1)],
+        np.array([[0.0, 1.0]]),
+        [(0, "1")],
+        [(0, None)],
+        [(0, 1), (1,)],
+        [(0, 1, 2)],
+        [0, 1],
+    ], ids=["fractional", "fractional-truncates-to-duplicate",
+            "float-array", "string", "none", "ragged", "triple", "flat"])
+    def test_malformed_ids_rejected_at_construction(self, edges):
+        with pytest.raises(TopologyError, match="not integer pairs"):
+            ClusterGraph(3, edges)
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_caterpillar_order_matches_loop(self, length):
+        for width in range(1, 9):
+            edges = graphs.caterpillar_edges(length, width)
+            assert edges.dtype == np.int64
+            assert list(map(tuple, edges.tolist())) \
+                == reference_caterpillar(length, width)
+
+    def test_edge_array_is_read_only(self):
+        graph = ClusterGraph.caterpillar(3, 2)
+        assert not graph.edge_array.flags.writeable
+        with pytest.raises(ValueError):
+            graph.edge_array[0, 0] = 5
+        assert graph.num_edges == len(graph.edge_array) == 5
+
+    def test_edge_list_copies_leave_the_graph_unchanged(self):
+        graph = ClusterGraph.line(4)
+        edges = graph.edges
+        edges[0] = (2, 3)
+        edges.append((0, 3))
+        assert graph.edges == [(0, 1), (1, 2), (2, 3)]
+        assert graph.num_edges == 3
+        assert graph.neighbors(0) == (1,)
+
+    def test_caller_array_is_copied(self):
+        given_edges = np.array([[0, 1], [2, 1]])
+        graph = ClusterGraph(3, given_edges)
+        given_edges[0] = (0, 2)
+        assert given_edges.flags.writeable
+        assert graph.edge_array.tolist() == [[0, 1], [1, 2]]
 
 
 #: One instance of every named constructor, plus graphs whose
