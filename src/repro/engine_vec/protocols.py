@@ -83,6 +83,69 @@ def _injected_up_down(csr: CSRAdjacency, clocks: np.ndarray,
     return up, down
 
 
+def _run_graph_rounds(model: VecGcsSingle | VecFtgcs,
+                      noise: np.random.Generator,
+                      half_width: float, slack: float, step: float,
+                      clocks: np.ndarray,
+                      rate: np.ndarray) -> ProtocolRunResult:
+    """The round loop of the graph models (``gcs_single`` and the
+    ``ftgcs`` skeleton), which differ only in their arguments.
+
+    Per round: per-slot neighbor estimates ``clocks[j]`` plus one
+    uniform ``±half_width`` draw per directed slot from ``noise``, the
+    adversary's injection (choosing against a lookahead of this very
+    round), the FT trigger via CSR segment max/min with ``slack``, then
+    every clock advances ``step`` at ``rate * (1 + mu * gamma)``; the
+    local and global skew after each round form the series.
+    """
+    p = model.params
+    csr = model.csr
+    adv = model.adv
+    series: list[tuple[float, float, float]] = []
+    max_local = max_global = 0.0
+    last_local = 0.0
+    slots = csr.num_slots
+    for r in range(1, model.rounds + 1):
+        estimates = csr.gather(clocks)
+        if half_width > 0.0 and slots:
+            estimates = estimates + noise.uniform(
+                -half_width, half_width, slots)
+        if adv is not None:
+            def lookahead(offsets, keep):
+                up, down = _injected_up_down(csr, clocks, estimates,
+                                             offsets, keep)
+                gamma = fast_trigger_mask(
+                    up, down, p.kappa, slack).astype(np.float64)
+                return adv.local_skew(
+                    clocks + rate * (1.0 + p.mu * gamma) * step)
+
+            offsets, keep = adv.round_vectors(
+                r, honest_local_skew=last_local, evaluate=lookahead)
+            up, down = _injected_up_down(csr, clocks, estimates,
+                                         offsets, keep)
+        else:
+            up = csr.segment_max(estimates) - clocks
+            down = clocks - csr.segment_min(estimates)
+        gamma = fast_trigger_mask(up, down, p.kappa,
+                                  slack).astype(np.float64)
+        clocks = clocks + rate * (1.0 + p.mu * gamma) * step
+        if adv is not None:
+            local = adv.local_skew(clocks)
+            global_ = adv.global_skew(clocks)
+        else:
+            local = csr.edge_skew(clocks)
+            global_ = _spread(clocks)
+        last_local = local
+        series.append((r * step, local, global_))
+        max_local = max(max_local, local)
+        max_global = max(max_global, global_)
+    return model._result(
+        max_global=max_global, max_local=max_local, series=series,
+        messages_sent=model.rounds * slots, rounds=model.rounds,
+        nodes=csr.num_nodes,
+        adversary=adv.counters() if adv is not None else None)
+
+
 class VecRoundModel:
     """Shared plumbing: context, streams, result assembly."""
 
@@ -173,60 +236,15 @@ class VecGcsSingle(VecRoundModel):
 
     def run(self) -> ProtocolRunResult:
         p = self.params
-        csr = self.csr
-        adv = self.adv
-        n = csr.num_nodes
+        n = self.csr.num_nodes
         ids = np.arange(n)
         if self.rate_spread:
             rate = 1.0 + p.rho * (ids % 2)
         else:
             rate = np.ones(n)
-        clocks = np.zeros(n)
-        delays = self.streams.stream("delays")
-        series: list[tuple[float, float, float]] = []
-        max_local = max_global = 0.0
-        last_local = 0.0
-        slots = csr.num_slots
-        for r in range(1, self.rounds + 1):
-            estimates = csr.gather(clocks)
-            if p.u > 0.0 and slots:
-                estimates = estimates + delays.uniform(
-                    -p.u / 2.0, p.u / 2.0, slots)
-            if adv is not None:
-                def lookahead(offsets, keep):
-                    up, down = _injected_up_down(csr, clocks, estimates,
-                                                 offsets, keep)
-                    gamma = fast_trigger_mask(
-                        up, down, p.kappa, p.slack).astype(np.float64)
-                    return adv.local_skew(
-                        clocks + rate * (1.0 + p.mu * gamma) * p.period)
-
-                offsets, keep = adv.round_vectors(
-                    r, honest_local_skew=last_local,
-                    evaluate=lookahead)
-                up, down = _injected_up_down(csr, clocks, estimates,
-                                             offsets, keep)
-            else:
-                up = csr.segment_max(estimates) - clocks
-                down = clocks - csr.segment_min(estimates)
-            gamma = fast_trigger_mask(up, down, p.kappa,
-                                      p.slack).astype(np.float64)
-            clocks = clocks + rate * (1.0 + p.mu * gamma) * p.period
-            if adv is not None:
-                local = adv.local_skew(clocks)
-                global_ = adv.global_skew(clocks)
-            else:
-                local = csr.edge_skew(clocks)
-                global_ = _spread(clocks)
-            last_local = local
-            series.append((r * p.period, local, global_))
-            max_local = max(max_local, local)
-            max_global = max(max_global, global_)
-        return self._result(
-            max_global=max_global, max_local=max_local, series=series,
-            messages_sent=self.rounds * slots, rounds=self.rounds,
-            nodes=n,
-            adversary=adv.counters() if adv is not None else None)
+        return _run_graph_rounds(
+            self, self.streams.stream("delays"), p.u / 2.0, p.slack,
+            p.period, np.zeros(n), rate)
 
 
 class VecSrikanthToueg(VecRoundModel):
@@ -498,62 +516,15 @@ class VecFtgcs(VecRoundModel):
 
     def run(self) -> ProtocolRunResult:
         p = self.params
-        csr = self.csr
-        adv = self.adv
-        n = csr.num_nodes
+        n = self.csr.num_nodes
         rate = 1.0 + p.rho * (np.arange(n) % 2)
         clocks = np.zeros(n)
         if self.cluster_offsets is not None:
             clocks = clocks + np.asarray(self.cluster_offsets,
                                          dtype=np.float64)
-        estimates_rng = self.streams.stream("estimates")
-        series: list[tuple[float, float, float]] = []
-        max_local = max_global = 0.0
-        last_local = 0.0
-        slots = csr.num_slots
-        for r in range(1, self.rounds + 1):
-            estimates = csr.gather(clocks)
-            if p.cap_e > 0.0 and slots:
-                estimates = estimates + estimates_rng.uniform(
-                    -p.cap_e, p.cap_e, slots)
-            if adv is not None:
-                def lookahead(offsets, keep):
-                    up, down = _injected_up_down(csr, clocks, estimates,
-                                                 offsets, keep)
-                    gamma = fast_trigger_mask(
-                        up, down, p.kappa,
-                        p.delta_trigger).astype(np.float64)
-                    return adv.local_skew(
-                        clocks + rate * (1.0 + p.mu * gamma)
-                        * p.round_length)
-
-                offsets, keep = adv.round_vectors(
-                    r, honest_local_skew=last_local,
-                    evaluate=lookahead)
-                up, down = _injected_up_down(csr, clocks, estimates,
-                                             offsets, keep)
-            else:
-                up = csr.segment_max(estimates) - clocks
-                down = clocks - csr.segment_min(estimates)
-            gamma = fast_trigger_mask(
-                up, down, p.kappa, p.delta_trigger).astype(np.float64)
-            clocks = clocks + rate * (1.0 + p.mu * gamma) \
-                * p.round_length
-            if adv is not None:
-                local = adv.local_skew(clocks)
-                global_ = adv.global_skew(clocks)
-            else:
-                local = csr.edge_skew(clocks)
-                global_ = _spread(clocks)
-            last_local = local
-            series.append((r * p.round_length, local, global_))
-            max_local = max(max_local, local)
-            max_global = max(max_global, global_)
-        return self._result(
-            max_global=max_global, max_local=max_local, series=series,
-            messages_sent=self.rounds * slots, rounds=self.rounds,
-            nodes=n,
-            adversary=adv.counters() if adv is not None else None)
+        return _run_graph_rounds(
+            self, self.streams.stream("estimates"), p.cap_e,
+            p.delta_trigger, p.round_length, clocks, rate)
 
 
 #: Protocol name -> vectorized round model; the vectorized engine's
