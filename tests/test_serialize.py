@@ -168,7 +168,7 @@ class TestSpecRoundTrip:
             " for d in json.loads(sys.stdin.read())]\n"
             "print('\\n'.join(spec_hash(s) for s in specs))\n")
         completed = subprocess.run(
-            [sys.executable, "-c", script], input=payload,
+            [sys.executable, "-B", "-c", script], input=payload,
             capture_output=True, text=True, timeout=120,
             env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
         assert completed.returncode == 0, completed.stderr
