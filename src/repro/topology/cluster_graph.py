@@ -29,6 +29,7 @@ it runs on never pays for a Python object per edge or per vertex.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -39,7 +40,9 @@ from repro.topology import graphs as g
 class ClusterGraph:
     """The abstract network ``G = (C, E)`` of supernodes."""
 
-    def __init__(self, num_clusters: int, edges, name: str = "") -> None:
+    def __init__(self, num_clusters: int,
+                 edges: Sequence[tuple[int, int]] | np.ndarray,
+                 name: str = "") -> None:
         if num_clusters < 1:
             raise TopologyError(f"need at least one cluster: {num_clusters!r}")
         self._edge_array = g.normalize_edges(num_clusters, edges)
@@ -117,24 +120,21 @@ class ClusterGraph:
     @property
     def edges(self) -> list[tuple[int, int]]:
         """A fresh list of the canonical edges as ``(int, int)``
-        tuples, in construction order."""
-        return list(self._edge_tuples())
+        tuples, in construction order (built from the array on the
+        first query)."""
+        if self._edges is None:
+            self._edges = list(map(tuple, self._edge_array.tolist()))
+        return list(self._edges)
 
     @property
     def num_edges(self) -> int:
         return len(self._edge_array)
 
-    def _edge_tuples(self) -> list[tuple[int, int]]:
-        """The edge tuples, built from the array on the first query."""
-        if self._edges is None:
-            self._edges = list(map(tuple, self._edge_array.tolist()))
-        return self._edges
-
     def _adjacent(self) -> list[list[int]]:
         """Sorted adjacency lists, built on the first query."""
         if self._adjacency is None:
             self._adjacency = g.adjacency_from_edges(self._num_clusters,
-                                                     self._edge_tuples())
+                                                     self.edges)
         return self._adjacency
 
     def neighbors(self, cluster: int) -> tuple[int, ...]:

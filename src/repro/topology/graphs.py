@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.errors import TopologyError
 
 
-def normalize_edges(num_vertices: int, edges) -> np.ndarray:
+def normalize_edges(num_vertices: int,
+                    edges: Sequence[tuple[int, int]] | np.ndarray
+                    ) -> np.ndarray:
     """Validate and canonicalize an undirected edge list.
 
     ``edges`` is a sequence of integer pairs or an ``(m, 2)`` integer
@@ -56,9 +59,8 @@ def normalize_edges(num_vertices: int, edges) -> np.ndarray:
     ordered = np.sort(key, kind="stable")
     if valid == len(result) and not (ordered[1:] == ordered[:-1]).any():
         return result
-    _, first = np.unique(key, return_index=True)
     repeated = np.ones(valid, dtype=bool)
-    repeated[first] = False
+    repeated[np.unique(key, return_index=True)[1]] = False
     offender = int(repeated.argmax()) if repeated.any() else valid
     if offender < valid:
         raise TopologyError(
