@@ -84,9 +84,8 @@ def _injected_up_down(csr: CSRAdjacency, clocks: np.ndarray,
 
 
 def _run_graph_rounds(model: VecGcsSingle | VecFtgcs,
-                      noise: np.random.Generator,
-                      half_width: float, slack: float, step: float,
-                      clocks: np.ndarray,
+                      noise: np.random.Generator, half_width: float,
+                      slack: float, step: float, clocks: np.ndarray,
                       rate: np.ndarray) -> ProtocolRunResult:
     """The round loop of the graph models (``gcs_single`` and the
     ``ftgcs`` skeleton), which differ only in their arguments.
