@@ -16,8 +16,8 @@ The equivalence contract against the event kernel (bit-equal where the
 math permits, documented tolerance otherwise) is implemented and
 enforced by :mod:`repro.engine_vec.equivalence`.
 
-numpy is the only third-party dependency of the simulation code.  The
-topology layer needs it too: every
+numpy is the only third-party dependency of the simulation code, and
+not only of this engine: every
 :class:`~repro.topology.cluster_graph.ClusterGraph` keeps its edges as
 one numpy array, which this engine's CSR view reads directly.
 """

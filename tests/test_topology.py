@@ -177,7 +177,7 @@ class TestEdgeArray:
     edge store against the Python loops they replace."""
 
     @given(case=small_edge_lists())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_normalize_matches_reference_loop(self, case):
         n, edges = case
         as_array = np.array(edges, dtype=np.int64).reshape(-1, 2)
