@@ -209,6 +209,30 @@ def test_vectorized_cell_builds_no_adjacency_lists(monkeypatch, protocol):
     assert calls == []
 
 
+@pytest.mark.parametrize("adversary", [None, "greedy"])
+@pytest.mark.parametrize("protocol", ["gcs_single", "ftgcs"])
+def test_vectorized_cell_builds_no_edge_tuples(monkeypatch, protocol,
+                                               adversary):
+    # Set-up reads the graph's edge array: the tuple list behind
+    # ``edges`` would keep a Python object per edge alive for the run.
+    reads = []
+    edges = ClusterGraph.edges
+    monkeypatch.setattr(ClusterGraph, "edges", property(
+        lambda graph: reads.append(graph.name) or edges.fget(graph)))
+    scenario = Scenario.on("caterpillar", 5, 4)
+    if protocol == "gcs_single":
+        scenario = scenario.protocol("gcs_single").payload(
+            params=GCS, until=50.0)
+    else:
+        scenario = scenario.params(
+            Parameters.practical(rho=1e-4, d=1.0, u=0.1, f=1)).rounds(3)
+    if adversary is not None:
+        scenario = scenario.adversarial(adversary, amplitude=0.1)
+    cell = run_cell(scenario.engine("vectorized").seed(4).build())
+    assert cell.result.detail["nodes"] == 20
+    assert reads == []
+
+
 class TestFaultyVectors:
     def test_silent_faults_at_f_bound(self):
         # n = 3f + 1 with exactly f silent nodes: the quorum
