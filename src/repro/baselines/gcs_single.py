@@ -221,16 +221,12 @@ class GcsSingleSystem:
                  seed: int = 0,
                  liars: dict[int, dict[int, int]] | None = None,
                  rate_spread: bool = True,
-                 batched_delivery: bool = True,
                  liar_bias: float | None = None,
                  liar_ramp: float | None = None) -> None:
         """``liars`` maps a node id to its per-neighbor phantom
         directions (see :class:`GcsLiarNode`); ``liar_bias``/
         ``liar_ramp`` override every liar's phantom shape (``None``
-        keeps the :class:`GcsLiarNode` defaults).  ``batched_delivery``
-        selects the network's delivery path (measurements are
-        bit-identical either way; ``False`` is the legacy per-message
-        event stream for A/B benchmarks)."""
+        keeps the :class:`GcsLiarNode` defaults)."""
         self.graph = graph
         self.params = params
         self.sim = Simulator()
@@ -238,8 +234,7 @@ class GcsSingleSystem:
         self.network = Network(
             self.sim, d=params.d, u=params.u,
             default_delay_model=UniformDelay(
-                params.d, params.u, self.rng.stream("delays")),
-            batched=batched_delivery)
+                params.d, params.u, self.rng.stream("delays")))
         n = graph.num_clusters
         for node_id in range(n):
             self.network.add_node(node_id)

@@ -100,13 +100,6 @@ class SystemConfig:
         *under*-estimate — sound, but lossy on long outages; every
         capped re-announcement is counted in
         ``RunResult.reannounce_cap_hits`` so the cap can be sized.
-    batched_delivery:
-        Deliver messages through the network's batched fast path (one
-        kernel wake-up per batch instead of one event per message; see
-        :mod:`repro.net.network`).  On by default — handler execution
-        order, and therefore every measurement, is bit-identical
-        either way; ``False`` restores the legacy per-message event
-        stream for A/B benchmarking.
     e1:
         Initial error bound for loose-initialization runs (adaptive
         round schedule); default: steady state ``E``.
@@ -127,7 +120,6 @@ class SystemConfig:
     max_estimate_unit: float | None = None
     dynamic_estimators: bool = False
     max_reannounce_levels: int = MAX_REANNOUNCE_LEVELS
-    batched_delivery: bool = True
     e1: float | None = None
     sample_interval: float | None = None
     record_series: bool = False
@@ -313,8 +305,7 @@ class FtgcsSystem:
 
     def _build_network(self) -> Network:
         p = self.params
-        net = Network(self.sim, d=p.d, u=p.u,
-                      batched=self.config.batched_delivery)
+        net = Network(self.sim, d=p.d, u=p.u)
         for node_id in range(self.graph.num_nodes):
             net.add_node(node_id)
         for a, b in self.graph.node_edges():

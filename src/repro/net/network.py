@@ -51,15 +51,15 @@ enforced — so experiments can measure degradation under heavy-tailed
 delays.  See :mod:`repro.net.delays` for the documented out-of-model
 policy.
 
-Batched delivery (the default fast path)
-----------------------------------------
+Batched delivery
+----------------
 In-flight messages dominate the event population of large runs (at
 diameter 64 they outnumber every alarm and sampler event combined), so
-by default the network does **not** allocate one kernel event per
-message.  Instead every send pushes a plain ``(time, seq, receiver,
-message, sender)`` tuple onto an internal delivery heap — with ``seq``
-drawn from the *kernel's* sequence counter, exactly the number the
-legacy per-message event would have carried; ``sender`` only serves
+the network does **not** allocate one kernel event per message.
+Instead every send pushes a plain ``(time, seq, receiver, message,
+sender)`` tuple onto an internal delivery heap — with ``seq`` drawn
+from the *kernel's* sequence counter, exactly the number a
+per-message kernel event would have carried; ``sender`` only serves
 in-flight quarantine — and a single *flush* event, co-keyed with the
 earliest pending delivery, wakes the network up.  One wake-up then
 drains every consecutively-due delivery (all entries whose ``(time,
@@ -67,13 +67,12 @@ seq)`` key precedes the kernel's next queued event and the current run
 horizon), advancing ``sim.now`` per entry.
 
 Because seq allocation, delivery times, and the position of every
-delivery relative to every other kernel event are all unchanged,
-handler execution order is **bit-identical** to the legacy
-one-event-per-message stream; only ``Simulator.events_processed``
-shrinks (one flush per batch instead of one event per message).
-``batched=False`` restores the legacy stream for A/B measurements
-(``SystemConfig.batched_delivery`` surfaces the knob on the FTGCS
-family).
+delivery relative to every other kernel event are those of one kernel
+event per message, handler execution order is **bit-identical** to
+that per-message stream; only ``Simulator.events_processed`` shrinks
+(one flush per batch instead of one event per message).  The tests
+keep the per-message stream as the oracle the batched path is
+compared against.
 
 Fan-out plans
 -------------
@@ -124,15 +123,10 @@ class Network:
     default_delay_model:
         Model used by links that do not override it.  ``None`` means
         links must each specify their own model.
-    batched:
-        Deliver through the batched fast path (module docstring).
-        ``False`` restores the legacy one-kernel-event-per-message
-        stream; handler execution order is bit-identical either way.
     """
 
     def __init__(self, sim: Simulator, d: float, u: float,
-                 default_delay_model: DelayModel | None = None,
-                 batched: bool = True) -> None:
+                 default_delay_model: DelayModel | None = None) -> None:
         if d <= 0:
             raise NetworkError(f"d must be positive: {d!r}")
         if not 0 <= u <= d:
@@ -152,11 +146,10 @@ class Network:
         #: static topologies — the common case the hot paths check
         #: with one falsy test.
         self._inactive: set[tuple[int, int]] = set()
-        self.batched = bool(batched)
         #: Pending ``(time, seq, receiver, message, sender)``
-        #: deliveries (batched mode); ``seq`` comes from the kernel's
-        #: counter so ordering against kernel events matches the
-        #: legacy stream.
+        #: deliveries; ``seq`` comes from the kernel's counter so
+        #: ordering against kernel events matches one kernel event
+        #: per message.
         self._pending: list[tuple[float, int, int, Any, int]] = []
         #: ``(time, seq)`` of the earliest armed flush event, or
         #: ``None``.  Invariant: whenever ``_pending`` is non-empty
@@ -303,35 +296,18 @@ class Network:
             self, pairs: tuple[tuple[int, int], ...]) -> None:
         """Drop queued deliveries traversing the directed ``pairs``.
 
-        Batched mode filters the delivery heap; legacy mode lazily
-        cancels the matching per-message kernel events.  Neither path
-        perturbs sequence allocation, so the surviving deliveries keep
-        their exact legacy ordering.
+        Filters the delivery heap without touching sequence numbers,
+        so the surviving deliveries keep their exact order.
         """
-        dropped = 0
         directed = set(pairs)
         pending = self._pending
-        if pending:
-            kept = [entry for entry in pending
-                    if (entry[4], entry[2]) not in directed]
-            dropped += len(pending) - len(kept)
-            if dropped:
-                # In place: a running drain holds the list by alias.
-                pending[:] = kept
-                heapify(pending)
-        # Legacy per-message events (and any scheduled before a
-        # batched-mode switch): cancel without reordering survivors.
-        # NB: ``==``, not ``is`` — every ``self._deliver`` access makes
-        # a fresh bound-method object; they compare equal, never
-        # identical.
-        deliver = self._deliver
-        for _, _, event in self._sim._queue._heap:
-            if (event.callback == deliver and not event.cancelled
-                    and not event.fired):
-                args = event.args
-                if len(args) >= 3 and (args[2], args[0]) in directed:
-                    self._sim.cancel(event)
-                    dropped += 1
+        kept = [entry for entry in pending
+                if (entry[4], entry[2]) not in directed]
+        dropped = len(pending) - len(kept)
+        if dropped:
+            # In place: a running drain holds the list by alias.
+            pending[:] = kept
+            heapify(pending)
         self.dropped_in_flight += dropped
 
     def link_active(self, a: int, b: int) -> bool:
@@ -401,11 +377,7 @@ class Network:
         delay = model.draw(sender, receiver, self._sim.now)
         self._validate_drawn(model.in_model, delay)
         self.messages_sent += 1
-        if self.batched:
-            self._schedule_delivery(delay, receiver, message, sender)
-        else:
-            self._sim.call_in(delay, self._deliver, receiver, message,
-                              sender)
+        self._schedule_delivery(delay, receiver, message, sender)
 
     def send_with_delay(self, sender: int, receiver: int, message: Any,
                         delay: float) -> None:
@@ -428,11 +400,7 @@ class Network:
             return
         self._validate_delay(delay)
         self.messages_sent += 1
-        if self.batched:
-            self._schedule_delivery(delay, receiver, message, sender)
-        else:
-            self._sim.call_in(delay, self._deliver, receiver, message,
-                              sender)
+        self._schedule_delivery(delay, receiver, message, sender)
 
     def broadcast(self, sender: int, message: Any) -> int:
         """Send ``message`` to every neighbor; returns the copy count.
@@ -446,8 +414,8 @@ class Network:
         insertion order: the same per-copy checks, draws, counters and
         kernel sequence numbers.  The loop runs over the sender's
         fan-out plan (module docstring) with the envelope check and
-        the batched-delivery queueing of :meth:`_schedule_delivery`
-        inlined, as this is the hottest send path.
+        the delivery queueing of :meth:`_schedule_delivery` inlined,
+        as this is the hottest send path.
         """
         plan = self._plans.get(sender)
         if plan is None:
@@ -458,7 +426,6 @@ class Network:
         pending = self._pending
         inactive = self._inactive
         loss = self._loss
-        batched = self.batched
         low = self._d - self._u - _ENVELOPE_TOL
         high = self._d + _ENVELOPE_TOL
         copies = 0
@@ -474,10 +441,6 @@ class Network:
                 self._validate_drawn(in_model, delay)  # raises
             self.messages_sent += 1
             copies += 1
-            if not batched:
-                sim.call_in(delay, self._deliver, receiver, message,
-                            sender)
-                continue
             # Inlined _schedule_delivery (see there).
             time = now + delay
             if time < now:
@@ -512,25 +475,21 @@ class Network:
 
     @property
     def pending_deliveries(self) -> int:
-        """In-flight messages not yet handed to a receiver.
-
-        Batched mode: the delivery heap's size.  Legacy mode: always 0
-        (per-message kernel events are not tracked here — use
-        ``sim.pending_events``).
-        """
+        """In-flight messages not yet handed to a receiver (the
+        delivery heap's size)."""
         return len(self._pending)
 
     def _schedule_delivery(self, delay: float, receiver: int,
                            message: Any, sender: int) -> None:
-        """Queue one delivery on the batched path.
+        """Queue one delivery.
 
-        The entry takes the kernel sequence number the legacy
-        per-message event would have consumed, so ordering against
-        every other kernel event is unchanged; a flush wake-up is
-        (re)armed whenever this entry becomes the earliest pending
-        delivery.  ``sender`` rides along (heap keys are the first two
-        elements, so ordering is untouched) purely for in-flight
-        quarantine bookkeeping.
+        The entry takes the kernel sequence number a per-message
+        kernel event would have consumed, so ordering against every
+        other kernel event is unchanged; a flush wake-up is (re)armed
+        whenever this entry becomes the earliest pending delivery.
+        ``sender`` rides along (heap keys are the first two elements,
+        so ordering is untouched) purely for in-flight quarantine
+        bookkeeping.
         """
         sim = self._sim
         now = sim._now
@@ -561,7 +520,7 @@ class Network:
         Fired by a kernel wake-up co-keyed with a delivery entry.  The
         drain hands over every pending entry whose ``(time, seq)`` key
         precedes both the kernel's next *foreign* queued event and the
-        active run horizon — exactly the entries the legacy stream
+        active run horizon — exactly the entries a per-message stream
         would have fired as individual events before the kernel got to
         do anything else — advancing ``sim.now`` to each entry's own
         due time.  The network's own not-yet-fired wake-up events (and
@@ -625,9 +584,9 @@ class Network:
                 # method call per message.
                 sim._now = t
                 delivered += 1
-                # Counted before the handler runs, like the legacy
-                # per-message path: handlers reading the public
-                # counter mid-run see identical values either way.
+                # Counted before the handler runs, as one kernel event
+                # per message would: handlers reading the public
+                # counter mid-run see the per-message values.
                 self.messages_delivered += 1
                 handler = handlers_get(head[2])
                 if handler is not None:
@@ -644,18 +603,6 @@ class Network:
                     self._flush_key = (head[0], head[1])
                     sim.call_at_key(head[0], head[1], self._flush_cb,
                                     head[0], head[1])
-
-    def _deliver(self, receiver: int, message: Any,
-                 sender: int | None = None) -> None:
-        """Legacy per-message kernel-event delivery (``batched=False``).
-
-        ``sender`` is carried in the event args only so in-flight
-        quarantine can identify the link; delivery ignores it.
-        """
-        handler = self._handlers.get(receiver)
-        self.messages_delivered += 1
-        if handler is not None:
-            handler(message, self._sim.now)
 
 
 def uniform_network(sim: Simulator, d: float, u: float,

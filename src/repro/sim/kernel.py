@@ -59,8 +59,8 @@ class Simulator:
         self._events_processed = 0
         self._running = False
         #: Time bound of the active :meth:`run` call (``inf`` outside
-        #: one).  Batch consumers (the batched network delivery path)
-        #: read it so a single kernel wake-up never executes work past
+        #: one).  Batch consumers (the network's delivery heap) read
+        #: it so a single kernel wake-up never executes work past
         #: the caller's horizon.
         self._horizon = math.inf
         #: Work-unit budget of the active
@@ -178,21 +178,20 @@ class Simulator:
         return event
 
     # ------------------------------------------------------------------
-    # Batch-consumer API (internal; used by the batched network path)
+    # Batch-consumer API (internal; used by the network's delivery heap)
     # ------------------------------------------------------------------
 
     def alloc_seq(self) -> int:
         """Consume one scheduling sequence number without queueing.
 
-        The batched network delivery path assigns every message the
-        sequence number the legacy one-event-per-message path would
-        have given its delivery event, so tie-breaking among
-        simultaneous events stays bit-identical whether batching is on
-        or off.  The number is burned either way — callers must use it
-        (in their own side queue) or accept the gap.  (The network's
-        per-message hot path inlines this body; this method is the
-        documented contract and the entry point for other batch
-        consumers.)
+        The network's batched delivery assigns every message the
+        sequence number one kernel event per message would have given
+        its delivery, so tie-breaking among simultaneous events is the
+        same as in that per-message stream.  The number is burned
+        either way — callers must use it (in their own side queue) or
+        accept the gap.  (The network's per-message hot path inlines
+        this body; this method is the documented contract and the
+        entry point for other batch consumers.)
         """
         queue = self._queue
         seq = queue._seq
@@ -205,7 +204,7 @@ class Simulator:
 
         Internal plumbing for batch consumers: a wake-up event co-keyed
         with an :meth:`alloc_seq`-numbered side-queue entry fires at
-        exactly the heap position the legacy per-entry event would
+        exactly the heap position a per-entry kernel event would
         have, so interleaving with every other kernel event is
         preserved.  ``seq`` must come from :meth:`alloc_seq` (reusing a
         live event's key is undefined).
@@ -231,10 +230,10 @@ class Simulator:
     def step(self) -> bool:
         """Fire the single next event.
 
-        A batched-network flush event fired through here delivers at
-        most one message (the batch budget is pinned to one work unit
-        for the duration), so step-driven loops keep their per-event
-        granularity under the batched delivery path too.
+        A network flush event fired through here delivers at most one
+        message (the batch budget is pinned to one work unit for the
+        duration), so step-driven loops keep their per-event
+        granularity under batched delivery too.
 
         Returns
         -------
@@ -354,7 +353,7 @@ class Simulator:
         fired = 0
         bounded = max_events is not None
         # Own budget and horizon for the duration (saved/restored so
-        # nesting works like the pre-batching per-call counters: an
+        # nesting works like per-call counters: an
         # inner call never consumes — or disables — an outer bound,
         # and "until idle" means every pending delivery is due).
         prev_horizon = self._horizon

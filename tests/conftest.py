@@ -2,6 +2,36 @@
 
 import pytest
 
+from repro.net.network import Network
+
+
+class PerMessageNetwork(Network):
+    """The oracle for :class:`Network`'s batched delivery: one kernel
+    event per message (the counter bumped before the handler runs) and
+    a broadcast as one ``send`` per neighbour.  Every handler call,
+    counter and draw must match the batched path's."""
+
+    def _schedule_delivery(self, delay, receiver, message, sender):
+        self._sim.call_in(delay, self._deliver_one, receiver, message)
+
+    def _deliver_one(self, receiver, message):
+        self.messages_delivered += 1
+        handler = self._handlers.get(receiver)
+        if handler is not None:
+            handler(message, self._sim.now)
+
+    def broadcast(self, sender, message):
+        sent = self.messages_sent
+        for receiver in self.neighbors(sender):
+            self.send(sender, receiver, message)
+        return self.messages_sent - sent
+
+
+@pytest.fixture
+def per_message_network():
+    """The :class:`PerMessageNetwork` oracle class."""
+    return PerMessageNetwork
+
 
 def pytest_configure(config):
     # Register the custom marks so pytest does not warn about them;

@@ -38,10 +38,9 @@ from repro.topology.cluster_graph import ClusterGraph
 from repro.topology.schedule import NodeChurnSchedule, build_schedule
 
 
-def make_net(d=1.0, u=0.2, batched=True):
+def make_net(d=1.0, u=0.2, network_class=Network):
     sim = Simulator()
-    net = Network(sim, d=d, u=u, default_delay_model=FixedDelay(d),
-                  batched=batched)
+    net = network_class(sim, d=d, u=u, default_delay_model=FixedDelay(d))
     for node in (0, 1, 2):
         net.add_node(node)
     net.add_link(0, 1)
@@ -115,9 +114,8 @@ class TestLossModels:
 
 
 class TestNetworkLoss:
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_loss_counted_separately_from_link_down(self, batched):
-        sim, net = make_net(batched=batched)
+    def test_loss_counted_separately_from_link_down(self):
+        sim, net = make_net()
         net.set_loss_model(BernoulliLoss(0.5, random.Random(1)))
         received = []
         net.set_handler(1, lambda m, t: received.append(m))
@@ -134,9 +132,10 @@ class TestNetworkLoss:
                                         + net.dropped_in_flight)
         assert len(received) == 100 - net.dropped_loss
 
-    def test_loss_identical_on_both_delivery_paths(self):
-        def run(batched):
-            sim, net = make_net(batched=batched)
+    def test_loss_identical_on_both_delivery_paths(self,
+                                                   per_message_network):
+        def run(network_class):
+            sim, net = make_net(network_class=network_class)
             net.set_loss_model(BernoulliLoss(0.3, random.Random(5)))
             received = []
             net.set_handler(1, lambda m, t: received.append(m.value))
@@ -146,7 +145,7 @@ class TestNetworkLoss:
             sim.run(until=5.0)
             return received, net.dropped_loss
 
-        assert run(True) == run(False)
+        assert run(Network) == run(per_message_network)
 
     def test_set_loss_model_type_checked(self):
         _, net = make_net()
@@ -155,9 +154,8 @@ class TestNetworkLoss:
 
 
 class TestInFlightQuarantine:
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_drop_in_flight_true_quarantines(self, batched):
-        sim, net = make_net(batched=batched)
+    def test_drop_in_flight_true_quarantines(self):
+        sim, net = make_net()
         received = []
         net.set_handler(1, lambda m, t: received.append(m.value))
         net.send(0, 1, ValueMessage(sender=0, value=1.0))
@@ -168,9 +166,8 @@ class TestInFlightQuarantine:
         assert net.dropped_in_flight == 1
         assert net.messages_dropped == 1
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_drop_in_flight_false_delivers(self, batched):
-        sim, net = make_net(batched=batched)
+    def test_drop_in_flight_false_delivers(self):
+        sim, net = make_net()
         received = []
         net.set_handler(1, lambda m, t: received.append(m.value))
         net.send(0, 1, ValueMessage(sender=0, value=1.0))

@@ -21,9 +21,10 @@ from repro.net.loss import BernoulliLoss
 from repro.sim import Simulator
 
 
-def make_net(d=1.0, u=0.2, model=None):
+def make_net(d=1.0, u=0.2, model=None, network_class=Network):
     sim = Simulator()
-    net = Network(sim, d=d, u=u, default_delay_model=model or FixedDelay(d))
+    net = network_class(sim, d=d, u=u,
+                        default_delay_model=model or FixedDelay(d))
     return sim, net
 
 
@@ -201,15 +202,15 @@ class TestMessaging:
 
 
 class TestBatchedDelivery:
-    """The batched fast path must be observationally identical to the
-    legacy one-kernel-event-per-message stream."""
+    """Batched delivery must be observationally identical to one kernel
+    event per message (the ``per_message_network`` oracle)."""
 
-    def build_flood(self, batched, n=8, seed=3):
+    def build_flood(self, network_class, n=8, seed=3):
         sim = Simulator()
         rng = random.Random(seed)
-        net = Network(sim, d=1.0, u=0.5,
-                      default_delay_model=UniformDelay(1.0, 0.5, rng),
-                      batched=batched)
+        net = network_class(sim, d=1.0, u=0.5,
+                            default_delay_model=UniformDelay(1.0, 0.5,
+                                                             rng))
         log = []
         for i in range(n):
             def handler(msg, t, i=i):
@@ -221,44 +222,58 @@ class TestBatchedDelivery:
             net.add_link(i, i + 1)
         return sim, net, log
 
-    def test_flood_matches_legacy_stream(self):
-        # Identical seeds + identical alarm interleavings: the full
-        # (receiver, sender, time) delivery log must match exactly.
-        logs = {}
-        for batched in (True, False):
-            sim, net, log = self.build_flood(batched)
-            for t in (0.5, 1.25, 2.0, 3.75):
-                sim.call_at(t, log.append, ("alarm", t))
-            for i in range(8):
-                net.broadcast(i, (i, 4))
-            sim.run_until_idle()
-            logs[batched] = log
-        assert logs[True] == logs[False]
-        assert logs[True]  # non-trivial
+    def run_flood(self, network_class, n, seed, ttl, alarms):
+        sim, net, log = self.build_flood(network_class, n, seed)
+        for t in alarms:
+            sim.call_at(t, log.append, ("alarm", t))
+        for i in range(n):
+            net.broadcast(i, (i, ttl))
+        sim.run_until_idle()
+        return log, sim.events_processed
 
-    def test_same_time_ties_keep_send_order(self):
+    def test_flood_matches_legacy_stream(self, per_message_network):
+        # Identical seeds + identical alarm interleavings: the full
+        # (receiver, sender, time) delivery log must match the
+        # oracle's exactly.  The second case is a delivery-bound D=64
+        # line flood.
+        for n, seed, ttl, alarms in ((8, 3, 4, (0.5, 1.25, 2.0, 3.75)),
+                                     (65, 7, 6, ())):
+            log, events = self.run_flood(Network, n, seed, ttl, alarms)
+            oracle, oracle_events = self.run_flood(
+                per_message_network, n, seed, ttl, alarms)
+            assert log == oracle
+            assert log  # non-trivial
+        # D=64: every message drains in one wake-up; the oracle takes
+        # one kernel event per message.
+        assert len(log) == oracle_events == 15_732
+        assert events == 1
+
+    def test_same_time_ties_keep_send_order(self, per_message_network):
         # FixedDelay makes every delivery time coincide exactly; the
         # batched path must deliver in send (seq) order, interleaved
-        # correctly with kernel events at the same timestamp.
-        logs = {}
-        for batched in (True, False):
-            sim, net = make_net(d=1.0, u=0.0, model=FixedDelay(1.0))
-            net.batched = batched
+        # correctly with kernel events at the same timestamp.  Node 3
+        # broadcasts to neighbours 2 then 0, not in id order.
+        logs = []
+        for network_class in (Network, per_message_network):
+            sim, net = make_net(d=1.0, u=0.0, model=FixedDelay(1.0),
+                                network_class=network_class)
             log = []
             for i in range(4):
                 net.add_node(i, lambda m, t, i=i: log.append((i, m, t)))
             for i in range(3):
                 net.add_link(i, i + 1)
+            net.add_link(0, 3)
             net.send(0, 1, "a")
             sim.call_at(1.0, log.append, "tied alarm")
             net.send(1, 2, "b")
             net.send(2, 3, "c")
+            net.broadcast(3, "d")
             sim.run(until=2.0)
-            logs[batched] = log
-        assert logs[True] == logs[False]
+            logs.append(log)
+        assert logs[0] == logs[1]
         # The alarm was scheduled between the sends and lands between
         # their deliveries at the shared timestamp.
-        assert logs[True][1] == "tied alarm"
+        assert logs[0][1] == "tied alarm"
 
     def test_run_horizon_defers_pending(self):
         sim, net = make_net(d=1.0, u=0.0)
@@ -290,18 +305,8 @@ class TestBatchedDelivery:
         sim.run(until=4.0)
         assert received == ["in flight"]
 
-    def test_legacy_mode_never_queues(self):
-        sim, net = make_net(d=1.0, u=0.0)
-        net.batched = False
-        net.add_node(0)
-        net.add_node(1, lambda m, t: None)
-        net.add_link(0, 1)
-        net.send(0, 1, "x")
-        assert net.pending_deliveries == 0
-        assert sim.pending_events == 1
-
     def test_fewer_kernel_events_per_message(self):
-        sim, net, _log = self.build_flood(True)
+        sim, net, _log = self.build_flood(Network)
         for i in range(8):
             net.broadcast(i, (i, 4))
         sim.run_until_idle()
@@ -310,8 +315,8 @@ class TestBatchedDelivery:
 
     def test_runaway_send_loop_hits_max_events(self):
         # A send-on-delivery cascade must trip run_until_idle's
-        # runaway guard in batched mode too (deliveries count as work
-        # units), not spin forever inside one flush drain.
+        # runaway guard (deliveries count as work units), not spin
+        # forever inside one flush drain.
         sim, net = make_net(d=1.0, u=0.0)
         net.add_node(0, lambda m, t: net.send(0, 1, m))
         net.add_node(1, lambda m, t: net.send(1, 0, m))
@@ -324,7 +329,7 @@ class TestBatchedDelivery:
     def test_nested_run_until_idle_drains_past_outer_horizon(self):
         # A callback inside run(until=1.0) sends a message due later
         # and then calls run_until_idle(): the nested call must drain
-        # it (legacy semantics) instead of spinning on a wake-up that
+        # it (per-message semantics) instead of spinning on a wake-up that
         # can never deliver under the outer horizon.
         sim, net = make_net(d=1.0, u=0.0)
         received = []
@@ -340,13 +345,13 @@ class TestBatchedDelivery:
         sim.run(until=1.0)
         assert received == [("late", pytest.approx(1.5))]
 
-    def test_step_delivers_one_message_per_call(self):
+    def test_step_delivers_one_message_per_call(self, per_message_network):
         # step()'s single-event contract survives batching: each call
         # hands over exactly one pending delivery.
-        logs = {}
-        for batched in (True, False):
-            sim, net = make_net(d=1.0, u=0.5, model=None)
-            net.batched = batched
+        logs = []
+        for network_class in (Network, per_message_network):
+            sim, net = make_net(d=1.0, u=0.5, model=None,
+                                network_class=network_class)
             log = []
             for i in range(4):
                 net.add_node(i, lambda m, t, i=i: log.append((i, m, t)))
@@ -359,19 +364,20 @@ class TestBatchedDelivery:
             net.send(1, 2, "b")
             net.send(2, 3, "c")
             assert sim.step() is True
-            logs[batched] = (list(log), sim.now)
+            logs.append((list(log), sim.now))
             sim.run_until_idle()
             assert len(log) == 3
-        assert logs[True] == logs[False]
-        assert logs[True][1] == pytest.approx(0.6)  # one delivery only
+        assert logs[0] == logs[1]
+        assert logs[0][1] == pytest.approx(0.6)  # one delivery only
 
-    def test_counter_visible_to_handlers_mid_batch(self):
+    def test_counter_visible_to_handlers_mid_batch(self,
+                                                   per_message_network):
         # Handlers reading messages_delivered mid-run must see the
-        # same values under both delivery paths.
-        seen = {}
-        for batched in (True, False):
-            sim, net = make_net(d=1.0, u=0.0)
-            net.batched = batched
+        # oracle's values.
+        seen = []
+        for network_class in (Network, per_message_network):
+            sim, net = make_net(d=1.0, u=0.0,
+                                network_class=network_class)
             observed = []
             net.add_node(0)
             net.add_node(1, lambda m, t: observed.append(
@@ -380,8 +386,8 @@ class TestBatchedDelivery:
             net.send(0, 1, "x")
             net.send(0, 1, "y")
             sim.run_until_idle()
-            seen[batched] = observed
-        assert seen[True] == seen[False] == [1, 2]
+            seen.append(observed)
+        assert seen[0] == seen[1] == [1, 2]
 
 
 class TestBroadcastFanOut:

@@ -18,6 +18,7 @@ from repro.faults import (
     place_everywhere,
     place_in_clusters,
 )
+from repro.net.network import Network
 from repro.topology import ClusterGraph
 
 
@@ -344,15 +345,18 @@ class TestConfigSurface:
 
 
 class TestBatchedDeliveryEquivalence:
-    def test_batched_flag_changes_nothing_but_event_count(self, params):
-        results = {}
-        for batched in (True, False):
-            config = SystemConfig(record_series=True, track_edges=True,
-                                  batched_delivery=batched)
+    def test_batched_flag_changes_nothing_but_event_count(
+            self, params, per_message_network, monkeypatch):
+        # The system's own network against the per-message oracle.
+        results = []
+        for network_class in (Network, per_message_network):
+            monkeypatch.setattr("repro.core.system.Network",
+                                network_class)
+            config = SystemConfig(record_series=True, track_edges=True)
             system = FtgcsSystem.build(ClusterGraph.line(3), params,
                                        seed=11, config=config)
-            results[batched] = system.run_rounds(6)
-        a, b = results[True], results[False]
+            results.append(system.run_rounds(6))
+        a, b = results
         assert a.series == b.series
         assert a.max_global_skew == b.max_global_skew
         assert a.max_local_cluster_skew == b.max_local_cluster_skew
