@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test golden verify lint list run serve smoke-t16 smoke-serve smoke-vec smoke-adversary bench-quick bench-quick-ci bench-check bench-ab bench bench-record
+.PHONY: test golden verify lint list run serve smoke-t16 smoke-serve smoke-vec smoke-adversary bench-check bench-ab bench
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -15,13 +15,11 @@ golden:
 	$(PYTHON) tests/record_golden.py
 
 # What CI runs (.github/workflows/ci.yml): the determinism/contract
-# lint + tier-1 tests + the pre-merge smoke check in its non-strict
-# form (the throughput comparison against BENCH_kernel.json is
-# hardware-sensitive, so only the explicit `make bench-quick` gate
-# hard-fails on it) + the cross-engine equivalence matrix + the
+# lint + tier-1 tests + one experiment end to end through the CLI
+# (smoke-t16) + the cross-engine equivalence matrix + the
 # adversary-layer smoke + the end-to-end serving check + the
 # benchmark bit-identity gate.
-verify: lint test bench-quick-ci smoke-vec smoke-adversary smoke-serve bench-check
+verify: lint test smoke-t16 smoke-vec smoke-adversary smoke-serve bench-check
 
 # Determinism & contract static analysis (src/repro/lint): AST rules
 # (raw-rng, wall-clock, unordered-iter, stream-label) plus the
@@ -48,7 +46,9 @@ run:
 	@test -n "$(T)" || { echo "usage: make run T=<id> [ARGS=...]"; exit 2; }
 	$(PYTHON) -m repro run $(T) $(ARGS)
 
-# The t16 smoke line by name, for muscle memory.
+# One experiment end to end in a fresh interpreter (CI runs this):
+# registry, plan, sweep and table through the CLI, with message loss
+# and node churn (the t16 robustness grid; quick mode, about 2 s).
 smoke-t16:
 	$(PYTHON) -m repro run t16
 
@@ -76,17 +76,6 @@ smoke-vec:
 # second.
 smoke-adversary:
 	$(PYTHON) benchmarks/smoke_adversary.py
-
-# Pre-merge smoke check: kernel/substrate microbenchmarks, < 60 s.
-# --check asserts event throughput within 10% of BENCH_kernel.json;
-# use it on hardware comparable to the recorded baseline.  CI (and
-# `make verify`) run the plain form, where a regression is a
-# non-fatal warning.
-bench-quick:
-	$(PYTHON) -m repro bench-quick --check
-
-bench-quick-ci:
-	$(PYTHON) -m repro bench-quick
 
 # Bit-identity gate (CI runs this after the tier-1 tests): the shortest
 # untraced runs (their minimum of 7 passes) of all three benchmark
@@ -120,14 +109,6 @@ bench-ab:
 		$(if $(SEED),--first-seed $(SEED)) $(if $(CLAIM),--claim $(CLAIM)) \
 		$(if $(OUT),--out $(OUT))
 
-# Full pytest-benchmark suite (tables T1-T18 + kernel microbenches).
+# Full pytest-benchmark suite (tables T1-T18).
 bench:
 	$(PYTHON) -m pytest benchmarks/bench_*.py -q --benchmark-only
-
-# Append current substrate throughput to BENCH_kernel.json.  Entries
-# are stamped with cpu_count; recording on a 1-CPU container prints a
-# non-fatal warning (pool speedups are meaningless there), and is
-# refused outright (unless FORCE=1) when it would bury a multi-core
-# baseline — prefer re-recording on multi-core hardware.
-bench-record:
-	$(PYTHON) benchmarks/record_baseline.py $(if $(FORCE),--force)

@@ -10,7 +10,6 @@ Usage::
     python -m repro run t01 --save out.json    # write the table to a file
     python -m repro list                       # what's available
     python -m repro show t09                   # metadata + grid sizes
-    python -m repro bench-quick                # pre-merge smoke (<60 s)
     python -m repro serve --port 8765          # the HTTP simulation service
     python -m repro cache stats                # result-cache maintenance
     python -m repro lint                       # determinism & contract lint
@@ -18,14 +17,7 @@ Usage::
 Experiment ids are the T-identifiers of DESIGN.md section 3
 (``t01`` … ``t18``); every one of them executes through
 :func:`~repro.harness.registry.run_experiment` and the parallel sweep
-engine, so ``--processes`` applies everywhere.  The bare legacy forms
-(``python -m repro t07``, ``python -m repro --list``) still work and
-map onto ``run``/``list``.
-
-``bench-quick`` is the pre-merge smoke check: the substrate
-microbenchmarks of :mod:`repro.harness.microbench` plus one registry
-experiment end-to-end (so the registry wiring is covered before
-merging).
+engine, so ``--processes`` applies everywhere.
 
 Output formats: ``table`` (aligned text, the default), ``json`` (one
 JSON array of table objects), ``csv`` (header + raw rows per table).
@@ -50,21 +42,8 @@ from typing import Sequence
 from repro.errors import ConfigError
 from repro.harness.registry import REGISTRY, run_experiment
 
-#: Subcommand names (the legacy shim treats anything else as `run` ids).
-COMMANDS = ("run", "list", "show", "bench-quick", "serve", "cache",
-            "lint")
-BENCH_QUICK = "bench-quick"
-
 #: Extensions `run --save` understands, mapped to the Table writer.
 SAVE_FORMATS = (".json", ".csv")
-
-#: Registry experiment smoke-run by ``bench-quick`` (sweep-backed and
-#: fast, so the registry -> sweep -> table path is covered pre-merge).
-BENCH_SMOKE_EXPERIMENT = "t12"
-
-#: Allowed relative event-throughput regression against the recorded
-#: ``BENCH_kernel.json`` baseline before ``bench-quick`` complains.
-BASELINE_TOLERANCE = 0.10
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,23 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     show_p = sub.add_parser(
         "show", help="metadata and grid sizes of one experiment")
     show_p.add_argument("id", metavar="tNN", help="experiment id")
-
-    bench_p = sub.add_parser(
-        BENCH_QUICK,
-        help="kernel/substrate microbenchmarks + one registry "
-             "experiment (pre-merge smoke check)")
-    bench_p.add_argument(
-        "--full", action="store_true",
-        help="full-size microbenchmarks")
-    bench_p.add_argument(
-        "--processes", type=int, default=None, metavar="N",
-        help="worker processes for sweep-backed microbenchmarks")
-    bench_p.add_argument(
-        "--check", action="store_true",
-        help="fail (exit 1) when event throughput falls more than "
-             f"{int(BASELINE_TOLERANCE * 100)}%% below the latest "
-             "BENCH_kernel.json baseline (always printed as a "
-             "warning otherwise)")
 
     serve_p = sub.add_parser(
         "serve",
@@ -195,33 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rewrite_legacy_argv(argv: Sequence[str]) -> list[str]:
-    """Map the pre-registry surface onto subcommands.
-
-    ``repro --list`` -> ``repro list``; ``repro t07 [flags]`` ->
-    ``repro run t07 [flags]``.  Already-subcommand argv is untouched.
-    """
-    argv = list(argv)
-    if not argv:
-        return argv
-    if argv[0] in COMMANDS:
-        return argv
-    if "--list" in argv:
-        return ["list"]
-    if argv[0].startswith("-"):
-        # Top-level flags (-h/--help) go to the root parser; a legacy
-        # id followed by --help falls through and shows `run --help`.
-        return argv
-    return ["run"] + argv
-
-
 def list_experiments() -> str:
     """The ``list`` subcommand's text form."""
     lines = ["available experiments:"]
     for experiment in REGISTRY:
         lines.append(f"  {experiment.id}  {experiment.title}")
-    lines.append(f"  {BENCH_QUICK}  kernel/substrate microbenchmarks "
-                 "(pre-merge smoke check)")
     return "\n".join(lines)
 
 
@@ -391,99 +331,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _baseline_event_throughput() -> float | None:
-    """Latest recorded ``event_throughput`` rate from
-    ``BENCH_kernel.json`` (searched at the repo root relative to this
-    package, then the working directory), or ``None``."""
-    import json
-    from pathlib import Path
-
-    candidates = [Path(__file__).resolve().parents[2] / "BENCH_kernel.json",
-                  Path("BENCH_kernel.json")]
-    for path in candidates:
-        if not path.is_file():
-            continue
-        try:
-            history = json.loads(path.read_text())
-            entry = history[-1]
-            return float(
-                entry["results"]["event_throughput"]["events_per_second"])
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError,
-                ValueError):
-            return None
-    return None
-
-
-def _check_baseline(results: list[dict], strict: bool) -> int:
-    """Compare measured event throughput against the recorded baseline.
-
-    Within ``BASELINE_TOLERANCE`` (or faster) passes silently with one
-    status line; a larger regression prints a warning and — only with
-    ``strict`` (``make bench-quick`` / ``--check``) — fails the run.
-    CI invokes the plain form, so there the warning is non-fatal
-    (shared runners are too noisy to gate merges on wall clock).
-    """
-    baseline = _baseline_event_throughput()
-    if baseline is None or baseline <= 0:
-        print("[baseline: no usable BENCH_kernel.json entry; skipping "
-              "throughput check]", file=sys.stderr)
-        return 0
-    measured = next(
-        (r["events_per_second"] for r in results
-         if r["name"] == "event_throughput"), None)
-    if measured is None:
-        return 0
-    ratio = measured / baseline
-    if ratio >= 1.0 - BASELINE_TOLERANCE:
-        print(f"[baseline: event throughput at {ratio:.0%} of "
-              f"BENCH_kernel.json ({measured:,.0f} vs "
-              f"{baseline:,.0f} events/s) — ok]", file=sys.stderr)
-        return 0
-    print(f"warning: event throughput regressed to {ratio:.0%} of the "
-          f"recorded baseline ({measured:,.0f} vs {baseline:,.0f} "
-          f"events/s; tolerance {BASELINE_TOLERANCE:.0%})",
-          file=sys.stderr)
-    return 1 if strict else 0
-
-
-def run_bench_quick(quick: bool = True,
-                    processes: int | None = None,
-                    check: bool = False) -> int:
-    """Substrate microbenchmarks plus one registry experiment.
-
-    ``check=True`` (``--check``; what ``make bench-quick`` passes)
-    turns a >10% event-throughput regression against
-    ``BENCH_kernel.json`` into a failure instead of a warning.
-    """
-    from repro.harness.microbench import microbench_table, run_all_micro
-
-    # repro: allow[wall-clock] -- bench-quick is the wall-clock
-    # measurement harness itself.
-    started = time.perf_counter()
-    results = run_all_micro(quick=quick, processes=processes)
-    table = microbench_table(results)
-    print(table.format())
-    status = _check_baseline(results, strict=check)
-    # One registry experiment end-to-end: covers the registry -> plan
-    # -> sweep -> table wiring before merging.
-    smoke = run_experiment(BENCH_SMOKE_EXPERIMENT, quick=True,
-                           processes=processes)
-    print()
-    print(smoke.format())
-    print(f"[registry smoke: {BENCH_SMOKE_EXPERIMENT} ok, "
-          f"{len(smoke.rows)} rows]")
-    # repro: allow[wall-clock] -- bench harness elapsed-time line.
-    elapsed = time.perf_counter() - started
-    print(f"[{BENCH_QUICK} finished in {elapsed:.1f}s]")
-    return status
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:  # pragma: no cover - shell entry
         argv = sys.argv[1:]
     parser = build_parser()
     try:
-        args = parser.parse_args(_rewrite_legacy_argv(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exit_:  # argparse error or --help
         code = exit_.code
         return code if isinstance(code, int) else 2
@@ -492,10 +345,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_list(args)
     if args.command == "show":
         return _cmd_show(args)
-    if args.command == BENCH_QUICK:
-        return run_bench_quick(quick=not args.full,
-                               processes=args.processes,
-                               check=args.check)
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "serve":  # pragma: no cover - blocking server
@@ -505,8 +354,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "lint":
         return _cmd_lint(args)
     parser.print_usage()
-    print("error: give a subcommand (run, list, show, bench-quick, "
-          "serve, cache, lint)", file=sys.stderr)
+    print("error: give a subcommand (run, list, show, serve, cache, "
+          "lint)", file=sys.stderr)
     return 2
 
 

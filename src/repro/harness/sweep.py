@@ -725,7 +725,7 @@ def default_processes(processes: int | None = None,
     ``fallback``.
 
     The single resolution path for every worker-count knob in the
-    library (experiment registry, CLI, benchmarks, microbenchmarks).
+    library (experiment registry, CLI, benchmarks).
     The stock fallback is serial so unit tests and small sweeps never
     pay pool startup; callers that should scale with the machine pass
     e.g. ``fallback=min(4, os.cpu_count() or 1)``.

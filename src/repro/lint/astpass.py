@@ -24,8 +24,7 @@ What the rules resolve
 ``wall-clock``
     A call to ``time.time``/``monotonic``/``perf_counter``/
     ``process_time`` (plus ``_ns`` forms) or
-    ``datetime.now``/``utcnow``/``today`` anywhere outside the
-    module allowlist (:data:`repro.lint.rules.ALLOWLIST`).
+    ``datetime.now``/``utcnow``/``today`` anywhere.
 
 ``unordered-iter``
     A ``for`` loop or comprehension whose iterable is statically
@@ -52,7 +51,7 @@ import ast
 from dataclasses import dataclass
 
 from repro.lint.report import Finding
-from repro.lint.rules import RNG_HOME_SUFFIX, RULES, is_allowlisted
+from repro.lint.rules import RNG_HOME_SUFFIX, RULES
 
 #: Fully-resolved callables that construct or reseed a generator.
 RAW_RNG_CALLS = frozenset({
@@ -261,7 +260,7 @@ class DeterminismVisitor(ast.NodeVisitor):
         return False
 
     def _check_raw_rng(self, node: ast.Call, dotted: str) -> None:
-        if self._rng_home or is_allowlisted("raw-rng", self.relpath):
+        if self._rng_home:
             return
         if self._seed_is_derived(node):
             return
@@ -274,8 +273,6 @@ class DeterminismVisitor(ast.NodeVisitor):
     # -- wall-clock ---------------------------------------------------
 
     def _check_wall_clock(self, node: ast.Call, dotted: str) -> None:
-        if is_allowlisted("wall-clock", self.relpath):
-            return
         self.findings.append(Finding(
             path=self.relpath, line=node.lineno, rule="wall-clock",
             message=f"{dotted}() reads the wall clock in a "
@@ -365,8 +362,6 @@ class DeterminismVisitor(ast.NodeVisitor):
 
     def _check_loop(self, iter_expr: ast.expr, body: list[ast.AST],
                     lineno: int) -> None:
-        if is_allowlisted("unordered-iter", self.relpath):
-            return
         shape = self._set_shape(iter_expr)
         if shape is None:
             return

@@ -1,4 +1,4 @@
-"""Rule definitions and allowlists for ``repro lint``.
+"""Rule definitions for ``repro lint``.
 
 Every determinism guarantee the reproduction makes — bit-identical
 serial vs parallel sweeps, the cross-engine equivalence matrix,
@@ -7,14 +7,9 @@ enforces.  Each :class:`Rule` here names one such convention; the AST
 pass (:mod:`repro.lint.astpass`) and the contract pass
 (:mod:`repro.lint.contracts`) report violations under these ids, and
 the pragma layer (:mod:`repro.lint.pragmas`) suppresses deliberate
-ones with an inline reason.
-
-The :data:`ALLOWLIST` exempts whole modules from single rules where
-the rule's premise does not apply — e.g. ``harness/microbench.py``
-*is* the wall-clock measurement code, so flagging ``perf_counter``
-there would be noise.  Everything subtler than a whole module uses a
-``repro: allow[<rule>] -- <reason>`` pragma instead, so the
-exception and its justification live next to the code.
+ones with an inline reason.  A ``repro: allow[<rule>] -- <reason>``
+pragma is the one exception mechanism, so every exception and its
+justification live next to the code.
 """
 
 from __future__ import annotations
@@ -93,28 +88,9 @@ RULES: dict[str, Rule] = {rule.id: rule for rule in (
 #: suppression mechanism itself).
 RULE_IDS: tuple[str, ...] = tuple(RULES)
 
-#: ``rule id -> repo-relative path suffixes`` exempt from that rule.
-#: Module-granular by design: anything finer belongs in an inline
-#: pragma where the reason is visible at the call site.
-ALLOWLIST: dict[str, tuple[str, ...]] = {
-    # The microbenchmark module measures wall-clock throughput and
-    # seeds synthetic workloads; both rules' premises (deterministic
-    # simulation path) do not apply to it.
-    "wall-clock": ("repro/harness/microbench.py",),
-    "raw-rng": ("repro/harness/microbench.py",),
-}
-
 #: The one module allowed to construct generators from raw seeds: the
 #: stream factory itself.
 RNG_HOME_SUFFIX = "repro/sim/rng.py"
 
 
-def is_allowlisted(rule: str, relpath: str) -> bool:
-    """True when ``relpath`` is module-exempt from ``rule``."""
-    path = relpath.replace("\\", "/")
-    return any(path.endswith(suffix)
-               for suffix in ALLOWLIST.get(rule, ()))
-
-
-__all__ = ["ALLOWLIST", "RNG_HOME_SUFFIX", "RULES", "RULE_IDS", "Rule",
-           "is_allowlisted"]
+__all__ = ["RNG_HOME_SUFFIX", "RULES", "RULE_IDS", "Rule"]

@@ -13,18 +13,10 @@ class TestList:
         out = capsys.readouterr().out
         assert "t01" in out and "t16" in out
 
-    def test_legacy_list_flag(self, capsys):
-        assert main(["--list"]) == 0
-        out = capsys.readouterr().out
-        assert "t01" in out and "t16" in out
-
     def test_listing_mentions_all_experiments(self):
         text = list_experiments()
         for i in range(1, 19):
             assert f"t{i:02d}" in text
-
-    def test_bench_quick_listed(self):
-        assert "bench-quick" in list_experiments()
 
     def test_list_json(self, capsys):
         assert main(["list", "--format", "json"]) == 0
@@ -58,8 +50,13 @@ class TestParser:
         assert "unknown experiment" in err
 
     def test_legacy_unknown_experiment_rejected(self, capsys):
-        assert main(["t99"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        # The pre-registry form `repro t07` is gone: a bare id is not
+        # a subcommand.
+        assert main(["t07"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "t07" in err
+        for command in ("run", "list", "show", "serve", "cache", "lint"):
+            assert command in err
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 2
@@ -85,9 +82,6 @@ class TestParser:
         args = build_parser().parse_args(["run", "t05", "--seed", "99"])
         assert args.seed == 99
 
-    def test_bench_quick_rejects_positionals(self, capsys):
-        assert main(["bench-quick", "t01"]) == 2
-
 
 class TestExecution:
     def test_runs_single_experiment(self, capsys):
@@ -96,12 +90,8 @@ class TestExecution:
         assert "T8" in out
         assert "finished in" in out
 
-    def test_legacy_positional_form(self, capsys):
-        assert main(["t08"]) == 0
-        assert "T8" in capsys.readouterr().out
-
     def test_case_insensitive_names(self, capsys):
-        assert main(["T08"]) == 0
+        assert main(["run", "T08"]) == 0
         assert "T8" in capsys.readouterr().out
 
     def test_json_format_is_pure_stdout(self, capsys):
@@ -130,10 +120,6 @@ class TestExecution:
         header = out.splitlines()[0]
         assert header.startswith("graph,f,k,")
 
-    def test_legacy_id_with_help_shows_run_help(self, capsys):
-        assert main(["t07", "--help"]) == 0
-        assert "--processes" in capsys.readouterr().out
-
     def test_csv_multi_table_has_no_blank_records(self, capsys):
         import csv as csv_module
         import io
@@ -155,61 +141,6 @@ class TestExecution:
     def test_processes_flag_accepted_everywhere(self, capsys):
         # t08 is a non-simulation experiment; --processes still works.
         assert main(["run", "t08", "--processes", "2"]) == 0
-
-
-class TestBaselineCheck:
-    def results(self, rate):
-        return [{"name": "event_throughput", "events": 1,
-                 "seconds": 1.0, "events_per_second": rate}]
-
-    def test_within_tolerance_passes(self, monkeypatch, capsys):
-        import repro.cli as cli
-
-        monkeypatch.setattr(cli, "_baseline_event_throughput",
-                            lambda: 1_000_000.0)
-        assert cli._check_baseline(self.results(950_000.0),
-                                   strict=True) == 0
-        assert "ok" in capsys.readouterr().err
-
-    def test_regression_warns_but_passes_without_strict(
-            self, monkeypatch, capsys):
-        import repro.cli as cli
-
-        monkeypatch.setattr(cli, "_baseline_event_throughput",
-                            lambda: 1_000_000.0)
-        assert cli._check_baseline(self.results(500_000.0),
-                                   strict=False) == 0
-        assert "warning" in capsys.readouterr().err
-
-    def test_regression_fails_with_strict(self, monkeypatch, capsys):
-        import repro.cli as cli
-
-        monkeypatch.setattr(cli, "_baseline_event_throughput",
-                            lambda: 1_000_000.0)
-        assert cli._check_baseline(self.results(500_000.0),
-                                   strict=True) == 1
-        assert "warning" in capsys.readouterr().err
-
-    def test_missing_baseline_skips(self, monkeypatch, capsys):
-        import repro.cli as cli
-
-        monkeypatch.setattr(cli, "_baseline_event_throughput",
-                            lambda: None)
-        assert cli._check_baseline(self.results(1.0), strict=True) == 0
-        assert "skipping" in capsys.readouterr().err
-
-    def test_baseline_reader_parses_bench_file(self):
-        from repro.cli import _baseline_event_throughput
-
-        # The repo ships BENCH_kernel.json; the reader must find it
-        # relative to the package and return the latest entry's rate.
-        rate = _baseline_event_throughput()
-        assert rate is not None and rate > 0
-
-    def test_parser_accepts_check_flag(self):
-        parser = build_parser()
-        args = parser.parse_args(["bench-quick", "--check"])
-        assert args.check is True
 
 
 class TestSave:

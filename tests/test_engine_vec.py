@@ -233,6 +233,19 @@ def test_vectorized_cell_builds_no_edge_tuples(monkeypatch, protocol,
     assert reads == []
 
 
+def test_adversary_free_cell_is_pinned():
+    # The bare 600-node cell of the adversary layer's overhead
+    # comparison, 100 rounds: no adversary means no new work, so its
+    # skew maxima stay the values the round loop had before that
+    # layer existed, bit for bit.
+    spec = (Scenario.on("caterpillar", 15, 40).protocol("gcs_single")
+            .engine("vectorized")
+            .payload(params=GCS, until=100 * GCS.period).seed(42).build())
+    (cell,) = SweepRunner(processes=1).run([spec], base_seed=42)
+    assert cell.result.max_local_skew == 0.5000000000001137
+    assert cell.result.max_global_skew == 0.9999999999992042
+
+
 class TestFaultyVectors:
     def test_silent_faults_at_f_bound(self):
         # n = 3f + 1 with exactly f silent nodes: the quorum

@@ -100,13 +100,6 @@ class TestWallClock:
             "now = datetime.datetime.now()\n")
         assert _rules(findings) == ["wall-clock"]
 
-    def test_microbench_is_allowlisted(self):
-        findings = _lint(
-            "import time\n"
-            "started = time.perf_counter()\n",
-            relpath="src/repro/harness/microbench.py")
-        assert findings == []
-
     def test_simulated_clock_attribute_is_quiet(self):
         # `self.scheduler.time()` is the simulated clock, not the
         # wall clock — the resolver must not match bare `.time()`.
