@@ -464,6 +464,19 @@ def check_composition(protocol: type[SyncProtocol] | None, engine: str,
                 f"{row.what} ({need} is False)")
 
 
+def reject_unknown(mapping: dict, allowed: tuple, what: str,
+                   protocol: str, engine: str) -> None:
+    """Raise :class:`~repro.errors.ConfigError` naming every key of
+    ``mapping`` (a ``config`` or ``payload`` dict, per ``what``) that
+    ``protocol`` on ``engine`` does not read, so no knob is silently
+    ignored."""
+    unknown = sorted(set(mapping) - set(allowed))
+    if unknown:
+        raise ConfigError(
+            f"{protocol} on the {engine} engine does not accept {what} "
+            f"key(s) {unknown}; supported: {sorted(allowed)}")
+
+
 class System:
     """A generic, protocol-agnostic synchronization system.
 
@@ -832,4 +845,5 @@ __all__ = [
     "get_protocol",
     "protocol_names",
     "register_protocol",
+    "reject_unknown",
 ]

@@ -44,7 +44,11 @@ import math
 import numpy as np
 
 from repro.analysis.metrics import stabilization_time
-from repro.core.protocol import BuildContext, ProtocolRunResult
+from repro.core.protocol import (
+    BuildContext,
+    ProtocolRunResult,
+    reject_unknown,
+)
 from repro.engine_vec.csr import CSRAdjacency
 from repro.engine_vec.engine import VecStreams, fast_trigger_mask
 from repro.errors import ConfigError
@@ -53,15 +57,6 @@ from repro.faults.adversary import (
     VecAdversaryRuntime,
     get_adversary,
 )
-
-
-def _reject_unknown(mapping: dict, allowed: tuple, what: str,
-                    name: str) -> None:
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ConfigError(
-            f"{name} on the vectorized engine does not accept {what} "
-            f"key(s) {unknown}; supported: {sorted(allowed)}")
 
 
 def _spread(values: np.ndarray) -> float:
@@ -197,8 +192,7 @@ class VecGcsSingle(VecRoundModel):
 
     name = "gcs_single"
 
-    _PAYLOAD = ("params", "until", "rate_spread", "sample_interval",
-                "batched_delivery")
+    _PAYLOAD = ("params", "until", "rate_spread", "sample_interval")
 
     def __init__(self, ctx: BuildContext) -> None:
         super().__init__(ctx)
@@ -210,7 +204,8 @@ class VecGcsSingle(VecRoundModel):
                 "state); use .adversary('equivocate', ...) or the "
                 "event engine")
         payload.pop("liars", None)
-        _reject_unknown(payload, self._PAYLOAD, "payload", self.name)
+        reject_unknown(payload, self._PAYLOAD, "payload", self.name,
+                       "vectorized")
         try:
             self.params = payload["params"]
             until = payload["until"]
@@ -220,8 +215,7 @@ class VecGcsSingle(VecRoundModel):
             ) from None
         if ctx.graph is None:
             raise ConfigError("gcs_single needs a topology")
-        if ctx.config:
-            _reject_unknown(ctx.config, (), "config", self.name)
+        reject_unknown(ctx.config, (), "config", self.name, "vectorized")
         self.rate_spread = bool(payload.get("rate_spread", True))
         self.rounds = int(math.floor(
             until / self.params.period + 1e-9))
@@ -270,14 +264,14 @@ class VecSrikanthToueg(VecRoundModel):
     def __init__(self, ctx: BuildContext) -> None:
         super().__init__(ctx)
         payload = dict(ctx.payload)
-        _reject_unknown(payload, self._PAYLOAD, "payload", self.name)
+        reject_unknown(payload, self._PAYLOAD, "payload", self.name,
+                       "vectorized")
         try:
             self.params = payload["params"]
         except KeyError:
             raise ConfigError(
                 "srikanth_toueg needs payload['params']") from None
-        if ctx.config:
-            _reject_unknown(ctx.config, (), "config", self.name)
+        reject_unknown(ctx.config, (), "config", self.name, "vectorized")
         self.rounds = int(payload.get("rounds", ctx.rounds))
         self.silent_faults = int(payload.get("silent_faults", 0))
         if self.silent_faults > self.params.f:
@@ -427,12 +421,12 @@ class VecLynchWelch(VecRoundModel):
 
     def __init__(self, ctx: BuildContext) -> None:
         super().__init__(ctx)
-        if ctx.payload:
-            _reject_unknown(ctx.payload, (), "payload", self.name)
+        reject_unknown(ctx.payload, (), "payload", self.name,
+                       "vectorized")
         if ctx.params is None:
             raise ConfigError("lynch_welch needs params")
-        _reject_unknown(dict(ctx.config), self._CONFIG, "config",
-                        self.name)
+        reject_unknown(ctx.config, self._CONFIG, "config", self.name,
+                       "vectorized")
         self.params = ctx.params
         self.rounds = int(ctx.rounds)
         init_jitter = ctx.config.get("init_jitter")
@@ -490,14 +484,14 @@ class VecFtgcs(VecRoundModel):
 
     def __init__(self, ctx: BuildContext) -> None:
         super().__init__(ctx)
-        if ctx.payload:
-            _reject_unknown(ctx.payload, (), "payload", self.name)
+        reject_unknown(ctx.payload, (), "payload", self.name,
+                       "vectorized")
         if ctx.params is None:
             raise ConfigError("ftgcs needs params")
         if ctx.graph is None:
             raise ConfigError("ftgcs needs a topology")
-        _reject_unknown(dict(ctx.config), self._CONFIG, "config",
-                        self.name)
+        reject_unknown(ctx.config, self._CONFIG, "config", self.name,
+                       "vectorized")
         self.params = ctx.params
         self.rounds = int(ctx.rounds)
         self.cluster_offsets = ctx.config.get("cluster_offsets")

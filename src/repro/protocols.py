@@ -65,6 +65,12 @@ Every adapter also reports the fault-injection counters —
 ``messages_lost`` (random loss), ``dropped_link_down``,
 ``node_crashes``/``node_rejoins``, and ``stabilization_time`` where a
 local-skew series exists — via :func:`_fault_counters`.
+
+No adapter ignores a knob: the FTGCS family reads ``config``
+(:class:`~repro.core.system.SystemConfig` kwargs) and rejects any
+``payload``; the three baselines read ``payload`` and reject any
+``config`` (:func:`~repro.core.protocol.reject_unknown`, shared with
+the vectorized round models).
 """
 
 from __future__ import annotations
@@ -81,6 +87,7 @@ from repro.core.protocol import (
     ProtocolRunResult,
     SyncProtocol,
     register_protocol,
+    reject_unknown,
 )
 from repro.core.system import FtgcsSystem, SystemConfig
 from repro.errors import ConfigError
@@ -158,9 +165,9 @@ class FtgcsProtocol(SyncProtocol):
     """The paper's fault-tolerant gradient construction.
 
     ``ctx.config`` carries :class:`~repro.core.system.SystemConfig`
-    kwargs.  Measurement defaults match the historical
-    ``run_scenario`` path: the sample interval defaults to a quarter
-    round and the series/edge maxima are always recorded.
+    kwargs; a payload is rejected.  Measurement defaults match the
+    historical ``run_scenario`` path: the sample interval defaults to
+    a quarter round and the series/edge maxima are always recorded.
     """
 
     name = "ftgcs"
@@ -179,6 +186,7 @@ class FtgcsProtocol(SyncProtocol):
                                        config=config)
 
     def build_nodes(self, ctx: BuildContext) -> None:
+        reject_unknown(ctx.payload, (), "payload", self.name, "event")
         params = ctx.params
         factory = None
         faults_per_cluster = ctx.faults_per_cluster
@@ -328,6 +336,7 @@ class MasterSlaveProtocol(SyncProtocol):
     supports_vectorized_faults = False
 
     def build_nodes(self, ctx: BuildContext) -> None:
+        reject_unknown(ctx.config, (), "config", self.name, "event")
         payload = dict(ctx.payload)
         self.rounds = payload.pop("rounds", ctx.rounds)
         self.system = MasterSlaveSystem(ctx.graph, ctx.params,
@@ -398,6 +407,7 @@ class GcsSingleProtocol(SyncProtocol):
     needs_params = False
 
     def build_nodes(self, ctx: BuildContext) -> None:
+        reject_unknown(ctx.config, (), "config", self.name, "event")
         payload = dict(ctx.payload)
         try:
             gcs_params = payload.pop("params")
@@ -498,6 +508,7 @@ class SrikanthTouegProtocol(SyncProtocol):
     supports_vectorized_faults = True
 
     def build_nodes(self, ctx: BuildContext) -> None:
+        reject_unknown(ctx.config, (), "config", self.name, "event")
         payload = dict(ctx.payload)
         try:
             st_params = payload.pop("params")

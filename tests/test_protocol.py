@@ -197,6 +197,45 @@ class TestBaselineProtocols:
             SystemBuilder("srikanth_toueg").build().run()
 
 
+class TestUnreadKnobsRejected:
+    """A ``config`` or ``payload`` key an event adapter does not read
+    fails the build instead of being dropped, as on the vectorized
+    engine: the FTGCS family reads no payload, the baselines read no
+    config."""
+
+    FT = default_params(f=1)
+    BOGUS = {"bogus": 1}
+    #: protocol -> (line length or None, params, config, payload)
+    CASES = {
+        "ftgcs": (3, FT, {}, BOGUS),
+        "lynch_welch": (None, FT, {}, BOGUS),
+        "master_slave": (3, default_params(f=0), BOGUS, {}),
+        "gcs_single": (3, None, BOGUS,
+                       {"params": GcsParams.default(), "until": 20.0}),
+        "srikanth_toueg": (None, None, BOGUS, {"params": StParams(
+            n=4, f=1, rho=1e-4, d=1.0, u=0.1, period=10.0)}),
+    }
+
+    @pytest.mark.parametrize("protocol", sorted(CASES))
+    def test_rejected_by_builder_and_worker(self, protocol):
+        from repro.harness.sweep import ScenarioSpec, run_cell
+
+        length, params, config, payload = self.CASES[protocol]
+        builder = (SystemBuilder(protocol).params(params).rounds(2)
+                   .configure(**config).payload(**payload))
+        if length is not None:
+            builder.topology(ClusterGraph.line(length))
+        with pytest.raises(ConfigError, match="event engine.*bogus"):
+            builder.build()
+        spec = ScenarioSpec(
+            kind="protocol", protocol=protocol,
+            graph="line" if length else "",
+            graph_args=(length,) if length else (), params=params,
+            rounds=2, config=dict(config), payload=dict(payload), seed=1)
+        with pytest.raises(ConfigError, match="event engine.*bogus"):
+            run_cell(spec)
+
+
 class TestCustomProtocol:
     def test_register_build_run(self):
         class CountdownProtocol(SyncProtocol):
