@@ -20,8 +20,7 @@ that fill preallocated flat per-cluster buffers
 (:func:`~repro.analysis.metrics.compute_snapshot_grouped`) instead of
 rebuilding nested dicts each sample, and (c) when a series is
 recorded, appends each tick's metrics into a preallocated
-:class:`SampleBuffer` (numpy-backed where available, :mod:`array`
-fallback) through the allocation-free
+:class:`SampleBuffer` (numpy columns) through the allocation-free
 :func:`~repro.analysis.metrics.accumulate_grouped` kernel — no
 :class:`~repro.analysis.metrics.SkewSnapshot` object is built per
 tick; the snapshot list materializes lazily on access and is
@@ -47,9 +46,10 @@ may be extended) the legacy repeating event is used unchanged.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Union
+
+import numpy as np
 
 from repro.analysis.metrics import (
     SkewSnapshot,
@@ -59,11 +59,6 @@ from repro.analysis.metrics import (
 from repro.errors import ConfigError
 from repro.sim.kernel import Simulator
 from repro.topology.schedule import clamp_tick, tick_count
-
-try:  # pragma: no cover - exercised via whichever backend exists
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: ``collector()`` returning correct clock values either grouped as
 #: ``[(cluster, values), ...]`` (fast path, buffers may be reused) or
@@ -80,10 +75,8 @@ SAMPLE_COLUMNS = ("time", "global_skew", "max_intra_cluster",
 class SampleBuffer:
     """Flat preallocated per-metric columns for skew samples.
 
-    One growable float column per entry of :data:`SAMPLE_COLUMNS`.
-    With numpy available the columns are preallocated ``float64``
-    arrays grown by doubling; otherwise :class:`array.array` columns
-    (C doubles, amortized append) are used.  Either way, recording a
+    One growable float column per entry of :data:`SAMPLE_COLUMNS`:
+    preallocated ``float64`` arrays grown by doubling.  Recording a
     sample costs five scalar stores — no dict, tuple, or dataclass is
     allocated per tick.
     """
@@ -92,12 +85,7 @@ class SampleBuffer:
         if capacity < 1:
             raise ConfigError(f"capacity must be >= 1: {capacity!r}")
         self._length = 0
-        if _np is not None:
-            self._numpy = True
-            self._columns = [_np.empty(capacity) for _ in SAMPLE_COLUMNS]
-        else:
-            self._numpy = False
-            self._columns = [array("d") for _ in SAMPLE_COLUMNS]
+        self._columns = [np.empty(capacity) for _ in SAMPLE_COLUMNS]
 
     def __len__(self) -> int:
         return self._length
@@ -107,22 +95,15 @@ class SampleBuffer:
         """Record one sample (five scalar stores on the hot path)."""
         i = self._length
         columns = self._columns
-        if self._numpy:
-            if i == len(columns[0]):
-                self._columns = columns = [
-                    _np.concatenate([col, _np.empty(len(col))])
-                    for col in columns]
-            columns[0][i] = time
-            columns[1][i] = global_skew
-            columns[2][i] = intra
-            columns[3][i] = local_cluster
-            columns[4][i] = local_node
-        else:
-            columns[0].append(time)
-            columns[1].append(global_skew)
-            columns[2].append(intra)
-            columns[3].append(local_cluster)
-            columns[4].append(local_node)
+        if i == len(columns[0]):
+            self._columns = columns = [
+                np.concatenate([col, np.empty(len(col))])
+                for col in columns]
+        columns[0][i] = time
+        columns[1][i] = global_skew
+        columns[2][i] = intra
+        columns[3][i] = local_cluster
+        columns[4][i] = local_node
         self._length = i + 1
 
     def column(self, name: str) -> list[float]:

@@ -233,20 +233,6 @@ class TestSampleBuffer:
         with pytest.raises(IndexError):
             buffer.row(0)
 
-    def test_array_fallback_matches_numpy_path(self, monkeypatch):
-        import repro.analysis.sampling as sampling
-
-        rows = [(0.0, 1.0, 2.0, 3.0, 4.0), (1.5, 0.5, 0.25, 0.125, 0.0)]
-        buffers = []
-        for use_numpy in (True, False):
-            if not use_numpy:
-                monkeypatch.setattr(sampling, "_np", None)
-            buffer = sampling.SampleBuffer(capacity=1)
-            for row in rows:
-                buffer.append(*row)
-            buffers.append([buffer.row(i) for i in range(len(buffer))])
-        assert buffers[0] == buffers[1] == rows
-
 
 class TestSamplerHorizonBoundary:
     """A tick nominally at t == horizon fires (tick_count/clamp_tick)."""
