@@ -353,8 +353,8 @@ class Simulator:
         fired = 0
         bounded = max_events is not None
         # Own budget and horizon for the duration (saved/restored so
-        # nesting works like per-call counters: an
-        # inner call never consumes — or disables — an outer bound,
+        # nesting works like per-call counters: an inner call never
+        # consumes — or disables — an outer bound,
         # and "until idle" means every pending delivery is due).
         prev_horizon = self._horizon
         prev_budget = self._batch_budget
