@@ -17,6 +17,7 @@ from repro.core.protocol import (
 from repro.core.system import RunResult
 from repro.errors import ConfigError
 from repro.harness.runner import default_params, run_scenario
+from repro.harness.sweep import ScenarioSpec, run_cell
 from repro.topology.cluster_graph import ClusterGraph
 from repro.topology.schedule import EdgeChurnSchedule
 
@@ -218,8 +219,6 @@ class TestUnreadKnobsRejected:
 
     @pytest.mark.parametrize("protocol", sorted(CASES))
     def test_rejected_by_builder_and_worker(self, protocol):
-        from repro.harness.sweep import ScenarioSpec, run_cell
-
         length, params, config, payload = self.CASES[protocol]
         builder = (SystemBuilder(protocol).params(params).rounds(2)
                    .configure(**config).payload(**payload))
