@@ -67,15 +67,16 @@ Every adapter also reports the fault-injection counters —
 local-skew series exists — via :func:`_fault_counters`.
 
 No adapter ignores a knob: the FTGCS family reads ``config``
-(:class:`~repro.core.system.SystemConfig` kwargs) and rejects any
-``payload``; the three baselines read ``payload`` and reject any
-``config`` (:func:`~repro.core.protocol.reject_unknown`, shared with
-the vectorized round models).
+(:class:`~repro.core.system.SystemConfig` kwargs), rejects any other
+``config`` key and any ``payload``; the three baselines read
+``payload`` and reject any ``config``
+(:func:`~repro.core.protocol.reject_unknown`, shared with the
+vectorized round models).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from repro.analysis.metrics import stabilization_time
 from repro.baselines.gcs_single import GcsSingleSystem
@@ -160,6 +161,11 @@ def prepare_ftgcs_config(graph, params, config=None,
     return config
 
 
+#: The ``config`` keys the FTGCS family reads: the fields of
+#: :class:`~repro.core.system.SystemConfig`.
+_SYSTEM_CONFIG_KEYS = tuple(f.name for f in fields(SystemConfig))
+
+
 @register_protocol
 class FtgcsProtocol(SyncProtocol):
     """The paper's fault-tolerant gradient construction.
@@ -187,6 +193,8 @@ class FtgcsProtocol(SyncProtocol):
 
     def build_nodes(self, ctx: BuildContext) -> None:
         reject_unknown(ctx.payload, (), "payload", self.name, "event")
+        reject_unknown(ctx.config, _SYSTEM_CONFIG_KEYS, "config",
+                       self.name, "event")
         params = ctx.params
         factory = None
         faults_per_cluster = ctx.faults_per_cluster

@@ -201,8 +201,8 @@ class TestBaselineProtocols:
 class TestUnreadKnobsRejected:
     """A ``config`` or ``payload`` key an event adapter does not read
     fails the build instead of being dropped, as on the vectorized
-    engine: the FTGCS family reads no payload, the baselines read no
-    config."""
+    engine: the FTGCS family reads no payload and only
+    ``SystemConfig`` fields as config, the baselines read no config."""
 
     FT = default_params(f=1)
     BOGUS = {"bogus": 1}
@@ -219,7 +219,16 @@ class TestUnreadKnobsRejected:
 
     @pytest.mark.parametrize("protocol", sorted(CASES))
     def test_rejected_by_builder_and_worker(self, protocol):
-        length, params, config, payload = self.CASES[protocol]
+        self.assert_rejected(protocol, *self.CASES[protocol])
+
+    @pytest.mark.parametrize("protocol", ["ftgcs", "lynch_welch"])
+    def test_unknown_config_key_rejected(self, protocol):
+        # The FTGCS family reads SystemConfig fields only; an unknown
+        # key is a ConfigError, not SystemConfig's TypeError.
+        length, params, _, _ = self.CASES[protocol]
+        self.assert_rejected(protocol, length, params, self.BOGUS, {})
+
+    def assert_rejected(self, protocol, length, params, config, payload):
         builder = (SystemBuilder(protocol).params(params).rounds(2)
                    .configure(**config).payload(**payload))
         if length is not None:
