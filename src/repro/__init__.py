@@ -19,12 +19,9 @@ from repro.clocks import (
     ConstantRate,
     FlipRate,
     HardwareClock,
-    JitterRate,
     LogicalClock,
-    RandomWalkRate,
     RateModel,
     ScaledClock,
-    ScheduleRate,
 )
 from repro.errors import (
     ClockError,
@@ -49,8 +46,7 @@ __all__ = [
     # substrate
     "Simulator", "RngRegistry",
     "HardwareClock", "LogicalClock", "ScaledClock", "RateModel",
-    "ConstantRate", "FlipRate", "ScheduleRate", "RandomWalkRate",
-    "JitterRate",
+    "ConstantRate", "FlipRate",
     "Network", "UniformDelay", "Pulse", "PulseKind",
     "ClusterGraph", "AugmentedGraph",
 ]

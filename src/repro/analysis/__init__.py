@@ -12,7 +12,6 @@ from repro.analysis.metrics import (
     SkewSnapshot,
     accumulate_grouped,
     cluster_extrema,
-    compute_snapshot,
     compute_snapshot_grouped,
     log_log_fit,
     pulse_diameters,
@@ -38,7 +37,6 @@ __all__ = [
     "SkewSnapshot",
     "accumulate_grouped",
     "cluster_extrema",
-    "compute_snapshot",
     "compute_snapshot_grouped",
     "log_log_fit",
     "pulse_diameters",

@@ -165,31 +165,6 @@ def accumulate_grouped(groups: list[tuple[int, list[float]]],
             max_local_node)
 
 
-def compute_snapshot(time: float,
-                     values_by_cluster: dict[int, dict[int, float]],
-                     cluster_edges: list[tuple[int, int]],
-                     include_edges: bool = False) -> SkewSnapshot:
-    """Compute every skew metric from per-cluster correct clock values.
-
-    Convenience wrapper over :func:`compute_snapshot_grouped` for
-    callers holding the nested-dict form.
-
-    Parameters
-    ----------
-    values_by_cluster:
-        ``{cluster: {node: L_v(t)}}`` restricted to *correct* nodes;
-        clusters whose correct membership is empty must be omitted.
-    cluster_edges:
-        Edge list of ``G``; edges touching omitted clusters are skipped.
-    include_edges:
-        Also record the per-edge cluster-skew map (costlier to store).
-    """
-    groups = [(c, list(vals.values()))
-              for c, vals in values_by_cluster.items()]
-    return compute_snapshot_grouped(time, groups, cluster_edges,
-                                    include_edges=include_edges)
-
-
 def stabilization_time(samples: "list[tuple[float, float]]",
                        band: float = 1.2,
                        tail_fraction: float = 0.3) -> float:

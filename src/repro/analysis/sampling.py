@@ -15,39 +15,27 @@ Sampling is also the measurement hot path — for every event the
 algorithm fires, the sampler reads every correct clock several times
 per round.  The sampler therefore (a) re-arms one repeating kernel
 event (:meth:`~repro.sim.kernel.Simulator.call_repeating`) instead of
-allocating a fresh event per tick, (b) accepts *grouped* collectors
-that fill preallocated flat per-cluster buffers
-(:func:`~repro.analysis.metrics.compute_snapshot_grouped`) instead of
-rebuilding nested dicts each sample, and (c) when a series is
-recorded, appends each tick's metrics into a preallocated
+allocating a fresh event per tick, (b) takes a *grouped* collector
+(:data:`Collector`) that fills preallocated flat per-cluster buffers
+instead of rebuilding nested dicts each sample, and (c) when a series
+is recorded, appends each tick's metrics into a preallocated
 :class:`SampleBuffer` (numpy columns) through the allocation-free
 :func:`~repro.analysis.metrics.accumulate_grouped` kernel — no
 :class:`~repro.analysis.metrics.SkewSnapshot` object is built per
 tick; the snapshot list materializes lazily on access and is
-bit-identical to the historical eager form.  Collectors returning the
-legacy ``{cluster: {node: value}}`` form keep working.
+bit-identical to the historical eager form.
 
-Horizon boundary rule
----------------------
-A tick landing nominally at ``t == horizon`` **fires** — the same rule
-periodic topology schedules pinned down
-(:func:`~repro.topology.schedule.tick_count` /
-:func:`~repro.topology.schedule.clamp_tick`).  The repeating-event
-form accumulates ``t += interval`` and is therefore exposed to the
-same float drift that can push the final tick a few ulps past the
-horizon, where ``Simulator.run(until=horizon)`` never fires it.  Pass
-``horizon=`` to :meth:`SkewSampler.start` when the run's end is known:
-the sampler then derives the tick count by division and clamps the
-final tick's timestamp to the horizon, so a run of exactly ``N``
-intervals always yields ``N + 1`` samples (the start sample plus one
-per tick).  Without a horizon (the open-ended system path, where runs
-may be extended) the legacy repeating event is used unchanged.
+The repeating event accumulates ``t += interval``, so float drift can
+push a tick nominally at a run's horizon a few ulps past it, where
+``Simulator.run(until=horizon)`` does not fire it.  The systems
+therefore take a final :meth:`SkewSampler.sample_now` at the horizon
+(``FtgcsSystem.result``, ``MasterSlaveSystem.run_rounds``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -58,14 +46,10 @@ from repro.analysis.metrics import (
 )
 from repro.errors import ConfigError
 from repro.sim.kernel import Simulator
-from repro.topology.schedule import clamp_tick, tick_count
 
-#: ``collector()`` returning correct clock values either grouped as
-#: ``[(cluster, values), ...]`` (fast path, buffers may be reused) or
-#: as the legacy nested ``{cluster: {node: value}}`` dict.
-Collector = Callable[[], Union[
-    "list[tuple[int, list[float]]]",
-    "dict[int, dict[int, float]]"]]
+#: ``collector()`` returning correct clock values grouped by cluster
+#: as ``[(cluster, values), ...]``; the lists may be reused buffers.
+Collector = Callable[[], "list[tuple[int, list[float]]]"]
 
 #: Per-sample metric columns held by :class:`SampleBuffer`, in order.
 SAMPLE_COLUMNS = ("time", "global_skew", "max_intra_cluster",
@@ -185,15 +169,6 @@ class SkewSampler:
         #: kept when both the series and edges are recorded.
         self._edge_series: list[dict[tuple[int, int], float]] = []
         self._event = None
-        #: Guards double-start; distinct from ``_event`` because the
-        #: horizon-bounded form clears its event once the tick budget
-        #: is exhausted while remaining logically started (``stop()``
-        #: resets it, so stop-then-restart keeps working).
-        self._started = False
-        #: One-shot scheduling state for the horizon-bounded form.
-        self._ticks_remaining = 0
-        self._next_tick = 0.0
-        self._horizon: float | None = None
 
     @property
     def series(self) -> list[SkewSnapshot]:
@@ -212,63 +187,22 @@ class SkewSampler:
                     for i in range(len(buffer))]
         return [SkewSnapshot(*buffer.row(i)) for i in range(len(buffer))]
 
-    def start(self, horizon: float | None = None) -> None:
-        """Take a first sample now and re-arm every ``interval``.
-
-        ``horizon`` opts into the horizon boundary rule (module
-        docstring): exactly ``tick_count(interval, horizon - now)``
-        further ticks fire, the final one clamped to ``horizon`` so
-        float drift in the accumulated tick time can never drop it
-        past a ``run(until=horizon)`` window.  Without it the sampler
-        rides one open-ended repeating event (the historical
-        behavior, bit-identical for existing callers).
-        """
-        if self._started:
+    def start(self) -> None:
+        """Take a first sample now and re-arm every ``interval``."""
+        if self._event is not None:
             raise ConfigError("sampler already started")
-        self._started = True
-        now = self._sim.now
-        if horizon is not None:
-            if horizon < now:
-                raise ConfigError(
-                    f"horizon {horizon!r} precedes now {now!r}")
-            self.sample_now()
-            self._horizon = horizon
-            self._ticks_remaining = tick_count(self._interval,
-                                               horizon - now)
-            self._next_tick = now
-            self._arm_next()
-            return
         self.sample_now()
         self._event = self._sim.call_repeating(self._interval,
                                                self._sample_tick)
-
-    def _arm_next(self) -> None:
-        if self._ticks_remaining <= 0:
-            self._event = None
-            return
-        self._ticks_remaining -= 1
-        t = self._next_tick + self._interval
-        self._next_tick = t
-        self._event = self._sim.call_at(
-            clamp_tick(t, self._horizon), self._bounded_tick)
-
-    def _bounded_tick(self) -> None:
-        self._sample_tick()
-        self._arm_next()
 
     def stop(self) -> None:
         if self._event is not None:
             self._sim.cancel(self._event)
             self._event = None
-        self._ticks_remaining = 0
-        self._started = False
 
     def _sample_tick(self) -> None:
         """Take one sample without allocating a snapshot (hot path)."""
         values = self._collector()
-        if isinstance(values, dict):
-            values = [(c, list(vals.values()))
-                      for c, vals in values.items()]
         maxima = self.maxima
         record = self._record_series
         edge_out = None
@@ -298,12 +232,8 @@ class SkewSampler:
 
     def sample_now(self) -> SkewSnapshot:
         """Take one sample immediately (also updates maxima)."""
-        values = self._collector()
-        if isinstance(values, dict):
-            values = [(c, list(vals.values()))
-                      for c, vals in values.items()]
         snap = compute_snapshot_grouped(
-            self._sim.now, values, self._cluster_edges,
+            self._sim.now, self._collector(), self._cluster_edges,
             include_edges=self._track_edges)
         self.maxima.update(snap)
         if self._record_series:

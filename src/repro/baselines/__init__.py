@@ -6,11 +6,7 @@ from repro.baselines.gcs_single import (
     GcsSingleNode,
     GcsSingleSystem,
 )
-from repro.baselines.lynch_welch import (
-    LynchWelchSystem,
-    build_clique_system,
-    run_lynch_welch,
-)
+from repro.baselines.lynch_welch import LynchWelchSystem
 from repro.baselines.master_slave import (
     MasterSlaveNode,
     MasterSlaveSystem,
@@ -29,8 +25,6 @@ __all__ = [
     "GcsSingleNode",
     "GcsSingleSystem",
     "LynchWelchSystem",
-    "build_clique_system",
-    "run_lynch_welch",
     "MasterSlaveNode",
     "MasterSlaveSystem",
     "bfs_tree",

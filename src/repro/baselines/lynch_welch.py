@@ -10,9 +10,8 @@ configuration for experiments comparing clique synchronization quality
 from __future__ import annotations
 
 from repro.core.params import Parameters
-from repro.core.system import FtgcsSystem, RunResult, SystemConfig
+from repro.core.system import FtgcsSystem, SystemConfig
 from repro.errors import ConfigError
-from repro.faults.adversary import AdversaryModel
 from repro.topology.cluster_graph import ClusterGraph
 
 
@@ -48,32 +47,3 @@ class LynchWelchSystem(FtgcsSystem):
         """Parent-compatible constructor (graph must be one cluster)."""
         return cls(params, config=config, seed=seed,
                    cluster_graph=cluster_graph)
-
-
-def build_clique_system(params: Parameters, seed: int = 0,
-                        byzantine: dict[int, AdversaryModel]
-                        | None = None,
-                        config: SystemConfig | None = None
-                        ) -> LynchWelchSystem:
-    """A single fully connected cluster of ``params.cluster_size``
-    nodes running Lynch–Welch."""
-    if config is None:
-        config = SystemConfig()
-    if byzantine:
-        config.byzantine = dict(byzantine)
-    return LynchWelchSystem(params, config=config, seed=seed)
-
-
-def run_lynch_welch(params: Parameters, rounds: int, seed: int = 0,
-                    byzantine: dict[int, AdversaryModel]
-                    | None = None,
-                    config: SystemConfig | None = None) -> RunResult:
-    """Run the clique for ``rounds`` rounds and return the result.
-
-    The relevant output is ``max_intra_cluster_skew`` (here the global
-    skew as well, since ``D = 1``), to be compared against
-    ``params.intra_skew_bound()``.
-    """
-    system = build_clique_system(params, seed=seed, byzantine=byzantine,
-                                 config=config)
-    return system.run_rounds(rounds)

@@ -209,9 +209,22 @@ class MasterSlaveSystem:
             self.nodes[node_id] = node
             self.network.set_handler(node_id, node.on_message)
 
+        # Sampling layout, as in FtgcsSystem: the bound value getters
+        # and a preallocated value buffer per cluster, in node id order
+        # (ids are cluster-major).
+        by_cluster: dict[int, list] = {}
+        for node in self.nodes.values():
+            by_cluster.setdefault(node.cluster_id, []).append(
+                node.logical.value)
+        self._sample_getters = [
+            (cluster, getters, [0.0] * len(getters))
+            for cluster, getters in by_cluster.items()]
+        self._sample_groups = [(cluster, buffer)
+                               for cluster, _, buffer in
+                               self._sample_getters]
         self.sampler = SkewSampler(
             self.sim, self.schedule.round_length(1) / 4.0,
-            self._collect_values, graph.edges,
+            self._collect_grouped, graph.edges,
             record_series=record_series, track_edges=track_edges)
         self._started = False
 
@@ -235,12 +248,12 @@ class MasterSlaveSystem:
                             phase=phase, start_high=cluster % 2 == 0)
         raise ConfigError(f"unknown rate_model spec: {spec!r}")
 
-    def _collect_values(self):
-        values: dict[int, dict[int, float]] = {}
-        for node in self.nodes.values():
-            values.setdefault(node.cluster_id, {})[node.node_id] = \
-                node.logical.value()
-        return values
+    def _collect_grouped(self) -> list[tuple[int, list[float]]]:
+        """Refill the preallocated per-cluster value buffers (hot path)."""
+        for _cluster, getters, buffer in self._sample_getters:
+            for i, getter in enumerate(getters):
+                buffer[i] = getter()
+        return self._sample_groups
 
     def start(self) -> None:
         """Arm every node and the sampler (idempotent)."""

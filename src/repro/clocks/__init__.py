@@ -4,14 +4,7 @@ from repro.clocks.alarms import ALARM_TOLERANCE, Alarm, AlarmManager
 from repro.clocks.base import IntegratingClock
 from repro.clocks.hardware import HardwareClock
 from repro.clocks.logical import LogicalClock, ScaledClock
-from repro.clocks.rate_models import (
-    ConstantRate,
-    FlipRate,
-    JitterRate,
-    RandomWalkRate,
-    RateModel,
-    ScheduleRate,
-)
+from repro.clocks.rate_models import ConstantRate, FlipRate, RateModel
 
 __all__ = [
     "ALARM_TOLERANCE",
@@ -23,8 +16,5 @@ __all__ = [
     "ScaledClock",
     "ConstantRate",
     "FlipRate",
-    "JitterRate",
-    "RandomWalkRate",
     "RateModel",
-    "ScheduleRate",
 ]

@@ -15,16 +15,14 @@ models here cover the extremes used in the experiments:
 * :class:`FlipRate` — alternates between two rates with a fixed period
   and phase; used to "pump" skew back and forth along a line, the
   pattern that defeats master–slave synchronization.
-* :class:`ScheduleRate` — explicit breakpoint list.
-* :class:`RandomWalkRate` — bounded random walk, re-stepped every
-  ``interval``; a realistic oscillator model.
-* :class:`JitterRate` — independent uniform draw every ``interval``.
+
+Any other trajectory is a :class:`RateModel` subclass returned by a
+``rate_model`` factory.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from abc import ABC, abstractmethod
 
 from repro.errors import ClockError
@@ -109,100 +107,3 @@ class FlipRate(RateModel):
             t = self._phase + index * self._period
         nflips = index - self._i_first + 1
         return t, self._rate_after_flips(nflips)
-
-
-class ScheduleRate(RateModel):
-    """Follows an explicit ``[(time, rate), ...]`` breakpoint list.
-
-    ``initial`` is the rate before the first breakpoint.  Breakpoints
-    must be strictly increasing in time.
-    """
-
-    def __init__(self, initial: float,
-                 schedule: list[tuple[float, float]]) -> None:
-        if initial <= 0:
-            raise ClockError(f"rate must be positive: {initial!r}")
-        last_t = float("-inf")
-        for t, rate in schedule:
-            if t <= last_t:
-                raise ClockError("schedule times must strictly increase")
-            if rate <= 0:
-                raise ClockError(f"rate must be positive: {rate!r}")
-            last_t = t
-        self._initial = initial
-        self._schedule = list(schedule)
-
-    def initial_rate(self) -> float:
-        return self._initial
-
-    def next_change(self, now: float) -> tuple[float, float] | None:
-        for t, rate in self._schedule:
-            if t > now:
-                return t, rate
-        return None
-
-
-class RandomWalkRate(RateModel):
-    """Bounded random walk re-stepped every ``interval``.
-
-    Each step moves the rate by ``±step`` (chosen uniformly) and clips
-    to ``[low, high]``.  A dedicated :class:`random.Random` must be
-    supplied so executions replay deterministically.
-    """
-
-    def __init__(self, low: float, high: float, step: float,
-                 interval: float, rng: random.Random,
-                 initial: float | None = None) -> None:
-        if not 0 < low <= high:
-            raise ClockError(f"need 0 < low <= high: {low!r}, {high!r}")
-        if interval <= 0:
-            raise ClockError(f"interval must be positive: {interval!r}")
-        if step < 0:
-            raise ClockError(f"step must be non-negative: {step!r}")
-        self._low = low
-        self._high = high
-        self._step = step
-        self._interval = interval
-        self._rng = rng
-        if initial is None:
-            initial = rng.uniform(low, high)
-        self._current = min(max(initial, low), high)
-
-    def initial_rate(self) -> float:
-        return self._current
-
-    def next_change(self, now: float) -> tuple[float, float] | None:
-        index = int(now // self._interval) + 1
-        t = index * self._interval
-        if t <= now:
-            t += self._interval
-        delta = self._step if self._rng.random() < 0.5 else -self._step
-        self._current = min(max(self._current + delta, self._low), self._high)
-        return t, self._current
-
-
-class JitterRate(RateModel):
-    """Fresh uniform draw from ``[low, high]`` every ``interval``."""
-
-    def __init__(self, low: float, high: float, interval: float,
-                 rng: random.Random) -> None:
-        if not 0 < low <= high:
-            raise ClockError(f"need 0 < low <= high: {low!r}, {high!r}")
-        if interval <= 0:
-            raise ClockError(f"interval must be positive: {interval!r}")
-        self._low = low
-        self._high = high
-        self._interval = interval
-        self._rng = rng
-        self._current = rng.uniform(low, high)
-
-    def initial_rate(self) -> float:
-        return self._current
-
-    def next_change(self, now: float) -> tuple[float, float] | None:
-        index = int(now // self._interval) + 1
-        t = index * self._interval
-        if t <= now:
-            t += self._interval
-        self._current = self._rng.uniform(self._low, self._high)
-        return t, self._current

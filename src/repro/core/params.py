@@ -42,7 +42,7 @@ requires ``alpha < 1``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import ParameterError
 
@@ -233,10 +233,6 @@ class Parameters:
         c1 = (0.5 - eps) / ((1.0 + c2) * rho)
         return cls.custom(rho, d, u, f, cluster_size, c1=c1, c2=c2,
                           eps=eps, k_stab=k_stab, c_global=c_global)
-
-    def with_overrides(self, **changes) -> "Parameters":
-        """Return a copy with raw field overrides (expert use only)."""
-        return replace(self, **changes)
 
     # ------------------------------------------------------------------
     # Derived bounds

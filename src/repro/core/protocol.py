@@ -574,14 +574,15 @@ class System:
     def run(self, until: float | None = None) -> ProtocolRunResult:
         """Start (if needed), drive to ``until`` (default: the
         protocol's own horizon), and collect the uniform result."""
-        horizon = self.protocol.horizon() if until is None else until
+        if until is None:
+            until = self.protocol.horizon()
         if not self._started:
-            self.start(horizon)
+            self.start(until)
         else:
             # A run extending past the horizon applied at start time
             # needs the schedule's event suffix enqueued first.
-            self._apply_schedule(horizon)
-        self.protocol.advance(horizon)
+            self._apply_schedule(until)
+        self.protocol.advance(until)
         return self.protocol.collect()
 
 

@@ -195,37 +195,6 @@ class RunResult:
                 and self.within_local_node_bound
                 and self.within_global_bound)
 
-    def report(self) -> str:
-        """Human-readable measured-vs-bound summary of the run."""
-        rows = [
-            ("intra-cluster skew", self.max_intra_cluster_skew,
-             self.bounds.intra_cluster_bound, self.within_intra_bound),
-            ("local cluster skew", self.max_local_cluster_skew,
-             self.bounds.local_skew_bound,
-             self.within_local_cluster_bound),
-            ("local node skew", self.max_local_node_skew,
-             self.bounds.node_local_skew_bound,
-             self.within_local_node_bound),
-            ("global skew", self.max_global_skew,
-             self.bounds.global_skew_bound, self.within_global_bound),
-            ("estimate error", self.max_estimate_error,
-             self.bounds.estimate_error_bound,
-             self.max_estimate_error
-             <= self.bounds.estimate_error_bound),
-        ]
-        lines = [f"run over {self.rounds_completed} rounds "
-                 f"(D={self.diameter}, {self.messages_sent} messages, "
-                 f"{self.events_processed} events)"]
-        for name, measured, bound, ok in rows:
-            status = "ok" if ok else "VIOLATED"
-            lines.append(f"  {name:20s} {measured:12.4f} <= "
-                         f"{bound:12.4f}  {status}")
-        lines.append(f"  improper rounds: {self.clamped_corrections}, "
-                     f"missing pulses: {self.missing_pulses}, "
-                     f"stale: {self.stale_pulses}, "
-                     f"flooded: {self.flooded_pulses}")
-        return "\n".join(lines)
-
 
 class FtgcsSystem:
     """A fully wired FTGCS deployment on one simulation kernel."""

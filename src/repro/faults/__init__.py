@@ -17,18 +17,11 @@ from repro.faults.adversary import (
     RandomPulseAdversary,
     SilentAdversary,
 )
-from repro.faults.placement import (
-    count_by_cluster,
-    place_everywhere,
-    place_in_clusters,
-    place_random_iid,
-)
+from repro.faults.placement import place_everywhere, place_in_clusters
 
 __all__ = [
-    "count_by_cluster",
     "place_everywhere",
     "place_in_clusters",
-    "place_random_iid",
     "AdversaryModel",
     "CollusionAdversary",
     "CrashAdversary",

@@ -60,37 +60,3 @@ def place_everywhere(graph: AugmentedGraph, per_cluster: int,
     clusters = list(range(graph.cluster_graph.num_clusters))
     return place_in_clusters(graph, clusters, per_cluster, factory,
                              rng, pick)
-
-
-def place_random_iid(graph: AugmentedGraph, p: float,
-                     factory: AdversaryFactory, rng: random.Random,
-                     cap_per_cluster: int | None = None
-                     ) -> dict[int, AdversaryModel]:
-    """Each node fails independently with probability ``p``.
-
-    This is the stochastic model behind Inequality (1).  When
-    ``cap_per_cluster`` is given, clusters that would exceed the cap
-    keep only that many faults (lowest ids kept faulty) — use ``None``
-    to sample the uncapped model and *measure* budget violations.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"p must be a probability: {p!r}")
-    result: dict[int, AdversaryModel] = {}
-    for cluster in range(graph.cluster_graph.num_clusters):
-        failed = [m for m in graph.members(cluster) if rng.random() < p]
-        if cap_per_cluster is not None:
-            failed = failed[:cap_per_cluster]
-        for node_id in failed:
-            result[node_id] = factory(node_id)
-    return result
-
-
-def count_by_cluster(graph: AugmentedGraph,
-                     faulty: dict[int, AdversaryModel]
-                     ) -> dict[int, int]:
-    """Number of faulty nodes per cluster (validation/reporting)."""
-    counts: dict[int, int] = {}
-    for node_id in faulty:
-        cluster = graph.cluster_of(node_id)
-        counts[cluster] = counts.get(cluster, 0) + 1
-    return counts

@@ -1,26 +1,15 @@
 """Network substrate: messages, delay models, point-to-point delivery."""
 
-from repro.net.delays import (
-    BiasedDelay,
-    DelayModel,
-    ExtremalDelay,
-    FixedDelay,
-    PolicyDelay,
-    UniformDelay,
-)
+from repro.net.delays import DelayModel, ExtremalDelay, UniformDelay
 from repro.net.message import Pulse, PulseKind, ValueMessage
-from repro.net.network import Network, uniform_network
+from repro.net.network import Network
 
 __all__ = [
-    "BiasedDelay",
     "DelayModel",
     "ExtremalDelay",
-    "FixedDelay",
-    "PolicyDelay",
     "UniformDelay",
     "Pulse",
     "PulseKind",
     "ValueMessage",
     "Network",
-    "uniform_network",
 ]

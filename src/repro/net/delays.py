@@ -7,42 +7,24 @@ draws the per-message delay; the network validates that every draw
 stays inside the envelope (Byzantine *links* are not part of the
 paper's model — only Byzantine nodes are).
 
-Models provided:
+Models provided (``SystemConfig.delay_model`` selects them by name):
 
-* :class:`FixedDelay` — every message takes exactly ``delay``.
-* :class:`UniformDelay` — i.i.d. uniform draw from ``[d-U, d]``.
-* :class:`ExtremalDelay` — always the minimum or always the maximum;
-  the worst cases for synchronization error are at the envelope edges.
-* :class:`BiasedDelay` — per-*direction* fixed delays; lets an
-  experiment place ``d-U`` on one direction of a link and ``d`` on the
-  other, the classic configuration that maximizes one-round estimation
-  error.
-* :class:`PolicyDelay` — arbitrary callable, for adversarial schedules.
+* :class:`UniformDelay` (``"uniform"``) — i.i.d. uniform draw from
+  ``[d-U, d]``.
+* :class:`ExtremalDelay` (``"min"``/``"max"``) — always the minimum or
+  always the maximum; the worst cases for synchronization error are at
+  the envelope edges.
 
-Out-of-model delays (fault injection)
--------------------------------------
-Two models deliberately step *outside* the paper's envelope to measure
-graceful degradation (they set the class attribute
-``in_model = False``, which tells the network to skip envelope
-validation and only require non-negative draws):
-
-* :class:`ParetoDelay` — heavy-tailed delays ``(d - U) + Pareto``.
-  The documented out-of-model policy: with ``policy="clamp"`` every
-  sample is clamped into ``[d-U, d]`` (in-model marginal with a point
-  mass at ``d``; useful as a sanity anchor), with ``policy="exceed"``
-  (the default) samples beyond ``d`` are delivered late, exactly as
-  drawn — late messages are *stale but not reordered against physics*,
-  and the protocol under test must absorb them.
-* :class:`AsymmetricDelay` — composes two models, one per direction,
-  so one direction of a link can be heavy-tailed while the other stays
-  uniform (asymmetric routes, half-duplex contention).
+Any other model is a :class:`DelayModel` subclass returned by a
+``delay_model`` factory.  One that sets ``in_model = False`` steps
+outside the envelope on purpose (fault injection): the network then
+skips envelope validation and only requires non-negative draws.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Callable
 
 from repro.errors import NetworkError
 
@@ -59,18 +41,6 @@ class DelayModel(ABC):
     @abstractmethod
     def draw(self, sender: int, receiver: int, now: float) -> float:
         """Delay (in Newtonian time units) for a message sent now."""
-
-
-class FixedDelay(DelayModel):
-    """Every message takes exactly ``delay``."""
-
-    def __init__(self, delay: float) -> None:
-        if delay < 0:
-            raise NetworkError(f"delay must be non-negative: {delay!r}")
-        self._delay = delay
-
-    def draw(self, sender: int, receiver: int, now: float) -> float:
-        return self._delay
 
 
 class UniformDelay(DelayModel):
@@ -101,110 +71,3 @@ class ExtremalDelay(DelayModel):
 
     def draw(self, sender: int, receiver: int, now: float) -> float:
         return self._delay
-
-
-class BiasedDelay(DelayModel):
-    """Fixed delay per direction: ``forward`` when ``sender < receiver``,
-    else ``backward``.
-
-    With ``forward = d`` and ``backward = d - U`` this realizes the
-    asymmetric-link worst case for round-trip-free estimation.
-    """
-
-    def __init__(self, forward: float, backward: float) -> None:
-        if forward < 0 or backward < 0:
-            raise NetworkError("delays must be non-negative")
-        self._forward = forward
-        self._backward = backward
-
-    def draw(self, sender: int, receiver: int, now: float) -> float:
-        return self._forward if sender < receiver else self._backward
-
-
-class PolicyDelay(DelayModel):
-    """Delegates to ``policy(sender, receiver, now) -> delay``.
-
-    The network still validates the returned delay against the
-    ``[d-U, d]`` envelope, so a policy cannot smuggle out-of-model
-    behaviour in by accident.
-    """
-
-    def __init__(self, policy: Callable[[int, int, float], float]) -> None:
-        self._policy = policy
-
-    def draw(self, sender: int, receiver: int, now: float) -> float:
-        return self._policy(sender, receiver, now)
-
-
-class ParetoDelay(DelayModel):
-    """Heavy-tailed delay: ``(d - U) + U * (Pareto(alpha) - 1)``.
-
-    The Pareto variate has scale 1 and shape ``alpha``, so the minimum
-    delay is exactly ``d - U`` and the *median* stays near the uniform
-    model's range, but the tail decays polynomially — occasional
-    samples land far beyond ``d``.  Out-of-model policy for those
-    samples (the explicit knob this class exists for):
-
-    ``policy="exceed"`` (default)
-        Deliver late, exactly as drawn.  The run leaves the paper's
-        model; skew bounds are no longer guaranteed and the measured
-        degradation is the experiment's subject.
-    ``policy="clamp"``
-        Clamp into ``[d - U, d]``.  In-model marginal with a point
-        mass at ``d``; the sanity anchor for A/B runs.
-
-    Smaller ``alpha`` means heavier tails (``alpha <= 1`` has infinite
-    mean — legal here, brutal on the protocol).
-    """
-
-    in_model = False
-
-    def __init__(self, d: float, u: float, alpha: float,
-                 rng: random.Random, policy: str = "exceed") -> None:
-        if d <= 0:
-            raise NetworkError(f"d must be positive: {d!r}")
-        if not 0 < u <= d:
-            raise NetworkError(f"need 0 < U <= d: U={u!r}, d={d!r}")
-        if alpha <= 0:
-            raise NetworkError(f"alpha must be positive: {alpha!r}")
-        if policy not in ("exceed", "clamp"):
-            raise NetworkError(
-                f"policy must be 'exceed' or 'clamp': {policy!r}")
-        self._d = d
-        self._u = u
-        self._alpha = alpha
-        self._rng = rng
-        self._clamp = policy == "clamp"
-        # Clamped draws are in-model by construction; declare it so
-        # the network keeps validating them.
-        if self._clamp:
-            self.in_model = True
-
-    def draw(self, sender: int, receiver: int, now: float) -> float:
-        # Inverse-CDF Pareto with scale 1: x = (1 - U)^(-1/alpha).
-        x = (1.0 - self._rng.random()) ** (-1.0 / self._alpha)
-        delay = (self._d - self._u) + self._u * (x - 1.0)
-        if self._clamp and delay > self._d:
-            return self._d
-        return delay
-
-
-class AsymmetricDelay(DelayModel):
-    """Direction-split composite: ``forward`` when ``sender <
-    receiver``, else ``backward``.
-
-    Each direction delegates to its own full :class:`DelayModel`, so
-    e.g. one direction can be :class:`ParetoDelay` while the other is
-    :class:`UniformDelay`.  The composite is in-model only if both
-    halves are.
-    """
-
-    def __init__(self, forward: DelayModel,
-                 backward: DelayModel) -> None:
-        self._forward = forward
-        self._backward = backward
-        self.in_model = forward.in_model and backward.in_model
-
-    def draw(self, sender: int, receiver: int, now: float) -> float:
-        model = self._forward if sender < receiver else self._backward
-        return model.draw(sender, receiver, now)

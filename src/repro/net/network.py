@@ -44,12 +44,11 @@ accounted by cause: ``dropped_link_down`` (deactivated link),
 ``drop_in_flight`` deactivation); the legacy ``messages_dropped`` name
 remains as their sum.
 
-Delay models declaring ``in_model = False`` (e.g.
-:class:`~repro.net.delays.ParetoDelay` with the ``"exceed"`` policy)
-bypass the ``[d - U, d]`` envelope check — only non-negativity is
-enforced — so experiments can measure degradation under heavy-tailed
-delays.  See :mod:`repro.net.delays` for the documented out-of-model
-policy.
+Delay models declaring ``in_model = False`` (a user-supplied
+``delay_model`` factory may return one) bypass the ``[d - U, d]``
+envelope check — only non-negativity is enforced — so a run can
+measure degradation under out-of-model delays.  See
+:class:`~repro.net.delays.DelayModel`.
 
 Batched delivery
 ----------------
@@ -96,7 +95,7 @@ from heapq import heapify, heappop, heappush
 from typing import Any, Callable
 
 from repro.errors import NetworkError
-from repro.net.delays import DelayModel, UniformDelay
+from repro.net.delays import DelayModel
 from repro.net.loss import LossModel
 from repro.sim.kernel import Simulator
 
@@ -498,7 +497,8 @@ class Network:
             # A few-ulp negative draw inside the validation tolerance;
             # clamp exactly like Simulator.call_in would.
             time = now
-        # Inlined Simulator.alloc_seq: this runs once per message.
+        # Consume one kernel seq without queueing an event (see
+        # Simulator.call_at_key); this runs once per message.
         queue = sim._queue
         seq = queue._seq
         queue._seq = seq + 1
@@ -538,20 +538,12 @@ class Network:
         handlers_get = self._handlers.get
         kernel_heap = queue._heap
         horizon = sim._horizon
-        budget = sim._batch_budget
         heappop_ = heappop
         flush_cb = self._flush_cb
         flush_key = self._flush_key
-        delivered = 0
         self._draining = True
         try:
             while pending:
-                if delivered >= budget:
-                    # run_until_idle(max_events=...) budget spent mid
-                    # drain: hand control back so the kernel's
-                    # runaway-loop guard can fire (the re-arm below
-                    # keeps the remaining entries schedulable).
-                    break
                 head = pending[0]
                 t = head[0]
                 if t > horizon:
@@ -583,7 +575,6 @@ class Network:
                 # flush key that woke us); assigning directly skips a
                 # method call per message.
                 sim._now = t
-                delivered += 1
                 # Counted before the handler runs, as one kernel event
                 # per message would: handlers reading the public
                 # counter mid-run see the per-message values.
@@ -594,7 +585,6 @@ class Network:
         finally:
             self._draining = False
             self._flush_key = flush_key
-            sim._batch_budget = budget - delivered
             if pending:
                 head = pending[0]
                 if flush_key is None or head[0] < flush_key[0] \
@@ -604,9 +594,3 @@ class Network:
                     sim.call_at_key(head[0], head[1], self._flush_cb,
                                     head[0], head[1])
 
-
-def uniform_network(sim: Simulator, d: float, u: float,
-                    rng_stream) -> Network:
-    """Convenience: a network whose default model is i.i.d. uniform."""
-    return Network(sim, d, u,
-                   default_delay_model=UniformDelay(d, u, rng_stream))

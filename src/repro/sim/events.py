@@ -5,7 +5,14 @@ holds lightweight ``(time, seq, event)`` tuples where ``seq`` is a
 monotonically increasing sequence number assigned at scheduling time;
 this makes executions fully deterministic (FIFO among simultaneous
 events) while keeping heap comparisons in C (tuple comparison) instead
-of calling a Python ``__lt__`` per sift step.
+of calling a Python ``__lt__`` per sift step.  :meth:`Event.__lt__`
+still exists for the one case where two entries share a key: the
+network arms its delivery wake-ups at explicit ``(time, seq)`` keys
+(:meth:`~repro.sim.kernel.Simulator.call_at_key`), and two wake-ups
+for the same delivery compare their events.
+
+The kernel's dispatch loop pops the heap itself; this module only
+builds, counts and cancels entries.
 
 Cancellation is *lazy*: cancelling marks the event and the kernel skips
 it when popped.  To keep long runs bounded, the queue *compacts* itself
@@ -18,7 +25,7 @@ place* so kernel loops holding a local alias stay valid.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 #: Heaps smaller than this are never compacted — the bookkeeping would
 #: cost more than the garbage it reclaims.
@@ -62,10 +69,6 @@ class Event:
         # object graphs while they sit in the heap awaiting removal.
         self.callback = _noop
         self.args = ()
-
-    def fire(self) -> None:
-        """Invoke the callback (kernel use only)."""
-        self.callback(*self.args)
 
     def __lt__(self, other: "Event") -> bool:
         if self.time != other.time:
@@ -115,21 +118,6 @@ class EventQueue:
         heapq.heappush(self._heap, (time, seq, event))
         return event
 
-    def requeue(self, event: Event, time: float) -> None:
-        """Re-arm a popped (fired) event at ``time``, reusing the object.
-
-        Kernel use only, for repeating events: the event must not be in
-        the heap.  A fresh ``seq`` keeps FIFO determinism among
-        simultaneous events.
-        """
-        seq = self._seq
-        self._seq = seq + 1
-        event.time = time
-        event.seq = seq
-        event.fired = False
-        self._live += 1
-        heapq.heappush(self._heap, (time, seq, event))
-
     def cancel(self, event: Event) -> None:
         """Cancel a previously pushed event (lazy removal).
 
@@ -150,31 +138,3 @@ class EventQueue:
             # In-place rewrite: aliases of the heap list stay valid.
             heap[:] = [entry for entry in heap if not entry[2].cancelled]
             heapq.heapify(heap)
-
-    def pop(self) -> Event | None:
-        """Pop and return the next live event, or ``None`` if empty."""
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[2]
-            if not event.cancelled:
-                event.fired = True
-                self._live -= 1
-                return event
-        return None
-
-    def peek_time(self) -> float | None:
-        """Return the firing time of the next live event, or ``None``."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        if not heap:
-            return None
-        return heap[0][0]
-
-    def drain(self) -> Iterable[Event]:
-        """Pop live events until the queue is empty (testing helper)."""
-        while True:
-            event = self.pop()
-            if event is None:
-                return
-            yield event

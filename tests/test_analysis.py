@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.metrics import (
     cluster_extrema,
-    compute_snapshot,
+    compute_snapshot_grouped,
     pulse_diameters,
     unanimity_by_round,
 )
@@ -28,9 +28,9 @@ class TestClusterExtrema:
 
 class TestComputeSnapshot:
     def test_known_values(self):
-        values = {0: {0: 0.0, 1: 1.0}, 1: {2: 4.0, 3: 5.0}}
-        snap = compute_snapshot(7.0, values, [(0, 1)],
-                                include_edges=True)
+        values = [(0, [0.0, 1.0]), (1, [4.0, 5.0])]
+        snap = compute_snapshot_grouped(7.0, values, [(0, 1)],
+                                        include_edges=True)
         assert snap.time == 7.0
         assert snap.global_skew == pytest.approx(5.0)
         assert snap.max_intra_cluster == pytest.approx(1.0)
@@ -41,12 +41,12 @@ class TestComputeSnapshot:
         assert snap.edge_skews[(0, 1)] == pytest.approx(4.0)
 
     def test_empty_input(self):
-        snap = compute_snapshot(0.0, {}, [])
+        snap = compute_snapshot_grouped(0.0, [], [])
         assert snap.global_skew == 0.0
 
     def test_edges_with_missing_cluster_skipped(self):
-        values = {0: {0: 0.0}}
-        snap = compute_snapshot(0.0, values, [(0, 1)])
+        values = [(0, [0.0])]
+        snap = compute_snapshot_grouped(0.0, values, [(0, 1)])
         assert snap.max_local_cluster == 0.0
 
 
@@ -88,7 +88,7 @@ class TestSkewSampler:
         return sim, sampler
 
     def test_running_maxima(self):
-        values = {0: {0: 0.0}, 1: {1: 3.0}}
+        values = [(0, [0.0]), (1, [3.0])]
         sim, sampler = self.make_sampler(values)
         sampler.start()
         sim.run(until=5.0)
@@ -96,21 +96,21 @@ class TestSkewSampler:
         assert sampler.maxima.global_skew == pytest.approx(3.0)
 
     def test_series_recording(self):
-        values = {0: {0: 0.0}}
+        values = [(0, [0.0])]
         sim, sampler = self.make_sampler(values, record_series=True)
         sampler.start()
         sim.run(until=3.0)
         assert len(sampler.series) == 4
 
     def test_edge_tracking(self):
-        values = {0: {0: 0.0}, 1: {1: 2.0}}
+        values = [(0, [0.0]), (1, [2.0])]
         sim, sampler = self.make_sampler(values, track_edges=True)
         sampler.start()
         sim.run(until=1.0)
         assert sampler.maxima.edge_maxima[(0, 1)] == pytest.approx(2.0)
 
     def test_stop(self):
-        values = {0: {0: 0.0}}
+        values = [(0, [0.0])]
         sim, sampler = self.make_sampler(values)
         sampler.start()
         sim.run(until=1.0)
@@ -120,13 +120,27 @@ class TestSkewSampler:
 
     def test_bad_interval(self):
         with pytest.raises(ConfigError):
-            self.make_sampler({}, interval=0.0)
+            self.make_sampler([], interval=0.0)
 
     def test_double_start(self):
-        sim, sampler = self.make_sampler({0: {0: 0.0}})
+        sim, sampler = self.make_sampler([(0, [0.0])])
         sampler.start()
         with pytest.raises(ConfigError):
             sampler.start()
+        # An explicit stop() allows a deliberate restart.
+        sampler.stop()
+        sampler.start()
+        assert sampler.maxima.samples == 2
+
+    def test_open_ended_form_drops_a_tick_drifted_past_the_horizon(self):
+        # 0.1 accumulated 3 times drifts to 0.30000000000000004 > 0.3,
+        # so run(until=0.3) never fires the third tick; the systems
+        # take a final sample_now() at the horizon instead.
+        sim, sampler = self.make_sampler([(0, [0.0]), (1, [1.0])],
+                                         interval=0.1)
+        sampler.start()
+        sim.run(until=0.3)
+        assert sampler.maxima.samples == 3  # final tick drifted past
 
 
 class TestTraces:
@@ -234,81 +248,16 @@ class TestSampleBuffer:
             buffer.row(0)
 
 
-class TestSamplerHorizonBoundary:
-    """A tick nominally at t == horizon fires (tick_count/clamp_tick)."""
-
-    def make_sampler(self, interval, **kwargs):
-        sim = Simulator()
-        sampler = SkewSampler(sim, interval,
-                              lambda: {0: {0: 0.0}, 1: {1: 1.0}},
-                              [(0, 1)], **kwargs)
-        return sim, sampler
-
-    def test_exact_intervals_yield_n_plus_one_samples(self):
-        # 0.1 accumulated 3 times drifts to 0.30000000000000004 > 0.3,
-        # so the open-ended repeating form drops the final tick; the
-        # horizon-bounded form clamps it onto the boundary.
-        sim, sampler = self.make_sampler(0.1)
-        sampler.start(horizon=0.3)
-        sim.run(until=0.3)
-        assert sampler.maxima.samples == 4  # N + 1
-
-    def test_legacy_form_exhibits_the_drift_drop(self):
-        # Documents the behavior the horizon parameter exists to fix
-        # (kept for byte-identity of open-ended system runs).
-        sim, sampler = self.make_sampler(0.1)
-        sampler.start()
-        sim.run(until=0.3)
-        assert sampler.maxima.samples == 3  # final tick drifted past
-
-    def test_bounded_ticks_stop_at_horizon(self):
-        sim, sampler = self.make_sampler(0.25, record_series=True)
-        sampler.start(horizon=1.0)
-        sim.run(until=5.0)
-        assert sampler.maxima.samples == 5
-        assert [s.time for s in sampler.series] == \
-            pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
-
-    def test_horizon_before_now_rejected(self):
-        sim, sampler = self.make_sampler(0.5)
-        sim.run(until=2.0)
-        with pytest.raises(ConfigError):
-            sampler.start(horizon=1.0)
-
-    def test_exhausted_bounded_sampler_rejects_restart(self):
-        # The bounded form clears its event after the final tick; the
-        # sampler must still refuse a second start() instead of
-        # corrupting the series with a fresh tick train.
-        sim, sampler = self.make_sampler(0.1)
-        sampler.start(horizon=0.3)
-        sim.run(until=0.3)
-        with pytest.raises(ConfigError):
-            sampler.start()
-        assert sampler.maxima.samples == 4
-        # Explicit stop() still allows a deliberate restart.
-        sampler.stop()
-        sampler.start()
-        assert sampler.maxima.samples == 5
-
-    def test_stop_cancels_bounded_ticks(self):
-        sim, sampler = self.make_sampler(0.25)
-        sampler.start(horizon=10.0)
-        sim.run(until=0.5)
-        sampler.stop()
-        sim.run(until=10.0)
-        assert sampler.maxima.samples == 3
-
-
 class TestBufferedSeries:
     def test_series_matches_eager_snapshots(self):
-        values = {0: {0: 0.0, 1: 1.0}, 1: {2: 4.0}}
+        values = [(0, [0.0, 1.0]), (1, [4.0])]
         sim = Simulator()
         sampler = SkewSampler(sim, 1.0, lambda: values, [(0, 1)],
                               record_series=True, track_edges=True)
         sampler.start()
         sim.run(until=3.0)
-        expected = compute_snapshot(0.0, values, [(0, 1)],
-                                    include_edges=True)
+        expected = compute_snapshot_grouped(0.0, values, [(0, 1)],
+                                            include_edges=True)
         assert len(sampler.series) == 4
         for i, snap in enumerate(sampler.series):
             assert snap.time == pytest.approx(float(i))
@@ -327,9 +276,8 @@ class TestBufferedSeries:
         maxima = {}
         metrics = accumulate_grouped(groups, edges, edge_maxima=maxima,
                                      edge_out=edge_out)
-        snap = compute_snapshot(
-            0.0, {0: {0: 0.0, 1: 2.0}, 1: {2: 5.0}}, edges,
-            include_edges=True)
+        snap = compute_snapshot_grouped(
+            0.0, [(0, [0.0, 2.0]), (1, [5.0])], edges, include_edges=True)
         assert metrics == (snap.global_skew, snap.max_intra_cluster,
                            snap.max_local_cluster, snap.max_local_node)
         assert edge_out == snap.edge_skews

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines.gcs_single import GcsParams, GcsSingleSystem
-from repro.baselines.lynch_welch import run_lynch_welch
+from repro.baselines.lynch_welch import LynchWelchSystem
 from repro.baselines.master_slave import MasterSlaveSystem, bfs_tree
 from repro.baselines.srikanth_toueg import SrikanthTouegSystem, StParams
 from repro.core.params import Parameters
@@ -23,15 +23,17 @@ def params_f0():
 
 class TestLynchWelch:
     def test_clique_within_bounds(self, params):
-        result = run_lynch_welch(params, rounds=8, seed=1)
+        result = LynchWelchSystem(params, seed=1).run_rounds(8)
         assert result.within_intra_bound
         assert result.max_local_cluster_skew == 0.0
 
     def test_with_silent_fault(self, params):
+        from repro.core.system import SystemConfig
         from repro.faults import SilentAdversary
 
-        result = run_lynch_welch(params, rounds=8, seed=2,
-                                 byzantine={0: SilentAdversary()})
+        config = SystemConfig(byzantine={0: SilentAdversary()})
+        result = LynchWelchSystem(params, config=config,
+                                  seed=2).run_rounds(8)
         assert result.within_intra_bound
         assert result.missing_pulses > 0
 

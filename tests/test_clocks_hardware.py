@@ -1,17 +1,8 @@
 """Unit tests for hardware clocks and rate models."""
 
-import random
-
 import pytest
 
-from repro.clocks import (
-    ConstantRate,
-    FlipRate,
-    HardwareClock,
-    JitterRate,
-    RandomWalkRate,
-    ScheduleRate,
-)
+from repro.clocks import ConstantRate, FlipRate, HardwareClock
 from repro.errors import ClockError
 from repro.sim import Simulator
 
@@ -48,29 +39,6 @@ class TestConstantRate:
             ConstantRate(0.0)
 
 
-class TestScheduleRate:
-    def test_piecewise_integration_is_exact(self):
-        sim = Simulator()
-        model = ScheduleRate(1.0, [(10.0, 1.1), (20.0, 1.05)])
-        clock = HardwareClock(sim, model, rho=0.1)
-        sim.run(until=30.0)
-        expected = 10 * 1.0 + 10 * 1.1 + 10 * 1.05
-        assert clock.value() == pytest.approx(expected, rel=1e-12)
-
-    def test_non_monotone_schedule_rejected(self):
-        with pytest.raises(ClockError):
-            ScheduleRate(1.0, [(5.0, 1.1), (5.0, 1.2)])
-
-    def test_listener_called_on_change(self):
-        sim = Simulator()
-        model = ScheduleRate(1.0, [(1.0, 1.1)])
-        clock = HardwareClock(sim, model, rho=0.2)
-        seen = []
-        clock.add_listener(lambda: seen.append(clock.rate))
-        sim.run(until=2.0)
-        assert seen == [pytest.approx(1.1)]
-
-
 class TestFlipRate:
     def test_alternation(self):
         sim = Simulator()
@@ -103,41 +71,16 @@ class TestFlipRate:
         with pytest.raises(ClockError):
             FlipRate(low=1.0, high=1.1, period=0.0)
 
-
-class TestStochasticModels:
-    def test_random_walk_stays_in_bounds(self):
-        rng = random.Random(1)
-        model = RandomWalkRate(low=1.0, high=1.01, step=0.002,
-                               interval=1.0, rng=rng)
+    def test_listener_called_on_change(self):
+        # A period longer than the run gives exactly one change, at
+        # the phase.
         sim = Simulator()
-        clock = HardwareClock(sim, model, rho=0.01)
-        sim.run(until=200.0)
-        assert 1.0 <= clock.rate <= 1.01
-
-    def test_random_walk_replays(self):
-        def run(seed):
-            rng = random.Random(seed)
-            model = RandomWalkRate(1.0, 1.01, 0.001, 1.0, rng)
-            sim = Simulator()
-            clock = HardwareClock(sim, model, rho=0.01)
-            sim.run(until=50.0)
-            return clock.value()
-
-        assert run(3) == run(3)
-
-    def test_jitter_rate_in_bounds(self):
-        rng = random.Random(2)
-        model = JitterRate(low=1.0, high=1.05, interval=2.0, rng=rng)
-        sim = Simulator()
-        clock = HardwareClock(sim, model, rho=0.05)
-        sim.run(until=100.0)
-        assert 1.0 <= clock.rate <= 1.05
-
-    def test_invalid_interval(self):
-        with pytest.raises(ClockError):
-            JitterRate(1.0, 1.1, 0.0, random.Random(0))
-        with pytest.raises(ClockError):
-            RandomWalkRate(1.0, 1.1, 0.01, -1.0, random.Random(0))
+        model = FlipRate(low=1.0, high=1.1, period=100.0, phase=1.0)
+        clock = HardwareClock(sim, model, rho=0.2)
+        seen = []
+        clock.add_listener(lambda: seen.append(clock.rate))
+        sim.run(until=2.0)
+        assert seen == [pytest.approx(1.1)]
 
 
 class TestHardwareClockReads:
@@ -149,7 +92,7 @@ class TestHardwareClockReads:
 
     def test_read_before_segment_raises(self):
         sim = Simulator()
-        model = ScheduleRate(1.0, [(5.0, 1.1)])
+        model = FlipRate(low=1.0, high=1.1, period=100.0, phase=5.0)
         clock = HardwareClock(sim, model, rho=0.2)
         sim.run(until=6.0)
         with pytest.raises(ClockError):

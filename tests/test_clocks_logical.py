@@ -4,10 +4,10 @@ import pytest
 
 from repro.clocks import (
     ConstantRate,
+    FlipRate,
     HardwareClock,
     LogicalClock,
     ScaledClock,
-    ScheduleRate,
 )
 from repro.errors import ClockError
 from repro.sim import Simulator
@@ -51,7 +51,9 @@ class TestLogicalRate:
 
     def test_hardware_rate_change_propagates(self):
         sim = Simulator()
-        hw = HardwareClock(sim, ScheduleRate(1.0, [(5.0, 1.1)]), rho=0.2)
+        # One change, at t = 5 (the period outlasts the run).
+        hw = HardwareClock(sim, FlipRate(1.0, 1.1, period=100.0, phase=5.0),
+                           rho=0.2)
         clock = LogicalClock(sim, hw, phi=0.0, mu=0.0, delta=0.0)
         sim.run(until=10.0)
         assert clock.value() == pytest.approx(5 * 1.0 + 5 * 1.1)
@@ -148,7 +150,8 @@ class TestAlarms:
 
     def test_hardware_change_reschedules_alarm(self):
         sim = Simulator()
-        hw = HardwareClock(sim, ScheduleRate(1.0, [(5.0, 1.25)]), rho=0.25)
+        hw = HardwareClock(sim, FlipRate(1.0, 1.25, period=100.0, phase=5.0),
+                           rho=0.25)
         clock = LogicalClock(sim, hw, phi=0.0, mu=0.0, delta=0.0)
         fired = []
         clock.at_value(10.0, lambda: fired.append(sim.now))

@@ -172,8 +172,3 @@ class TestDerivedBounds:
     def test_summary_contains_key_values(self, params):
         text = params.summary()
         assert "rho" in text and "kappa" in text
-
-    def test_with_overrides(self, params):
-        changed = params.with_overrides(c_global=16.0)
-        assert changed.c_global == 16.0
-        assert changed.cap_e == params.cap_e

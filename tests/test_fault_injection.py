@@ -18,12 +18,12 @@ import random
 
 import pytest
 
+from delay_models import FixedDelay, LateDelay
 from repro.baselines.gcs_single import GcsParams
 from repro.core.protocol import SystemBuilder
 from repro.errors import ConfigError, NetworkError, TopologyError
 from repro.harness import Scenario, SweepRunner, run_experiment
 from repro.harness.experiments import fast_dynamics_params
-from repro.net.delays import AsymmetricDelay, FixedDelay, ParetoDelay
 from repro.net.loss import (
     BernoulliLoss,
     BurstLoss,
@@ -187,36 +187,10 @@ class TestInFlightQuarantine:
 
 
 class TestHeavyTailedDelays:
-    def test_pareto_exceed_policy_leaves_envelope(self):
-        model = ParetoDelay(1.0, 0.3, alpha=1.5, rng=random.Random(2))
-        assert model.in_model is False
-        draws = [model.draw(0, 1, 0.0) for _ in range(3000)]
-        assert min(draws) >= 0.7 - 1e-12
-        assert max(draws) > 1.0  # the heavy tail actually exceeds d
-
-    def test_pareto_clamp_policy_stays_in_model(self):
-        model = ParetoDelay(1.0, 0.3, alpha=1.5, rng=random.Random(2),
-                            policy="clamp")
-        assert model.in_model is True
-        draws = [model.draw(0, 1, 0.0) for _ in range(3000)]
-        assert all(0.7 - 1e-12 <= x <= 1.0 + 1e-12 for x in draws)
-
-    def test_pareto_deterministic_per_seed(self):
-        a = ParetoDelay(1.0, 0.3, alpha=2.0, rng=random.Random(9))
-        b = ParetoDelay(1.0, 0.3, alpha=2.0, rng=random.Random(9))
-        assert ([a.draw(0, 1, 0.0) for _ in range(100)]
-                == [b.draw(0, 1, 0.0) for _ in range(100)])
-
-    def test_asymmetric_delay_routes_by_direction(self):
-        model = AsymmetricDelay(FixedDelay(0.8), FixedDelay(0.9))
-        assert model.draw(0, 1, 0.0) == pytest.approx(0.8)
-        assert model.draw(1, 0, 0.0) == pytest.approx(0.9)
-        assert model.in_model is True
-
     def test_out_of_model_delay_accepted_by_network(self):
         sim = Simulator()
         net = Network(sim, d=1.0, u=0.3,
-                      default_delay_model=ParetoDelay(
+                      default_delay_model=LateDelay(
                           1.0, 0.3, alpha=1.1, rng=random.Random(4)))
         net.add_node(0)
         net.add_node(1)
@@ -227,6 +201,7 @@ class TestHeavyTailedDelays:
             net.send(0, 1, ValueMessage(sender=0, value=0.0))
         sim.run(until=100.0)
         assert len(received) == 200
+        assert max(received) > 1.0  # delivered past d, as drawn
 
 
 class TestNodeChurnSchedule:

@@ -12,10 +12,8 @@ from repro.faults import (
     FastClockAdversary,
     RandomPulseAdversary,
     SilentAdversary,
-    count_by_cluster,
     place_everywhere,
     place_in_clusters,
-    place_random_iid,
 )
 from repro.topology import ClusterGraph
 
@@ -42,25 +40,8 @@ class TestPlacement:
     def test_place_everywhere(self, augmented):
         faults = place_everywhere(augmented, 1,
                                   lambda n: SilentAdversary())
-        counts = count_by_cluster(augmented, faults)
-        assert counts == {0: 1, 1: 1, 2: 1, 3: 1}
-
-    def test_place_random_iid_capped(self, augmented):
-        rng = random.Random(3)
-        faults = place_random_iid(augmented, p=0.9,
-                                  factory=lambda n: SilentAdversary(),
-                                  rng=rng, cap_per_cluster=1)
-        counts = count_by_cluster(augmented, faults)
-        assert all(count <= 1 for count in counts.values())
-
-    def test_place_random_iid_uncapped_measures_overflow(self, augmented):
-        rng = random.Random(4)
-        faults = place_random_iid(augmented, p=0.9,
-                                  factory=lambda n: SilentAdversary(),
-                                  rng=rng)
-        counts = count_by_cluster(augmented, faults)
-        # With p=0.9 and k=4, some cluster exceeds 1 fault w.h.p.
-        assert max(counts.values()) > 1
+        clusters = sorted(augmented.cluster_of(n) for n in faults)
+        assert clusters == [0, 1, 2, 3]
 
     def test_validation(self, augmented):
         with pytest.raises(ConfigError):
@@ -70,10 +51,6 @@ class TestPlacement:
             place_in_clusters(augmented, [0], 1,
                               lambda n: SilentAdversary(),
                               pick="random")  # rng missing
-        with pytest.raises(ConfigError):
-            place_random_iid(augmented, p=1.5,
-                             factory=lambda n: SilentAdversary(),
-                             rng=random.Random(0))
 
     def test_factory_receives_node_id(self, augmented):
         seen = []

@@ -1,28 +1,26 @@
-"""Unit tests for the event queue primitives."""
+"""Unit tests for the event queue primitives, driven through the
+kernel's scheduling and dispatch API."""
 
-import pytest
-
+from repro.sim import Simulator
 from repro.sim.events import Event, EventQueue
 
 
 class TestEventOrdering:
     def test_orders_by_time(self):
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
-        queue.push(2.0, fired.append, ("b",))
-        queue.push(1.0, fired.append, ("a",))
-        queue.push(3.0, fired.append, ("c",))
-        for event in queue.drain():
-            event.fire()
+        sim.call_at(2.0, fired.append, "b")
+        sim.call_at(1.0, fired.append, "a")
+        sim.call_at(3.0, fired.append, "c")
+        sim.run_until_idle()
         assert fired == ["a", "b", "c"]
 
     def test_fifo_among_simultaneous_events(self):
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
         for tag in ("first", "second", "third"):
-            queue.push(5.0, fired.append, (tag,))
-        for event in queue.drain():
-            event.fire()
+            sim.call_at(5.0, fired.append, tag)
+        sim.run_until_idle()
         assert fired == ["first", "second", "third"]
 
     def test_len_counts_live_events(self):
@@ -43,11 +41,11 @@ class TestEventOrdering:
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
-        event = queue.push(1.0, fired.append, ("x",))
-        queue.cancel(event)
-        assert queue.pop() is None
+        event = sim.call_at(1.0, fired.append, "x")
+        sim.cancel(event)
+        assert sim.run_until_idle() == 0
         assert fired == []
 
     def test_double_cancel_is_idempotent(self):
@@ -67,25 +65,24 @@ class TestCancellation:
     def test_cancel_after_fire_does_not_corrupt_live_count(self):
         # Regression: cancelling a stale reference to an event that
         # already fired used to decrement the live count a second time.
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
-        stale = queue.push(1.0, fired.append, ("x",))
-        queue.push(2.0, fired.append, ("y",))
-        popped = queue.pop()
-        popped.fire()
-        assert popped is stale and fired == ["x"]
-        queue.cancel(stale)  # stale handle; the event already fired
-        assert len(queue) == 1
-        assert queue.pop() is not None
-        assert len(queue) == 0
+        stale = sim.call_at(1.0, fired.append, "x")
+        sim.call_at(2.0, fired.append, "y")
+        sim.run(until=1.0)
+        assert fired == ["x"]
+        sim.cancel(stale)  # stale handle; the event already fired
+        assert sim.pending_events == 1
+        assert sim.run_until_idle() == 1
+        assert sim.pending_events == 0
 
     def test_cancel_after_fire_is_flagged_but_harmless(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.pop()
-        queue.cancel(event)
+        sim = Simulator()
+        event = sim.call_at(1.0, lambda: None)
+        sim.run_until_idle()
+        sim.cancel(event)
         assert event.cancelled
-        assert len(queue) == 0
+        assert sim.pending_events == 0
 
     def test_compaction_keeps_heap_within_twice_live(self):
         from repro.sim.events import COMPACT_MIN_SIZE
@@ -99,13 +96,3 @@ class TestCancellation:
             assert queue.heap_size <= max(COMPACT_MIN_SIZE,
                                           2 * len(queue))
         assert len(queue) == 200
-
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        e1 = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        queue.cancel(e1)
-        assert queue.peek_time() == 2.0
-
-    def test_peek_time_empty(self):
-        assert EventQueue().peek_time() is None

@@ -82,18 +82,6 @@ class TestExecution:
         sim.run(until=2.0)
         assert fired == []
 
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
-
-    def test_step_fires_single_event(self):
-        sim = Simulator()
-        fired = []
-        sim.call_at(1.0, fired.append, "a")
-        sim.call_at(2.0, fired.append, "b")
-        assert sim.step() is True
-        assert fired == ["a"]
-        assert sim.now == 1.0
-
     def test_events_processed_counter(self):
         sim = Simulator()
         for i in range(4):
@@ -101,55 +89,35 @@ class TestExecution:
         sim.run(until=10.0)
         assert sim.events_processed == 4
 
-    def test_run_until_idle_bound(self):
-        sim = Simulator()
-
-        def forever():
-            sim.call_in(1.0, forever)
-
-        sim.call_at(0.0, forever)
-        with pytest.raises(SimulationError):
-            sim.run_until_idle(max_events=10)
-
-    def test_run_until_idle_bound_fires_exactly_max_events(self):
-        # Regression: the bound used to fire max_events + 1 events
-        # before raising.
-        sim = Simulator()
-
-        def forever():
-            sim.call_in(1.0, forever)
-
-        sim.call_at(0.0, forever)
-        with pytest.raises(SimulationError):
-            sim.run_until_idle(max_events=10)
-        assert sim.events_processed == 10
-
-    def test_run_until_idle_zero_budget_raises_without_firing(self):
-        sim = Simulator()
-        fired = []
-        sim.call_at(1.0, fired.append, "x")
-        with pytest.raises(SimulationError):
-            sim.run_until_idle(max_events=0)
-        assert fired == []
-        assert sim.events_processed == 0
-        # The un-fired event is still intact in the queue.
-        assert sim.run_until_idle() == 1
-        assert fired == ["x"]
-
-    def test_run_until_idle_zero_budget_empty_queue_ok(self):
-        assert Simulator().run_until_idle(max_events=0) == 0
-
-    def test_run_until_idle_exact_budget_completes(self):
-        sim = Simulator()
-        for i in range(5):
-            sim.call_at(float(i), lambda: None)
-        assert sim.run_until_idle(max_events=5) == 5
-
     def test_run_until_idle_counts(self):
         sim = Simulator()
         for i in range(3):
             sim.call_at(float(i), lambda: None)
         assert sim.run_until_idle() == 3
+        # Unlike run(until=...), now stays at the last event's time.
+        assert sim.now == 2.0
+        assert sim.run_until_idle() == 0
+
+    def test_kernel_is_not_reentrant(self):
+        # Neither run nor run_until_idle may start inside a callback;
+        # the one dispatch loop owns the queue while it runs.
+        sim = Simulator()
+        errors = []
+
+        def nested(start):
+            try:
+                start()
+            except SimulationError as error:
+                errors.append(str(error))
+
+        sim.call_at(1.0, nested, sim.run_until_idle)
+        sim.call_at(2.0, nested, lambda: sim.run(until=3.0))
+        sim.run(until=5.0)
+        assert len(errors) == 2
+        assert all("not reentrant" in error for error in errors)
+        # The kernel is usable again once the outer run returned.
+        sim.call_at(6.0, lambda: None)
+        assert sim.run_until_idle() == 1
 
     def test_simultaneous_events_fifo(self):
         sim = Simulator()
@@ -212,15 +180,6 @@ class TestRepeatingEvents:
         assert count[0] == 4
         assert sim.pending_events == 0
 
-    def test_repeating_via_step(self):
-        sim = Simulator()
-        count = [0]
-        sim.call_repeating(1.0, lambda: count.__setitem__(
-            0, count[0] + 1))
-        for _ in range(5):
-            assert sim.step() is True
-        assert count[0] == 5
-
     def test_invalid_interval_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
@@ -255,8 +214,8 @@ class TestHeapCompaction:
         assert len(queue) == 100
         assert queue.heap_size <= max(COMPACT_MIN_SIZE, 2 * len(queue))
         assert worst_ratio <= 2.0
-        # And the queue still works: all survivors are poppable.
-        assert sum(1 for _ in queue.drain()) == 100
+        # And the queue still works: all survivors fire.
+        assert sim.run_until_idle() == 100
 
     def test_compaction_during_run_with_set_delta_storm(self):
         # End-to-end shape: alarms rescheduled by logical-clock rate
@@ -283,55 +242,29 @@ class TestHeapCompaction:
 class TestBatchConsumerApi:
     """The internal surface the batched network delivery path rides on."""
 
-    def test_alloc_seq_burns_the_sequence(self):
-        sim = Simulator()
-        first = sim.alloc_seq()
-        second = sim.alloc_seq()
-        assert second == first + 1
-        event = sim.call_at(1.0, lambda: None)
-        assert event.seq == second + 1
-
     def test_call_at_key_orders_by_explicit_seq(self):
         # An event co-keyed with an earlier-allocated seq fires before
         # a same-time event scheduled later — the property that keeps
         # batched deliveries in legacy order among simultaneous events.
         sim = Simulator()
         fired = []
-        early_seq = sim.alloc_seq()
+        # Consume a seq without queueing, as the network numbers its
+        # deliveries (Simulator.call_at_key).
+        queue = sim._queue
+        early_seq = queue._seq
+        queue._seq = early_seq + 1
         sim.call_at(1.0, fired.append, "normal")
         sim.call_at_key(1.0, early_seq, fired.append, "co-keyed")
         sim.run(until=2.0)
         assert fired == ["co-keyed", "normal"]
 
     def test_horizon_exposed_during_run(self):
+        import math
+
         sim = Simulator()
         seen = []
         sim.call_at(1.0, lambda: seen.append(sim._horizon))
         sim.run(until=4.0)
-        assert seen == [4.0]
-        import math
-
-        assert sim._horizon == math.inf
-
-    def test_nested_bounded_run_until_idle_keeps_outer_guard(self):
-        # Regression: an inner bounded run_until_idle used to reset
-        # the shared budget to infinity on exit, silently disabling
-        # the outer call's runaway-loop guard.
-        sim = Simulator()
-        count = [0]
-
-        def loop():
-            count[0] += 1
-            if count[0] > 500:  # keeps a regression a failure, not a hang
-                return
-            sim.call_in(1.0, loop)
-            if count[0] == 1:
-                # Inner bounded drain on the same simulator exhausts
-                # its own small budget; the outer budget must survive.
-                with pytest.raises(SimulationError):
-                    sim.run_until_idle(max_events=2)
-
-        sim.call_at(0.0, loop)
-        with pytest.raises(SimulationError):
-            sim.run_until_idle(max_events=50)
-        assert count[0] <= 60  # outer guard tripped, not the 500 fuse
+        sim.call_at(5.0, lambda: seen.append(sim._horizon))
+        sim.run_until_idle()
+        assert seen == [4.0, math.inf]

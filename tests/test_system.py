@@ -94,13 +94,6 @@ class TestFaultFree:
                               seed=2).run_rounds(6)
         assert a.max_global_skew != b.max_global_skew
 
-    def test_report_renders(self, params):
-        system = FtgcsSystem.build(ClusterGraph.line(2), params, seed=9)
-        result = system.run_rounds(5)
-        text = result.report()
-        assert "global skew" in text
-        assert "VIOLATED" not in text
-
     def test_pulse_diameters_within_e(self, params):
         system = FtgcsSystem.build(ClusterGraph.line(3), params, seed=6)
         system.run_rounds(10)
@@ -307,8 +300,8 @@ class TestConfigSurface:
                               config=SystemConfig(delay_model="warp"))
 
     def test_custom_factories(self, params):
+        from delay_models import FixedDelay
         from repro.clocks import ConstantRate
-        from repro.net import FixedDelay
 
         config = SystemConfig(
             rate_model=lambda n, rng, p: ConstantRate(1.0),
