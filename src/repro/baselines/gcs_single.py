@@ -23,7 +23,7 @@ full FTGCS construction under equivalent attacks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.clocks.hardware import HardwareClock
 from repro.clocks.logical import LogicalClock

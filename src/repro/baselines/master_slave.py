@@ -20,7 +20,6 @@ obliviousness is precisely what breaks the local skew.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from repro.analysis.sampling import SkewSampler
 from repro.clocks.hardware import HardwareClock

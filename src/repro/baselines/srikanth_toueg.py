@@ -27,7 +27,6 @@ Implementation notes
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from repro.clocks.hardware import HardwareClock

@@ -42,7 +42,7 @@ requires ``alpha < 1``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ParameterError
 
