@@ -2,7 +2,7 @@
 kernel's scheduling and dispatch API."""
 
 from repro.sim import Simulator
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event
 
 
 class TestEventOrdering:
@@ -24,12 +24,12 @@ class TestEventOrdering:
         assert fired == ["first", "second", "third"]
 
     def test_len_counts_live_events(self):
-        queue = EventQueue()
-        e1 = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        assert len(queue) == 2
-        queue.cancel(e1)
-        assert len(queue) == 1
+        sim = Simulator()
+        e1 = sim.call_at(1.0, lambda: None)
+        sim.call_in(2.0, lambda: None)
+        assert sim.pending_events == len(sim._queue) == 2
+        sim.cancel(e1)
+        assert sim.pending_events == 1
 
     def test_event_repr_and_lt(self):
         a = Event(1.0, 0, lambda: None, ())
@@ -49,17 +49,17 @@ class TestCancellation:
         assert fired == []
 
     def test_double_cancel_is_idempotent(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.cancel(event)
-        queue.cancel(event)
-        assert len(queue) == 0
+        sim = Simulator()
+        event = sim.call_at(1.0, lambda: None)
+        sim.cancel(event)
+        sim.cancel(event)
+        assert sim.pending_events == 0
 
     def test_cancel_releases_references(self):
-        queue = EventQueue()
+        sim = Simulator()
         payload = object()
-        event = queue.push(1.0, lambda x: None, (payload,))
-        queue.cancel(event)
+        event = sim.call_at(1.0, lambda x: None, payload)
+        sim.cancel(event)
         assert event.args == ()
 
     def test_cancel_after_fire_does_not_corrupt_live_count(self):
@@ -87,12 +87,14 @@ class TestCancellation:
     def test_compaction_keeps_heap_within_twice_live(self):
         from repro.sim.events import COMPACT_MIN_SIZE
 
-        queue = EventQueue()
-        live = [queue.push(float(i), lambda: None) for i in range(200)]
+        sim = Simulator()
+        queue = sim._queue
+        live = [sim.call_at(float(i), lambda: None) for i in range(200)]
         for i in range(5_000):
             slot = i % 200
-            queue.cancel(live[slot])
-            live[slot] = queue.push(1000.0 + i, lambda: None)
+            sim.cancel(live[slot])
+            live[slot] = sim.call_at(1000.0 + i, lambda: None)
             assert queue.heap_size <= max(COMPACT_MIN_SIZE,
                                           2 * len(queue))
-        assert len(queue) == 200
+        assert sim.pending_events == 200
+        assert sim.run_until_idle() == 200
