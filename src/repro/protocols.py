@@ -68,8 +68,9 @@ local-skew series exists — via :func:`_fault_counters`.
 
 No adapter ignores a knob: the FTGCS family reads ``config``
 (:class:`~repro.core.system.SystemConfig` kwargs), rejects any other
-``config`` key and any ``payload``; the three baselines read
-``payload`` and reject any ``config``
+``config`` key and any ``payload``; the three baselines read the
+``payload`` keys their ``_PAYLOAD`` tuple declares and reject any
+other ``payload`` key and any ``config``
 (:func:`~repro.core.protocol.reject_unknown`, shared with the
 vectorized round models).
 """
@@ -343,8 +344,14 @@ class MasterSlaveProtocol(SyncProtocol):
     supports_vectorized = False  # event-only; chasing is not a round
     supports_vectorized_faults = False
 
+    _PAYLOAD = ("rounds", "root", "chase_threshold", "rate_model",
+                "flip_period_rounds", "cluster_offsets", "jump",
+                "record_series", "track_edges")
+
     def build_nodes(self, ctx: BuildContext) -> None:
         reject_unknown(ctx.config, (), "config", self.name, "event")
+        reject_unknown(ctx.payload, self._PAYLOAD, "payload", self.name,
+                       "event")
         payload = dict(ctx.payload)
         self.rounds = payload.pop("rounds", ctx.rounds)
         self.system = MasterSlaveSystem(ctx.graph, ctx.params,
@@ -400,7 +407,8 @@ class GcsSingleProtocol(SyncProtocol):
 
     ``payload``: ``params`` (a :class:`GcsParams`, required), ``until``
     (run horizon, required), ``liars`` (``{node: {neighbor: +-1}}``),
-    ``rate_spread``, ``sample_interval``.  ``series``/``detail`` are
+    ``liar_bias``, ``liar_ramp``, ``rate_spread``, ``sample_interval``.
+    ``series``/``detail`` are
     the ``(t, local_skew, global_skew)`` sample list, with local skew
     measured over currently *active* correct edges.
     """
@@ -414,8 +422,13 @@ class GcsSingleProtocol(SyncProtocol):
     supports_vectorized_faults = True
     needs_params = False
 
+    _PAYLOAD = ("params", "until", "sample_interval", "liars",
+                "rate_spread", "liar_bias", "liar_ramp")
+
     def build_nodes(self, ctx: BuildContext) -> None:
         reject_unknown(ctx.config, (), "config", self.name, "event")
+        reject_unknown(ctx.payload, self._PAYLOAD, "payload", self.name,
+                       "event")
         payload = dict(ctx.payload)
         try:
             gcs_params = payload.pop("params")
@@ -515,8 +528,13 @@ class SrikanthTouegProtocol(SyncProtocol):
     supports_vectorized = True
     supports_vectorized_faults = True
 
+    _PAYLOAD = ("params", "rounds", "sample_interval", "silent_faults",
+                "rate_spread")
+
     def build_nodes(self, ctx: BuildContext) -> None:
         reject_unknown(ctx.config, (), "config", self.name, "event")
+        reject_unknown(ctx.payload, self._PAYLOAD, "payload", self.name,
+                       "event")
         payload = dict(ctx.payload)
         try:
             st_params = payload.pop("params")

@@ -228,6 +228,15 @@ class TestUnreadKnobsRejected:
         length, params, _, _ = self.CASES[protocol]
         self.assert_rejected(protocol, length, params, self.BOGUS, {})
 
+    @pytest.mark.parametrize("protocol", ["master_slave", "gcs_single",
+                                          "srikanth_toueg"])
+    def test_unknown_payload_key_rejected(self, protocol):
+        # Each baseline declares the payload keys it reads; an unknown
+        # one is a ConfigError, not the system constructor's TypeError.
+        length, params, _, payload = self.CASES[protocol]
+        self.assert_rejected(protocol, length, params, {},
+                             {**payload, **self.BOGUS})
+
     def assert_rejected(self, protocol, length, params, config, payload):
         builder = (SystemBuilder(protocol).params(params).rounds(2)
                    .configure(**config).payload(**payload))
