@@ -58,7 +58,7 @@ print()
 #    always a ProtocolRunResult (algorithm-native detail included).
 params = default_params(f=1)
 base = (Scenario.line(3).params(params).rounds(12)
-        .attack("equivocate"))
+        .adversarial("equivocate"))
 gradients = (0.5, 1.5, 2.5)
 specs = [base.offsets([i * g * params.kappa for i in range(3)])
          .tag("gradient", g).build()
@@ -94,7 +94,6 @@ class NoSyncProtocol(SyncProtocol):
     # Declare the full capability set explicitly — `repro lint`'s
     # contract pass flags protocols that silently inherit the
     # SyncProtocol defaults.
-    supports_faults = False
     supports_dynamic_topology = False
     supports_node_churn = False
     supports_first_contact = False

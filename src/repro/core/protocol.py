@@ -12,9 +12,8 @@ types.  This module defines the common surface they all now implement:
     :meth:`~SyncProtocol.start` arms them, :meth:`~SyncProtocol.advance`
     drives the kernel, and :meth:`~SyncProtocol.collect` returns one
     uniform :class:`ProtocolRunResult`.  Class-level capability flags
-    (``supports_faults``, ``supports_dynamic_topology``,
-    ``needs_graph``, ``needs_params``) declare what a protocol can
-    compose with.
+    (``supports_dynamic_topology``, ``needs_graph``, ``needs_params``,
+    ...) declare what a protocol can compose with.
 
 ``FEATURES`` / :func:`check_composition`
     The composition policy as one table: per builder feature, what
@@ -31,7 +30,7 @@ types.  This module defines the common surface they all now implement:
     >>> params = Parameters.practical(rho=1e-4, d=1.0, u=0.1, f=1)
     >>> system = (SystemBuilder("ftgcs")
     ...           .topology(ClusterGraph.line(3)).params(params)
-    ...           .rounds(5).faults("equivocate").seed(7).build())
+    ...           .rounds(5).adversary("equivocate").seed(7).build())
     >>> result = system.run()
     >>> result.protocol
     'ftgcs'
@@ -91,9 +90,6 @@ class BuildContext:
     params: Any = None
     rounds: int = 1
     seed: int = 0
-    strategy: str | None = None
-    strategy_args: tuple = ()
-    faults_per_cluster: int | None = None
     #: First-contact estimator bring-up (requires the protocol's
     #: ``supports_first_contact`` capability).
     first_contact: bool = False
@@ -103,7 +99,8 @@ class BuildContext:
     config: dict = field(default_factory=dict)
     payload: dict = field(default_factory=dict)
     #: Engine-agnostic adversary spec (``{"name": ..., **kwargs}``, see
-    #: :data:`repro.faults.adversary.ADVERSARIES`) or ``None``.
+    #: :data:`repro.faults.adversary.ADVERSARIES`) or ``None``; its
+    #: ``count`` knob sets how many nodes it controls.
     adversary: dict | None = None
 
 
@@ -188,8 +185,6 @@ class SyncProtocol:
 
     #: Registry name (must be unique; set by subclasses).
     name: str = ""
-    #: Accepts the named fault-strategy model (``.faults(...)``).
-    supports_faults: bool = False
     #: Tolerates mid-run edge activation changes (TopologySchedule).
     supports_dynamic_topology: bool = False
     #: Tolerates whole-node crash/rejoin events
@@ -387,8 +382,6 @@ def _collectors(protocol: type[SyncProtocol], _collect) -> None:
 #: the protocol must set, ``True`` (every protocol), ``False`` (no
 #: protocol) or a check ``(protocol class, value)`` that raises.
 FEATURES = (
-    Feature("strategy", "strategy", "the named fault-strategy model",
-            "supports_faults", False),
     Feature("adversary", "adversary", "adversaries",
             _event_adversary, _vectorized_adversary),
     Feature("edge_events", "schedule", "dynamic topologies",
@@ -410,22 +403,13 @@ def check_composition(protocol: type[SyncProtocol] | None, engine: str,
     unless ``engine`` realizes every feature under ``protocol``.
 
     ``features`` is keyed by row name, falsy meaning absent:
-    ``strategy`` is ``(name, args)``, ``adversary`` and ``loss`` their
-    specs, the rest flags.  The feature values are checked first, for
-    any ``protocol``: the named strategy's model and the adversary
-    model are constructed (on either engine) and the loss spec
-    validated, so bad knobs fail here too.  ``protocol`` ``None`` (a
-    cell that runs no registered protocol) stops there.  Nothing is
+    ``adversary`` and ``loss`` are their specs, the rest flags.  The
+    feature values are checked first, for any ``protocol``: the
+    adversary model is constructed (on either engine) and the loss
+    spec validated, so bad knobs fail here too.  ``protocol`` ``None``
+    (a cell that runs no registered protocol) stops there.  Nothing is
     built.
     """
-    if features.get("strategy") and features.get("adversary"):
-        raise ConfigError(
-            "compose either a named fault strategy or an adversary, "
-            "not both")
-    if features.get("strategy"):
-        from repro.faults.adversary import strategy_model
-
-        strategy_model(*features["strategy"])
     if features.get("adversary"):
         from repro.faults.adversary import get_adversary
 
@@ -613,9 +597,6 @@ class SystemBuilder:
         self._params = None
         self._rounds = 1
         self._seed = 0
-        self._strategy: str | None = None
-        self._strategy_args: tuple = ()
-        self._faults_per_cluster: int | None = None
         self._adversary: dict | None = None
         self._first_contact = False
         self._loss: dict | None = None
@@ -665,29 +646,18 @@ class SystemBuilder:
         self._seed = seed
         return self
 
-    def faults(self, strategy: str, *args,
-               per_cluster: int | None = None) -> "SystemBuilder":
-        """Place a named fault strategy in every cluster: the static
-        adversary ``strategy`` with its event knob as ``args``
-        (decoded by :func:`repro.faults.adversary.strategy_model`)."""
-        self._strategy = strategy
-        self._strategy_args = tuple(args)
-        if per_cluster is not None:
-            self._faults_per_cluster = per_cluster
-        return self
-
     def adversary(self, name: str, **kwargs) -> "SystemBuilder":
         """Attach an engine-agnostic adversary model (resolved via
         :data:`repro.faults.adversary.ADVERSARIES`).
 
-        Unlike :meth:`faults` — the event-kernel-only named-strategy
-        path — an adversary composes with *both* engines: per-round
+        An adversary composes with *both* engines: per-round
         fault-vector injection on ``engine("vectorized")`` (protocols
-        declaring ``supports_vectorized_faults``), the protocol's
+        declaring ``supports_vectorized_faults``), the model's own
+        driver on each faulty node (FTGCS family) or the protocol's
         native fault mechanism on the event kernel.  ``kwargs`` are
         the budget knobs (``amplitude``, ``count``) plus model
-        specifics, checked at :meth:`build`; ``.adversary(None)``
-        clears.
+        specifics such as ``crash_time``, checked at :meth:`build`;
+        ``.adversary(None)`` clears.
         """
         if name is None:
             self._adversary = None
@@ -742,8 +712,6 @@ class SystemBuilder:
         schedule = self._schedule
         check_composition(
             type(protocol), self._engine,
-            strategy=(self._strategy is not None
-                      and (self._strategy, self._strategy_args)),
             adversary=self._adversary,
             edge_events=schedule is not None and schedule.has_edge_events,
             node_events=schedule is not None and schedule.has_node_events,
@@ -755,8 +723,6 @@ class SystemBuilder:
         ctx = BuildContext(
             graph=self._graph, schedule=self._schedule,
             params=self._params, rounds=self._rounds, seed=self._seed,
-            strategy=self._strategy, strategy_args=self._strategy_args,
-            faults_per_cluster=self._faults_per_cluster,
             first_contact=self._first_contact,
             loss=dict(self._loss) if self._loss else None,
             config=dict(self._config), payload=dict(self._payload),

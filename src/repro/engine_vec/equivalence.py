@@ -318,10 +318,11 @@ def quick_cells() -> list[EquivalenceCell]:
             bound_global=ft_global,
             bound_local=ft_params.local_skew_bound(ft_global)))
 
-    # Equivocate adversary on FTGCS: event side is the legacy
-    # strategy adapter, vectorized side masked estimate writes into
-    # the cluster-round skeleton — structural port vs re-execution,
-    # so the envelope is the contract (as for the benign ftgcs cells).
+    # Equivocate adversary on FTGCS: event side is the model's own
+    # driver on each faulty node, vectorized side masked estimate
+    # writes into the cluster-round skeleton — structural port vs
+    # re-execution, so the envelope is the contract (as for the
+    # benign ftgcs cells).
     def ft_adv_factory(params=ft_params, graph=ft_graph):
         return (SystemBuilder("ftgcs").topology(graph).params(params)
                 .rounds(4).adversary("equivocate"))

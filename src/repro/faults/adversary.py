@@ -44,10 +44,7 @@ adaptive models
 The registry :data:`ADVERSARIES` is the one name space:
 ``Scenario.adversarial("equivocate", ...)``,
 ``SystemBuilder.adversary(...)``, and ``ScenarioSpec.adversary`` all
-resolve here, eagerly.  The legacy ``strategy``/``strategy_args``
-spelling (``Scenario.attack``, ``SystemBuilder.faults``) names one of
-the :data:`STRATEGIES` and passes its event knob positionally;
-:func:`strategy_model` decodes it.
+resolve here, eagerly.
 """
 
 from __future__ import annotations
@@ -339,11 +336,13 @@ class _EquivocatorDriver:
 
 
 # ----------------------------------------------------------------------
-# Static adversaries (the legacy strategy names)
+# Static adversaries
 # ----------------------------------------------------------------------
 #
-# Each constructor's first positional parameter is the attack's event
-# knob, so the legacy ``strategy_args`` decode as ``cls(*args)``.
+# Each constructor's first parameter is the attack's event knob
+# (``crash_time``, ``pulses_per_round``, ``speed_factor`` or
+# ``amplitude``), set by keyword: ``.adversarial("crash",
+# crash_time=30.0)``.
 
 class SilentAdversary(AdversaryModel):
     """Controlled nodes say nothing at all (receivers must cope with
@@ -826,11 +825,6 @@ ADVERSARIES: dict[str, type[AdversaryModel]] = {
     "random_restart": RandomRestartAdversary,
 }
 
-#: The names the legacy ``strategy`` spelling accepts: every model
-#: with an event driver.
-STRATEGIES: tuple[str, ...] = tuple(
-    name for name, cls in ADVERSARIES.items() if cls.supports_event)
-
 
 def get_adversary(name: str, **kwargs) -> AdversaryModel:
     """Construct the named adversary; unknown names and bad kwargs
@@ -844,21 +838,6 @@ def get_adversary(name: str, **kwargs) -> AdversaryModel:
     except TypeError as exc:
         raise ConfigError(
             f"bad adversary kwargs for {name!r}: {exc}") from None
-
-
-def strategy_model(name: str, args: tuple = ()) -> AdversaryModel:
-    """Decode the legacy ``strategy``/``strategy_args`` spelling:
-    ``ADVERSARIES[name](*args)``, the event knob passed positionally.
-    Unknown names and bad arguments raise
-    :class:`~repro.errors.ConfigError`."""
-    if not isinstance(name, str) or name not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {name!r}; known: "
-                          f"{sorted(STRATEGIES)}")
-    try:
-        return ADVERSARIES[name](*args)
-    except TypeError as exc:
-        raise ConfigError(
-            f"bad strategy args for {name!r}: {exc}") from None
 
 
 def stride_placement(num_nodes: int, count: int):
@@ -1091,8 +1070,10 @@ class CliqueAdversaryRuntime(_CounterMixin):
 # ----------------------------------------------------------------------
 
 #: Per-protocol event-engine realizations: the model's own driver on
-#: the FTGCS family (named "strategy" in every counters block), native
-#: payload mechanisms for the baselines.
+#: the FTGCS family, native payload mechanisms for the baselines.  The
+#: driver's name "strategy" predates the adversary layer; it stays
+#: because every stored adversarial event cell (and every benchmark
+#: fingerprint of one) carries it in its counters block.
 _EVENT_MECHANISMS = {
     "ftgcs": "strategy",
     "lynch_welch": "strategy",
@@ -1133,7 +1114,6 @@ def validate_event_support(model: AdversaryModel,
 
 __all__ = [
     "ADVERSARIES",
-    "STRATEGIES",
     "ActView",
     "AdversaryBudget",
     "AdversaryModel",
@@ -1154,6 +1134,5 @@ __all__ = [
     "default_count",
     "get_adversary",
     "stride_placement",
-    "strategy_model",
     "validate_event_support",
 ]

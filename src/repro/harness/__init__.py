@@ -43,7 +43,6 @@ from repro.harness.serialize import (
 from repro.harness.sweep import (
     CELL_KINDS,
     COLLECTORS,
-    STRATEGIES,
     ScenarioSpec,
     SweepCellResult,
     SweepRunner,
@@ -82,7 +81,6 @@ __all__ = [
     # sweep engine
     "CELL_KINDS",
     "COLLECTORS",
-    "STRATEGIES",
     "SweepCellResult",
     "SweepRunner",
     "default_processes",

@@ -95,9 +95,9 @@ def t01_plan(quick: bool, seed: int) -> ExperimentPlan:
     diameters = (2, 4, 8) if quick else (2, 4, 8, 16, 32)
     rounds = 40 if quick else 80
     # The engine-agnostic adversary spelling: on the (default) event
-    # engine this realizes the exact legacy equivocator strategy, and
-    # it lets ``run_experiment("t01", engine="vectorized")`` move the
-    # whole grid onto the numpy round engine unchanged.
+    # engine it runs the equivocator's own driver on each faulty
+    # node, and it lets ``run_experiment("t01", engine="vectorized")``
+    # move the whole grid onto the numpy round engine unchanged.
     specs = [
         Scenario.line(diameter + 1).params(params).rounds(rounds)
         .seed(seed).adversarial("equivocate")
@@ -186,7 +186,7 @@ def t02_plan(quick: bool, seed: int) -> ExperimentPlan:
     grid = [(f, attack) for f in fault_counts for attack in attacks]
     specs = [
         Scenario.line(1).params(default_params(f=f)).rounds(rounds)
-        .seed(seed).attack(attack).measure("pulse_diameters")
+        .seed(seed).adversarial(attack).measure("pulse_diameters")
         .tag("f", f, "attack", attack).build()
         for f, attack in grid]
 
@@ -228,20 +228,20 @@ def t03_plan(quick: bool, seed: int) -> ExperimentPlan:
     params = default_params(f=1)
     rounds = 15 if quick else 40
     ring_size = 4 if quick else 6
-    strategies = [
-        ("silent", "silent", ()),
-        ("crash@3T", "crash", (3 * params.round_length,)),
-        ("random-pulse", "random_pulse", (4.0,)),
-        ("fast-clock", "fast_clock", (1.5,)),
-        ("slow-clock", "fast_clock", (0.7,)),
-        ("equivocate", "equivocate", ()),
-        ("pull-apart", "pull_apart", ()),
-        ("collusion", "collusion", ()),
+    attacks = [
+        ("silent", "silent", {}),
+        ("crash@3T", "crash", {"crash_time": 3 * params.round_length}),
+        ("random-pulse", "random_pulse", {"pulses_per_round": 4.0}),
+        ("fast-clock", "fast_clock", {"speed_factor": 1.5}),
+        ("slow-clock", "fast_clock", {"speed_factor": 0.7}),
+        ("equivocate", "equivocate", {}),
+        ("pull-apart", "pull_apart", {}),
+        ("collusion", "collusion", {}),
     ]
     specs = [
         Scenario.ring(ring_size).params(params).rounds(rounds).seed(seed)
-        .attack(strategy, *args).tag("attack", name).build()
-        for name, strategy, args in strategies]
+        .adversarial(model, **knobs).tag("attack", name).build()
+        for name, model, knobs in attacks]
 
     # Fault-intolerant GCS: one liar, correct-edge skew ramps forever.
     gcs_params = GcsParams.default(rho=params.rho, d=params.d, u=params.u)
@@ -253,7 +253,7 @@ def t03_plan(quick: bool, seed: int) -> ExperimentPlan:
         .tag("gcs", "1 liar").build())
 
     def finish(cells, table: Table) -> Table:
-        for (name, _, _), cell in zip(strategies, cells):
+        for (name, _, _), cell in zip(attacks, cells):
             result = cell.result.detail
             steady = cell.steady_state_skews()
             table.add_row("FTGCS", name, steady["intra"],
@@ -474,7 +474,7 @@ def t07_plan(quick: bool, seed: int) -> ExperimentPlan:
                   for c1 in c1_values]
     specs = [
         Scenario.line(2).params(params).rounds(rounds).seed(seed)
-        .attack("equivocate")
+        .adversarial("equivocate")
         .offsets([0.0, 3.0 * params.kappa])
         .measure("amortized_rates")
         .tag("c1", c1).build()
@@ -643,7 +643,7 @@ def t10_plan(quick: bool, seed: int) -> ExperimentPlan:
         num_clusters = getattr(ClusterGraph, graph)(*args).num_clusters
         specs.append(
             Scenario.on(graph, *args).params(params).rounds(rounds)
-            .seed(seed).attack("equivocate")
+            .seed(seed).adversarial("equivocate")
             .offsets(gradient_offsets(num_clusters, 1.5 * params.kappa))
             .tag("exclusion", graph).build())
     trials = 4000 if quick else 40_000
@@ -694,7 +694,7 @@ def t11_plan(quick: bool, seed: int) -> ExperimentPlan:
         specs.append(
             Scenario.of_protocol("lynch_welch")
             .params(params).rounds(rounds).seed(seed)
-            .attack("equivocate").configure(init_jitter=u / 2)
+            .adversarial("equivocate").configure(init_jitter=u / 2)
             .tag("lw", u).build())
         specs.append(
             Scenario.of_protocol("srikanth_toueg").seed(seed)
@@ -1415,7 +1415,7 @@ def t18_plan(quick: bool, seed: int) -> ExperimentPlan:
     cell("srikanth_toueg", "random_pulse", st_amp_lo, "vectorized",
          st.n, st_cell())
     # Engine-agnostic twins: the same .adversarial(...) spelling on
-    # the event kernel (strategy adapter / liars / silent_faults).
+    # the event kernel (the model's driver / liars / silent_faults).
     cell("ftgcs", "equivocate", ft_amp, "event", ft_n, ft_cell())
     cell("gcs_single", "equivocate", gcs_amp, "event", gcs_n,
          gcs_cell())

@@ -8,7 +8,7 @@ shared base fans out into grids without aliasing:
 
 >>> from repro.harness import Scenario, SweepRunner, default_params
 >>> base = (Scenario.line(3).params(default_params())
-...         .rounds(20).attack("equivocate"))
+...         .rounds(20).adversarial("equivocate"))
 >>> specs = [base.configure(init_jitter=j).tag("jitter", j).build()
 ...          for j in (0.01, 0.05, 0.1)]
 >>> cells = SweepRunner().run(specs, base_seed=7)
@@ -16,8 +16,8 @@ shared base fans out into grids without aliasing:
 :meth:`Scenario.build` runs :func:`~repro.harness.sweep.check_spec`,
 the check the service runs on every submitted cell and the worker on
 every cell it runs: unknown names fail with the known alternatives,
-and a composition the engine cannot realize (or a bad strategy,
-adversary or loss knob) fails through the table ``SystemBuilder.build``
+and a composition the engine cannot realize (or a bad adversary or
+loss knob) fails through the table ``SystemBuilder.build``
 evaluates — where the grid is written, not inside a pool worker.
 Topology and parameter validation happens in the worker, where the
 system is actually constructed.
@@ -162,24 +162,16 @@ class Scenario:
         """Explicit master seed (``None``: derived per cell)."""
         return self._with(seed=seed)
 
-    def attack(self, strategy: str, *args) -> "Scenario":
-        """Place a named fault strategy in every cluster."""
-        return self._with(strategy=strategy, strategy_args=tuple(args))
-
     def adversarial(self, name: str, **kwargs) -> "Scenario":
         """Attach a unified engine-agnostic adversary
         (:data:`~repro.faults.adversary.ADVERSARIES`): a named
         :class:`~repro.faults.adversary.AdversaryModel` plus its knobs,
-        e.g. ``.adversarial("equivocate", amplitude=2.0)`` or
+        e.g. ``.adversarial("equivocate", amplitude=2.0)``,
+        ``.adversarial("crash", crash_time=30.0)`` or
         ``.adversarial("greedy", count=3)``.  The name, kwargs, and
         the engine × protocol realization are validated at
-        :meth:`build`; mutually exclusive with :meth:`attack` (the
-        legacy per-strategy spelling, unchanged for back-compat)."""
+        :meth:`build`."""
         return self._with(adversary={"name": name, **kwargs})
-
-    def faults_per_cluster(self, count: int) -> "Scenario":
-        """Override the per-cluster fault count (default ``params.f``)."""
-        return self._with(faults_per_cluster=count)
 
     def configure(self, **config) -> "Scenario":
         """Merge :class:`~repro.core.system.SystemConfig` kwargs."""
@@ -237,10 +229,12 @@ class Scenario:
             raise ConfigError(
                 f"Scenario.from_dict needs a dict: {data!r}")
         # The builder's field namespace IS the spec's; reuse its
-        # decoding (tuple coercion, params type check, unknown-key
-        # rejection), then keep only the keys that were present.
+        # decoding (tuple coercion, params type check, unknown- and
+        # retired-key rejection), then keep only the keys that were
+        # present and are still fields.
         spec = ScenarioSpec.from_dict(data)
-        return cls(**{name: getattr(spec, name) for name in data})
+        return cls(**{name: getattr(spec, name) for name in data
+                      if name not in ScenarioSpec._SERIALIZE_RETIRED})
 
     # ------------------------------------------------------------------
     # Compilation

@@ -35,7 +35,9 @@ Both ride one tagged, recursive codec:
   the decoded fields.  Only classes registered via
   :func:`register_serializable` decode — unknown tags raise
   :class:`~repro.errors.ConfigError` rather than silently producing a
-  dict.
+  dict.  A class's ``_SERIALIZE_OMIT_EMPTY`` fields are left out when
+  falsy and its ``_SERIALIZE_RETIRED`` fields still written at their
+  retired value (:func:`drop_retired`), so hashes outlive both edits.
 
 Float exactness: ``json.dumps`` emits ``repr(float)``, Python's
 shortest round-trip representation, so every finite float decodes to
@@ -130,6 +132,9 @@ def encode(value: Any) -> Any:
         fields = {f.name: encode(getattr(value, f.name))
                   for f in dataclasses.fields(value)
                   if f.name not in omit_empty or getattr(value, f.name)}
+        retired = getattr(registered, "_SERIALIZE_RETIRED", {})
+        fields.update((field, encode(old))
+                      for field, (old, _) in retired.items())
         return {_DC: name, "fields": fields}
     raise ConfigError(
         f"cannot serialize {type(value).__name__!r} value: {value!r}")
@@ -163,8 +168,27 @@ def decode(value: Any) -> Any:
                 f"{serializable_names()}")
         fields = {key: decode(item)
                   for key, item in value.get("fields", {}).items()}
-        return cls(**fields)
+        return cls(**drop_retired(cls, fields))
     return {key: decode(item) for key, item in value.items()}
+
+
+def drop_retired(cls: type, fields: dict) -> dict:
+    """Decoded ``fields`` without the retired ones of ``cls``
+    (``_SERIALIZE_RETIRED``: name -> (retired value, replacement)).
+
+    A retired field is dropped at exactly its retired value (a list
+    counts as the tuple); any other value would now be ignored, so it
+    raises :class:`~repro.errors.ConfigError` naming the replacement.
+    """
+    retired = getattr(cls, "_SERIALIZE_RETIRED", {})
+    for name, (old, replacement) in retired.items():
+        value = fields.get(name, old)
+        value = tuple(value) if isinstance(value, list) else value
+        if type(value) is not type(old) or value != old:
+            raise ConfigError(
+                f"{cls.__name__} field {name!r} is retired; use "
+                f"{replacement} (got {name}={value!r})")
+    return {name: v for name, v in fields.items() if name not in retired}
 
 
 def canonical_json(value: Any) -> str:
@@ -218,6 +242,7 @@ __all__ = [
     "canonical_json",
     "content_hash",
     "decode",
+    "drop_retired",
     "encode",
     "register_serializable",
     "serializable_names",

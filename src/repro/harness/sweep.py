@@ -10,9 +10,9 @@ Design: picklable specs, not live objects
 A :class:`ScenarioSpec` describes one cell entirely by *value* — a
 cell *kind* (see below), the cluster-graph constructor name and its
 arguments, the :class:`~repro.core.params.Parameters`, plain
-:class:`~repro.core.system.SystemConfig` keyword arguments, a fault
-strategy *registry name* plus constructor arguments, and a seed.  No
-simulator, node, lambda, or strategy instance crosses the process
+:class:`~repro.core.system.SystemConfig` keyword arguments, an
+adversary *registry name* plus its keyword knobs, and a seed.  No
+simulator, node, lambda, or adversary instance crosses the process
 boundary; the worker (:func:`run_cell`) rebuilds the whole system from
 the spec, runs it, and returns only picklable measurements
 (:class:`SweepCellResult`).  This is what lets one code path serve
@@ -42,12 +42,6 @@ Cell kinds
 ``"augment_counts"``
     Pure graph accounting: node/edge counts of the augmentation across
     fault budgets; no simulation at all.
-
-The historical per-algorithm kinds (``"ftgcs"``, ``"master_slave"``,
-``"gcs_single"``, ``"srikanth_toueg"``) remain registered with the
-``"protocol"`` runner, which runs the kind's own protocol
-(:func:`cell_protocol`); they accept the same payloads and return the
-unified result shape.
 
 Kind-specific knobs travel in ``spec.payload`` (a picklable dict);
 :func:`register_cell_kind` adds custom kinds.  Custom kinds registered
@@ -104,7 +98,6 @@ from repro.core.protocol import (
 from repro.core.system import FtgcsSystem, RunResult
 from repro.core.triggers import evaluate
 from repro.errors import ConfigError, TopologyError
-from repro.faults.adversary import STRATEGIES
 from repro.harness import serialize
 from repro.harness.runner import steady_state_skews
 from repro.sim.rng import derive_seed
@@ -114,6 +107,11 @@ from repro.topology.schedule import (
     TopologySchedule,
     build_schedule,
 )
+
+#: What replaces the retired ``strategy``/``strategy_args`` pair.
+_ADVERSARY = ("adversary={'name': <model>, <knob>: <value>} with the "
+              "model's keyword knob: crash_time, pulses_per_round, "
+              "speed_factor or amplitude")
 
 
 @dataclass(frozen=True)
@@ -137,26 +135,13 @@ class ScenarioSpec:
     seed:
         Explicit master seed, or ``None`` to derive one per cell from
         the sweep's ``base_seed`` (see module docstring).
-    strategy / strategy_args:
-        Optional static adversary name (see :data:`STRATEGIES`) and its
-        event knob as positional constructor arguments (decoded by
-        :func:`~repro.faults.adversary.strategy_model`); faults are
-        placed everywhere via the standard ``run_scenario`` placement.
-    faults_per_cluster:
-        Override for the per-cluster fault count (default ``params.f``).
     config:
         Keyword arguments for
         :class:`~repro.core.system.SystemConfig`; values must be
-        picklable (no adversary instances — use ``strategy`` or
-        ``adversary``).
+        picklable (no adversary instances — use ``adversary``).
     key:
         Free-form cell coordinates (e.g. ``("D", 8)``), carried through
         to the result for labeling.
-    collect_pulse_diameters:
-        Also return the per-(cluster, round) pulse diameter table,
-        computed in-worker (the system itself never crosses the
-        process boundary).  Equivalent to ``"pulse_diameters"`` in
-        ``collect``.
     kind:
         Worker routine name in :data:`CELL_KINDS` (module docstring).
     protocol:
@@ -199,7 +184,12 @@ class ScenarioSpec:
         ``trials``/``skip``).
     collect:
         Names of :data:`COLLECTORS` to run in-worker against the live
-        system; results land in ``SweepCellResult.extras``.
+        system; results land in ``SweepCellResult.extras`` (and
+        ``SweepCellResult.pulse_diameters``).
+    adversary:
+        Adversary spec ``{"name": ..., **knobs}`` (see
+        :mod:`repro.faults.adversary`), empty for none; its ``count``
+        knob is how many nodes it controls (per cluster on FTGCS).
     """
 
     graph: str = ""
@@ -207,12 +197,8 @@ class ScenarioSpec:
     params: Parameters | None = None
     rounds: int = 1
     seed: int | None = None
-    strategy: str | None = None
-    strategy_args: tuple = ()
-    faults_per_cluster: int | None = None
     config: dict = field(default_factory=dict)
     key: tuple = ()
-    collect_pulse_diameters: bool = False
     kind: str = "protocol"
     protocol: str | None = None
     schedule: str = "static"
@@ -223,19 +209,24 @@ class ScenarioSpec:
     timing: bool = False
     payload: dict = field(default_factory=dict)
     collect: tuple = ()
-    #: Unified adversary spec ``{"name": ..., **kwargs}`` (see
-    #: :mod:`repro.faults.adversary`); empty means none.  Mutually
-    #: exclusive with the legacy ``strategy`` spelling.
     adversary: dict = field(default_factory=dict)
 
     #: Spec fields that are tuples in the dataclass but commonly arrive
     #: as lists from hand-authored JSON/YAML (scenario library files,
     #: ``POST /jobs`` bodies); :meth:`from_dict` coerces them.
-    _TUPLE_FIELDS = ("graph_args", "strategy_args", "key", "collect")
+    _TUPLE_FIELDS = ("graph_args", "key", "collect")
     #: Fields the canonical codec omits when falsy, so specs that never
     #: used them keep their historical encodings (and ``spec_hash``)
     #: bit-identical across the field's introduction.
     _SERIALIZE_OMIT_EMPTY = ("adversary",)
+    #: Retired fields: name -> (the value every spec encoded for it,
+    #: its replacement).  The codec still writes each at that value, so
+    #: specs that never set one keep their hashes, and decoding accepts
+    #: it only there (:func:`~repro.harness.serialize.drop_retired`).
+    _SERIALIZE_RETIRED = dict(
+        strategy=(None, _ADVERSARY), strategy_args=((), _ADVERSARY),
+        faults_per_cluster=(None, "the adversary's count= knob"),
+        collect_pulse_diameters=(False, "collect=['pulse_diameters']"))
 
     def to_dict(self) -> dict:
         """JSON-safe plain-data form of the spec.
@@ -254,18 +245,20 @@ class ScenarioSpec:
     def from_dict(cls, data: dict) -> "ScenarioSpec":
         """Rebuild a spec from :meth:`to_dict` output (or hand-written
         plain data: list-valued tuple fields are coerced, unknown keys
-        rejected by name)."""
+        rejected by name, retired keys accepted only at their retired
+        values)."""
         if not isinstance(data, dict):
             raise ConfigError(
                 f"ScenarioSpec.from_dict needs a dict: {data!r}")
         known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - known - set(cls._SERIALIZE_RETIRED))
         if unknown:
             raise ConfigError(
                 f"unknown ScenarioSpec field(s) {unknown}; known: "
                 f"{sorted(known)}")
-        decoded = {key: serialize.decode(value)
-                   for key, value in data.items()}
+        decoded = serialize.drop_retired(
+            cls, {key: serialize.decode(value)
+                  for key, value in data.items()})
         for name in cls._TUPLE_FIELDS:
             value = decoded.get(name)
             if isinstance(value, list):
@@ -432,9 +425,6 @@ def _run_protocol_cell(spec: ScenarioSpec) -> SweepCellResult:
         builder.first_contact(True)
     if spec.loss:
         builder.lossy(**spec.loss)
-    if spec.strategy is not None:
-        builder.faults(spec.strategy, *spec.strategy_args,
-                       per_cluster=spec.faults_per_cluster)
     if spec.adversary:
         builder.adversary(**spec.adversary)
     if spec.config:
@@ -465,11 +455,9 @@ def _run_protocol_cell(spec: ScenarioSpec) -> SweepCellResult:
     target = system.protocol.analysis_system()
     for collector_name in spec.collect:
         extras[collector_name] = COLLECTORS[collector_name](target)
-    pulses = extras.get("pulse_diameters")
-    if pulses is None and spec.collect_pulse_diameters:
-        pulses = target.pulse_diameter_table()
     return SweepCellResult(key=spec.key, seed=spec.seed, result=result,
-                           pulse_diameters=pulses, extras=extras)
+                           pulse_diameters=extras.get("pulse_diameters"),
+                           extras=extras)
 
 
 #: ``(seed, draws_consumed) -> random.Random state`` — lets consecutive
@@ -571,25 +559,18 @@ def _run_augment_counts_cell(spec: ScenarioSpec) -> SweepCellResult:
                 "edges": graph.num_edges, "rows": rows})
 
 
-#: The historical per-algorithm kinds: aliases of ``"protocol"`` that
-#: fix the protocol name (module docstring).
-LEGACY_PROTOCOL_KINDS = ("ftgcs", "master_slave", "gcs_single",
-                         "srikanth_toueg")
-
-
 def cell_protocol(spec: ScenarioSpec) -> str | None:
     """The protocol a cell runs: ``spec.protocol`` (default
-    ``"ftgcs"``) on a ``"protocol"`` cell, the alias's own name on a
-    legacy kind, ``None`` on a kind that runs no protocol."""
+    ``"ftgcs"``) on a ``"protocol"`` cell, ``None`` on any other
+    kind."""
     if spec.kind == "protocol":
         return spec.protocol or "ftgcs"
-    return spec.kind if spec.kind in LEGACY_PROTOCOL_KINDS else None
+    return None
 
 
 #: Worker routines addressable by ``ScenarioSpec.kind``.
 CELL_KINDS: dict[str, Callable[[ScenarioSpec], SweepCellResult]] = {
     "protocol": _run_protocol_cell,
-    **dict.fromkeys(LEGACY_PROTOCOL_KINDS, _run_protocol_cell),
     "failure_mc": _run_failure_mc_cell,
     "trigger_fuzz": _run_trigger_fuzz_cell,
     "augment_counts": _run_augment_counts_cell,
@@ -612,9 +593,8 @@ _PROTOCOL_FREE_KINDS = frozenset(
     {"failure_mc", "trigger_fuzz", "augment_counts"})
 
 #: The spec fields only a cell that runs a protocol reads.
-_PROTOCOL_FIELDS = ("protocol", "schedule", "engine", "strategy",
-                    "adversary", "first_contact", "loss", "collect",
-                    "collect_pulse_diameters")
+_PROTOCOL_FIELDS = ("protocol", "schedule", "engine", "adversary",
+                    "first_contact", "loss", "collect")
 
 
 def check_spec(spec: ScenarioSpec) -> ScenarioSpec:
@@ -646,6 +626,10 @@ def check_spec(spec: ScenarioSpec) -> ScenarioSpec:
     if spec.protocol is not None:
         known.append((spec.protocol, protocol_names(), "protocol"))
     known += [(name, COLLECTORS, "collector") for name in spec.collect]
+    if spec.kind in protocol_names() and spec.kind not in CELL_KINDS:
+        raise ConfigError(
+            f"unknown cell kind {spec.kind!r}; run a protocol as cell "
+            f"kind 'protocol' with protocol={spec.kind!r}")
     for name, registry, what in known:
         if not isinstance(name, str) or name not in registry:
             raise ConfigError(f"unknown {what} {name!r}; known: "
@@ -661,10 +645,6 @@ def check_spec(spec: ScenarioSpec) -> ScenarioSpec:
                 f"ignore {ignored}; use a protocol cell")
         return spec
     protocol = cell_protocol(spec)
-    if protocol is not None and spec.protocol not in (None, protocol):
-        raise ConfigError(
-            f"cell kind {spec.kind!r} runs protocol {protocol!r}, not "
-            f"{spec.protocol!r}; use cell kind 'protocol'")
     if spec.schedule == "node_churn" and spec.graph:
         graph_factory = getattr(ClusterGraph, spec.graph, None)
         if graph_factory is not None:
@@ -681,15 +661,13 @@ def check_spec(spec: ScenarioSpec) -> ScenarioSpec:
     schedule = SCHEDULES[spec.schedule]
     is_class = isinstance(schedule, type)
     features = dict(
-        strategy=(spec.strategy is not None
-                  and (spec.strategy, spec.strategy_args)),
         adversary=spec.adversary,
         edge_events=(is_class
                      and schedule.events is not TopologySchedule.events),
         node_events=(is_class and schedule.node_events
                      is not TopologySchedule.node_events),
         first_contact=spec.first_contact, loss=spec.loss,
-        collectors=bool(spec.collect or spec.collect_pulse_diameters))
+        collectors=bool(spec.collect))
     check_composition(None if protocol is None else get_protocol(protocol),
                       spec.engine, **features)
     return spec
@@ -783,7 +761,6 @@ class SweepRunner:
 __all__ = [
     "CELL_KINDS",
     "COLLECTORS",
-    "STRATEGIES",
     "ScenarioSpec",
     "SweepCellResult",
     "SweepRunner",

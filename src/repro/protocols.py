@@ -19,25 +19,20 @@ Capability summary (which builder feature each engine realizes under
 these flags is the composition table,
 :data:`repro.core.protocol.FEATURES`):
 
-============== ======== ========= ============= ====== ========== ========== ======= =========
-protocol       faults   dynamic   first-contact churn  vectorized vec faults graph   params in
-============== ======== ========= ============= ====== ========== ========== ======= =========
-ftgcs          yes      yes       yes           yes    yes        yes        yes     ``.params``
-lynch_welch    yes      no        no            no     yes        no         no      ``.params``
-master_slave   no       no        no            links  no         no         yes     ``.params``
-gcs_single     liars*   yes       no            yes    yes        yes        yes     ``payload["params"]``
-srikanth_toueg silent*  no        no            no     yes        yes        no      ``payload["params"]``
-============== ======== ========= ============= ====== ========== ========== ======= =========
+============== ========= ============= ====== ========== ========== ======= =========
+protocol       dynamic   first-contact churn  vectorized vec faults graph   params in
+============== ========= ============= ====== ========== ========== ======= =========
+ftgcs          yes       yes           yes    yes        yes        yes     ``.params``
+lynch_welch    no        no            no     yes        no         no      ``.params``
+master_slave   no        no            links  no         no         yes     ``.params``
+gcs_single     yes       no            yes    yes        yes        yes     ``payload["params"]``
+srikanth_toueg no        no            no     yes        yes        no      ``payload["params"]``
+============== ========= ============= ====== ========== ========== ======= =========
 
-``*`` — these baselines model faults through protocol-specific payload
-knobs (``liars``, ``silent_faults``) rather than the named-strategy
-spelling, so their ``supports_faults`` flag is ``False``.
-
-The adversary layer (:mod:`repro.faults.adversary`,
-``SystemBuilder.adversary(...)``) sits above both mechanisms: on the
-event kernel it realizes through each model's own driver (FTGCS
-family; the legacy ``.faults(name, *args)`` spelling decodes to the
-same models) or the native payload knobs (``gcs_single`` equivocate → ``liars``,
+Faults come from the adversary layer (:mod:`repro.faults.adversary`,
+``SystemBuilder.adversary(...)``): on the event kernel it realizes
+through each model's own driver (FTGCS family) or the native payload
+knobs (``gcs_single`` equivocate → ``liars``,
 ``srikanth_toueg`` silent → ``silent_faults``), and on the vectorized
 engine through per-round fault-vector injection for the protocols
 declaring ``supports_vectorized_faults`` (``ftgcs``, ``gcs_single``,
@@ -95,7 +90,6 @@ from repro.core.system import FtgcsSystem, SystemConfig
 from repro.errors import ConfigError
 from repro.faults.adversary import (
     get_adversary,
-    strategy_model,
     stride_placement,
     validate_event_support,
 )
@@ -178,7 +172,6 @@ class FtgcsProtocol(SyncProtocol):
     """
 
     name = "ftgcs"
-    supports_faults = True
     supports_dynamic_topology = True
     supports_first_contact = True
     supports_node_churn = True
@@ -197,21 +190,15 @@ class FtgcsProtocol(SyncProtocol):
         reject_unknown(ctx.config, _SYSTEM_CONFIG_KEYS, "config",
                        self.name, "event")
         params = ctx.params
-        factory = None
-        faults_per_cluster = ctx.faults_per_cluster
-        if ctx.strategy is not None:
-            factory = lambda _node: strategy_model(
-                ctx.strategy, ctx.strategy_args)
+        factory = faults_per_cluster = None
         model = _event_adversary(self, ctx)
         if model is not None:
             # One fresh model per faulty node; its driver is the act
             # phase on this engine.
             factory = lambda _node: get_adversary(**ctx.adversary)
-            if model.count is not None:
-                faults_per_cluster = model.count
+            faults_per_cluster = model.count
             self.adversary_counters.update(
-                count=(faults_per_cluster if faults_per_cluster
-                       is not None else params.f))
+                count=params.f if model.count is None else model.count)
         config = prepare_ftgcs_config(
             ctx.graph, params,
             config=SystemConfig(**ctx.config) if ctx.config else None,
@@ -337,7 +324,6 @@ class MasterSlaveProtocol(SyncProtocol):
     """
 
     name = "master_slave"
-    supports_faults = False
     supports_dynamic_topology = False
     supports_node_churn = True
     supports_first_contact = False
@@ -414,7 +400,6 @@ class GcsSingleProtocol(SyncProtocol):
     """
 
     name = "gcs_single"
-    supports_faults = False  # liars ride the payload, not strategies
     supports_dynamic_topology = True
     supports_node_churn = True
     supports_first_contact = False  # single-node clusters: no estimators
@@ -521,7 +506,6 @@ class SrikanthTouegProtocol(SyncProtocol):
     name = "srikanth_toueg"
     needs_graph = False
     needs_params = False
-    supports_faults = False  # silent faults ride the payload f-bound
     supports_dynamic_topology = False  # clique broadcast has no topology
     supports_node_churn = False
     supports_first_contact = False

@@ -168,7 +168,12 @@ def create_app(cache_dir=None, scenario_dir=None, processes=None,
         cells = body["cells"]
         if not isinstance(cells, list):
             raise ConfigError("'cells' must be a list of spec dicts")
-        specs = [ScenarioSpec.from_dict(cell) for cell in cells]
+        specs = []
+        for index, cell in enumerate(cells):
+            try:
+                specs.append(ScenarioSpec.from_dict(cell))
+            except ConfigError as error:
+                raise ConfigError(f"cell {index}: {error}") from None
         return manager.submit_grid(
             specs, base_seed=body.get("base_seed", 0), label=label)
 

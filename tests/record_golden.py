@@ -116,7 +116,7 @@ def event_cell_specs() -> dict:
         "lynch_welch": (Scenario.of_protocol("lynch_welch")
                         .params(default_params(rho=1e-4, d=1.0, u=0.05,
                                                f=1))
-                        .rounds(10).attack("equivocate").seed(5)),
+                        .rounds(10).adversarial("equivocate").seed(5)),
         "ftgcs_max_equivocate": (
             Scenario.line(5).params(ft).rounds(6).seed(6)
             .adversarial("equivocate")

@@ -2,6 +2,8 @@
 plumbing, legacy compatibility, and the resilience claims behind T18.
 """
 
+import json
+
 import pytest
 
 np = pytest.importorskip("numpy")
@@ -12,15 +14,13 @@ from repro.core.protocol import SystemBuilder
 from repro.errors import ConfigError
 from repro.faults.adversary import (
     ADVERSARIES,
-    STRATEGIES,
     AdversaryModel,
     get_adversary,
-    strategy_model,
     stride_placement,
 )
 from repro.harness.experiments import fast_dynamics_params
 from repro.harness.scenario import Scenario
-from repro.harness.sweep import SweepRunner, run_cell, spec_hash
+from repro.harness.sweep import ScenarioSpec, SweepRunner, run_cell, spec_hash
 from repro.service.store import ResultStore
 from repro.topology import ClusterGraph, EdgeChurnSchedule
 
@@ -44,15 +44,20 @@ class TestLegacyCompat:
 
     def test_legacy_spec_hashes_unchanged(self):
         # Literal pre-refactor hashes: the adversary field is omitted
-        # from serialization when empty, so every spec that existed
+        # from serialization when empty, and the retired fields are
+        # encoded at their retired values, so every spec that existed
         # before the layer landed still hashes (and caches)
         # identically.
-        cell = (Scenario.line(3).params(FT).rounds(40).seed(7)
-                .attack("equivocate").tag("D", 2).build())
-        assert spec_hash(cell) \
-            == "efde166a4f0018239d6c46eaf9a8d8781c7dcfe9"
         plain = Scenario.line(3).params(FT).rounds(10).seed(11).build()
         assert spec_hash(plain) \
+            == "c1a3382e42963a1a71f9762e8141cc4681b2c58f"
+        # The same spec as written before the fields were retired:
+        # all four at their retired values.
+        old = json.loads(json.dumps({
+            **plain.to_dict(), "strategy": None,
+            "strategy_args": {"__tuple__": []},
+            "faults_per_cluster": None, "collect_pulse_diameters": False}))
+        assert spec_hash(ScenarioSpec.from_dict(old)) \
             == "c1a3382e42963a1a71f9762e8141cc4681b2c58f"
         st = (Scenario.of_protocol("srikanth_toueg")
               .payload(params=StParams(n=4, f=1, rho=1e-3, d=1.0,
@@ -63,29 +68,32 @@ class TestLegacyCompat:
             == "f613590771aa97fe45a2e03723dee533a3c27de1"
 
     def test_every_legacy_strategy_name_resolves(self):
-        assert STRATEGIES == ("silent", "crash", "random_pulse",
-                              "fast_clock", "equivocate", "pull_apart",
-                              "collusion")
-        for name in STRATEGIES:
-            assert type(strategy_model(name)) is ADVERSARIES[name]
-        with pytest.raises(ConfigError, match="unknown strategy"):
-            strategy_model("greedy")  # no event driver
-        with pytest.raises(ConfigError, match="bad strategy args"):
-            strategy_model("silent", (1.0,))
+        # Every name the retired strategy field took is an adversary
+        # with an event driver.
+        event = tuple(name for name, cls in ADVERSARIES.items()
+                      if cls.supports_event)
+        assert event == ("silent", "crash", "random_pulse",
+                         "fast_clock", "equivocate", "pull_apart",
+                         "collusion")
+        for name in event:
+            assert type(get_adversary(name)) is ADVERSARIES[name]
+        with pytest.raises(ConfigError, match="bad adversary kwargs"):
+            get_adversary("silent", speed_factor=1.0)
 
     def test_strategy_args_are_the_event_knob(self):
-        assert strategy_model("crash", (3.0,)).crash_time == 3.0
-        assert strategy_model("random_pulse",
-                              (4.0,)).pulses_per_round == 4.0
-        assert strategy_model("fast_clock", (1.5,)).speed_factor == 1.5
+        # The retired positional strategy_args are these keyword knobs.
+        assert get_adversary("crash", crash_time=3.0).crash_time == 3.0
+        assert get_adversary("random_pulse", pulses_per_round=4.0) \
+            .pulses_per_round == 4.0
+        assert get_adversary("fast_clock",
+                             speed_factor=1.5).speed_factor == 1.5
         for name in ("equivocate", "pull_apart", "collusion"):
-            assert strategy_model(name, (0.25,)).amplitude == 0.25
+            assert get_adversary(name, amplitude=0.25).amplitude == 0.25
 
     def test_adversary_field_round_trips_but_hashes_apart(self):
         legacy = ft_cell().build()
         adv = ft_cell().adversarial("equivocate").build()
         assert spec_hash(adv) != spec_hash(legacy)
-        from repro.harness.sweep import ScenarioSpec
         clone = ScenarioSpec.from_dict(adv.to_dict())
         assert clone == adv
         assert clone.adversary == {"name": "equivocate"}
@@ -107,9 +115,12 @@ class TestEagerValidation:
             ft_cell().adversarial("nope").build()
 
     def test_attack_and_adversarial_do_not_compose(self):
-        with pytest.raises(ConfigError, match="not both"):
-            (ft_cell().attack("equivocate")
-             .adversarial("equivocate").build())
+        # One spelling only: the retired strategy field is rejected
+        # next to an adversary, naming it.
+        data = {**ft_cell().adversarial("equivocate").to_dict(),
+                "strategy": "equivocate"}
+        with pytest.raises(ConfigError, match="retired; use adversary="):
+            Scenario.from_dict(data).build()
 
     def test_adaptive_rejected_on_event_engine(self):
         with pytest.raises(ConfigError, match="vectorized"):

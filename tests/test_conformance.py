@@ -82,9 +82,6 @@ class Case:
 
 
 CASES = {
-    "strategy_silent": Case(
-        "strategy", lambda s, i: s.attack("silent"),
-        lambda c: c.result.detail.missing_pulses),
     "adversary_silent": Case(
         "adversary", lambda s, i: s.adversarial("silent"),
         _adversary_effect),
@@ -114,7 +111,6 @@ CASES = {
 #: The policy, per case: the (protocol, engine) cells that realize it.
 #: Every other cell of the matrix must be rejected.
 ACCEPTED = {
-    "strategy_silent": {("ftgcs", "event"), ("lynch_welch", "event")},
     "adversary_silent": {
         ("ftgcs", "event"), ("ftgcs", "vectorized"),
         ("lynch_welch", "event"), ("gcs_single", "vectorized"),
@@ -134,8 +130,7 @@ ACCEPTED = {
 
 #: BuildContext fields that carry no builder feature: what every run
 #: needs, and the knobs of a feature or a protocol.
-NON_FEATURES = {"graph", "params", "rounds", "seed", "strategy_args",
-                "faults_per_cluster", "config", "payload"}
+NON_FEATURES = {"graph", "params", "rounds", "seed", "config", "payload"}
 
 
 def _spec(protocol: str, engine: str, edit=None) -> ScenarioSpec:

@@ -292,15 +292,6 @@ class TestEngineSelection:
         with pytest.raises(ConfigError, match="vectorized"):
             builder.build()
 
-    def test_strategy_rejected_on_vectorized(self):
-        params = Parameters.practical(rho=1e-4, d=1.0, u=0.1, f=1)
-        builder = (SystemBuilder("ftgcs")
-                   .topology(ClusterGraph.line(3)).params(params)
-                   .rounds(2).faults("equivocate")
-                   .engine("vectorized"))
-        with pytest.raises(ConfigError):
-            builder.build()
-
 
 class TestEventOnlyFeaturesRejected:
     """Loss, first contact and dynamic schedules have no vectorized

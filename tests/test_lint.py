@@ -340,7 +340,6 @@ class TestSpecCodecContract:
 class _ProtoBase:
     """Fixture protocol base declaring the full capability set."""
 
-    supports_faults = False
     supports_dynamic_topology = False
     supports_node_churn = False
     supports_first_contact = False
@@ -354,8 +353,7 @@ class TestCapabilityContract:
 
     def test_missing_flag_exactly_one_finding(self):
         class Partial:
-            supports_faults = True
-            supports_dynamic_topology = False
+            supports_dynamic_topology = True
             supports_node_churn = False
             supports_first_contact = False
             # supports_vectorized deliberately not declared

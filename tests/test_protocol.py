@@ -75,7 +75,7 @@ class TestBuilderValidation:
         with pytest.raises(ConfigError):
             (SystemBuilder("master_slave")
              .topology(ClusterGraph.line(2)).params(params)
-             .faults("equivocate").build())
+             .adversary("equivocate").build())
 
     def test_dynamic_needs_capability(self):
         params = default_params(f=0)
@@ -96,7 +96,8 @@ class TestFtgcsEquivalence:
         params = default_params(f=1)
         graph = ClusterGraph.line(3)
         result = (SystemBuilder("ftgcs").topology(graph).params(params)
-                  .rounds(3).faults("equivocate").seed(7).build().run())
+                  .rounds(3).adversary("equivocate").seed(7).build()
+                  .run())
 
         from repro.faults import EquivocateAdversary
 

@@ -12,7 +12,7 @@ class TestBuilding:
     def test_compiles_to_spec(self):
         params = default_params()
         spec = (Scenario.line(3).params(params).rounds(7).seed(42)
-                .attack("equivocate", )
+                .adversarial("equivocate")
                 .configure(init_jitter=0.1)
                 .measure("pulse_diameters")
                 .tag("D", 2).build())
@@ -22,7 +22,7 @@ class TestBuilding:
         assert spec.params is params
         assert spec.rounds == 7
         assert spec.seed == 42
-        assert spec.strategy == "equivocate"
+        assert spec.adversary == {"name": "equivocate"}
         assert spec.config == {"init_jitter": 0.1}
         assert spec.collect == ("pulse_diameters",)
         assert spec.key == ("D", 2)
@@ -62,9 +62,9 @@ class TestBuilding:
 class TestImmutability:
     def test_methods_return_new_builders(self):
         base = Scenario.line(2).params(default_params()).rounds(3)
-        fast = base.attack("equivocate")
-        assert base.build().strategy is None
-        assert fast.build().strategy == "equivocate"
+        fast = base.adversarial("equivocate")
+        assert base.build().adversary == {}
+        assert fast.build().adversary == {"name": "equivocate"}
 
     def test_shared_base_fans_out(self):
         base = Scenario.line(2).params(default_params()).rounds(2)
@@ -108,10 +108,6 @@ class TestValidation:
             (Scenario.line(3).protocol("master_slave")
              .dynamic("churn", interval=1.0, churn=0.5).build())
         assert "dynamic" in str(err.value)
-        # Legacy alias kinds get the same eager check.
-        with pytest.raises(ConfigError):
-            (Scenario.line(3).kind("srikanth_toueg")
-             .dynamic("churn", interval=1.0, churn=0.5).build())
         # Capable protocols build fine.
         spec = (Scenario.line(3)
                 .dynamic("churn", interval=1.0, churn=0.5).build())
@@ -123,10 +119,6 @@ class TestValidation:
                                                     trials=10)
              .dynamic("churn", interval=1.0, churn=0.5).build())
 
-    def test_unknown_strategy_rejected_at_build(self):
-        with pytest.raises(ConfigError):
-            Scenario.line(2).attack("quantum").build()
-
     def test_unknown_kind_rejected_at_build(self):
         with pytest.raises(ConfigError):
             Scenario.line(2).kind("teleport").build()
@@ -137,12 +129,12 @@ class TestValidation:
 
 
 class TestFaultKnobsFailEagerly:
-    """Strategy and adversary knobs are checked by constructing the
-    adversary model at build time, not first in the worker."""
+    """Adversary knobs are checked by constructing the adversary model
+    at build time, not first in the worker."""
 
     @pytest.mark.parametrize("edit", [
-        lambda s: s.attack("crash", -1.0),
-        lambda s: s.attack("fast_clock", 0.0),
+        lambda s: s.adversarial("crash", count=0),
+        lambda s: s.adversarial("fast_clock", speed_factor=0.0),
         lambda s: s.adversarial("crash", crash_time=-1.0),
         lambda s: s.adversarial("random_pulse", pulses_per_round=0.0),
     ], ids=["attack-crash", "attack-fast_clock", "adversarial-crash",
@@ -158,26 +150,44 @@ class TestFaultKnobsFailEagerly:
 
     def test_negative_spread_fails_the_amplitude_check(self):
         # The spread is the equivocators' amplitude, checked once.
-        for edit in (lambda s: s.attack("equivocate", -1.0),
-                     lambda s: s.adversarial("equivocate",
-                                             amplitude=-1.0)):
-            with pytest.raises(ConfigError, match="amplitude"):
-                edit(Scenario.line(2)).build()
+        with pytest.raises(ConfigError, match="amplitude"):
+            Scenario.line(2).adversarial("equivocate",
+                                         amplitude=-1.0).build()
 
-    @pytest.mark.parametrize("name, knob, default", [
-        ("crash", "crash_time", 0.0),
-        ("fast_clock", "speed_factor", 2.0),
-    ])
-    def test_attack_without_knob_uses_model_default(self, name, knob,
-                                                     default):
-        from repro.faults.adversary import get_adversary, strategy_model
 
-        spec = (Scenario.line(2).params(default_params()).rounds(2)
-                .seed(1).attack(name).build())
-        model = strategy_model(spec.strategy, spec.strategy_args)
-        assert getattr(model, knob) == default
-        assert getattr(get_adversary(name), knob) == default
-        assert run_cell(spec).result.max_local_skew >= 0.0
+class TestRetiredSpellings:
+    """A retired spec field set to anything but its retired value, or a
+    protocol name used as a cell kind, fails naming the spelling that
+    replaces it: on the builder path and in the worker."""
+
+    @pytest.mark.parametrize("edit, replacement", [
+        ({"strategy": "equivocate"}, "adversary=.*crash_time"),
+        ({"faults_per_cluster": 0}, "count="),
+        ({"faults_per_cluster": 0, "engine": "vectorized",
+          "adversary": {"name": "silent"}}, "count="),
+        ({"collect_pulse_diameters": True},
+         r"collect=\['pulse_diameters'\]"),
+        ({"kind": "ftgcs"}, "kind 'protocol' with protocol='ftgcs'"),
+    ], ids=["strategy", "faults_per_cluster-event",
+            "faults_per_cluster-vectorized", "collect_pulse_diameters",
+            "legacy-kind"])
+    def test_rejected_naming_the_replacement(self, edit, replacement):
+        data = {**Scenario.line(2).params(default_params()).rounds(2)
+                .seed(1).to_dict(), **edit}
+        with pytest.raises(ConfigError, match=replacement):
+            Scenario.from_dict(data).build()
+        with pytest.raises(ConfigError, match=replacement):
+            run_cell(ScenarioSpec.from_dict(data))
+
+    def test_retired_values_are_dropped(self):
+        # A body written before the retirement carries every retired
+        # field at its retired value; it builds the same spec.
+        scenario = Scenario.line(2).params(default_params()).seed(1)
+        data = {**scenario.to_dict(), "strategy": None,
+                "strategy_args": [], "faults_per_cluster": None,
+                "collect_pulse_diameters": False}
+        assert Scenario.from_dict(data).build() == scenario.build()
+        assert ScenarioSpec.from_dict(data) == scenario.build()
 
 
 class TestCellsOutsideTheTable:
@@ -193,7 +203,8 @@ class TestCellsOutsideTheTable:
         del CELL_KINDS["test_scenario_custom"]
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda s: s.attack("typo"), "unknown strategy"),
+        (lambda s: Scenario.from_dict({**s.to_dict(), "strategy": "typo"}),
+         "'strategy' is retired"),
         (lambda s: s.lossy(rate=2.0), "loss rate"),
         (lambda s: s.adversarial("typo"), "unknown adversary"),
         (lambda s: s.adversarial("crash", crash_time=-1.0), "crash"),
@@ -207,15 +218,13 @@ class TestCellsOutsideTheTable:
 
     def test_custom_kind_gets_its_features(self, custom):
         # What a custom runner does with a feature is its own affair.
-        spec = (custom.attack("silent").lossy(rate=0.1)
+        spec = (custom.adversarial("silent").lossy(rate=0.1)
                 .engine("vectorized").build())
         assert run_cell(spec) is spec
 
     @pytest.mark.parametrize("kind, protocol, message", [
-        ("ftgcs", "paxos", "unknown protocol"),
-        ("ftgcs", "gcs_single", "runs protocol 'ftgcs'"),
         ("failure_mc", "ftgcs", r"ignore \['protocol'\]"),
-    ], ids=["legacy-unknown", "legacy-override", "protocol-free"])
+    ], ids=["protocol-free"])
     def test_protocol_field_the_kind_overrides_or_ignores(
             self, kind, protocol, message):
         data = {"kind": kind, "protocol": protocol, "seed": 1}
@@ -223,11 +232,6 @@ class TestCellsOutsideTheTable:
             Scenario.from_dict(data).build()
         with pytest.raises(ConfigError, match=message):
             run_cell(ScenarioSpec.from_dict(data))
-
-    def test_legacy_kind_naming_its_own_protocol_builds(self):
-        spec = Scenario.from_dict({"kind": "ftgcs",
-                                   "protocol": "ftgcs"}).build()
-        assert spec.kind == "ftgcs"
 
     def test_factory_function_schedule_left_to_the_worker(self):
         from repro.topology.schedule import (
@@ -255,7 +259,7 @@ class TestCellsOutsideTheTable:
 class TestEndToEnd:
     def test_built_spec_runs(self):
         spec = (Scenario.line(2).params(default_params()).rounds(3)
-                .seed(5).attack("silent").build())
+                .seed(5).adversarial("silent").build())
         cell = run_cell(spec)
         assert cell.result.protocol == "ftgcs"
         assert cell.result.detail.missing_pulses > 0

@@ -144,7 +144,7 @@ class TestSpecRoundTrip:
                 .params(Parameters.practical(rho=1e-4, d=1.0, u=0.1,
                                              f=1))
                 .rounds(6).seed(3)
-                .attack("equivocate")
+                .adversarial("equivocate", amplitude=0.25)
                 .lossy(kind="burst", p_g2b=0.02, p_b2g=0.3, p_bad=0.9)
                 .dynamic("churn", interval=40.0, churn=0.25)
                 .tag("T", 2).build())
@@ -152,7 +152,7 @@ class TestSpecRoundTrip:
             json.loads(json.dumps(spec.to_dict(), allow_nan=False)))
         assert back.loss == spec.loss
         assert back.schedule_args == spec.schedule_args
-        assert back.strategy == spec.strategy
+        assert back.adversary == spec.adversary
         assert spec_hash(back) == spec_hash(spec)
 
     def test_hash_stable_across_processes(self):
@@ -215,7 +215,8 @@ class TestSpecRoundTrip:
 class TestScenarioRoundTrip:
     def test_builder_roundtrip_builds_identical_spec(self):
         scenario = (Scenario.line(3).rounds(12).seed(9)
-                    .attack("equivocate").configure(init_jitter=0.05)
+                    .adversarial("equivocate")
+                    .configure(init_jitter=0.05)
                     .tag("D", 2))
         back = Scenario.from_dict(
             json.loads(json.dumps(scenario.to_dict())))

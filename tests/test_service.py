@@ -753,12 +753,12 @@ class TestRestApi:
 
     @pytest.mark.parametrize("edit, message", [
         ({"protocol": "paxos"}, "unknown protocol"),
-        ({"strategy": "quantum"}, "unknown strategy"),
+        ({"strategy": "quantum"}, "retired; use adversary="),
         ({"adversary": {"name": "nope"}}, "unknown adversary"),
         ({"adversary": "silent"}, "must be a dict"),
         ({"collect": ["entropy"]}, "unknown collector"),
         ({"strategy": "silent", "adversary": {"name": "silent"}},
-         "not both"),
+         "retired; use adversary="),
         ({"engine": "vectorized", "loss": {"kind": "bernoulli",
                                            "rate": 0.1}},
          "loss models"),
@@ -768,11 +768,15 @@ class TestRestApi:
         ({"kind": ["protocol"]}, "unknown cell kind"),
         ({"collect": [["pulse_diameters"]]}, "unknown collector"),
         ({"graph": 3}, "graph must be"),
+        ({"strategy": "equivocate"}, "retired; use adversary="),
+        ({"faults_per_cluster": 0}, "retired; use the adversary's count="),
+        ({"kind": "ftgcs"}, "kind 'protocol' with protocol='ftgcs'"),
     ], ids=["protocol", "strategy", "adversary", "adversary-not-a-dict",
             "collector", "strategy+adversary", "vectorized+loss",
             "adversary-without-name", "node-churn-args-not-a-mapping",
             "kind-not-a-string", "collector-not-a-string",
-            "graph-not-a-string"])
+            "graph-not-a-string", "retired-strategy",
+            "retired-faults_per_cluster", "legacy-kind"])
     def test_cells_that_cannot_build_are_400(self, client, edit,
                                              message):
         good = small_spec(seed=None).to_dict()

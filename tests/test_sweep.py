@@ -9,7 +9,6 @@ from repro.harness.runner import default_params, steady_state_skews
 from repro.harness.sweep import (
     CELL_KINDS,
     COLLECTORS,
-    STRATEGIES,
     ScenarioSpec,
     SweepRunner,
     default_processes,
@@ -44,7 +43,8 @@ class TestRunCell:
     def test_strategy_by_name(self):
         params = default_params()
         spec = ScenarioSpec(graph="line", graph_args=(2,), params=params,
-                            rounds=3, seed=5, strategy="silent")
+                            rounds=3, seed=5,
+                            adversary={"name": "silent"})
         cell = run_cell(spec)
         assert cell.result.detail.missing_pulses > 0
 
@@ -52,7 +52,7 @@ class TestRunCell:
         params = default_params()
         spec = ScenarioSpec(graph="line", graph_args=(1,), params=params,
                             rounds=3, seed=5,
-                            collect_pulse_diameters=True)
+                            collect=("pulse_diameters",))
         cell = run_cell(spec)
         assert cell.pulse_diameters
         assert all(isinstance(k, tuple) for k in cell.pulse_diameters)
@@ -69,25 +69,23 @@ class TestRunCell:
         with pytest.raises(ConfigError):
             run_cell(spec)
 
-    def test_unknown_strategy_rejected(self):
-        spec = ScenarioSpec(graph="line", graph_args=(2,),
-                            params=default_params(), rounds=1, seed=0,
-                            strategy="quantum")
-        with pytest.raises(ConfigError):
-            run_cell(spec)
-
     def test_registry_covers_attack_gallery(self):
+        from repro.faults.adversary import ADVERSARIES
+
         for name in ("silent", "crash", "random_pulse", "fast_clock",
                      "equivocate", "pull_apart", "collusion"):
-            assert name in STRATEGIES
+            assert ADVERSARIES[name].supports_event
 
 
 class TestCellKinds:
     def test_builtin_kinds_registered(self):
-        for kind in ("protocol", "ftgcs", "master_slave",
-                     "gcs_single", "srikanth_toueg", "failure_mc",
-                     "trigger_fuzz", "augment_counts"):
-            assert kind in CELL_KINDS
+        assert set(CELL_KINDS) >= {"protocol", "failure_mc",
+                                   "trigger_fuzz", "augment_counts"}
+        # A protocol runs as a "protocol" cell, never as a kind of its
+        # own.
+        assert not set(CELL_KINDS) & {"ftgcs", "lynch_welch",
+                                      "master_slave", "gcs_single",
+                                      "srikanth_toueg"}
 
     def test_unknown_kind_rejected(self):
         spec = ScenarioSpec(kind="teleport", seed=0)
@@ -96,7 +94,7 @@ class TestCellKinds:
 
     def test_duplicate_kind_registration_rejected(self):
         with pytest.raises(ConfigError):
-            register_cell_kind("ftgcs", lambda spec: None)
+            register_cell_kind("protocol", lambda spec: None)
 
     def test_failure_mc_matches_shared_stream(self):
         # Two cells fast-forwarding one serial stream reproduce a
@@ -170,19 +168,6 @@ class TestProtocolCells:
                             schedule="churn", seed=0)
         with pytest.raises(ConfigError):
             run_cell(spec)
-
-    def test_legacy_kinds_alias_protocol(self):
-        # A legacy-kind spec and the explicit protocol spec are the
-        # same cell, bit for bit.
-        params = default_params()
-        legacy = run_cell(ScenarioSpec(
-            kind="ftgcs", graph="line", graph_args=(2,), params=params,
-            rounds=3, seed=5))
-        modern = run_cell(ScenarioSpec(
-            kind="protocol", protocol="ftgcs", graph="line",
-            graph_args=(2,), params=params, rounds=3, seed=5))
-        assert legacy.result.series == modern.result.series
-        assert legacy.result.protocol == "ftgcs"
 
     def test_collectors_rejected_for_non_ftgcs_protocols(self):
         from repro.baselines.srikanth_toueg import StParams
@@ -300,7 +285,7 @@ class TestSweepRunner:
         assert all(c.seed == 123 for c in cells)
 
     def test_parallel_matches_serial_bit_for_bit(self):
-        specs = small_grid(cells=4, strategy="equivocate")
+        specs = small_grid(cells=4, adversary={"name": "equivocate"})
         serial = SweepRunner(processes=1).run(specs, base_seed=3)
         parallel = SweepRunner(processes=2).run(specs, base_seed=3)
         assert [c.key for c in parallel] == [c.key for c in serial]
