@@ -12,7 +12,6 @@ from repro.analysis.metrics import (
     SkewSnapshot,
     accumulate_grouped,
     cluster_extrema,
-    compute_snapshot_grouped,
     log_log_fit,
     pulse_diameters,
     unanimity_by_round,
@@ -37,7 +36,6 @@ __all__ = [
     "SkewSnapshot",
     "accumulate_grouped",
     "cluster_extrema",
-    "compute_snapshot_grouped",
     "log_log_fit",
     "pulse_diameters",
     "unanimity_by_round",

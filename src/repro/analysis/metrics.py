@@ -61,56 +61,26 @@ class SkewSnapshot:
     edge_skews: dict[tuple[int, int], float] = field(default_factory=dict)
 
 
-def compute_snapshot_grouped(time: float,
-                             groups: list[tuple[int, list[float]]],
-                             cluster_edges: list[tuple[int, int]],
-                             include_edges: bool = False) -> SkewSnapshot:
-    """Compute every skew metric from grouped correct clock values.
-
-    This is the sampling hot path: node identities are irrelevant for
-    every metric (only per-cluster extrema matter), so values arrive as
-    flat per-cluster sequences in a stable order and the per-cluster
-    extrema are held as plain floats in two dicts — no intermediate
-    objects are allocated per sample beyond the returned snapshot.
-
-    Parameters
-    ----------
-    groups:
-        ``(cluster, values)`` pairs for *correct* nodes; clusters whose
-        correct membership is empty may appear with an empty sequence
-        (they are skipped).
-    cluster_edges:
-        Edge list of ``G``; edges touching skipped clusters are skipped.
-    include_edges:
-        Also record the per-edge cluster-skew map (costlier to store).
-    """
-    edge_skews: dict[tuple[int, int], float] | None = (
-        {} if include_edges else None)
-    global_skew, max_intra, max_local_cluster, max_local_node = (
-        accumulate_grouped(groups, cluster_edges, edge_out=edge_skews))
-    return SkewSnapshot(
-        time=time, global_skew=global_skew,
-        max_intra_cluster=max_intra,
-        max_local_cluster=max_local_cluster, max_local_node=max_local_node,
-        edge_skews=edge_skews if edge_skews is not None else {})
-
-
 def accumulate_grouped(groups: list[tuple[int, list[float]]],
                        cluster_edges: list[tuple[int, int]],
                        edge_maxima: dict[tuple[int, int], float]
                        | None = None,
                        edge_out: dict[tuple[int, int], float]
                        | None = None) -> tuple[float, float, float, float]:
-    """The allocation-free core of :func:`compute_snapshot_grouped`.
+    """Every skew metric from grouped correct clock values.
 
-    Computes ``(global_skew, max_intra_cluster, max_local_cluster,
+    The sampling hot path: node identities are irrelevant for every
+    metric (only per-cluster extrema matter), so ``groups`` holds
+    ``(cluster, values)`` pairs of *correct* clocks in a stable order;
+    a cluster with no correct member may appear with an empty sequence
+    and is skipped, as is every edge of ``cluster_edges`` touching it.
+
+    Returns ``(global_skew, max_intra_cluster, max_local_cluster,
     max_local_node)`` as plain floats — no :class:`SkewSnapshot` is
     built, which is what lets a buffered sampler take thousands of
     samples without allocating one object per tick.  ``edge_maxima``
     (running per-edge maxima) is updated in place when given;
     ``edge_out`` (this sample's per-edge skews) is filled when given.
-    Both see exactly the values :func:`compute_snapshot_grouped` would
-    have produced.
     """
     lows: dict[int, float] = {}
     highs: dict[int, float] = {}

@@ -29,7 +29,8 @@ The repeating event accumulates ``t += interval``, so float drift can
 push a tick nominally at a run's horizon a few ulps past it, where
 ``Simulator.run(until=horizon)`` does not fire it.  The systems
 therefore take a final :meth:`SkewSampler.sample_now` at the horizon
-(``FtgcsSystem.result``, ``MasterSlaveSystem.run_rounds``).
+(``FtgcsSystem.result``, ``MasterSlaveSystem.run_rounds``); it is the
+same sample path as a tick.
 """
 
 from __future__ import annotations
@@ -39,11 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.analysis.metrics import (
-    SkewSnapshot,
-    accumulate_grouped,
-    compute_snapshot_grouped,
-)
+from repro.analysis.metrics import SkewSnapshot, accumulate_grouped
 from repro.errors import ConfigError
 from repro.sim.kernel import Simulator
 
@@ -117,16 +114,6 @@ class SkewMaxima:
     local_node: float = 0.0
     samples: int = 0
     edge_maxima: dict[tuple[int, int], float] = field(default_factory=dict)
-
-    def update(self, snap: SkewSnapshot) -> None:
-        self.global_skew = max(self.global_skew, snap.global_skew)
-        self.intra_cluster = max(self.intra_cluster, snap.max_intra_cluster)
-        self.local_cluster = max(self.local_cluster, snap.max_local_cluster)
-        self.local_node = max(self.local_node, snap.max_local_node)
-        self.samples += 1
-        for edge, skew in snap.edge_skews.items():
-            if skew > self.edge_maxima.get(edge, 0.0):
-                self.edge_maxima[edge] = skew
 
 
 class SkewSampler:
@@ -230,17 +217,6 @@ class SkewSampler:
             self._buffer.append(self._sim.now, global_skew, intra,
                                 local_cluster, local_node)
 
-    def sample_now(self) -> SkewSnapshot:
-        """Take one sample immediately (also updates maxima)."""
-        snap = compute_snapshot_grouped(
-            self._sim.now, self._collector(), self._cluster_edges,
-            include_edges=self._track_edges)
-        self.maxima.update(snap)
-        if self._record_series:
-            self._buffer.append(snap.time, snap.global_skew,
-                                snap.max_intra_cluster,
-                                snap.max_local_cluster,
-                                snap.max_local_node)
-            if self._track_edges:
-                self._edge_series.append(snap.edge_skews)
-        return snap
+    #: Take one sample immediately: the tick's own path under the name
+    #: the systems call at a run's horizon.
+    sample_now = _sample_tick

@@ -494,14 +494,6 @@ class FtgcsSystem:
                 buffer[i] = getter()
         return self._sample_groups
 
-    def _collect_values(self) -> dict[int, dict[int, float]]:
-        """Nested-dict snapshot of correct clocks (non-hot-path uses)."""
-        values: dict[int, dict[int, float]] = {}
-        for node in self._honest:
-            bucket = values.setdefault(node.cluster_id, {})
-            bucket[node.node_id] = node.logical.value()
-        return values
-
     def start(self) -> None:
         """Start all nodes, drivers, and the sampler."""
         if self._started:
@@ -541,12 +533,8 @@ class FtgcsSystem:
 
     def _max_estimate_error(self) -> float:
         """Largest |estimate - true cluster clock| right now."""
-        values = self._collect_values()
-        cluster_clocks: dict[int, float] = {}
-        for cluster, vals in values.items():
-            if vals:
-                cluster_clocks[cluster] = 0.5 * (min(vals.values())
-                                                 + max(vals.values()))
+        cluster_clocks = {cluster: 0.5 * (min(vals) + max(vals))
+                          for cluster, vals in self._collect_grouped()}
         worst = 0.0
         for node in self.honest_nodes():
             for b_cluster, estimator in node.estimators.items():

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.analysis.metrics import (
+    accumulate_grouped,
     cluster_extrema,
-    compute_snapshot_grouped,
     pulse_diameters,
     unanimity_by_round,
 )
@@ -29,25 +29,26 @@ class TestClusterExtrema:
 class TestComputeSnapshot:
     def test_known_values(self):
         values = [(0, [0.0, 1.0]), (1, [4.0, 5.0])]
-        snap = compute_snapshot_grouped(7.0, values, [(0, 1)],
-                                        include_edges=True)
-        assert snap.time == 7.0
-        assert snap.global_skew == pytest.approx(5.0)
-        assert snap.max_intra_cluster == pytest.approx(1.0)
+        edge_skews = {}
+        global_skew, intra, local_cluster, local_node = (
+            accumulate_grouped(values, [(0, 1)], edge_out=edge_skews))
+        assert global_skew == pytest.approx(5.0)
+        assert intra == pytest.approx(1.0)
         # Cluster clocks: 0.5 and 4.5.
-        assert snap.max_local_cluster == pytest.approx(4.0)
+        assert local_cluster == pytest.approx(4.0)
         # Node-level: max(1-4, 5-0) = 5.
-        assert snap.max_local_node == pytest.approx(5.0)
-        assert snap.edge_skews[(0, 1)] == pytest.approx(4.0)
+        assert local_node == pytest.approx(5.0)
+        assert edge_skews[(0, 1)] == pytest.approx(4.0)
 
     def test_empty_input(self):
-        snap = compute_snapshot_grouped(0.0, [], [])
-        assert snap.global_skew == 0.0
+        assert accumulate_grouped([], []) == (0.0, 0.0, 0.0, 0.0)
 
     def test_edges_with_missing_cluster_skipped(self):
-        values = [(0, [0.0])]
-        snap = compute_snapshot_grouped(0.0, values, [(0, 1)])
-        assert snap.max_local_cluster == 0.0
+        edge_skews = {}
+        metrics = accumulate_grouped([(0, [0.0]), (1, [])], [(0, 1)],
+                                     edge_out=edge_skews)
+        assert metrics[2] == 0.0
+        assert edge_skews == {}
 
 
 class TestPulseDiameters:
@@ -256,32 +257,34 @@ class TestBufferedSeries:
                               record_series=True, track_edges=True)
         sampler.start()
         sim.run(until=3.0)
-        expected = compute_snapshot_grouped(0.0, values, [(0, 1)],
-                                            include_edges=True)
-        assert len(sampler.series) == 4
+        sampler.sample_now()  # a final sample, as the systems take
+        # Global 4, intra 1, cluster clocks 0.5 and 4, node max(4-0).
+        assert len(sampler.series) == 5
         for i, snap in enumerate(sampler.series):
-            assert snap.time == pytest.approx(float(i))
-            assert snap.global_skew == expected.global_skew
-            assert snap.max_intra_cluster == expected.max_intra_cluster
-            assert snap.max_local_cluster == expected.max_local_cluster
-            assert snap.max_local_node == expected.max_local_node
-            assert snap.edge_skews == expected.edge_skews
+            assert snap.time == pytest.approx(float(min(i, 3)))
+            assert (snap.global_skew, snap.max_intra_cluster,
+                    snap.max_local_cluster, snap.max_local_node) \
+                == (4.0, 1.0, 3.5, 4.0)
+            assert snap.edge_skews == {(0, 1): 3.5}
+        assert sampler.maxima.samples == 5
+        assert sampler.maxima.edge_maxima == {(0, 1): 3.5}
 
     def test_accumulate_grouped_matches_snapshot(self):
-        from repro.analysis.metrics import accumulate_grouped
-
         groups = [(0, [0.0, 2.0]), (1, [5.0]), (2, [])]
         edges = [(0, 1), (1, 2)]
         edge_out = {}
         maxima = {}
         metrics = accumulate_grouped(groups, edges, edge_maxima=maxima,
                                      edge_out=edge_out)
-        snap = compute_snapshot_grouped(
-            0.0, [(0, [0.0, 2.0]), (1, [5.0])], edges, include_edges=True)
+        sampler = SkewSampler(Simulator(), 1.0, lambda: groups, edges,
+                              record_series=True, track_edges=True)
+        sampler.sample_now()
+        snap, = sampler.series
         assert metrics == (snap.global_skew, snap.max_intra_cluster,
-                           snap.max_local_cluster, snap.max_local_node)
-        assert edge_out == snap.edge_skews
-        assert maxima == snap.edge_skews
+                           snap.max_local_cluster, snap.max_local_node) \
+            == (5.0, 2.0, 4.0, 5.0)
+        assert edge_out == snap.edge_skews == {(0, 1): 4.0}
+        assert maxima == sampler.maxima.edge_maxima == {(0, 1): 4.0}
 
 
 class TestLogLogFit:
