@@ -7,10 +7,12 @@ guarantees hang on:
 ``spec-codec``
     Every :class:`~repro.harness.sweep.ScenarioSpec` field must be
     handled by the tagged codec and enter ``spec_hash`` (or sit in an
-    explicit omit list), and the canonical encoding of a
-    default-constructed spec must match a pinned hash — the direct
-    lesson of PR 9's ``_SERIALIZE_OMIT_EMPTY`` near-miss, where a new
-    field would have silently changed every historical cache key.
+    explicit omit list), every retired field (``_SERIALIZE_RETIRED``)
+    must be gone from the dataclass yet present in its encoding, and
+    the canonical encoding of a default-constructed spec must match a
+    pinned hash — the direct lesson of PR 9's
+    ``_SERIALIZE_OMIT_EMPTY`` near-miss, where a new field would have
+    silently changed every historical cache key.
 
 ``capability``
     Every entry in :data:`~repro.core.protocol.PROTOCOLS` must
@@ -155,6 +157,16 @@ def check_spec_codec(spec_cls: type | None = None, *,
             found(f"_SERIALIZE_OMIT_EMPTY field {name!r} has a "
                   "truthy default, so default specs encode it "
                   "inconsistently")
+    encoded = serialize.encode(baseline)["fields"]
+    retired = getattr(spec_cls, "_SERIALIZE_RETIRED", {})
+    for name, (old, _) in retired.items():
+        if name in field_names:
+            found(f"_SERIALIZE_RETIRED entry {name!r} is still a spec "
+                  "field")
+        elif name not in encoded or encoded[name] != serialize.encode(old):
+            found(f"the default spec's encoding lacks retired field "
+                  f"{name!r} at its retired value, so every spec that "
+                  "never set it re-keys")
 
     for field in dataclasses.fields(spec_cls):
         sentinel = _sentinel(getattr(baseline, field.name))

@@ -60,7 +60,8 @@ RULES: dict[str, Rule] = {rule.id: rule for rule in (
                 "absent from spec_hash, or hash-breaking by default",
         hint="encode the field canonically and either let it enter "
              "spec_hash or list it in _SERIALIZE_OMIT_EMPTY (falsy "
-             "default) so historical cache keys survive"),
+             "default) so historical cache keys survive; a removed "
+             "field goes in _SERIALIZE_RETIRED with its old value"),
     Rule(
         id="capability",
         summary="protocol missing an explicit capability-flag "

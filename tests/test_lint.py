@@ -336,6 +336,48 @@ class TestSpecCodecContract:
         assert _rules(findings) == ["spec-codec"]
         assert "not a spec field" in findings[0].message
 
+    def test_retired_field_is_quiet(self, monkeypatch):
+        # The sanctioned way to remove a field: a _SERIALIZE_RETIRED
+        # entry keeps historical keys intact.
+        v1 = self._v1()
+        _register(monkeypatch, v1)
+        pinned = serialize.content_hash(v1(seed=0))
+
+        @dataclasses.dataclass(frozen=True)
+        class GhostSpec:
+            _SERIALIZE_RETIRED = {"rounds": (8, "nothing")}
+            seed: int = 0
+        _register(monkeypatch, GhostSpec)
+        assert check_spec_codec(GhostSpec, pinned_hash=pinned) == []
+
+    def test_retired_entry_that_is_still_a_field_fires(self, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class GhostSpec:
+            _SERIALIZE_RETIRED = {"rounds": (8, "nothing")}
+            seed: int = 0
+            rounds: int = 8
+        _register(monkeypatch, GhostSpec)
+        pinned = serialize.content_hash(GhostSpec(seed=0))
+        findings = check_spec_codec(GhostSpec, pinned_hash=pinned)
+        assert set(_rules(findings)) == {"spec-codec"}
+        assert any("'rounds' is still a spec field" in finding.message
+                   for finding in findings)
+
+    def test_retired_key_missing_from_the_encoding_fires(
+            self, monkeypatch):
+        # The codec reads the class registered under the name; a
+        # subclass declaring a retired field there is encoded without
+        # it, so every spec that never set the field would re-key.
+        v1 = self._v1()
+        _register(monkeypatch, v1)
+        pinned = serialize.content_hash(v1(seed=0))
+
+        class GhostSpec(v1):
+            _SERIALIZE_RETIRED = {"extra": ((), "nothing")}
+        findings = check_spec_codec(GhostSpec, pinned_hash=pinned)
+        assert _rules(findings) == ["spec-codec"]
+        assert "lacks retired field 'extra'" in findings[0].message
+
 
 class _ProtoBase:
     """Fixture protocol base declaring the full capability set."""
