@@ -81,7 +81,10 @@ class TestLegacyCompat:
             get_adversary("silent", speed_factor=1.0)
 
     def test_strategy_args_are_the_event_knob(self):
-        # The retired positional strategy_args are these keyword knobs.
+        # The retired positional strategy_args are these keyword knobs,
+        # with the same defaults when left out.
+        assert get_adversary("crash").crash_time == 0.0
+        assert get_adversary("fast_clock").speed_factor == 2.0
         assert get_adversary("crash", crash_time=3.0).crash_time == 3.0
         assert get_adversary("random_pulse", pulses_per_round=4.0) \
             .pulses_per_round == 4.0
