@@ -29,8 +29,7 @@ The repeating event accumulates ``t += interval``, so float drift can
 push a tick nominally at a run's horizon a few ulps past it, where
 ``Simulator.run(until=horizon)`` does not fire it.  The systems
 therefore take a final :meth:`SkewSampler.sample_now` at the horizon
-(``FtgcsSystem.result``, ``MasterSlaveSystem.run_rounds``); it is the
-same sample path as a tick.
+(``FtgcsSystem.result``, ``MasterSlaveSystem.run_rounds``).
 """
 
 from __future__ import annotations
