@@ -10,9 +10,9 @@ guarantees hang on:
     explicit omit list), every retired field (``_SERIALIZE_RETIRED``)
     must be gone from the dataclass yet present in its encoding, and
     the canonical encoding of a default-constructed spec must match a
-    pinned hash — the direct lesson of PR 9's
-    ``_SERIALIZE_OMIT_EMPTY`` near-miss, where a new field would have
-    silently changed every historical cache key.
+    pinned hash — the direct lesson of the ``_SERIALIZE_OMIT_EMPTY``
+    near-miss, where a new field would have silently changed every
+    historical cache key.
 
 ``capability``
     Every entry in :data:`~repro.core.protocol.PROTOCOLS` must
