@@ -17,13 +17,17 @@ The file pins four things:
   the cross-engine equivalence matrix (``run_equivalence()``).
 * ``plan_hashes`` -- the ``spec_hash`` of every cell of every quick
   plan, seeds resolved as a sweep resolves them.
-* ``event_cells`` -- the event kernel's counters and the two skew
-  maxima of a few small event-engine cells (``event_cell_specs()``):
-  one per protocol, plus the MAX channel under an equivocator and
-  loss with node churn.  The tables pin skews but no kernel counter,
-  so a change in how wake-ups are armed would otherwise pass.
-  Integers and maxima only: builtin ``sum`` over floats rounds
-  differently from Python 3.12 on.
+* ``event_cells`` -- the event kernel's counters, the two skew
+  maxima and the ``result_hash`` of a few small event-engine cells
+  (``event_cell_specs()``): one per protocol, master-slave once more
+  with its series and edge maxima recorded, plus the MAX channel
+  under an equivocator and loss with node churn.  The tables pin
+  skews but no kernel counter, so a change in how wake-ups are armed
+  would otherwise pass.  ``result_hash`` is the
+  ``serialize.content_hash`` of the whole ``ProtocolRunResult`` (the
+  hash perfbench fingerprints), so it also pins each series, detail,
+  edge maxima and stabilization time.  No float sums: builtin ``sum``
+  over floats rounds differently from Python 3.12 on.
 
 Re-record only in a change that means to move one of these outputs,
 and give the reason in CHANGES.md.
@@ -49,6 +53,10 @@ MATRIX_FIELDS = ("event_local", "event_global", "vec_local",
 #: The ``ProtocolRunResult`` fields of each event cell the gate pins.
 EVENT_FIELDS = ("events_processed", "messages_sent", "messages_dropped",
                 "messages_lost", "max_local_skew", "max_global_skew")
+
+#: Every pinned value of an event cell: the content hash of its whole
+#: result, then the fields above.
+EVENT_PINS = ("result_hash",) + EVENT_FIELDS
 
 
 def canonical_table(experiment_id: str, table, volatile: dict) -> dict:
@@ -87,7 +95,8 @@ def plan_hashes() -> dict:
 
 
 def event_cell_specs() -> dict:
-    """Per name, one small event-engine cell: one per protocol, then
+    """Per name, one small event-engine cell: one per protocol (and
+    master-slave again with its series and edge maxima recorded), then
     the two shapes the benchmark times (``perfbench/workloads.py``):
     FTGCS with the MAX channel under an equivocator, and FTGCS on a
     lossy wire with node churn."""
@@ -110,6 +119,10 @@ def event_cell_specs() -> dict:
                        .payload(params=gcs, until=200.0).seed(2)),
         "master_slave": (Scenario.line(4).protocol("master_slave")
                          .params(ft).rounds(6).seed(3)),
+        "master_slave_series": (Scenario.line(4).protocol("master_slave")
+                                .params(ft).rounds(6).seed(3)
+                                .payload(record_series=True,
+                                         track_edges=True)),
         "srikanth_toueg": (Scenario.of_protocol("srikanth_toueg")
                            .payload(params=st, silent_faults=1,
                                     rounds=10).seed(4)),
@@ -133,12 +146,17 @@ def event_cell_specs() -> dict:
 
 
 def event_counters() -> dict:
-    """Per event cell, the pinned fields of its run."""
+    """Per event cell, the pinned values of its run."""
+    from repro.harness.serialize import content_hash
     from repro.harness.sweep import run_cell
 
-    return {name: {field: getattr(run_cell(spec).result, field)
-                   for field in EVENT_FIELDS}
-            for name, spec in event_cell_specs().items()}
+    cells = {}
+    for name, spec in event_cell_specs().items():
+        result = run_cell(spec).result
+        cells[name] = {"result_hash": content_hash(result),
+                       **{field: getattr(result, field)
+                          for field in EVENT_FIELDS}}
+    return cells
 
 
 def _same(a, b) -> bool:
@@ -197,7 +215,7 @@ def diff_event_cells(golden: dict, actual: dict) -> list[str]:
         problems.append(f"event cells: golden {sorted(golden)}, "
                         f"got {sorted(actual)}")
     for name in sorted(set(golden) & set(actual)):
-        for field in EVENT_FIELDS:
+        for field in EVENT_PINS:
             a, b = golden[name][field], actual[name][field]
             if not _same(a, b):
                 problems.append(f"event cell {name!r} {field}: "

@@ -1,5 +1,5 @@
 """The golden-output gate: quick tables, equivalence matrix, quick
-plan hashes and event-cell counters must equal
+plan hashes and event-cell counters and result hashes must equal
 ``tests/golden_outputs.json`` exactly.
 
 The file is written by ``tests/record_golden.py`` (``make golden``).
@@ -11,7 +11,7 @@ import math
 
 import pytest
 from record_golden import (
-    EVENT_FIELDS,
+    EVENT_PINS,
     MATRIX_FIELDS,
     canonical_matrix,
     canonical_table,
@@ -130,7 +130,7 @@ class TestGateSensitivity:
     def test_any_event_counter_nudged_fails(self):
         golden = GOLDEN["event_cells"]
         for name, cell in golden.items():
-            for field in EVENT_FIELDS:
+            for field in EVENT_PINS:
                 actual = {**golden, name: {**cell,
                                            field: _nudge(cell[field])}}
                 problems = diff_event_cells(golden, actual)
