@@ -35,9 +35,10 @@ Both ride one tagged, recursive codec:
   the decoded fields.  Only classes registered via
   :func:`register_serializable` decode — unknown tags raise
   :class:`~repro.errors.ConfigError` rather than silently producing a
-  dict.  A class's ``_SERIALIZE_OMIT_EMPTY`` fields are left out when
-  falsy and its ``_SERIALIZE_RETIRED`` fields still written at their
-  retired value (:func:`drop_retired`), so hashes outlive both edits.
+  dict.  A class's own (not inherited) ``_SERIALIZE_OMIT_EMPTY``
+  fields are left out when falsy and its ``_SERIALIZE_RETIRED`` fields
+  still written at their retired value (:func:`drop_retired`), so
+  hashes outlive both edits.
 
 Float exactness: ``json.dumps`` emits ``repr(float)``, Python's
 shortest round-trip representation, so every finite float decodes to
@@ -128,13 +129,14 @@ def encode(value: Any) -> Any:
                 f"cannot serialize unregistered dataclass "
                 f"{type(value).__module__}.{name}; call "
                 f"register_serializable first")
-        omit_empty = getattr(registered, "_SERIALIZE_OMIT_EMPTY", ())
+        # The class's own namespace: a getattr miss is several times
+        # slower, and this runs for every dataclass of every cell.
+        namespace = registered.__dict__
+        omit_empty = namespace.get("_SERIALIZE_OMIT_EMPTY", ())
         fields = {f.name: encode(getattr(value, f.name))
                   for f in dataclasses.fields(value)
                   if f.name not in omit_empty or getattr(value, f.name)}
-        # The class's own namespace: a getattr miss is several times
-        # slower, and this runs for every dataclass of every cell.
-        retired = registered.__dict__.get("_SERIALIZE_RETIRED", {})
+        retired = namespace.get("_SERIALIZE_RETIRED", {})
         for field, (old, _) in retired.items():
             fields[field] = encode(old)
         return {_DC: name, "fields": fields}
@@ -184,7 +186,7 @@ def drop_retired(cls: type, fields: dict) -> dict:
     counts as the tuple); any other value would now be ignored, so it
     raises :class:`~repro.errors.ConfigError` naming the replacement.
     """
-    retired = getattr(cls, "_SERIALIZE_RETIRED", {})
+    retired = cls.__dict__.get("_SERIALIZE_RETIRED", {})
     for name, (old, replacement) in retired.items():
         value = fields.get(name, old)
         value = tuple(value) if isinstance(value, list) else value
