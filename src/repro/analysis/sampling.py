@@ -1,9 +1,12 @@
-"""Periodic skew sampling during a simulation run.
+"""Skew sampling: the event engine's one measurement path.
 
-A :class:`SkewSampler` is a periodic kernel event that snapshots all
-correct logical clocks every ``interval`` time units, maintains running
-maxima of every skew metric, and (optionally) a full time series plus
-per-edge maxima for gradient-profile plots.
+A :class:`SkewSampler` reads all correct logical clocks every
+``interval`` time units, maintains running maxima of every skew metric,
+and (optionally) a full time series plus per-edge maxima for
+gradient-profile plots.  Each event-engine system gives its sampler
+the clock readers of its correct nodes, grouped by cluster, and the
+edges it measures (:meth:`SkewSampler.measure`), and gives them again
+whenever either set changes.
 
 Sampling is an *observation* device: it reads clocks without touching
 algorithm state, so its cadence affects only measurement resolution,
@@ -11,25 +14,27 @@ never the execution.  Skews between samples can exceed the recorded
 maxima by at most ``(theta_max - 1) * interval``, which is negligible
 for the default cadence of a quarter round.
 
-Sampling is also the measurement hot path — for every event the
-algorithm fires, the sampler reads every correct clock several times
-per round.  The sampler therefore (a) re-arms one repeating kernel
-event (:meth:`~repro.sim.kernel.Simulator.call_repeating`) instead of
-allocating a fresh event per tick, (b) takes a *grouped* collector
-(:data:`Collector`) that fills preallocated flat per-cluster buffers
-instead of rebuilding nested dicts each sample, and (c) when a series
-is recorded, appends each tick's metrics into a preallocated
-:class:`SampleBuffer` (numpy columns) through the allocation-free
-:func:`~repro.analysis.metrics.accumulate_grouped` kernel — no
-:class:`~repro.analysis.metrics.SkewSnapshot` object is built per
-tick; the snapshot list materializes lazily on access and is
-bit-identical to the historical eager form.
+The sampler has two drives; each system calls the one it uses:
 
-The repeating event accumulates ``t += interval``, so float drift can
-push a tick nominally at a run's horizon a few ulps past it, where
-``Simulator.run(until=horizon)`` does not fire it.  The systems
-therefore take a final :meth:`SkewSampler.sample_now` at the horizon
-(``FtgcsSystem.result``, ``MasterSlaveSystem.run_rounds``).
+* :meth:`SkewSampler.start` samples now and then on one repeating
+  kernel event every ``interval`` (the FTGCS family and master-slave).
+  The event accumulates ``t += interval``, so float drift can push the
+  tick at a run's horizon a few ulps past it, where
+  ``Simulator.run(until=horizon)`` does not fire it; these systems
+  therefore take a final :meth:`SkewSampler.sample_now` at the horizon
+  (``FtgcsSystem.result``, ``MasterSlaveSystem.run_rounds``).
+* :meth:`SkewSampler.advance` runs the kernel to each stop point
+  ``interval, 2 interval, ...`` and samples there (``gcs_single`` and
+  ``srikanth_toueg``).  It schedules no kernel event, so
+  ``events_processed`` and the order of same-time events are the bare
+  kernel's.
+
+A tick refills preallocated per-cluster value buffers and, when a
+series is recorded, appends its metrics to a :class:`SampleBuffer`
+(numpy columns) through the allocation-free
+:func:`~repro.analysis.metrics.accumulate_grouped` kernel; the
+:class:`~repro.analysis.metrics.SkewSnapshot` list materializes lazily
+on access.
 """
 
 from __future__ import annotations
@@ -39,13 +44,13 @@ from typing import Callable
 
 import numpy as np
 
-from repro.analysis.metrics import SkewSnapshot, accumulate_grouped
+from repro.analysis.metrics import (
+    SkewSnapshot,
+    accumulate_grouped,
+    stabilization_time,
+)
 from repro.errors import ConfigError
 from repro.sim.kernel import Simulator
-
-#: ``collector()`` returning correct clock values grouped by cluster
-#: as ``[(cluster, values), ...]``; the lists may be reused buffers.
-Collector = Callable[[], "list[tuple[int, list[float]]]"]
 
 #: Per-sample metric columns held by :class:`SampleBuffer`, in order.
 SAMPLE_COLUMNS = ("time", "global_skew", "max_intra_cluster",
@@ -116,7 +121,7 @@ class SkewMaxima:
 
 
 class SkewSampler:
-    """Periodic skew probe driven by one repeating kernel event.
+    """Skew probe over the correct clocks a system gives it.
 
     Parameters
     ----------
@@ -124,11 +129,9 @@ class SkewSampler:
         The simulation kernel.
     interval:
         Sampling period (Newtonian time).
-    collector:
-        Returns the current correct clock values (see
-        :data:`Collector`).
-    cluster_edges:
-        Edge list of the cluster graph ``G``.
+    edges:
+        The edges local skew is measured across, as cluster pairs
+        (:meth:`measure` can replace them).
     record_series:
         Keep the full metric series (buffered; ``series`` materializes
         :class:`~repro.analysis.metrics.SkewSnapshot` objects lazily).
@@ -137,24 +140,49 @@ class SkewSampler:
     """
 
     def __init__(self, sim: Simulator, interval: float,
-                 collector: Collector,
-                 cluster_edges: list[tuple[int, int]],
+                 edges: list[tuple[int, int]],
                  record_series: bool = False,
                  track_edges: bool = False) -> None:
         if interval <= 0:
             raise ConfigError(f"interval must be positive: {interval!r}")
         self._sim = sim
         self._interval = interval
-        self._collector = collector
-        self._cluster_edges = list(cluster_edges)
+        self._edges = list(edges)
         self._record_series = record_series
         self._track_edges = track_edges
         self.maxima = SkewMaxima()
-        self._buffer = SampleBuffer() if record_series else None
+        #: The recorded series (``None`` unless ``record_series``).
+        self.buffer = SampleBuffer() if record_series else None
         #: Per-sample edge-skew dicts (parallel to the buffer); only
         #: kept when both the series and edges are recorded.
         self._edge_series: list[dict[tuple[int, int], float]] = []
         self._event = None
+        #: The next stop point of :meth:`advance`.
+        self._next_stop = interval
+        #: ``(readers, value buffer)`` per group, as :meth:`measure`
+        #: laid them out.
+        self._readers: list = []
+        #: The latest sample's correct clock values, grouped as
+        #: ``[(cluster, values), ...]`` (refilled in place each tick).
+        self.readings: list[tuple[int, list[float]]] = []
+
+    def measure(self, groups: list[tuple[int, list[Callable[[], float]]]],
+                edges: list[tuple[int, int]] | None = None) -> None:
+        """Sample these clocks (and ``edges``, when given) from now on.
+
+        ``groups`` holds ``(cluster, [reader, ...])`` pairs in the
+        caller's stable order; each reader returns one correct node's
+        clock value.  The sampler preallocates one value buffer per
+        cluster, refilled in place at every tick.
+        """
+        self._readers = []
+        self.readings = []
+        for cluster, readers in groups:
+            buffer = [0.0] * len(readers)
+            self._readers.append((list(readers), buffer))
+            self.readings.append((cluster, buffer))
+        if edges is not None:
+            self._edges = list(edges)
 
     @property
     def series(self) -> list[SkewSnapshot]:
@@ -164,7 +192,7 @@ class SkewSampler:
         never allocates per tick); values are bit-identical to the
         historical eagerly-built list.
         """
-        buffer = self._buffer
+        buffer = self.buffer
         if buffer is None:
             return []
         edge_series = self._edge_series
@@ -172,6 +200,16 @@ class SkewSampler:
             return [SkewSnapshot(*buffer.row(i), edge_skews=edge_series[i])
                     for i in range(len(buffer))]
         return [SkewSnapshot(*buffer.row(i)) for i in range(len(buffer))]
+
+    def stabilization_time(self) -> float | None:
+        """:func:`~repro.analysis.metrics.stabilization_time` of the
+        recorded ``(time, max_local_cluster)`` series; ``None`` when no
+        series was recorded or no sample was taken."""
+        buffer = self.buffer
+        if not buffer:
+            return None
+        return stabilization_time(list(zip(
+            buffer.column("time"), buffer.column("max_local_cluster"))))
 
     def start(self) -> None:
         """Take a first sample now and re-arm every ``interval``."""
@@ -186,9 +224,28 @@ class SkewSampler:
             self._sim.cancel(self._event)
             self._event = None
 
+    def advance(self, until: float) -> None:
+        """Run the kernel to each stop point up to ``until`` and sample.
+
+        The stop points are ``interval, 2 interval, ...``, accumulated
+        as ``t += interval``; a sample is taken at ``sim.now == t`` for
+        every ``t <= until``, and a later call resumes from the next
+        one.  The kernel stops at the last stop point, not at
+        ``until``, and no kernel event is scheduled.
+        """
+        sim = self._sim
+        t = self._next_stop
+        while t <= until:
+            sim.run(t)
+            self._sample_tick()
+            t += self._interval
+        self._next_stop = t
+
     def _sample_tick(self) -> None:
         """Take one sample without allocating a snapshot (hot path)."""
-        values = self._collector()
+        for readers, buffer in self._readers:
+            for i, read in enumerate(readers):
+                buffer[i] = read()
         maxima = self.maxima
         record = self._record_series
         edge_out = None
@@ -197,12 +254,12 @@ class SkewSampler:
                 edge_out = {}
                 self._edge_series.append(edge_out)
             global_skew, intra, local_cluster, local_node = (
-                accumulate_grouped(values, self._cluster_edges,
+                accumulate_grouped(self.readings, self._edges,
                                    edge_maxima=maxima.edge_maxima,
                                    edge_out=edge_out))
         else:
             global_skew, intra, local_cluster, local_node = (
-                accumulate_grouped(values, self._cluster_edges))
+                accumulate_grouped(self.readings, self._edges))
         if global_skew > maxima.global_skew:
             maxima.global_skew = global_skew
         if intra > maxima.intra_cluster:
@@ -213,8 +270,8 @@ class SkewSampler:
             maxima.local_node = local_node
         maxima.samples += 1
         if record:
-            self._buffer.append(self._sim.now, global_skew, intra,
-                                local_cluster, local_node)
+            self.buffer.append(self._sim.now, global_skew, intra,
+                               local_cluster, local_node)
 
     #: Take one sample immediately: the tick's own path under the name
     #: the systems call at a run's horizon.

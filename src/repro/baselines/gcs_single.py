@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.sampling import SkewSampler
 from repro.clocks.hardware import HardwareClock
 from repro.clocks.logical import LogicalClock
 from repro.clocks.rate_models import ConstantRate
@@ -222,11 +223,13 @@ class GcsSingleSystem:
                  liars: dict[int, dict[int, int]] | None = None,
                  rate_spread: bool = True,
                  liar_bias: float | None = None,
-                 liar_ramp: float | None = None) -> None:
+                 liar_ramp: float | None = None,
+                 sample_interval: float | None = None) -> None:
         """``liars`` maps a node id to its per-neighbor phantom
         directions (see :class:`GcsLiarNode`); ``liar_bias``/
         ``liar_ramp`` override every liar's phantom shape (``None``
-        keeps the :class:`GcsLiarNode` defaults)."""
+        keeps the :class:`GcsLiarNode` defaults).  Skew is sampled
+        every ``sample_interval`` (default: one period)."""
         self.graph = graph
         self.params = params
         self.sim = Simulator()
@@ -246,8 +249,6 @@ class GcsSingleSystem:
         self.nodes: dict[int, GcsSingleNode] = {}
         self.liars: dict[int, GcsLiarNode] = {}
         self._started = False
-        self.samples: list[tuple[float, float, float]] = []
-        self._next_sample: float | None = None
         for node_id in range(n):
             if node_id in liars:
                 directions = liars[node_id]
@@ -272,6 +273,10 @@ class GcsSingleSystem:
                                  params, hardware)
             self.nodes[node_id] = node
             self.network.set_handler(node_id, node.on_message)
+        self.sampler = SkewSampler(
+            self.sim, sample_interval or params.period, (),
+            record_series=True)
+        self.measure()
 
     def start(self) -> None:
         """Arm every node and liar (idempotent)."""
@@ -296,6 +301,15 @@ class GcsSingleSystem:
                 if a not in self.faulty_ids and b not in self.faulty_ids
                 and self.network.link_active(a, b)]
 
+    def measure(self) -> None:
+        """Give the sampler the clocks of the correct nodes that are up
+        and the :meth:`correct_edges`; call after every link or node
+        change (crash and rejoin call it themselves)."""
+        self.sampler.measure(
+            [(node_id, [node.logical.value])
+             for node_id, node in self.nodes.items() if not node.crashed],
+            self.correct_edges())
+
     def crash_node(self, node_id: int) -> None:
         """Crash one correct node (drops messages, kills its cadence).
 
@@ -307,45 +321,26 @@ class GcsSingleSystem:
         if node_id in self.faulty_ids:
             raise ConfigError(f"cannot crash Byzantine node {node_id}")
         self.nodes[node_id].crash()
+        self.measure()
 
     def rejoin_node(self, node_id: int) -> None:
         """Rejoin a crashed node with protocol-state amnesia."""
         if node_id in self.faulty_ids:
             raise ConfigError(f"cannot rejoin Byzantine node {node_id}")
         self.nodes[node_id].rejoin()
+        self.measure()
 
-    def max_local_skew(self) -> float:
-        """Max |L_a - L_b| over edges between correct nodes, now."""
-        worst = 0.0
-        for a, b in self.correct_edges():
-            if self.nodes[a].crashed or self.nodes[b].crashed:
-                continue
-            skew = abs(self.nodes[a].logical.value()
-                       - self.nodes[b].logical.value())
-            worst = max(worst, skew)
-        return worst
-
-    def global_skew(self) -> float:
-        values = [n.logical.value() for n in self.nodes.values()
-                  if not n.crashed]
-        return max(values) - min(values) if values else 0.0
-
-    def run(self, until: float, sample_interval: float | None = None
-            ) -> list[tuple[float, float, float]]:
-        """Run to ``until``; returns ``(t, local_skew, global_skew)``
-        samples.
+    def run(self, until: float) -> list[tuple[float, float, float]]:
+        """Run to ``until``; returns the ``(t, local_skew, global_skew)``
+        samples taken every ``sample_interval``.
 
         Resumable: a second call with a later ``until`` continues the
-        sampling cadence from where the first stopped and returns the
-        cumulative sample list.
+        sampling cadence from where the first stopped and returns a
+        new list of all samples so far.
         """
         self.start()
-        interval = sample_interval or self.params.period
-        samples = self.samples
-        t = interval if self._next_sample is None else self._next_sample
-        while t <= until:
-            self.sim.run(until=t)
-            samples.append((t, self.max_local_skew(), self.global_skew()))
-            t += interval
-        self._next_sample = t
-        return samples
+        self.sampler.advance(until)
+        buffer = self.sampler.buffer
+        return list(zip(buffer.column("time"),
+                        buffer.column("max_local_node"),
+                        buffer.column("global_skew")))

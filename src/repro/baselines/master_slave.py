@@ -208,23 +208,16 @@ class MasterSlaveSystem:
             self.nodes[node_id] = node
             self.network.set_handler(node_id, node.on_message)
 
-        # Sampling layout, as in FtgcsSystem: the bound value getters
-        # and a preallocated value buffer per cluster, in node id order
-        # (ids are cluster-major).
+        # The sampler reads every node's clock, grouped by cluster in
+        # node id order (ids are cluster-major).
         by_cluster: dict[int, list] = {}
         for node in self.nodes.values():
             by_cluster.setdefault(node.cluster_id, []).append(
                 node.logical.value)
-        self._sample_getters = [
-            (cluster, getters, [0.0] * len(getters))
-            for cluster, getters in by_cluster.items()]
-        self._sample_groups = [(cluster, buffer)
-                               for cluster, _, buffer in
-                               self._sample_getters]
         self.sampler = SkewSampler(
-            self.sim, self.schedule.round_length(1) / 4.0,
-            self._collect_grouped, graph.edges,
+            self.sim, self.schedule.round_length(1) / 4.0, graph.edges,
             record_series=record_series, track_edges=track_edges)
+        self.sampler.measure(list(by_cluster.items()))
         self._started = False
 
     def _make_rate_model(self, node_id: int, cluster: int,
@@ -246,13 +239,6 @@ class MasterSlaveSystem:
             return FlipRate(1.0, 1.0 + p.rho, self._flip_period,
                             phase=phase, start_high=cluster % 2 == 0)
         raise ConfigError(f"unknown rate_model spec: {spec!r}")
-
-    def _collect_grouped(self) -> list[tuple[int, list[float]]]:
-        """Refill the preallocated per-cluster value buffers (hot path)."""
-        for _cluster, getters, buffer in self._sample_getters:
-            for i, getter in enumerate(getters):
-                buffer[i] = getter()
-        return self._sample_groups
 
     def start(self) -> None:
         """Arm every node and the sampler (idempotent)."""

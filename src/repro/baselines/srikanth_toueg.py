@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.analysis.sampling import SkewSampler
 from repro.clocks.hardware import HardwareClock
 from repro.clocks.rate_models import ConstantRate
 from repro.errors import ConfigError
@@ -168,11 +169,15 @@ class SrikanthTouegNode:
 
 
 class SrikanthTouegSystem:
-    """A clique running Srikanth–Toueg, with optional silent faults."""
+    """A clique running Srikanth–Toueg, with optional silent faults.
+
+    Skew is sampled every ``sample_interval`` (default ``period/8``).
+    """
 
     def __init__(self, params: StParams, seed: int = 0,
                  silent_faults: int = 0,
-                 rate_spread: bool = True) -> None:
+                 rate_spread: bool = True,
+                 sample_interval: float | None = None) -> None:
         if silent_faults > params.f:
             raise ConfigError(
                 f"{silent_faults} silent faults exceed f={params.f}")
@@ -186,8 +191,6 @@ class SrikanthTouegSystem:
         self.nodes: dict[int, SrikanthTouegNode] = {}
         self.faulty_ids = frozenset(range(silent_faults))
         self._started = False
-        self._next_sample: float | None = None
-        self._max_skew = 0.0
         for node_id in range(params.n):
             self.network.add_node(node_id)
         for a in range(params.n):
@@ -210,6 +213,10 @@ class SrikanthTouegSystem:
                                      params, hardware)
             self.nodes[node_id] = node
             self.network.set_handler(node_id, node.on_message)
+        self.sampler = SkewSampler(
+            self.sim, sample_interval or params.period / 8.0, ())
+        self.sampler.measure(
+            [(0, [node.logical_value for node in self.correct_nodes()])])
 
     def correct_nodes(self) -> list[SrikanthTouegNode]:
         return [n for i, n in self.nodes.items()
@@ -223,32 +230,17 @@ class SrikanthTouegSystem:
         for node in self.nodes.values():
             node.start()
 
-    def run_until(self, horizon: float,
-                  sample_interval: float | None = None) -> float:
+    def run_until(self, horizon: float) -> float:
         """Run to absolute time ``horizon``; return the max observed
-        skew, sampled at ``sample_interval`` (default ``period/8``).
+        skew.
 
         Resumable: a later call continues the sampling cadence and
         returns the running maximum over both runs.
         """
         self.start()
-        interval = sample_interval or self.params.period / 8.0
-        t = interval if self._next_sample is None else self._next_sample
-        max_skew = self._max_skew
-        while t <= horizon:
-            self.sim.run(until=t)
-            values = [n.logical_value() for n in self.correct_nodes()]
-            max_skew = max(max_skew, max(values) - min(values))
-            t += interval
-        self._next_sample = t
-        self._max_skew = max_skew
-        return max_skew
+        self.sampler.advance(horizon)
+        return self.sampler.maxima.global_skew
 
-    def run(self, rounds: int, sample_interval: float | None = None
-            ) -> float:
-        """Run ``rounds`` resync periods; return the max observed skew.
-
-        Skew is sampled at ``sample_interval`` (default: ``period/8``).
-        """
-        return self.run_until((rounds + 1) * self.params.period,
-                              sample_interval)
+    def run(self, rounds: int) -> float:
+        """Run ``rounds`` resync periods; return the max observed skew."""
+        return self.run_until((rounds + 1) * self.params.period)

@@ -25,7 +25,6 @@ from repro.analysis.bounds import BoundsReport
 from repro.analysis.metrics import (
     SkewSnapshot,
     pulse_diameters,
-    stabilization_time,
     unanimity_by_round,
 )
 from repro.analysis.sampling import SkewSampler
@@ -222,15 +221,15 @@ class FtgcsSystem:
         self.drivers: dict[int, object] = {}
         self.pulse_log: dict[tuple[int, int], list[tuple[int, float]]] = {}
         self._build_nodes()
-        self._build_sample_layout()
 
         interval = config.sample_interval
         if interval is None:
             interval = self.schedule.round_length(1) / 4.0
         self.sampler = SkewSampler(
-            self.sim, interval, self._collect_grouped,
-            cluster_graph.edges, record_series=config.record_series,
+            self.sim, interval, cluster_graph.edges,
+            record_series=config.record_series,
             track_edges=config.track_edges)
+        self._build_sample_layout()
         self._started = False
         #: Cluster-level churn events applied to this system.
         self.node_crashes = 0
@@ -384,30 +383,23 @@ class FtgcsSystem:
                 self.drivers[node_id] = adversary.build(ctx)
 
     def _build_sample_layout(self) -> None:
-        """Precompute the sampling hot path's data layout.
+        """Give the sampler the honest nodes' clocks, by cluster.
 
-        The honest-node list, the per-cluster grouping, the bound
-        ``logical.value`` getters, and the flat per-cluster value
-        buffers are built once at construction — and rebuilt only on a
-        node churn event (:meth:`crash_cluster` /
-        :meth:`rejoin_cluster`), so crashed nodes leave the skew
-        measurement while they are down.  Static runs build exactly
-        once; every sample then only refills the preallocated buffers
-        in stable (cluster, node id) order.
+        The honest-node list and the sampler's layout (bound
+        ``logical.value`` readers in stable (cluster, node id) order)
+        are built once at construction — and rebuilt only on a node
+        churn event (:meth:`crash_cluster` / :meth:`rejoin_cluster`),
+        so crashed nodes leave the skew measurement while they are
+        down.
         """
         self._honest = [node for node_id, node in sorted(self.nodes.items())
                         if node_id not in self.faulty_ids
                         and not node.crashed]
-        by_cluster: dict[int, list[FtgcsNode]] = {}
+        by_cluster: dict[int, list] = {}
         for node in self._honest:
-            by_cluster.setdefault(node.cluster_id, []).append(node)
-        self._sample_getters = [
-            (cluster, [node.logical.value for node in members],
-             [0.0] * len(members))
-            for cluster, members in sorted(by_cluster.items())]
-        self._sample_groups = [(cluster, buffer)
-                               for cluster, _, buffer in
-                               self._sample_getters]
+            by_cluster.setdefault(node.cluster_id, []).append(
+                node.logical.value)
+        self.sampler.measure(sorted(by_cluster.items()))
 
     def _log_pulse(self, cluster: int, round_index: int, node: int,
                    time: float) -> None:
@@ -487,13 +479,6 @@ class FtgcsSystem:
         """
         return self._honest
 
-    def _collect_grouped(self) -> list[tuple[int, list[float]]]:
-        """Refill the preallocated per-cluster value buffers (hot path)."""
-        for _cluster, getters, buffer in self._sample_getters:
-            for i, getter in enumerate(getters):
-                buffer[i] = getter()
-        return self._sample_groups
-
     def start(self) -> None:
         """Start all nodes, drivers, and the sampler."""
         if self._started:
@@ -532,9 +517,10 @@ class FtgcsSystem:
     # ------------------------------------------------------------------
 
     def _max_estimate_error(self) -> float:
-        """Largest |estimate - true cluster clock| right now."""
+        """Largest |estimate - true cluster clock| at the sampler's
+        latest sample."""
         cluster_clocks = {cluster: 0.5 * (min(vals) + max(vals))
-                          for cluster, vals in self._collect_grouped()}
+                          for cluster, vals in self.sampler.readings}
         worst = 0.0
         for node in self.honest_nodes():
             for b_cluster, estimator in node.estimators.items():
@@ -587,10 +573,7 @@ class FtgcsSystem:
             dropped_link_down=self.network.dropped_link_down,
             node_crashes=self.node_crashes,
             node_rejoins=self.node_rejoins,
-            stabilization_time=(stabilization_time(
-                [(s.time, s.max_local_cluster)
-                 for s in self.sampler.series])
-                if self.sampler.series else None),
+            stabilization_time=self.sampler.stabilization_time(),
             series=self.sampler.series,
             edge_maxima=dict(self.sampler.maxima.edge_maxima))
 

@@ -14,6 +14,11 @@ The adapters deliberately delegate to the existing engine classes
 nodes themselves: RNG stream consumption, event ordering, and
 measurement cadence therefore stay *bit-identical* to the historical
 per-algorithm paths — the property the experiment tables rely on.
+Each system measures through one
+:class:`~repro.analysis.sampling.SkewSampler`, and each adapter reads
+its skew fields from ``system.sampler``: the FTGCS family and
+master–slave drive it with its repeating kernel event, ``gcs_single``
+and ``srikanth_toueg`` with its stop points, which add no kernel event.
 
 Capability summary (which builder feature each engine realizes under
 these flags is the composition table,
@@ -58,8 +63,8 @@ injects none, so a vectorized Lynch–Welch run rejects adversaries.
 
 Every adapter also reports the fault-injection counters —
 ``messages_lost`` (random loss), ``dropped_link_down``,
-``node_crashes``/``node_rejoins``, and ``stabilization_time`` where a
-local-skew series exists — via :func:`_fault_counters`.
+``node_crashes``/``node_rejoins`` — via :func:`_fault_counters`, and
+the sampler's ``stabilization_time`` where a local-skew series exists.
 
 No adapter ignores a knob: the FTGCS family reads ``config``
 (:class:`~repro.core.system.SystemConfig` kwargs), rejects any other
@@ -74,7 +79,6 @@ from __future__ import annotations
 
 from dataclasses import fields, replace
 
-from repro.analysis.metrics import stabilization_time
 from repro.baselines.gcs_single import GcsSingleSystem
 from repro.baselines.lynch_welch import LynchWelchSystem
 from repro.baselines.master_slave import MasterSlaveSystem
@@ -356,20 +360,18 @@ class MasterSlaveProtocol(SyncProtocol):
         self.system.sampler.sample_now()
 
     def collect(self) -> ProtocolRunResult:
-        maxima = self.system.sampler.maxima
-        series = self.system.sampler.series
+        sampler = self.system.sampler
+        maxima = sampler.maxima
         return ProtocolRunResult(
             protocol=self.name, seed=self.ctx.seed,
             max_global_skew=maxima.global_skew,
             max_local_skew=maxima.local_cluster,
-            series=series,
+            series=sampler.series,
             edge_maxima=dict(maxima.edge_maxima),
             messages_sent=self.network.messages_sent,
             messages_dropped=self.network.messages_dropped,
             events_processed=self.sim.events_processed,
-            stabilization_time=(stabilization_time(
-                [(s.time, s.max_local_cluster) for s in series])
-                if series else None),
+            stabilization_time=sampler.stabilization_time(),
             **_fault_counters(self),
             detail=maxima)
 
@@ -396,7 +398,8 @@ class GcsSingleProtocol(SyncProtocol):
     ``liar_bias``, ``liar_ramp``, ``rate_spread``, ``sample_interval``.
     ``series``/``detail`` are
     the ``(t, local_skew, global_skew)`` sample list, with local skew
-    measured over currently *active* correct edges.
+    measured over currently *active* correct edges: the sampler is
+    given the edge set again after every edge event, crash and rejoin.
     """
 
     name = "gcs_single"
@@ -421,7 +424,6 @@ class GcsSingleProtocol(SyncProtocol):
         except KeyError as missing:
             raise ConfigError(
                 f"gcs_single needs payload[{missing.args[0]!r}]") from None
-        self.sample_interval = payload.pop("sample_interval", None)
         model = _event_adversary(self, ctx)
         if model is not None:
             # Equivocation realized through the protocol's native
@@ -461,24 +463,27 @@ class GcsSingleProtocol(SyncProtocol):
         return self.until
 
     def advance(self, until: float) -> None:
-        self.samples = self.system.run(
-            until, sample_interval=self.sample_interval)
+        self.samples = self.system.run(until)
 
     def collect(self) -> ProtocolRunResult:
+        sampler = self.system.sampler
         samples = self.samples
         return ProtocolRunResult(
             protocol=self.name, seed=self.ctx.seed,
-            max_global_skew=max((s[2] for s in samples), default=0.0),
-            max_local_skew=max((s[1] for s in samples), default=0.0),
+            max_global_skew=sampler.maxima.global_skew,
+            max_local_skew=sampler.maxima.local_node,
             series=samples,
             messages_sent=self.network.messages_sent,
             messages_dropped=self.network.messages_dropped,
             events_processed=self.sim.events_processed,
-            stabilization_time=(stabilization_time(
-                [(t, local) for t, local, _ in samples])
-                if samples else None),
+            stabilization_time=sampler.stabilization_time(),
             **_fault_counters(self),
             detail=samples)
+
+    def apply_edge_event(self, edge, active) -> None:
+        # Links first, so the sampler is given the new edge set.
+        super().apply_edge_event(edge, active)
+        self.system.measure()
 
     def apply_node_event(self, cluster, alive,
                          drop_in_flight: bool = False) -> None:
@@ -542,7 +547,6 @@ class SrikanthTouegProtocol(SyncProtocol):
             payload["silent_faults"] = count
             self.adversary_counters.update(count=count)
         self.rounds = payload.pop("rounds", ctx.rounds)
-        self.sample_interval = payload.pop("sample_interval", None)
         self.system = SrikanthTouegSystem(st_params, seed=ctx.seed,
                                           **payload)
         self.sim = self.system.sim
@@ -555,18 +559,18 @@ class SrikanthTouegProtocol(SyncProtocol):
         return (self.rounds + 1) * self.system.params.period
 
     def advance(self, until: float) -> None:
-        self.skew = self.system.run_until(
-            until, sample_interval=self.sample_interval)
+        self.system.run_until(until)
 
     def collect(self) -> ProtocolRunResult:
+        skew = self.system.sampler.maxima.global_skew
         return ProtocolRunResult(
             protocol=self.name, seed=self.ctx.seed,
-            max_global_skew=self.skew, max_local_skew=self.skew,
+            max_global_skew=skew, max_local_skew=skew,
             messages_sent=self.network.messages_sent,
             messages_dropped=self.network.messages_dropped,
             events_processed=self.sim.events_processed,
             **_fault_counters(self),
-            detail=self.skew)
+            detail=skew)
 
 
 __all__ = [

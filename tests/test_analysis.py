@@ -81,11 +81,18 @@ class TestUnanimity:
         assert 2 not in result
 
 
+def readers(groups):
+    """``[(cluster, values)]`` as the constant clock readers
+    :meth:`SkewSampler.measure` takes."""
+    return [(cluster, [lambda v=v: v for v in values])
+            for cluster, values in groups]
+
+
 class TestSkewSampler:
     def make_sampler(self, values, interval=1.0, **kwargs):
         sim = Simulator()
-        sampler = SkewSampler(sim, interval, lambda: values, [(0, 1)],
-                              **kwargs)
+        sampler = SkewSampler(sim, interval, [(0, 1)], **kwargs)
+        sampler.measure(readers(values))
         return sim, sampler
 
     def test_running_maxima(self):
@@ -142,6 +149,92 @@ class TestSkewSampler:
         sampler.start()
         sim.run(until=0.3)
         assert sampler.maxima.samples == 3  # final tick drifted past
+
+
+class TestStopPointDrive:
+    """``SkewSampler.advance``, the drive of ``gcs_single`` and
+    ``srikanth_toueg``: the sampler runs the kernel to each stop point
+    and schedules nothing itself."""
+
+    def make(self, interval=1.0):
+        sim = Simulator()
+        sampler = SkewSampler(sim, interval, [(0, 1)], record_series=True)
+        sampler.measure(readers([(0, [0.0]), (1, [3.0])]))
+        return sim, sampler
+
+    def test_first_sample_at_interval_not_zero(self):
+        sim, sampler = self.make()
+        sampler.advance(3.0)
+        assert sampler.buffer.column("time") == [1.0, 2.0, 3.0]
+
+    def test_events_processed_as_a_bare_run(self):
+        def kernel():
+            sim = Simulator()
+            for t in (0.5, 1.0, 1.0, 2.5, 3.0, 3.5):
+                sim.call_at(t, lambda: None)
+            return sim
+
+        bare = kernel()
+        bare.run(3.0)
+        sim = kernel()
+        sampler = SkewSampler(sim, 1.0, [])
+        sampler.measure(readers([(0, [0.0])]))
+        sampler.advance(3.0)
+        assert sim.events_processed == bare.events_processed == 5
+        assert sampler.maxima.samples == 3
+
+    def test_sample_follows_the_events_at_its_stop_point(self):
+        sim = Simulator()
+        value = [0.0]
+        sim.call_at(2.0, value.__setitem__, 0, 5.0)
+        sampler = SkewSampler(sim, 1.0, [], record_series=True)
+        sampler.measure([(0, [lambda: 0.0, lambda: value[0]])])
+        sampler.advance(3.0)
+        assert sampler.buffer.column("global_skew") == [0.0, 5.0, 5.0]
+
+    def test_two_calls_sample_as_one(self):
+        def run(*untils):
+            sim = Simulator()
+            sampler = SkewSampler(sim, 0.5, [], record_series=True)
+            sampler.measure([(0, [lambda: 0.0, lambda: sim.now ** 2])])
+            for until in untils:
+                sampler.advance(until)
+            buffer = sampler.buffer
+            return (buffer.column("time"), buffer.column("global_skew"),
+                    sampler.maxima)
+
+        assert run(1.2, 4.0) == run(4.0)
+        assert len(run(4.0)[0]) == 8
+
+    def test_stop_point_on_until_is_sampled(self):
+        sim, sampler = self.make(interval=0.5)
+        sampler.advance(1.5)
+        assert sampler.maxima.samples == 3
+        assert sim.now == 1.5
+
+    def test_gcs_single_measures_only_present_edges(self):
+        from repro.baselines.gcs_single import GcsParams
+        from repro.core.protocol import SystemBuilder
+        from repro.topology import ClusterGraph
+        from repro.topology.schedule import TopologySchedule
+
+        class Outage(TopologySchedule):
+            name = "test_outage"
+
+            def events(self, horizon, seed):
+                return [(55.0, (0, 1), False), (125.0, (0, 1), True)]
+
+        result = (SystemBuilder("gcs_single")
+                  .topology(Outage(ClusterGraph.line(2)))
+                  .payload(params=GcsParams.default(), until=200.0)
+                  .seed(1).build().run())
+        assert len(result.series) == 20
+        for t, local, global_skew in result.series:
+            assert global_skew > 0.0
+            if 55.0 < t < 125.0:
+                assert local == 0.0  # the only edge is down
+            else:
+                assert local == global_skew
 
 
 class TestTraces:
@@ -253,8 +346,9 @@ class TestBufferedSeries:
     def test_series_matches_eager_snapshots(self):
         values = [(0, [0.0, 1.0]), (1, [4.0])]
         sim = Simulator()
-        sampler = SkewSampler(sim, 1.0, lambda: values, [(0, 1)],
-                              record_series=True, track_edges=True)
+        sampler = SkewSampler(sim, 1.0, [(0, 1)], record_series=True,
+                              track_edges=True)
+        sampler.measure(readers(values))
         sampler.start()
         sim.run(until=3.0)
         sampler.sample_now()  # a final sample, as the systems take
@@ -276,8 +370,9 @@ class TestBufferedSeries:
         maxima = {}
         metrics = accumulate_grouped(groups, edges, edge_maxima=maxima,
                                      edge_out=edge_out)
-        sampler = SkewSampler(Simulator(), 1.0, lambda: groups, edges,
+        sampler = SkewSampler(Simulator(), 1.0, edges,
                               record_series=True, track_edges=True)
+        sampler.measure(readers(groups))
         sampler.sample_now()
         snap, = sampler.series
         assert metrics == (snap.global_skew, snap.max_intra_cluster,
