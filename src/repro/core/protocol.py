@@ -110,15 +110,19 @@ class ProtocolRunResult:
 
     ``max_global_skew`` / ``max_local_skew`` are the uniform headline
     measurements (local = worst skew across an adjacent cluster-level
-    pair).  ``series`` holds the protocol's sample series — its element
+    pair); every event adapter fills them, ``series`` and
+    ``stabilization_time`` from its system's one
+    :class:`~repro.analysis.sampling.SkewSampler`.  ``series`` holds
+    the protocol's sample series — its element
     shape is protocol-specific (``SkewSnapshot`` objects for the FTGCS
     family, ``(t, local, global)`` tuples for the GCS baseline) but is
     always picklable and time-ordered.  ``detail`` preserves the
     protocol-native result object (a
-    :class:`~repro.core.system.RunResult` for FTGCS/Lynch–Welch, the
-    sampler's ``SkewMaxima`` for master–slave, the raw sample list for
-    GCS, the max-skew float for Srikanth–Toueg) for analyses that need
-    more than the uniform fields.
+    :class:`~repro.core.system.RunResult` for FTGCS/Lynch–Welch, a copy
+    of the sampler's ``SkewMaxima`` for master–slave, the sample list
+    for GCS, the max-skew float for Srikanth–Toueg) for analyses that
+    need more than the uniform fields.  A result is a snapshot: a
+    later ``System.run(until=...)`` leaves it unchanged.
     """
 
     protocol: str

@@ -373,7 +373,8 @@ class MasterSlaveProtocol(SyncProtocol):
             events_processed=self.sim.events_processed,
             stabilization_time=sampler.stabilization_time(),
             **_fault_counters(self),
-            detail=maxima)
+            # A snapshot: a later run keeps updating the live maxima.
+            detail=replace(maxima, edge_maxima=dict(maxima.edge_maxima)))
 
     def edge_links(self, a: int, b: int) -> tuple:
         aug = self.system.aug

@@ -17,6 +17,7 @@ from repro.core.protocol import (
 from repro.core.system import RunResult
 from repro.errors import ConfigError
 from repro.harness.runner import default_params, run_scenario
+from repro.harness.serialize import content_hash
 from repro.harness.sweep import ScenarioSpec, run_cell
 from repro.topology.cluster_graph import ClusterGraph
 from repro.topology.schedule import EdgeChurnSchedule
@@ -398,6 +399,43 @@ class TestFirstContactCapability:
                   .params(params).rounds(1).seed(1).first_contact()
                   .build())
         assert system.protocol.system.config.dynamic_estimators
+
+
+class TestResumedRunKeepsResults:
+    """A returned result is a snapshot: extending the run with
+    ``System.run(until=later)`` leaves it as it was."""
+
+    FT = default_params(f=1)
+    BUILDERS = {
+        "ftgcs": lambda ft: (SystemBuilder("ftgcs")
+                             .topology(ClusterGraph.line(4)).params(ft)
+                             .rounds(3)),
+        "lynch_welch": lambda ft: (SystemBuilder("lynch_welch")
+                                   .params(ft).rounds(3)),
+        "master_slave": lambda ft: (SystemBuilder("master_slave")
+                                    .topology(ClusterGraph.line(4))
+                                    .params(ft).rounds(3)
+                                    .payload(record_series=True,
+                                             track_edges=True)),
+        "gcs_single": lambda ft: (SystemBuilder("gcs_single")
+                                  .topology(ClusterGraph.line(4))
+                                  .payload(params=GcsParams.default(),
+                                           until=100.0)),
+        "srikanth_toueg": lambda ft: (SystemBuilder("srikanth_toueg")
+                                      .payload(params=StParams(
+                                          n=4, f=1, rho=1e-2, d=1.0,
+                                          u=0.1, period=10.0),
+                                          rounds=3)),
+    }
+
+    @pytest.mark.parametrize("protocol", sorted(BUILDERS))
+    def test_first_result_unchanged_by_a_later_run(self, protocol):
+        system = self.BUILDERS[protocol](self.FT).seed(2).build()
+        first = system.run()
+        before = content_hash(first)
+        second = system.run(until=2.0 * system.protocol.horizon())
+        assert content_hash(second) != before  # the run did go on
+        assert content_hash(first) == before
 
 
 class TestReannounceCapSurface:
