@@ -772,19 +772,6 @@ def _fast_gcs_params(mu: float = 0.05, period: float = 2.0) -> GcsParams:
                              period=period)
 
 
-def _stabilization_time(samples, band: float = 1.2,
-                        tail_fraction: float = 0.3) -> float:
-    """Shim over :func:`repro.analysis.metrics.stabilization_time`.
-
-    The metric was born here (T13's adversarial-schedule rows) and now
-    lives in the analysis layer, where protocol adapters also use it;
-    this name stays so existing callers and notes are unchanged.
-    """
-    from repro.analysis.metrics import stabilization_time
-    return stabilization_time(samples, band=band,
-                              tail_fraction=tail_fraction)
-
-
 @REGISTRY.experiment(
     "t13",
     title="T13  Dynamic networks: skew vs edge churn (Kuhn et al.)",
@@ -866,8 +853,6 @@ def t13_plan(quick: bool, seed: int) -> ExperimentPlan:
                        "rho=1e-2 fast-drift params), so compare trends "
                        "down a column, not across algorithms")
         detail = ft.detail
-        settle = _stabilization_time(
-            [(s.time, s.max_local_cluster) for s in detail.series])
         table.add_note(
             f"'sweep' row: an adversarial cut walks the line (one "
             f"step per {interval:.3g}, disconnecting the graph each "
@@ -876,7 +861,7 @@ def t13_plan(quick: bool, seed: int) -> ExperimentPlan:
             f"{detail.estimator_resyncs} resyncs, "
             f"{adv_ft.result.messages_dropped} messages dropped); "
             f"local skew stabilizes into its steady band by "
-            f"t={settle:.4g}")
+            f"t={ft.stabilization_time:.4g}")
         return table
 
     return ExperimentPlan(specs=specs, finish=finish)
@@ -1076,12 +1061,11 @@ def t15_plan(quick: bool, seed: int) -> ExperimentPlan:
         for (graph, args, T), cell in zip(grid, cells):
             result = cell.result
             detail = result.detail
-            settle = _stabilization_time(
-                [(s.time, s.max_local_cluster) for s in detail.series])
             table.add_row(f"{graph}{args}", T,
                           result.max_local_skew, result.max_global_skew,
                           detail.estimator_bring_ups,
-                          detail.estimator_resyncs, settle)
+                          detail.estimator_resyncs,
+                          result.stabilization_time)
         table.add_note(
             f"T-interval connectivity: the adversary keeps one seeded "
             f"random spanning tree up per epoch of T intervals (each "
