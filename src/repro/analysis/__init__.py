@@ -8,10 +8,8 @@ from repro.analysis.bounds import (
     system_failure_probability,
 )
 from repro.analysis.metrics import (
-    ClusterExtrema,
     SkewSnapshot,
     accumulate_grouped,
-    cluster_extrema,
     log_log_fit,
     pulse_diameters,
     unanimity_by_round,
@@ -32,10 +30,8 @@ __all__ = [
     "cluster_failure_bound_binomial",
     "cluster_failure_probability",
     "system_failure_probability",
-    "ClusterExtrema",
     "SkewSnapshot",
     "accumulate_grouped",
-    "cluster_extrema",
     "log_log_fit",
     "pulse_diameters",
     "unanimity_by_round",

@@ -23,31 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
-class ClusterExtrema:
-    """Min/max/derived values of one cluster's correct clocks."""
-
-    low: float
-    high: float
-
-    @property
-    def cluster_clock(self) -> float:
-        """Definition 3.3: ``(L^+ + L^-) / 2``."""
-        return 0.5 * (self.low + self.high)
-
-    @property
-    def spread(self) -> float:
-        """Intra-cluster skew ``L^+ - L^-``."""
-        return self.high - self.low
-
-
-def cluster_extrema(values: dict[int, float]) -> ClusterExtrema:
-    """Extrema of one cluster's correct clock values (non-empty)."""
-    low = min(values.values())
-    high = max(values.values())
-    return ClusterExtrema(low=low, high=high)
-
-
 @dataclass
 class SkewSnapshot:
     """All skew metrics at one instant."""

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.metrics import (
     accumulate_grouped,
-    cluster_extrema,
     pulse_diameters,
     unanimity_by_round,
 )
@@ -12,18 +11,6 @@ from repro.analysis.sampling import SkewSampler
 from repro.analysis.traces import ClockTraceRecorder, difference_series
 from repro.errors import ConfigError
 from repro.sim import Simulator
-
-
-class TestClusterExtrema:
-    def test_cluster_clock_is_midpoint(self):
-        ext = cluster_extrema({1: 2.0, 2: 6.0, 3: 4.0})
-        assert ext.cluster_clock == pytest.approx(4.0)
-        assert ext.spread == pytest.approx(4.0)
-
-    def test_single_member(self):
-        ext = cluster_extrema({1: 3.0})
-        assert ext.cluster_clock == 3.0
-        assert ext.spread == 0.0
 
 
 class TestComputeSnapshot:
