@@ -178,7 +178,7 @@ class SyncProtocol:
        ``self.sim`` and ``self.network``.
     2. :meth:`start` — arm all nodes/drivers/samplers.
     3. :meth:`advance` — drive the kernel to an absolute horizon
-       (protocols with their own sampling loops override this).
+       (protocols that sample between kernel runs override this).
     4. :meth:`collect` — snapshot measurements into a
        :class:`ProtocolRunResult`.
 

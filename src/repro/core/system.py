@@ -472,10 +472,11 @@ class FtgcsSystem:
         return self._diameter
 
     def honest_nodes(self) -> list[FtgcsNode]:
-        """Correct nodes (excludes every node with an adversary).
+        """Correct nodes that are up (excludes every node with an
+        adversary, and crashed nodes while they are down).
 
-        The set is fixed at construction time, so this returns a cached
-        list (do not mutate it).
+        A cached list, rebuilt with the sampler's layout on crash and
+        rejoin (do not mutate it).
         """
         return self._honest
 
