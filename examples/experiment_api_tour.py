@@ -28,6 +28,7 @@ Run:  python examples/experiment_api_tour.py
 from repro import (
     REGISTRY,
     ProtocolRunResult,
+    Reads,
     Scenario,
     SweepRunner,
     SyncProtocol,
@@ -80,11 +81,12 @@ print()
 
 
 # 4. A custom protocol.  Implement the SyncProtocol contract
-#    (build_nodes / start / horizon / collect + capability flags),
-#    register it, and it composes with topologies and rides Scenario
-#    grids exactly like the built-ins.  This toy protocol does no
-#    synchronization at all — free-running hardware clocks — so its
-#    skew is the pure drift accumulation every real algorithm beats.
+#    (build_nodes / start / horizon / collect + capability flags and
+#    the keys it reads), register it, and it composes with topologies
+#    and rides Scenario grids exactly like the built-ins.  This toy
+#    protocol does no synchronization at all — free-running hardware
+#    clocks — so its skew is the pure drift accumulation every real
+#    algorithm beats.
 @register_protocol
 class NoSyncProtocol(SyncProtocol):
     """Free-running clocks: a lower-bound baseline with no messages."""
@@ -99,6 +101,9 @@ class NoSyncProtocol(SyncProtocol):
     supports_first_contact = False
     supports_vectorized = False
     supports_vectorized_faults = False
+    # The payload keys build_nodes reads; any other key is refused
+    # when the system is built.
+    reads = Reads(payload=("rho", "until"))
 
     def build_nodes(self, ctx):
         from repro.clocks.hardware import HardwareClock

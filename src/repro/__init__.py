@@ -58,6 +58,7 @@ try:  # Core layers are appended as they are built on top of the substrate.
         FtgcsSystem,
         Parameters,
         ProtocolRunResult,
+        Reads,
         RoundSchedule,
         SyncProtocol,
         SystemBuilder,
@@ -74,7 +75,7 @@ try:  # Core layers are appended as they are built on top of the substrate.
     __all__ += [
         "Parameters", "RoundSchedule", "ClusterSyncNode", "FtgcsNode",
         "FtgcsSystem",
-        "SyncProtocol", "SystemBuilder", "ProtocolRunResult",
+        "SyncProtocol", "SystemBuilder", "ProtocolRunResult", "Reads",
         "register_protocol",
         "TopologySchedule", "EdgeChurnSchedule", "RewireSchedule",
         "TIntervalSchedule", "AdversarialSweepSchedule",

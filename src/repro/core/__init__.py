@@ -19,6 +19,7 @@ from repro.core.protocol import (
     PROTOCOLS,
     BuildContext,
     ProtocolRunResult,
+    Reads,
     SyncProtocol,
     System,
     SystemBuilder,
@@ -56,6 +57,7 @@ __all__ = [
     "PROTOCOLS",
     "BuildContext",
     "ProtocolRunResult",
+    "Reads",
     "SyncProtocol",
     "System",
     "SystemBuilder",

@@ -15,11 +15,13 @@ types.  This module defines the common surface they all now implement:
     (``supports_dynamic_topology``, ``needs_graph``, ``needs_params``,
     ...) declare what a protocol can compose with.
 
-``FEATURES`` / :func:`check_composition`
+``FEATURES`` / ``Reads`` / :func:`check_composition`
     The composition policy as one table: per builder feature, what
-    each engine needs to realize it.  ``SystemBuilder.build`` and the
-    spec check of :mod:`repro.harness.scenario` both evaluate it, so a
-    composition is rejected eagerly the same way on every path.
+    each engine needs to realize it; and per protocol and engine, one
+    :class:`Reads` declaration of the ``config`` and ``payload`` keys
+    it reads.  ``SystemBuilder.build`` and the spec check of
+    :mod:`repro.harness.scenario` both evaluate them, so a composition
+    or a key is rejected eagerly the same way on every path.
 
 ``SystemBuilder``
     Composes protocol x topology x faults x clock/delay models into a
@@ -168,6 +170,17 @@ class ProtocolRunResult:
     detail: Any = None
 
 
+class Reads(NamedTuple):
+    """The keys one protocol reads on one engine: ``config`` and
+    ``payload`` name every key it reads, ``required`` the payload keys
+    a cell must give.  :func:`check_composition` rejects any other
+    key, so no knob is silently ignored."""
+
+    config: tuple = ()
+    payload: tuple = ()
+    required: tuple = ()
+
+
 class SyncProtocol:
     """Base class and interface contract for synchronization protocols.
 
@@ -216,6 +229,9 @@ class SyncProtocol:
     #: Requires ``BuildContext.params`` (protocols whose parameters
     #: travel in ``payload`` set False).
     needs_params: bool = True
+    #: The ``config`` and ``payload`` keys the adapter reads on the
+    #: event engine (the base reads none).
+    reads: Reads = Reads()
 
     def __init__(self) -> None:
         self.sim = None
@@ -402,17 +418,23 @@ FEATURES = (
 
 
 def check_composition(protocol: type[SyncProtocol] | None, engine: str,
+                      *, graph, params, config: dict, payload: dict,
                       **features) -> None:
-    """Evaluate :data:`FEATURES`: raise :class:`~repro.errors.ConfigError`
-    unless ``engine`` realizes every feature under ``protocol``.
+    """Evaluate :data:`FEATURES` and the protocol's :class:`Reads`:
+    raise :class:`~repro.errors.ConfigError` unless ``engine`` realizes
+    every feature under ``protocol`` and reads every key given.
 
     ``features`` is keyed by row name, falsy meaning absent:
     ``adversary`` and ``loss`` are their specs, the rest flags.  The
     feature values are checked first, for any ``protocol``: the
     adversary model is constructed (on either engine) and the loss
     spec validated, so bad knobs fail here too.  ``protocol`` ``None``
-    (a cell that runs no registered protocol) stops there.  Nothing is
-    built.
+    (a cell that runs no registered protocol) stops there.  After the
+    rows: ``graph`` and ``params`` (``None`` meaning absent) against
+    ``needs_graph``/``needs_params``, then ``config`` and ``payload``
+    against the reads of the protocol (event) or of its
+    :data:`~repro.engine_vec.protocols.VEC_PROTOCOLS` model
+    (vectorized).  Nothing is built.
     """
     if features.get("adversary"):
         from repro.faults.adversary import get_adversary
@@ -450,6 +472,27 @@ def check_composition(protocol: type[SyncProtocol] | None, engine: str,
             raise ConfigError(
                 f"protocol {protocol.name!r} does not support "
                 f"{row.what} ({need} is False)")
+    name = protocol.name
+    if protocol.needs_graph and graph is None:
+        raise ConfigError(
+            f"protocol {name!r} needs a topology; call .topology(...)")
+    if protocol.needs_params and params is None:
+        raise ConfigError(
+            f"protocol {name!r} needs params; call .params(...)")
+    reads = protocol.reads
+    if engine == "vectorized":
+        from repro.engine_vec.protocols import VEC_PROTOCOLS
+
+        if name not in VEC_PROTOCOLS:
+            raise ConfigError(
+                f"protocol {name!r} has no vectorized port; supported: "
+                f"{sorted(VEC_PROTOCOLS)}")
+        reads = VEC_PROTOCOLS[name].reads
+    reject_unknown(config, reads.config, "config", name, engine)
+    reject_unknown(payload, reads.payload, "payload", name, engine)
+    for key in reads.required:
+        if key not in payload:
+            raise ConfigError(f"{name} needs payload[{key!r}]")
 
 
 def reject_unknown(mapping: dict, allowed: tuple, what: str,
@@ -715,15 +758,12 @@ class SystemBuilder:
         protocol = self._protocol
         schedule = self._schedule
         check_composition(
-            type(protocol), self._engine,
-            adversary=self._adversary,
+            type(protocol), self._engine, graph=self._graph,
+            params=self._params, config=self._config,
+            payload=self._payload, adversary=self._adversary,
             edge_events=schedule is not None and schedule.has_edge_events,
             node_events=schedule is not None and schedule.has_node_events,
             first_contact=self._first_contact, loss=self._loss)
-        if protocol.needs_graph and self._graph is None:
-            raise ConfigError(
-                f"protocol {protocol.name!r} needs a topology; call "
-                f".topology(...)")
         ctx = BuildContext(
             graph=self._graph, schedule=self._schedule,
             params=self._params, rounds=self._rounds, seed=self._seed,
@@ -732,10 +772,6 @@ class SystemBuilder:
             config=dict(self._config), payload=dict(self._payload),
             adversary=(dict(self._adversary)
                        if self._adversary else None))
-        if protocol.needs_params and ctx.params is None:
-            raise ConfigError(
-                f"protocol {protocol.name!r} needs params; call "
-                f".params(...)")
         if self._engine == "vectorized":
             from repro.engine_vec.engine import build_vec_system
             return build_vec_system(protocol.name, ctx)
@@ -809,6 +845,7 @@ __all__ = [
     "PROTOCOLS",
     "BuildContext",
     "ProtocolRunResult",
+    "Reads",
     "SyncProtocol",
     "System",
     "SystemBuilder",

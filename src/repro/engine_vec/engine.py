@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.protocol import BuildContext, ProtocolRunResult
-from repro.errors import ConfigError
 from repro.sim.rng import derive_seed
 
 
@@ -102,21 +101,12 @@ class VecSystem:
 
 
 def build_vec_system(name: str, ctx: BuildContext) -> VecSystem:
-    """Resolve the protocol's vectorized model and wrap it.
-
-    Raises :class:`~repro.errors.ConfigError` for protocols without a
-    vectorized port — the builder's ``supports_vectorized`` check makes
-    this unreachable through the public path, but direct callers get
-    the same eager failure.
-    """
+    """Resolve the protocol's vectorized model and wrap it (the
+    builder's :func:`~repro.core.protocol.check_composition` has
+    checked that the model exists and reads every key given)."""
     from repro.engine_vec.protocols import VEC_PROTOCOLS
 
-    model_class = VEC_PROTOCOLS.get(name)
-    if model_class is None:
-        raise ConfigError(
-            f"protocol {name!r} has no vectorized port; supported: "
-            f"{sorted(VEC_PROTOCOLS)}")
-    return VecSystem(model_class(ctx))
+    return VecSystem(VEC_PROTOCOLS[name](ctx))
 
 
 __all__ = [

@@ -44,11 +44,7 @@ import math
 import numpy as np
 
 from repro.analysis.metrics import stabilization_time
-from repro.core.protocol import (
-    BuildContext,
-    ProtocolRunResult,
-    reject_unknown,
-)
+from repro.core.protocol import BuildContext, ProtocolRunResult, Reads
 from repro.engine_vec.csr import CSRAdjacency
 from repro.engine_vec.engine import VecStreams, fast_trigger_mask
 from repro.errors import ConfigError
@@ -144,6 +140,10 @@ class VecRoundModel:
     """Shared plumbing: context, streams, result assembly."""
 
     name = ""
+    #: The ``config`` and ``payload`` keys the model reads (the base
+    #: reads none); :func:`~repro.core.protocol.check_composition`
+    #: rejects any other key on the vectorized engine.
+    reads = Reads()
 
     def __init__(self, ctx: BuildContext) -> None:
         self.ctx = ctx
@@ -185,37 +185,21 @@ class VecGcsSingle(VecRoundModel):
     draw per directed slot from the ``delays`` stream), FT trigger via
     CSR segment max/min, then every clock advances one nominal period
     at ``rate * (1 + mu * gamma)``.  Payload mirrors the event
-    adapter minus the Byzantine ``liars`` knob (per-victim phantom
+    adapter minus the Byzantine ``liars`` knobs (per-victim phantom
     streams are inherently per-message; the event engine keeps that
-    workload).
+    workload, and ``.adversary("equivocate")`` runs here) and minus
+    ``sample_interval`` (the model probes once per round).
     """
 
     name = "gcs_single"
-
-    _PAYLOAD = ("params", "until", "rate_spread", "sample_interval")
+    reads = Reads(payload=("params", "until", "rate_spread"),
+                  required=("params", "until"))
 
     def __init__(self, ctx: BuildContext) -> None:
         super().__init__(ctx)
-        payload = dict(ctx.payload)
-        if payload.get("liars"):
-            raise ConfigError(
-                "gcs_single liars are not supported on the vectorized "
-                "engine (per-victim phantom messages are per-message "
-                "state); use .adversary('equivocate', ...) or the "
-                "event engine")
-        payload.pop("liars", None)
-        reject_unknown(payload, self._PAYLOAD, "payload", self.name,
-                       "vectorized")
-        try:
-            self.params = payload["params"]
-            until = payload["until"]
-        except KeyError as missing:
-            raise ConfigError(
-                f"gcs_single needs payload[{missing.args[0]!r}]"
-            ) from None
-        if ctx.graph is None:
-            raise ConfigError("gcs_single needs a topology")
-        reject_unknown(ctx.config, (), "config", self.name, "vectorized")
+        payload = ctx.payload
+        self.params = payload["params"]
+        until = payload["until"]
         self.rate_spread = bool(payload.get("rate_spread", True))
         self.rounds = int(math.floor(
             until / self.params.period + 1e-9))
@@ -250,28 +234,22 @@ class VecSrikanthToueg(VecRoundModel):
     earliest proposal, clocks reset to ``r * period + d``.  Skew is
     probed just before the first accept (worst accumulated drift) and
     just after the last (resync quality), plus a final probe at the
-    event adapter's ``(rounds + 1) * period`` horizon.
+    event adapter's ``(rounds + 1) * period`` horizon, so it reads
+    no ``sample_interval``.
     """
 
     name = "srikanth_toueg"
-
-    _PAYLOAD = ("params", "rounds", "silent_faults", "rate_spread",
-                "sample_interval")
+    reads = Reads(payload=("params", "rounds", "silent_faults",
+                           "rate_spread"),
+                  required=("params",))
     #: Pull-rule fixed-point cap; relays only cascade when propose
     #: spreads exceed message delays, which a handful of sweeps covers.
     _MAX_RELAY_ITER = 4
 
     def __init__(self, ctx: BuildContext) -> None:
         super().__init__(ctx)
-        payload = dict(ctx.payload)
-        reject_unknown(payload, self._PAYLOAD, "payload", self.name,
-                       "vectorized")
-        try:
-            self.params = payload["params"]
-        except KeyError:
-            raise ConfigError(
-                "srikanth_toueg needs payload['params']") from None
-        reject_unknown(ctx.config, (), "config", self.name, "vectorized")
+        payload = ctx.payload
+        self.params = payload["params"]
         self.rounds = int(payload.get("rounds", ctx.rounds))
         self.silent_faults = int(payload.get("silent_faults", 0))
         if self.silent_faults > self.params.f:
@@ -416,17 +394,10 @@ class VecLynchWelch(VecRoundModel):
     """
 
     name = "lynch_welch"
-
-    _CONFIG = ("init_jitter",)
+    reads = Reads(config=("init_jitter",))
 
     def __init__(self, ctx: BuildContext) -> None:
         super().__init__(ctx)
-        reject_unknown(ctx.payload, (), "payload", self.name,
-                       "vectorized")
-        if ctx.params is None:
-            raise ConfigError("lynch_welch needs params")
-        reject_unknown(ctx.config, self._CONFIG, "config", self.name,
-                       "vectorized")
         self.params = ctx.params
         self.rounds = int(ctx.rounds)
         init_jitter = ctx.config.get("init_jitter")
@@ -479,19 +450,10 @@ class VecFtgcs(VecRoundModel):
     """
 
     name = "ftgcs"
-
-    _CONFIG = ("cluster_offsets",)
+    reads = Reads(config=("cluster_offsets",))
 
     def __init__(self, ctx: BuildContext) -> None:
         super().__init__(ctx)
-        reject_unknown(ctx.payload, (), "payload", self.name,
-                       "vectorized")
-        if ctx.params is None:
-            raise ConfigError("ftgcs needs params")
-        if ctx.graph is None:
-            raise ConfigError("ftgcs needs a topology")
-        reject_unknown(ctx.config, self._CONFIG, "config", self.name,
-                       "vectorized")
         self.params = ctx.params
         self.rounds = int(ctx.rounds)
         self.cluster_offsets = ctx.config.get("cluster_offsets")

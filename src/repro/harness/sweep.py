@@ -604,10 +604,11 @@ def check_spec(spec: ScenarioSpec) -> ScenarioSpec:
 
     Types and names first: each name must be a string a registry
     knows.  Then the composition through
-    :func:`~repro.core.protocol.check_composition`: the whole table
-    for a cell that runs a protocol, the feature values alone for a
-    custom kind, and no protocol field at all on a built-in kind that
-    runs no protocol.  Every failure is a
+    :func:`~repro.core.protocol.check_composition`: the whole table,
+    the graph, the params and every ``config``/``payload`` key for a
+    cell that runs a protocol, the feature values alone for a custom
+    kind, and no protocol field at all on a built-in kind that runs no
+    protocol.  Every failure is a
     :class:`~repro.errors.ConfigError`.  No graph is built, except a
     node-churn cell's own, to check the schedule's arguments against
     it.
@@ -616,6 +617,8 @@ def check_spec(spec: ScenarioSpec) -> ScenarioSpec:
             ("graph", str, "a ClusterGraph constructor name"),
             ("graph_args", (list, tuple), "a list"),
             ("schedule_args", dict, "a mapping"),
+            ("config", dict, "a mapping"),
+            ("payload", dict, "a mapping"),
             ("collect", (list, tuple), "a list of collector names")):
         value = getattr(spec, name)
         if not isinstance(value, types):
@@ -669,7 +672,9 @@ def check_spec(spec: ScenarioSpec) -> ScenarioSpec:
         first_contact=spec.first_contact, loss=spec.loss,
         collectors=bool(spec.collect))
     check_composition(None if protocol is None else get_protocol(protocol),
-                      spec.engine, **features)
+                      spec.engine, graph=spec.graph or None,
+                      params=spec.params, config=spec.config,
+                      payload=spec.payload, **features)
     return spec
 
 

@@ -66,13 +66,16 @@ Every adapter also reports the fault-injection counters —
 ``node_crashes``/``node_rejoins`` — via :func:`_fault_counters`, and
 the sampler's ``stabilization_time`` where a local-skew series exists.
 
-No adapter ignores a knob: the FTGCS family reads ``config``
-(:class:`~repro.core.system.SystemConfig` kwargs), rejects any other
-``config`` key and any ``payload``; the three baselines read the
-``payload`` keys their ``_PAYLOAD`` tuple declares and reject any
-other ``payload`` key and any ``config``
-(:func:`~repro.core.protocol.reject_unknown`, shared with the
-vectorized round models).
+No adapter ignores a knob.  Each declares the keys it reads once, as a
+:class:`~repro.core.protocol.Reads` beside its capability flags: the
+FTGCS family reads the :class:`~repro.core.system.SystemConfig` field
+names as ``config`` and no ``payload``; the three baselines read the
+``payload`` keys their ``reads`` names (``required``: those a cell
+must give) and no ``config``.
+:func:`~repro.core.protocol.check_composition` compares a cell's keys
+with that declaration (on the vectorized engine, with its round
+model's) before anything is built, on every path a cell takes, so
+``build_nodes`` reads its keys without checking them.
 """
 
 from __future__ import annotations
@@ -86,9 +89,9 @@ from repro.baselines.srikanth_toueg import SrikanthTouegSystem
 from repro.core.protocol import (
     BuildContext,
     ProtocolRunResult,
+    Reads,
     SyncProtocol,
     register_protocol,
-    reject_unknown,
 )
 from repro.core.system import FtgcsSystem, SystemConfig
 from repro.errors import ConfigError
@@ -160,11 +163,6 @@ def prepare_ftgcs_config(graph, params, config=None,
     return config
 
 
-#: The ``config`` keys the FTGCS family reads: the fields of
-#: :class:`~repro.core.system.SystemConfig`.
-_SYSTEM_CONFIG_KEYS = tuple(f.name for f in fields(SystemConfig))
-
-
 @register_protocol
 class FtgcsProtocol(SyncProtocol):
     """The paper's fault-tolerant gradient construction.
@@ -181,6 +179,7 @@ class FtgcsProtocol(SyncProtocol):
     supports_node_churn = True
     supports_vectorized = True
     supports_vectorized_faults = True
+    reads = Reads(config=tuple(f.name for f in fields(SystemConfig)))
 
     system_class = FtgcsSystem
 
@@ -190,9 +189,6 @@ class FtgcsProtocol(SyncProtocol):
                                        config=config)
 
     def build_nodes(self, ctx: BuildContext) -> None:
-        reject_unknown(ctx.payload, (), "payload", self.name, "event")
-        reject_unknown(ctx.config, _SYSTEM_CONFIG_KEYS, "config",
-                       self.name, "event")
         params = ctx.params
         factory = faults_per_cluster = None
         model = _event_adversary(self, ctx)
@@ -333,15 +329,12 @@ class MasterSlaveProtocol(SyncProtocol):
     supports_first_contact = False
     supports_vectorized = False  # event-only; chasing is not a round
     supports_vectorized_faults = False
-
-    _PAYLOAD = ("rounds", "root", "chase_threshold", "rate_model",
-                "flip_period_rounds", "cluster_offsets", "jump",
-                "record_series", "track_edges")
+    reads = Reads(payload=("rounds", "root", "chase_threshold",
+                           "rate_model", "flip_period_rounds",
+                           "cluster_offsets", "jump", "record_series",
+                           "track_edges"))
 
     def build_nodes(self, ctx: BuildContext) -> None:
-        reject_unknown(ctx.config, (), "config", self.name, "event")
-        reject_unknown(ctx.payload, self._PAYLOAD, "payload", self.name,
-                       "event")
         payload = dict(ctx.payload)
         self.rounds = payload.pop("rounds", ctx.rounds)
         self.system = MasterSlaveSystem(ctx.graph, ctx.params,
@@ -410,21 +403,14 @@ class GcsSingleProtocol(SyncProtocol):
     supports_vectorized = True
     supports_vectorized_faults = True
     needs_params = False
-
-    _PAYLOAD = ("params", "until", "sample_interval", "liars",
-                "rate_spread", "liar_bias", "liar_ramp")
+    reads = Reads(payload=("params", "until", "sample_interval", "liars",
+                           "rate_spread", "liar_bias", "liar_ramp"),
+                  required=("params", "until"))
 
     def build_nodes(self, ctx: BuildContext) -> None:
-        reject_unknown(ctx.config, (), "config", self.name, "event")
-        reject_unknown(ctx.payload, self._PAYLOAD, "payload", self.name,
-                       "event")
         payload = dict(ctx.payload)
-        try:
-            gcs_params = payload.pop("params")
-            self.until = payload.pop("until")
-        except KeyError as missing:
-            raise ConfigError(
-                f"gcs_single needs payload[{missing.args[0]!r}]") from None
+        gcs_params = payload.pop("params")
+        self.until = payload.pop("until")
         model = _event_adversary(self, ctx)
         if model is not None:
             # Equivocation realized through the protocol's native
@@ -517,20 +503,13 @@ class SrikanthTouegProtocol(SyncProtocol):
     supports_first_contact = False
     supports_vectorized = True
     supports_vectorized_faults = True
-
-    _PAYLOAD = ("params", "rounds", "sample_interval", "silent_faults",
-                "rate_spread")
+    reads = Reads(payload=("params", "rounds", "sample_interval",
+                           "silent_faults", "rate_spread"),
+                  required=("params",))
 
     def build_nodes(self, ctx: BuildContext) -> None:
-        reject_unknown(ctx.config, (), "config", self.name, "event")
-        reject_unknown(ctx.payload, self._PAYLOAD, "payload", self.name,
-                       "event")
         payload = dict(ctx.payload)
-        try:
-            st_params = payload.pop("params")
-        except KeyError:
-            raise ConfigError(
-                "srikanth_toueg needs payload['params']") from None
+        st_params = payload.pop("params")
         model = _event_adversary(self, ctx)
         if model is not None:
             # Silence realized through the protocol's native

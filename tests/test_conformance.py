@@ -1,14 +1,16 @@
 """The engine x protocol x feature conformance matrix.
 
-Every builder feature either takes observable effect on the chosen
-engine or is rejected when the system is built; it is never silently
-ignored.  The matrix pins three things:
+Every builder feature and every ``config``/``payload`` key either
+takes observable effect on the chosen engine or is rejected when the
+system is built; it is never silently ignored.  The matrix pins three
+things:
 
 - the eager verdict (:func:`~repro.harness.sweep.check_spec`, what
   ``Scenario.build``, the service and the scenario library run) is the
   worker's verdict (:func:`~repro.harness.sweep.run_cell`, which runs
   the same check and then builds through ``SystemBuilder``), and both
-  are the policy in ``ACCEPTED``;
+  are the policy in ``ACCEPTED``; for the key cases, ``SystemBuilder``
+  alone gives the same verdict, word for word;
 - every accepted cell shows its feature's effect against the same cell
   without the feature;
 - every :class:`~repro.core.protocol.BuildContext` field is a row of
@@ -17,6 +19,7 @@ ignored.  The matrix pins three things:
 """
 
 import dataclasses
+from dataclasses import replace
 from typing import Callable
 
 import pytest
@@ -26,7 +29,12 @@ from repro.baselines.srikanth_toueg import StParams
 from repro.core.protocol import FEATURES, BuildContext, SystemBuilder
 from repro.errors import ConfigError
 from repro.harness import Scenario, default_params
-from repro.harness.sweep import ScenarioSpec, check_spec, run_cell
+from repro.harness.sweep import (
+    CELL_KINDS,
+    ScenarioSpec,
+    check_spec,
+    run_cell,
+)
 
 FT = default_params(f=1)
 GCS = GcsParams.default()
@@ -108,6 +116,35 @@ CASES = {
         lambda c: int("pulse_diameters" in c.extras)),
 }
 
+def _drop_payload_key(key: str) -> Callable:
+    return lambda spec: replace(spec, payload={
+        name: value for name, value in spec.payload.items()
+        if name != key})
+
+
+#: Key columns: an edit of the feature-free spec.  Each protocol reads
+#: what its ``reads`` declares on the engine (the adapter's on the
+#: event engine, its ``VEC_PROTOCOLS`` model's on the vectorized one)
+#: and needs a graph and params as its ``needs_*`` flags say.
+KEY_CASES = {
+    "unknown_config": lambda spec: replace(
+        spec, config={**spec.config, "bogus": 1}),
+    "unknown_payload": lambda spec: replace(
+        spec, payload={**spec.payload, "bogus": 1}),
+    "config_init_jitter": lambda spec: replace(
+        spec, config={**spec.config, "init_jitter": 0.0}),
+    "payload_sample_interval": lambda spec: replace(
+        spec, payload={**spec.payload, "sample_interval": 1.0}),
+    "missing_payload_params": _drop_payload_key("params"),
+    "missing_payload_until": _drop_payload_key("until"),
+    "no_params": lambda spec: replace(spec, params=None),
+    "no_graph": lambda spec: replace(spec, graph="", graph_args=()),
+}
+
+#: Every (protocol, engine) cell that builds its feature-free spec.
+BUILDS = {(protocol, engine) for protocol in PROTOCOLS
+          for engine in ENGINES} - {("master_slave", "vectorized")}
+
 #: The policy, per case: the (protocol, engine) cells that realize it.
 #: Every other cell of the matrix must be rejected.
 ACCEPTED = {
@@ -126,6 +163,25 @@ ACCEPTED = {
     "loss": {(protocol, "event") for protocol in PROTOCOLS},
     "collector_pulse_diameters": {("ftgcs", "event"),
                                   ("lynch_welch", "event")},
+    # Key columns, read off the declarations.
+    "unknown_config": set(),
+    "unknown_payload": set(),
+    "config_init_jitter": {("ftgcs", "event"), ("lynch_welch", "event"),
+                           ("lynch_welch", "vectorized")},
+    # The vectorized models probe once per round.
+    "payload_sample_interval": {("gcs_single", "event"),
+                                ("srikanth_toueg", "event")},
+    "missing_payload_params": BUILDS - {
+        ("gcs_single", "event"), ("gcs_single", "vectorized"),
+        ("srikanth_toueg", "event"), ("srikanth_toueg", "vectorized")},
+    "missing_payload_until": BUILDS - {("gcs_single", "event"),
+                                       ("gcs_single", "vectorized")},
+    "no_params": {("gcs_single", "event"), ("gcs_single", "vectorized"),
+                  ("srikanth_toueg", "event"),
+                  ("srikanth_toueg", "vectorized")},
+    "no_graph": {("lynch_welch", "event"), ("lynch_welch", "vectorized"),
+                 ("srikanth_toueg", "event"),
+                 ("srikanth_toueg", "vectorized")},
 }
 
 #: BuildContext fields that carry no builder feature: what every run
@@ -143,27 +199,37 @@ def _spec(protocol: str, engine: str, edit=None) -> ScenarioSpec:
     return ScenarioSpec.from_dict(scenario.to_dict())
 
 
-def _accepts(check, spec) -> bool:
+def _verdict(check, spec) -> str | None:
+    """``None`` when ``check`` accepts ``spec``, else its message."""
     try:
         check(spec)
-    except ConfigError:
-        return False
-    return True
+    except ConfigError as error:
+        return str(error)
+    return None
 
 
 MATRIX = [(protocol, engine, case) for case in CASES
           for protocol in PROTOCOLS for engine in ENGINES]
+KEY_MATRIX = [(protocol, engine, case) for case in KEY_CASES
+              for protocol in PROTOCOLS for engine in ENGINES]
 ACCEPTED_CELLS = [(protocol, engine, case)
                   for protocol, engine, case in MATRIX
                   if (protocol, engine) in ACCEPTED[case]]
 
 
-@pytest.mark.parametrize("protocol, engine, case", MATRIX)
+@pytest.mark.parametrize("protocol, engine, case", MATRIX + KEY_MATRIX)
 def test_eager_verdict_is_the_worker_verdict(protocol, engine, case):
-    spec = _spec(protocol, engine, CASES[case].apply)
+    if case in KEY_CASES:
+        spec = KEY_CASES[case](_spec(protocol, engine))
+    else:
+        spec = _spec(protocol, engine, CASES[case].apply)
     expected = (protocol, engine) in ACCEPTED[case]
-    assert _accepts(check_spec, spec) is expected
-    assert _accepts(run_cell, spec) is expected
+    verdict = _verdict(check_spec, spec)
+    assert (verdict is None) is expected
+    assert _verdict(run_cell, spec) == verdict
+    if case in KEY_CASES:
+        # The worker's builder, without the spec check in front.
+        assert _verdict(CELL_KINDS["protocol"], spec) == verdict
 
 
 @pytest.mark.parametrize("protocol, engine, case", ACCEPTED_CELLS)

@@ -8,6 +8,7 @@ from repro.baselines.srikanth_toueg import StParams
 from repro.core.protocol import (
     PROTOCOLS,
     ProtocolRunResult,
+    Reads,
     SyncProtocol,
     SystemBuilder,
     get_protocol,
@@ -255,12 +256,43 @@ class TestUnreadKnobsRejected:
             run_cell(spec)
 
 
+class TestSampleInterval:
+    """The baselines' ``sample_interval`` payload key: read on the
+    event engine and refused on the vectorized engine, whose round
+    models probe once per round."""
+
+    #: protocol -> (line length or None, payload)
+    CASES = {
+        "gcs_single": (6, {"params": GcsParams.default(),
+                           "until": 200.0}),
+        "srikanth_toueg": (None, {"params": StParams(
+            n=4, f=1, rho=1e-4, d=1.0, u=0.1, period=10.0)}),
+    }
+
+    def builder(self, protocol, sample_interval):
+        length, payload = self.CASES[protocol]
+        builder = SystemBuilder(protocol).payload(
+            **payload, sample_interval=sample_interval).seed(1)
+        if length is not None:
+            builder.topology(ClusterGraph.line(length))
+        return builder
+
+    @pytest.mark.parametrize("protocol", sorted(CASES))
+    def test_vectorized_engine_refuses_it(self, protocol):
+        builder = self.builder(protocol, 50.0).engine("vectorized")
+        with pytest.raises(ConfigError, match=(
+                r"vectorized engine does not accept payload key\(s\) "
+                r"\['sample_interval'\]")):
+            builder.build()
+
+
 class TestCustomProtocol:
     def test_register_build_run(self):
         class CountdownProtocol(SyncProtocol):
             name = "test_countdown"
             needs_graph = False
             needs_params = False
+            reads = Reads(payload=("events",))
 
             def build_nodes(self, ctx):
                 from repro.sim.kernel import Simulator

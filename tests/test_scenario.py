@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.baselines.gcs_single import GcsParams
+from repro.baselines.srikanth_toueg import StParams
 from repro.errors import ConfigError
 from repro.harness.runner import default_params
 from repro.harness.scenario import Scenario
 from repro.harness.sweep import ScenarioSpec, run_cell
+
+PARAMS = default_params()
 
 
 class TestBuilding:
@@ -30,9 +34,11 @@ class TestBuilding:
         assert spec.protocol is None  # worker defaults to "ftgcs"
 
     def test_graph_entry_points(self):
-        assert Scenario.ring(4).build().graph == "ring"
-        assert Scenario.grid_graph(2, 3).build().graph_args == (2, 3)
-        assert Scenario.on("hypercube", 4).build().graph == "hypercube"
+        assert Scenario.ring(4).params(PARAMS).build().graph == "ring"
+        assert Scenario.grid_graph(2, 3).params(PARAMS).build() \
+            .graph_args == (2, 3)
+        assert Scenario.on("hypercube", 4).params(PARAMS).build() \
+            .graph == "hypercube"
 
     def test_kind_and_payload(self):
         spec = (Scenario.of_kind("failure_mc").seed(1)
@@ -42,11 +48,11 @@ class TestBuilding:
         assert spec.payload == {"f": 1, "p": 0.05, "trials": 10}
 
     def test_offsets_sugar(self):
-        spec = Scenario.line(2).offsets([0.0, 1.0]).build()
+        spec = Scenario.line(2).params(PARAMS).offsets([0.0, 1.0]).build()
         assert spec.config == {"cluster_offsets": [0.0, 1.0]}
 
     def test_configure_and_payload_merge(self):
-        spec = (Scenario.line(2).configure(init_jitter=0.1)
+        spec = (Scenario.line(2).params(PARAMS).configure(init_jitter=0.1)
                 .configure(policy="max_rule").build())
         assert spec.config == {"init_jitter": 0.1, "policy": "max_rule"}
         spec = (Scenario.of_kind("trigger_fuzz").payload(trials=5)
@@ -54,7 +60,7 @@ class TestBuilding:
         assert spec.payload == {"trials": 5, "kappa": 1.0}
 
     def test_measure_deduplicates(self):
-        spec = (Scenario.line(1).measure("unanimity")
+        spec = (Scenario.line(1).params(PARAMS).measure("unanimity")
                 .measure("unanimity", "amortized_rates").build())
         assert spec.collect == ("unanimity", "amortized_rates")
 
@@ -91,6 +97,7 @@ class TestValidation:
 
     def test_known_protocol_and_schedule_build(self):
         spec = (Scenario.line(2).protocol("gcs_single")
+                .payload(params=GcsParams.default(), until=20.0)
                 .dynamic("churn", interval=5.0, churn=0.1).build())
         assert spec.kind == "protocol"
         assert spec.protocol == "gcs_single"
@@ -98,7 +105,10 @@ class TestValidation:
         assert spec.schedule_args == {"interval": 5.0, "churn": 0.1}
 
     def test_of_protocol_entry_point(self):
-        spec = Scenario.of_protocol("srikanth_toueg").build()
+        spec = (Scenario.of_protocol("srikanth_toueg")
+                .payload(params=StParams(n=4, f=1, rho=1e-4, d=1.0,
+                                          u=0.1, period=10.0))
+                .build())
         assert spec.kind == "protocol"
         assert spec.protocol == "srikanth_toueg"
         assert spec.graph == ""
@@ -109,7 +119,7 @@ class TestValidation:
              .dynamic("churn", interval=1.0, churn=0.5).build())
         assert "dynamic" in str(err.value)
         # Capable protocols build fine.
-        spec = (Scenario.line(3)
+        spec = (Scenario.line(3).params(PARAMS)
                 .dynamic("churn", interval=1.0, churn=0.5).build())
         assert spec.schedule == "churn"
 

@@ -33,6 +33,7 @@ from repro.harness.sweep import (
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+PARAMS = Parameters.practical(rho=1e-4, d=1.0, u=0.1, f=1)
 
 
 def roundtrip(value):
@@ -176,19 +177,20 @@ class TestSpecRoundTrip:
             == [spec_hash(spec) for spec in specs]
 
     def test_hash_differs_on_any_field_change(self):
-        base = Scenario.line(3).rounds(5).seed(1).build()
+        base = Scenario.line(3).params(PARAMS).rounds(5).seed(1).build()
         variants = [
-            Scenario.line(4).rounds(5).seed(1).build(),
-            Scenario.line(3).rounds(6).seed(1).build(),
-            Scenario.line(3).rounds(5).seed(2).build(),
-            Scenario.line(3).rounds(5).seed(1).tag("D", 2).build(),
+            Scenario.line(4).params(PARAMS).rounds(5).seed(1).build(),
+            Scenario.line(3).params(PARAMS).rounds(6).seed(1).build(),
+            Scenario.line(3).params(PARAMS).rounds(5).seed(2).build(),
+            Scenario.line(3).params(PARAMS).rounds(5).seed(1)
+            .tag("D", 2).build(),
         ]
         hashes = {spec_hash(spec) for spec in [base] + variants}
         assert len(hashes) == len(variants) + 1
 
     def test_hash_requires_resolved_seed(self):
         with pytest.raises(ConfigError, match="resolved seed"):
-            spec_hash(Scenario.line(3).build())
+            spec_hash(Scenario.line(3).params(PARAMS).build())
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ConfigError, match="unknown ScenarioSpec"):
@@ -214,7 +216,7 @@ class TestSpecRoundTrip:
 
 class TestScenarioRoundTrip:
     def test_builder_roundtrip_builds_identical_spec(self):
-        scenario = (Scenario.line(3).rounds(12).seed(9)
+        scenario = (Scenario.line(3).params(PARAMS).rounds(12).seed(9)
                     .adversarial("equivocate")
                     .configure(init_jitter=0.05)
                     .tag("D", 2))
@@ -233,9 +235,9 @@ class TestScenarioRoundTrip:
 
 class TestResolveCellSeeds:
     def test_matches_sweep_runner_derivation(self):
-        specs = [Scenario.line(3).rounds(2).build() for _ in range(3)]
         params = Parameters.practical(rho=1e-4, d=1.0, u=0.1, f=1)
-        specs = [spec for spec in specs]
+        specs = [Scenario.line(3).params(params).rounds(2).build()
+                 for _ in range(3)]
         resolved = resolve_cell_seeds(specs, base_seed=11)
         ran = SweepRunner().run(
             [Scenario.line(2).params(params).rounds(1).build()
@@ -244,5 +246,5 @@ class TestResolveCellSeeds:
             == [cell.seed for cell in ran]
 
     def test_explicit_seeds_untouched(self):
-        spec = Scenario.line(3).seed(42).build()
+        spec = Scenario.line(3).params(PARAMS).seed(42).build()
         assert resolve_cell_seeds([spec], 0)[0].seed == 42

@@ -10,6 +10,7 @@ here through ``app.test_client()`` (no sockets):
   cache with ``executed_cells == 0``.
 """
 
+import dataclasses
 import gc
 import json
 import logging
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.baselines.gcs_single import GcsParams
 from repro.core.params import Parameters
 from repro.errors import ConfigError
 from repro.harness import serialize
@@ -50,6 +52,17 @@ PARAMS = Parameters.practical(rho=1e-4, d=1.0, u=0.1, f=1)
 def small_spec(seed=5, rounds=3):
     return (Scenario.line(3).params(PARAMS).rounds(rounds).seed(seed)
             .build())
+
+
+def failing_spec(seed=5):
+    """A cell every eager check accepts and the worker rejects: the
+    sampler refuses a zero interval when the system is built."""
+    return (Scenario.line(3).params(PARAMS).rounds(1).seed(seed)
+            .configure(sample_interval=0.0).build())
+
+
+#: The error a job running :func:`failing_spec` fails with.
+FAILING_SPEC_ERROR = "ConfigError: interval must be positive"
 
 
 SLEEP_KIND = "test_service_sleep"
@@ -346,11 +359,10 @@ class TestJobManager:
             manager.submit_grid([{"graph": "line"}])
 
     def test_broken_cell_marks_job_failed(self, manager):
-        bad = ScenarioSpec.from_dict({"graph": "line"})  # missing n
-        job = manager.submit_grid([bad])
+        job = manager.submit_grid([failing_spec()])
         manager.wait(job.id, timeout=120)
         assert job.state == "failed"
-        assert "TypeError" in job.error
+        assert FAILING_SPEC_ERROR in job.error
         assert job.table is None
 
     def test_cancel_and_shutdown(self, idle_manager):
@@ -548,10 +560,10 @@ class TestPooledJobManager:
 
     def test_failing_cell_fails_job_after_draining(self, pooled):
         specs = sleep_specs(*[0.02] * 8)
-        specs[3] = ScenarioSpec.from_dict({"graph": "line"})  # no n
+        specs[3] = failing_spec()
         job = pooled.wait(pooled.submit_grid(specs).id, timeout=60)
         assert job.state == "failed"
-        assert "TypeError" in job.error
+        assert FAILING_SPEC_ERROR in job.error
         assert job.table is None
         # The cells before the broken one and those still in flight
         # when it failed are persisted; no cell starts after it.
@@ -787,6 +799,40 @@ class TestRestApi:
         assert error.startswith("cell 1: ") and message in error
         assert client.get("/jobs").get_json()["jobs"] == []
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"config": {"bogus": 1}}, "ftgcs on the event engine does not "
+         "accept config key(s) ['bogus']"),
+        ({"payload": {"bogus": 1}}, "ftgcs on the event engine does not "
+         "accept payload key(s) ['bogus']; supported: []"),
+        ({"params": None}, "protocol 'ftgcs' needs params; call "
+         ".params(...)"),
+        ({"graph": "", "graph_args": ()}, "protocol 'ftgcs' needs a "
+         "topology; call .topology(...)"),
+        ({"protocol": "gcs_single", "params": None,
+          "payload": {"params": GcsParams.default()}},
+         "gcs_single needs payload['until']"),
+        ({"protocol": "gcs_single", "params": None, "engine": "vectorized",
+          "payload": {"params": GcsParams.default(), "until": 20.0,
+                      "liars": {0: {1: 1}}}},
+         "gcs_single on the vectorized engine does not accept payload "
+         "key(s) ['liars']"),
+        ({"protocol": "gcs_single", "params": None, "engine": "vectorized",
+          "payload": {"params": GcsParams.default(), "until": 20.0,
+                      "sample_interval": 5.0}},
+         "gcs_single on the vectorized engine does not accept payload "
+         "key(s) ['sample_interval']"),
+    ], ids=["unknown-config", "unknown-payload", "no-params", "no-graph",
+            "no-until", "vectorized-liars", "vectorized-sample-interval"])
+    def test_cells_the_worker_would_reject_are_400(self, client, fields,
+                                                    message):
+        cell = dataclasses.replace(small_spec(seed=None), **fields)
+        response = client.post("/jobs",
+                               json={"cells": [cell.to_dict()]})
+        assert response.status_code == 400
+        error = response.get_json()["error"]
+        assert error.startswith("cell 0: ") and message in error
+        assert client.get("/jobs").get_json()["jobs"] == []
+
     def test_stored_result_of_unbuildable_spec_is_not_served(
             self, client, store):
         # VecLynchWelch injects no fault vector: a result stored under
@@ -823,13 +869,13 @@ class TestRestApi:
         assert cancel.get_json()["cancelled"] is True
 
     def test_failed_job_result_is_500(self, client):
-        bad_cell = {"graph": "line"}  # missing the node count
+        bad_cell = failing_spec(seed=None).to_dict()
         job = client.post("/jobs", json={"cells": [bad_cell]})
         snapshot = finish(client, job.get_json()["id"])
         assert snapshot["state"] == "failed"
         result = client.get(f"/jobs/{snapshot['id']}/result")
         assert result.status_code == 500
-        assert "TypeError" in result.get_json()["error"]
+        assert FAILING_SPEC_ERROR in result.get_json()["error"]
 
     def test_jobs_listing(self, client):
         client.post("/jobs", json={"experiment": "t01"})
