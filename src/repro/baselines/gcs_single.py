@@ -273,9 +273,10 @@ class GcsSingleSystem:
                                  params, hardware)
             self.nodes[node_id] = node
             self.network.set_handler(node_id, node.on_message)
-        self.sampler = SkewSampler(
-            self.sim, sample_interval or params.period, (),
-            record_series=True)
+        if sample_interval is None:
+            sample_interval = params.period
+        self.sampler = SkewSampler(self.sim, sample_interval, (),
+                                   record_series=True)
         self.measure()
 
     def start(self) -> None:

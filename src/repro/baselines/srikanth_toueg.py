@@ -213,8 +213,9 @@ class SrikanthTouegSystem:
                                      params, hardware)
             self.nodes[node_id] = node
             self.network.set_handler(node_id, node.on_message)
-        self.sampler = SkewSampler(
-            self.sim, sample_interval or params.period / 8.0, ())
+        if sample_interval is None:
+            sample_interval = params.period / 8.0
+        self.sampler = SkewSampler(self.sim, sample_interval, ())
         self.sampler.measure(
             [(0, [node.logical_value for node in self.correct_nodes()])])
 

@@ -258,8 +258,9 @@ class TestUnreadKnobsRejected:
 
 class TestSampleInterval:
     """The baselines' ``sample_interval`` payload key: read on the
-    event engine and refused on the vectorized engine, whose round
-    models probe once per round."""
+    event engine, where zero is refused as ``ftgcs`` refuses it, and
+    refused on the vectorized engine, whose round models probe once
+    per round."""
 
     #: protocol -> (line length or None, payload)
     CASES = {
@@ -284,6 +285,18 @@ class TestSampleInterval:
                 r"vectorized engine does not accept payload key\(s\) "
                 r"\['sample_interval'\]")):
             builder.build()
+
+    @pytest.mark.parametrize("protocol", sorted(CASES))
+    def test_zero_is_refused_on_the_event_engine(self, protocol):
+        with pytest.raises(ConfigError, match="interval must be positive"):
+            self.builder(protocol, 0.0).build().run()
+
+    def test_ftgcs_refuses_zero_the_same_way(self):
+        builder = (SystemBuilder("ftgcs").topology(ClusterGraph.line(3))
+                   .params(default_params(f=1))
+                   .configure(sample_interval=0.0))
+        with pytest.raises(ConfigError, match="interval must be positive"):
+            builder.build().run()
 
 
 class TestCustomProtocol:
