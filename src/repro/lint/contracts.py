@@ -16,12 +16,15 @@ guarantees hang on:
 
 ``capability``
     Every entry in :data:`~repro.core.protocol.PROTOCOLS` must
-    *explicitly* declare the full capability-flag set (inheriting the
-    silent ``False`` default from ``SyncProtocol`` does not count:
-    a new flag added to the base would otherwise ripple unnoticed
-    through every adapter), and every ``supports_vectorized``
-    protocol must hold at least one cell in the standing cross-engine
-    equivalence matrix.
+    *explicitly* declare the full capability-flag set and its
+    ``reads`` (inheriting the silent default from ``SyncProtocol``
+    does not count: a new flag added to the base would otherwise
+    ripple unnoticed through every adapter, and a protocol that
+    inherits "reads nothing" refuses every key), every
+    :data:`~repro.engine_vec.protocols.VEC_PROTOCOLS` model must
+    declare its ``reads`` rather than inherit ``VecRoundModel``'s, and
+    every ``supports_vectorized`` protocol must hold at least one cell
+    in the standing cross-engine equivalence matrix.
 
 ``registry-coverage``
     Every registered experiment id must have a matching
@@ -203,28 +206,38 @@ def _live_protocols() -> Mapping[str, type]:
     return dict(PROTOCOLS)
 
 
-def check_capabilities(protocols: Mapping[str, type] | None = None, *,
+def check_capabilities(protocols: Mapping[str, type] | None = None,
+                       models: Mapping[str, type] | None = None, *,
                        root: Path | None = None) -> list[Finding]:
-    """Every protocol declares the full capability-flag set itself."""
+    """Every protocol declares the full capability-flag set and its
+    ``reads`` itself, and every vectorized round model its ``reads``."""
     from repro.core.protocol import SyncProtocol
+    from repro.engine_vec.protocols import VEC_PROTOCOLS, VecRoundModel
 
     if protocols is None:
         protocols = _live_protocols()
+    if models is None:
+        models = VEC_PROTOCOLS
     findings = []
-    for name in sorted(protocols):
-        cls = protocols[name]
-        declared_in = [k for k in cls.__mro__
-                       if k is not SyncProtocol and k is not object]
-        missing = [flag for flag in CAPABILITY_FLAGS
-                   if not any(flag in k.__dict__ for k in declared_in)]
-        if missing:
-            path, line = _locate(cls, root)
-            findings.append(Finding(
-                path=path, line=line, rule="capability",
-                message=f"protocol {name!r} inherits "
-                        f"{', '.join(missing)} from the SyncProtocol "
-                        "default instead of declaring them",
-                hint=RULES["capability"].hint))
+    subjects = [(protocols, "protocol", SyncProtocol,
+                 CAPABILITY_FLAGS + ("reads",)),
+                (models, "vectorized model", VecRoundModel, ("reads",))]
+    for registry, what, base, names in subjects:
+        for name in sorted(registry):
+            cls = registry[name]
+            declared_in = [k for k in cls.__mro__
+                           if k is not base and k is not object]
+            missing = [attr for attr in names if not any(
+                attr in k.__dict__ for k in declared_in)]
+            if missing:
+                path, line = _locate(cls, root)
+                findings.append(Finding(
+                    path=path, line=line, rule="capability",
+                    message=f"{what} {name!r} inherits "
+                            f"{', '.join(missing)} from the "
+                            f"{base.__name__} default instead of "
+                            "declaring it",
+                    hint=RULES["capability"].hint))
     return findings
 
 

@@ -64,11 +64,12 @@ RULES: dict[str, Rule] = {rule.id: rule for rule in (
              "field goes in _SERIALIZE_RETIRED with its old value"),
     Rule(
         id="capability",
-        summary="protocol missing an explicit capability-flag "
-                "declaration, or supports_vectorized without an "
-                "equivalence-matrix cell",
-        hint="declare every supports_* flag on the protocol class and "
-             "give vectorized protocols a cell in "
+        summary="protocol or vectorized round model missing an "
+                "explicit capability-flag or reads declaration, or "
+                "supports_vectorized without an equivalence-matrix cell",
+        hint="declare every supports_* flag and reads on the protocol "
+             "class, reads on each VEC_PROTOCOLS model, and give "
+             "vectorized protocols a cell in "
              "engine_vec.equivalence.quick_cells"),
     Rule(
         id="registry-coverage",

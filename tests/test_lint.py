@@ -16,6 +16,8 @@ import dataclasses
 import json
 from collections import namedtuple
 
+from repro.core.protocol import Reads, SyncProtocol
+from repro.engine_vec.protocols import VecRoundModel
 from repro.harness import serialize
 from repro.lint import format_json, repo_root, run_lint
 from repro.lint.astpass import cross_module_findings, lint_module
@@ -387,6 +389,7 @@ class _ProtoBase:
     supports_first_contact = False
     supports_vectorized = False
     supports_vectorized_faults = False
+    reads = Reads()
 
 
 class TestCapabilityContract:
@@ -423,6 +426,38 @@ class TestCapabilityContract:
                                               cells=[])
         assert _rules(findings) == ["capability"]
         assert "equivalence" in findings[0].message
+
+    def test_protocol_inheriting_reads_fires(self):
+        class Unread(SyncProtocol):
+            supports_dynamic_topology = False
+            supports_node_churn = False
+            supports_first_contact = False
+            supports_vectorized = False
+            supports_vectorized_faults = False
+
+        findings = check_capabilities({"unread": Unread}, {})
+        assert _rules(findings) == ["capability"]
+        assert ("protocol 'unread' inherits reads from the SyncProtocol "
+                "default") in findings[0].message
+
+    def test_model_inheriting_reads_fires(self):
+        class Bare(VecRoundModel):
+            name = "bare"
+
+        findings = check_capabilities({}, {"bare": Bare})
+        assert _rules(findings) == ["capability"]
+        assert ("vectorized model 'bare' inherits reads from the "
+                "VecRoundModel default") in findings[0].message
+
+    def test_model_declaring_reads_passes(self):
+        class Declared(VecRoundModel):
+            reads = Reads(payload=("until",), required=("until",))
+
+        class Child(Declared):
+            pass
+
+        assert check_capabilities(
+            {}, {"declared": Declared, "child": Child}) == []
 
     def test_live_protocols_declare_everything(self):
         assert check_capabilities() == []
