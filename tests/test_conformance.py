@@ -116,6 +116,7 @@ CASES = {
         lambda c: int("pulse_diameters" in c.extras)),
 }
 
+
 def _drop_payload_key(key: str) -> Callable:
     return lambda spec: replace(spec, payload={
         name: value for name, value in spec.payload.items()

@@ -336,6 +336,16 @@ class TestCustomProtocol:
         finally:
             del PROTOCOLS["test_countdown"]
 
+    def test_vectorized_flag_without_a_round_model_is_refused(self):
+        class Unported(SyncProtocol):
+            name = "test_unported"
+            needs_graph = False
+            needs_params = False
+            supports_vectorized = True
+
+        with pytest.raises(ConfigError, match="has no vectorized port"):
+            SystemBuilder(Unported).engine("vectorized").build()
+
 
 class TestMessagesDropped:
     """Satellite regression: Network.messages_dropped is plumbed into

@@ -783,12 +783,15 @@ class TestRestApi:
         ({"strategy": "equivocate"}, "retired; use adversary="),
         ({"faults_per_cluster": 0}, "retired; use the adversary's count="),
         ({"kind": "ftgcs"}, "kind 'protocol' with protocol='ftgcs'"),
+        ({"config": 3}, "config must be a mapping"),
+        ({"payload": ["bogus"]}, "payload must be a mapping"),
     ], ids=["protocol", "strategy", "adversary", "adversary-not-a-dict",
             "collector", "strategy+adversary", "vectorized+loss",
             "adversary-without-name", "node-churn-args-not-a-mapping",
             "kind-not-a-string", "collector-not-a-string",
             "graph-not-a-string", "retired-strategy",
-            "retired-faults_per_cluster", "legacy-kind"])
+            "retired-faults_per_cluster", "legacy-kind",
+            "config-not-a-mapping", "payload-not-a-mapping"])
     def test_cells_that_cannot_build_are_400(self, client, edit,
                                              message):
         good = small_spec(seed=None).to_dict()
