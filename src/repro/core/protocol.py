@@ -195,9 +195,10 @@ class SyncProtocol:
     4. :meth:`collect` — snapshot measurements into a
        :class:`ProtocolRunResult`.
 
-    Capability flags are *declarations* checked by the builder before
-    any construction happens, so incompatible compositions fail fast
-    with a message naming the protocol.
+    Capability flags and :attr:`reads` are *declarations* checked by
+    the builder before any construction happens, so incompatible
+    compositions and unread keys fail fast with a message naming the
+    protocol.
     """
 
     #: Registry name (must be unique; set by subclasses).
