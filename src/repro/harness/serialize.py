@@ -40,6 +40,14 @@ Both ride one tagged, recursive codec:
   still written at their retired value (:func:`drop_retired`), so
   hashes outlive both edits.
 
+Each value is walked once per direction.  :func:`encode` dispatches on
+exact type, copies a container whose items need no encoding in one
+C-level call and encodes a registered dataclass from a per-class
+layout.  :func:`loads` decodes stored text, every cache hit of the
+result store: the tags decode inside ``json.loads``, through its
+object hook.  :func:`decode` inverts :func:`encode` on data parsed
+elsewhere (request bodies, ``GET /jobs/<id>/cells`` answers).
+
 Float exactness: ``json.dumps`` emits ``repr(float)``, Python's
 shortest round-trip representation, so every finite float decodes to
 the identical bit pattern — the foundation of the service's
@@ -57,6 +65,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from itertools import chain, repeat
 from typing import Any
 
 from repro.errors import ConfigError
@@ -68,8 +77,19 @@ _DC = "__dc__"
 
 _TAGS = frozenset({_TUPLE, _FLOAT, _MAP, _DC})
 
+#: Exact types :func:`encode` returns as they are (finite floats too);
+#: parsed, floats too need no decoding.
+_ATOMS = frozenset({str, int, bool, type(None)})
+_PARSED_ATOMS = _ATOMS | {float}
+_FLOATS, _TUPLES = frozenset({float}), frozenset({tuple})
+_NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
 #: name -> dataclass type, for decoding tagged dataclasses.
 _SERIALIZABLE: dict[str, type] = {}
+
+#: registered class -> (name, field names, omit-empty fields, retired
+#: (field, value) pairs), built when it is first encoded.
+_LAYOUTS: dict[type, tuple] = {}
 
 
 def register_serializable(cls: type, name: str | None = None) -> type:
@@ -97,85 +117,158 @@ def serializable_names() -> list[str]:
     return sorted(_SERIALIZABLE)
 
 
-def _encode_float(value: float) -> Any:
-    if math.isnan(value):
-        return {_FLOAT: "nan"}
-    return {_FLOAT: "inf" if value > 0 else "-inf"}
-
-
 def encode(value: Any) -> Any:
-    """Recursively encode ``value`` into JSON-dumpable plain data."""
-    if value is None or isinstance(value, (bool, int, str)):
+    """Recursively encode ``value`` into freshly built, JSON-dumpable
+    plain data."""
+    cls = type(value)
+    if cls in _ATOMS or cls is float and value - value == 0.0:
+        return value
+    layout = _LAYOUTS.get(cls)
+    if layout is not None and _SERIALIZABLE.get(layout[0]) is cls:
+        return _encode_fields(value, layout)
+    # Containers, subclasses (np.float64, IntEnum, namedtuples), the rest.
+    if isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
         if math.isfinite(value):
             return value
-        return _encode_float(value)
+        return {_FLOAT: "nan" if math.isnan(value)
+                else "inf" if value > 0 else "-inf"}
     if isinstance(value, tuple):
-        return {_TUPLE: [encode(item) for item in value]}
+        return {_TUPLE: _encode_items(value)}
     if isinstance(value, list):
-        return [encode(item) for item in value]
+        return _encode_items(value)
     if isinstance(value, dict):
-        plain = all(isinstance(key, str) for key in value)
-        if plain and not any(key in _TAGS for key in value):
-            return {key: encode(item) for key, item in value.items()}
-        return {_MAP: [[encode(key), encode(item)]
-                       for key, item in value.items()]}
+        # str.__subclasscheck__: each distinct key type a str (subclass).
+        if all(map(str.__subclasscheck__, set(map(type, value)))) \
+                and _TAGS.isdisjoint(value):
+            return dict(zip(value, _encode_items(value.values())))
+        return {_MAP: list(map(list, zip(_encode_items(value),
+                                         _encode_items(value.values()))))}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        name = type(value).__name__
-        registered = _SERIALIZABLE.get(name)
+        registered = _SERIALIZABLE.get(cls.__name__)
         if registered is None or not isinstance(value, registered):
             raise ConfigError(
                 f"cannot serialize unregistered dataclass "
-                f"{type(value).__module__}.{name}; call "
+                f"{cls.__module__}.{cls.__name__}; call "
                 f"register_serializable first")
-        # The class's own namespace: a getattr miss is several times
-        # slower, and this runs for every dataclass of every cell.
+        # The registered class's own lists: a subclass inherits neither.
         namespace = registered.__dict__
-        omit_empty = namespace.get("_SERIALIZE_OMIT_EMPTY", ())
-        fields = {f.name: encode(getattr(value, f.name))
-                  for f in dataclasses.fields(value)
-                  if f.name not in omit_empty or getattr(value, f.name)}
-        retired = namespace.get("_SERIALIZE_RETIRED", {})
-        for field, (old, _) in retired.items():
-            fields[field] = encode(old)
-        return {_DC: name, "fields": fields}
+        names = tuple(f.name for f in dataclasses.fields(value))
+        omit = namespace.get("_SERIALIZE_OMIT_EMPTY", ())
+        layout = (cls.__name__, names, [n for n in names if n in omit],
+                  [(name, old) for name, (old, _) in
+                   namespace.get("_SERIALIZE_RETIRED", {}).items()])
+        if cls is registered:
+            _LAYOUTS[cls] = layout
+        return _encode_fields(value, layout)
     raise ConfigError(
-        f"cannot serialize {type(value).__name__!r} value: {value!r}")
+        f"cannot serialize {cls.__name__!r} value: {value!r}")
+
+
+def _encode_items(items) -> list:
+    """``[encode(item) for item in items]``, with one C-level copy for
+    items (or a list of tuples' items) that need no encoding and a call
+    only for the items that do."""
+    if _plain(items):
+        return list(items)
+    if _TUPLES.issuperset(map(type, items)) \
+            and _plain(list(chain.from_iterable(items))):
+        return [{_TUPLE: list(item)} for item in items]
+    return [item if type(item) in _ATOMS
+            or type(item) is float and item - item == 0.0
+            else encode(item) for item in items]
+
+
+def _plain(items) -> bool:
+    """Whether every item is a JSON atom or a finite float."""
+    types = set(map(type, items))
+    return types <= _ATOMS or (types <= _FLOATS
+                               and all(map(math.isfinite, items)))
+
+
+def _encode_fields(value: Any, layout: tuple) -> dict:
+    name, names, omit_empty, retired = layout
+    fields = dict(zip(names, _encode_items(
+        list(map(getattr, repeat(value), names)))))
+    for field in omit_empty:
+        if not getattr(value, field):
+            del fields[field]
+    for field, old in retired:
+        fields[field] = encode(old)
+    return {_DC: name, "fields": fields}
 
 
 def decode(value: Any) -> Any:
-    """Invert :func:`encode`; unknown tags raise ``ConfigError``."""
-    if isinstance(value, list):
-        return [decode(item) for item in value]
+    """Invert :func:`encode` on parsed data (request bodies, ``GET
+    /jobs/<id>/cells`` answers); unknown tags raise ``ConfigError``.
+    Stored text decodes in one pass through :func:`loads`."""
+    if type(value) is list:
+        return _decode_items(value, list)
     if not isinstance(value, dict):
-        return value
+        return ([decode(item) for item in value]
+                if isinstance(value, list) else value)
     if _TUPLE in value:
-        return tuple(decode(item) for item in value[_TUPLE])
+        return _decode_items(value[_TUPLE], tuple)
     if _FLOAT in value:
-        token = value[_FLOAT]
-        if token == "nan":
-            return math.nan
-        if token == "inf":
-            return math.inf
-        if token == "-inf":
-            return -math.inf
-        raise ConfigError(f"bad {_FLOAT} token: {token!r}")
+        return _float_of(value[_FLOAT])
     if _MAP in value:
-        return {decode(key): decode(item) for key, item in value[_MAP]}
+        return {decode(key): item if type(item) in _PARSED_ATOMS
+                else decode(item) for key, item in value[_MAP]}
     if _DC in value:
-        name = value[_DC]
-        cls = _SERIALIZABLE.get(name)
-        if cls is None:
-            raise ConfigError(
-                f"unknown serializable dataclass {name!r}; known: "
-                f"{serializable_names()}")
-        fields = {key: decode(item)
-                  for key, item in value.get("fields", {}).items()}
-        if "_SERIALIZE_RETIRED" in cls.__dict__:
-            fields = drop_retired(cls, fields)
-        return cls(**fields)
-    return {key: decode(item) for key, item in value.items()}
+        return _instance(value[_DC], _decode_values(value.get("fields", {})))
+    return _decode_values(value)
+
+
+def _decode_items(items, kind: type):
+    """``kind(decode(item) for item in items)``, one C-level copy when
+    every item is a JSON atom."""
+    if _PARSED_ATOMS.issuperset(map(type, items)):
+        return kind(items)
+    return kind([item if type(item) in _PARSED_ATOMS else decode(item)
+                 for item in items])
+
+
+def _decode_values(value: dict) -> dict:
+    return {key: item if type(item) in _PARSED_ATOMS else decode(item)
+            for key, item in value.items()}
+
+
+def loads(text: str) -> Any:
+    """``decode(json.loads(text))`` in one pass: the tags decode inside
+    the parser, bottom-up (an object's values are decoded before it)."""
+    return json.loads(text, object_hook=_decode_object)
+
+
+def _decode_object(value: dict) -> Any:
+    if _TUPLE in value:
+        return tuple(value[_TUPLE])
+    if _TAGS.isdisjoint(value):
+        return value
+    if _FLOAT in value:
+        return _float_of(value[_FLOAT])
+    if _MAP in value:
+        return dict(value[_MAP])
+    return _instance(value[_DC], value.get("fields", {}))
+
+
+# The rules of the value tags, shared by both decoders.
+
+def _float_of(token: Any) -> float:
+    if isinstance(token, str) and token in _NON_FINITE:
+        return _NON_FINITE[token]
+    raise ConfigError(f"bad {_FLOAT} token: {token!r}")
+
+
+def _instance(name: Any, fields: dict) -> Any:
+    cls = _SERIALIZABLE.get(name)
+    if cls is None:
+        raise ConfigError(
+            f"unknown serializable dataclass {name!r}; known: "
+            f"{serializable_names()}")
+    if "_SERIALIZE_RETIRED" in cls.__dict__:
+        fields = drop_retired(cls, fields)
+    return cls(**fields)
 
 
 def drop_retired(cls: type, fields: dict) -> dict:
@@ -204,7 +297,8 @@ def canonical_json(value: Any) -> str:
     same byte string in every process, every time.
     """
     return json.dumps(encode(value), sort_keys=True,
-                      separators=(",", ":"), allow_nan=False)
+                      separators=(",", ":"), allow_nan=False,
+                      check_circular=False)
 
 
 def content_hash(value: Any, *, digest_size: int = 20) -> str:
@@ -250,6 +344,7 @@ __all__ = [
     "decode",
     "drop_retired",
     "encode",
+    "loads",
     "register_serializable",
     "serializable_names",
     "text_hash",

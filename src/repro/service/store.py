@@ -71,7 +71,7 @@ def default_cache_dir() -> Path:
 
 def decode_cell(text: str) -> SweepCellResult:
     """Decode a cell's stored canonical text (line 2 of its entry)."""
-    cell = serialize.decode(json.loads(text))
+    cell = serialize.loads(text)
     if not isinstance(cell, SweepCellResult):
         raise ValueError(f"entry decodes to {type(cell).__name__}")
     return cell

@@ -14,13 +14,19 @@ checked here:
 import dataclasses
 import json
 import math
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.metrics import SkewSnapshot
 from repro.core.params import Parameters
+from repro.core.system import SystemConfig
 from repro.errors import ConfigError
 from repro.harness import serialize
 from repro.harness.registry import REGISTRY
@@ -118,6 +124,188 @@ class TestCodec:
         a = serialize.canonical_json({"b": 1, "a": 2})
         b = serialize.canonical_json({"a": 2, "b": 1})
         assert a == b
+
+
+# ----------------------------------------------------------------------
+# The oracle: the codec as it was before it walked each value once per
+# direction, frozen here (the registry and drop_retired are shared).
+# ----------------------------------------------------------------------
+
+def oracle_encode(value):
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return value
+        if math.isnan(value):
+            return {"__float__": "nan"}
+        return {"__float__": "inf" if value > 0 else "-inf"}
+    if isinstance(value, tuple):
+        return {"__tuple__": [oracle_encode(item) for item in value]}
+    if isinstance(value, list):
+        return [oracle_encode(item) for item in value]
+    if isinstance(value, dict):
+        plain = all(isinstance(key, str) for key in value)
+        if plain and not any(key in serialize._TAGS for key in value):
+            return {key: oracle_encode(item) for key, item in value.items()}
+        return {"__map__": [[oracle_encode(key), oracle_encode(item)]
+                            for key, item in value.items()]}
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        name = type(value).__name__
+        registered = serialize._SERIALIZABLE.get(name)
+        if registered is None or not isinstance(value, registered):
+            raise ConfigError(
+                f"cannot serialize unregistered dataclass "
+                f"{type(value).__module__}.{name}; call "
+                f"register_serializable first")
+        namespace = registered.__dict__
+        omit_empty = namespace.get("_SERIALIZE_OMIT_EMPTY", ())
+        fields = {f.name: oracle_encode(getattr(value, f.name))
+                  for f in dataclasses.fields(value)
+                  if f.name not in omit_empty or getattr(value, f.name)}
+        for field, (old, _) in namespace.get("_SERIALIZE_RETIRED",
+                                             {}).items():
+            fields[field] = oracle_encode(old)
+        return {"__dc__": name, "fields": fields}
+    raise ConfigError(
+        f"cannot serialize {type(value).__name__!r} value: {value!r}")
+
+
+def oracle_decode(value):
+    if isinstance(value, list):
+        return [oracle_decode(item) for item in value]
+    if not isinstance(value, dict):
+        return value
+    if "__tuple__" in value:
+        return tuple(oracle_decode(item) for item in value["__tuple__"])
+    if "__float__" in value:
+        token = value["__float__"]
+        if token == "nan":
+            return math.nan
+        if token == "inf":
+            return math.inf
+        if token == "-inf":
+            return -math.inf
+        raise ConfigError(f"bad __float__ token: {token!r}")
+    if "__map__" in value:
+        return {oracle_decode(key): oracle_decode(item)
+                for key, item in value["__map__"]}
+    if "__dc__" in value:
+        name = value["__dc__"]
+        cls = serialize._SERIALIZABLE.get(name)
+        if cls is None:
+            raise ConfigError(
+                f"unknown serializable dataclass {name!r}; known: "
+                f"{serialize.serializable_names()}")
+        fields = {key: oracle_decode(item)
+                  for key, item in value.get("fields", {}).items()}
+        if "_SERIALIZE_RETIRED" in cls.__dict__:
+            fields = serialize.drop_retired(cls, fields)
+        return cls(**fields)
+    return {key: oracle_decode(item) for key, item in value.items()}
+
+
+def oracle_canonical_json(value):
+    return json.dumps(oracle_encode(value), sort_keys=True,
+                      separators=(",", ":"), allow_nan=False)
+
+
+def assert_identical(got, want):
+    """Equal in type, key order and float bits, all the way down."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, float):
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+    elif isinstance(want, dict):
+        assert len(got) == len(want)
+        for (gk, gv), (wk, wv) in zip(got.items(), want.items()):
+            assert_identical(gk, wk)
+            assert_identical(gv, wv)
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_identical(g, w)
+    elif dataclasses.is_dataclass(want):
+        for field in dataclasses.fields(want):
+            assert_identical(getattr(got, field.name),
+                             getattr(want, field.name))
+    else:
+        assert got == want
+
+
+floats = st.floats() | st.sampled_from([-0.0, math.inf, -math.inf])
+scalars = (st.none() | st.booleans() | st.integers() | floats
+           | st.text(max_size=4) | floats.map(np.float64))
+hashables = st.recursive(
+    st.none() | st.booleans() | st.integers() | floats | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=4)
+str_keys = st.text(max_size=4) | st.sampled_from(
+    ["__tuple__", "__float__", "__map__", "__dc__", "fields"])
+edge_maps = st.dictionaries(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                            floats, max_size=4)
+snapshots = st.builds(SkewSnapshot, floats, floats, floats, floats, floats,
+                      edge_maps)
+parameters = st.builds(
+    lambda f, c1: Parameters.custom(rho=1e-4, d=1.0, u=0.1, f=f, c1=c1,
+                                    c2=32.0),
+    st.integers(0, 2), st.sampled_from([20.0, 90.0]))
+specs = st.builds(
+    lambda n, seed, adversary, key: ScenarioSpec(
+        graph="line", graph_args=(n,), params=PARAMS, seed=seed,
+        adversary=adversary, key=key),
+    st.integers(1, 5), st.none() | st.integers(0, 2**63),
+    st.sampled_from([{}, {"name": "silent", "count": 1}]),
+    st.lists(scalars, max_size=3).map(tuple))
+leaves = scalars | snapshots | parameters | specs
+values = st.recursive(
+    leaves,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(str_keys, inner, max_size=3)
+                   | st.dictionaries(st.integers(), inner, max_size=3)
+                   | st.dictionaries(hashables, inner, max_size=3)),
+    max_leaves=12)
+
+
+class TestCodecOracle:
+    """The one-pass codec against the frozen one on generated values."""
+
+    @given(value=values)
+    @settings(max_examples=150, deadline=None)
+    def test_same_bytes_and_same_decoded_values(self, value):
+        text = serialize.canonical_json(value)
+        assert text == oracle_canonical_json(value)
+        want = oracle_decode(json.loads(text))
+        assert_identical(serialize.decode(json.loads(text)), want)
+        assert_identical(serialize.loads(text), want)
+
+    @given(value=values, bad=st.sampled_from([
+        {"__dc__": "NoSuchClass", "fields": {}},
+        {"__float__": "fast"},
+        {"__dc__": "SystemConfig", "fields": {}},
+    ]), wrap=st.sampled_from(["bare", "list", "dict", "fields"]))
+    @settings(max_examples=60, deadline=None)
+    def test_same_errors_on_both_decode_paths(self, value, bad, wrap):
+        encoded = oracle_encode(value)
+        placed = {"bare": bad, "list": [encoded, bad],
+                  "dict": {"x": encoded, "y": bad},
+                  "fields": {"__dc__": "SkewSnapshot", "fields": {
+                      "time": 0.0, "global_skew": bad}}}[wrap]
+        text = json.dumps(placed, allow_nan=False)
+        with pytest.raises(ConfigError) as want:
+            oracle_decode(json.loads(text))
+        for decoded in (lambda: serialize.decode(json.loads(text)),
+                        lambda: serialize.loads(text)):
+            with pytest.raises(ConfigError) as got:
+                decoded()
+            assert str(got.value) == str(want.value)
+
+    def test_unregistered_dataclass_fails_alike(self):
+        value = [1.0, {"config": SystemConfig()}]
+        with pytest.raises(ConfigError) as want:
+            oracle_canonical_json(value)
+        with pytest.raises(ConfigError) as got:
+            serialize.canonical_json(value)
+        assert str(got.value) == str(want.value)
 
 
 class TestSpecRoundTrip:
