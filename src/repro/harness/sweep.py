@@ -78,6 +78,7 @@ cell propagates its exception to the caller in both modes.
 
 from __future__ import annotations
 
+import inspect
 import math
 import multiprocessing
 import os
@@ -387,13 +388,23 @@ COLLECTORS: dict[str, Callable[[FtgcsSystem], Any]] = {
 # Cell kinds
 # ----------------------------------------------------------------------
 
+#: Graph name -> signature of its ClusterGraph classmethod constructor,
+#: which ``graph_args`` must bind to.
+_GRAPHS = {name: inspect.signature(getattr(ClusterGraph, name))
+          for name, attr in vars(ClusterGraph).items()
+          if isinstance(attr, classmethod)}
+
+
 def _build_graph(spec: ScenarioSpec) -> ClusterGraph:
     if not spec.graph:
         raise ConfigError(f"cell kind {spec.kind!r} needs a graph")
-    graph_factory = getattr(ClusterGraph, spec.graph, None)
-    if graph_factory is None:
+    if spec.graph not in _GRAPHS:
         raise ConfigError(f"unknown graph constructor: {spec.graph!r}")
-    return graph_factory(*spec.graph_args)
+    try:
+        return getattr(ClusterGraph, spec.graph)(*spec.graph_args)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad graph {spec.graph}"
+                          f"{tuple(spec.graph_args)!r}: {exc}") from None
 
 
 def _run_protocol_cell(spec: ScenarioSpec) -> SweepCellResult:
@@ -603,7 +614,8 @@ def check_spec(spec: ScenarioSpec) -> ScenarioSpec:
     library and :func:`run_cell`); returns ``spec``.
 
     Types and names first: each name must be a string a registry
-    knows.  Then the composition through
+    knows, and ``graph_args`` must bind to the signature of the
+    ``graph``'s ClusterGraph constructor.  Then the composition through
     :func:`~repro.core.protocol.check_composition`: the whole table,
     the graph, the params and every ``config``/``payload`` key for a
     cell that runs a protocol, the feature values alone for a custom
@@ -626,6 +638,8 @@ def check_spec(spec: ScenarioSpec) -> ScenarioSpec:
     known = [(spec.kind, CELL_KINDS, "cell kind"),
              (spec.schedule, SCHEDULES, "topology schedule"),
              (spec.engine, ENGINES, "engine")]
+    if spec.graph:
+        known.append((spec.graph, _GRAPHS, "graph constructor"))
     if spec.protocol is not None:
         known.append((spec.protocol, protocol_names(), "protocol"))
     known += [(name, COLLECTORS, "collector") for name in spec.collect]
@@ -637,6 +651,12 @@ def check_spec(spec: ScenarioSpec) -> ScenarioSpec:
         if not isinstance(name, str) or name not in registry:
             raise ConfigError(f"unknown {what} {name!r}; known: "
                               f"{sorted(registry)}")
+    if spec.graph:
+        try:
+            _GRAPHS[spec.graph].bind(*spec.graph_args)
+        except TypeError as exc:
+            raise ConfigError(f"bad graph_args {tuple(spec.graph_args)!r} "
+                              f"for {spec.graph}: {exc}") from None
     if spec.kind in _PROTOCOL_FREE_KINDS:
         blank = ScenarioSpec()
         ignored = [name for name in _PROTOCOL_FIELDS
@@ -649,14 +669,11 @@ def check_spec(spec: ScenarioSpec) -> ScenarioSpec:
         return spec
     protocol = cell_protocol(spec)
     if spec.schedule == "node_churn" and spec.graph:
-        graph_factory = getattr(ClusterGraph, spec.graph, None)
-        if graph_factory is not None:
-            try:
-                build_schedule("node_churn",
-                               graph_factory(*spec.graph_args),
-                               **spec.schedule_args)
-            except (TypeError, ValueError, TopologyError) as exc:
-                raise ConfigError(f"bad node_churn cell: {exc}") from None
+        try:
+            build_schedule("node_churn", _build_graph(spec),
+                           **spec.schedule_args)
+        except (TypeError, ValueError, TopologyError) as exc:
+            raise ConfigError(f"bad node_churn cell: {exc}") from None
     # Edge and node events by override identity on the class, the test
     # TopologySchedule.has_edge_events makes: no schedule is built.  A
     # schedule registered as a factory function shows its events only

@@ -7,7 +7,7 @@ from repro.baselines.srikanth_toueg import StParams
 from repro.errors import ConfigError
 from repro.harness.runner import default_params
 from repro.harness.scenario import Scenario
-from repro.harness.sweep import ScenarioSpec, run_cell
+from repro.harness.sweep import ScenarioSpec, check_spec, run_cell
 
 PARAMS = default_params()
 
@@ -264,6 +264,48 @@ class TestCellsOutsideTheTable:
                 run_cell(spec)
         finally:
             del SCHEDULES["test_factory_churn"]
+
+
+class TestGraphChecks:
+    """A graph the worker cannot build fails as a ConfigError: an
+    unknown constructor or ``graph_args`` that do not bind to its
+    signature already in ``check_spec``, arguments the constructor
+    itself refuses in the worker."""
+
+    @staticmethod
+    def spec(graph, args):
+        return ScenarioSpec(graph=graph, graph_args=args, params=PARAMS,
+                            rounds=1, seed=1)
+
+    @pytest.mark.parametrize("graph, args, message", [
+        ("bogus", (3,), "unknown graph constructor 'bogus'; known: "),
+        ("line", (), "bad graph_args () for line: missing a required "
+         "argument: 'n'"),
+        ("line", (3, 3, 3), "bad graph_args (3, 3, 3) for line: too many "
+         "positional arguments"),
+    ], ids=["unknown-name", "no-args", "too-many-args"])
+    def test_refused_by_check_spec_and_run_cell_alike(self, graph, args,
+                                                      message):
+        spec = self.spec(graph, args)
+        with pytest.raises(ConfigError) as eager:
+            check_spec(spec)
+        assert str(eager.value).startswith(message)
+        with pytest.raises(ConfigError) as worker:
+            run_cell(spec)
+        assert str(worker.value) == str(eager.value)
+
+    @pytest.mark.parametrize("args, message", [
+        (("x",), "'<' not supported"),
+        ((3.5,), "'float' object cannot be interpreted as an integer"),
+        (([1],), "'<' not supported"),
+    ], ids=["str", "float", "list"])
+    def test_arguments_the_constructor_refuses(self, args, message):
+        spec = self.spec("line", args)
+        assert check_spec(spec) is spec  # binds; values are the worker's
+        with pytest.raises(ConfigError) as worker:
+            run_cell(spec)
+        assert str(worker.value).startswith(f"bad graph line{args!r}: ")
+        assert message in str(worker.value)
 
 
 class TestEndToEnd:

@@ -27,6 +27,7 @@ import pytest
 
 from repro.baselines.gcs_single import GcsParams
 from repro.core.params import Parameters
+from repro.core.system import RunResult
 from repro.errors import ConfigError
 from repro.harness import serialize
 from repro.harness.registry import REGISTRY, run_experiment
@@ -174,6 +175,43 @@ class TestResultStore:
         assert cached.result.max_global_skew \
             == cell.result.max_global_skew
         assert store.hits == 1
+
+    @pytest.mark.parametrize("shape", [
+        "ftgcs", "gcs_single", "master_slave_series", "vectorized",
+        "failure_mc"])
+    def test_every_result_shape_reads_back_as_stored(self, store, shape):
+        spec = {
+            "ftgcs": small_spec(),
+            "gcs_single": (Scenario.line(3).protocol("gcs_single")
+                           .payload(params=GcsParams.default(), until=20.0)
+                           .seed(2).build()),
+            "master_slave_series": (
+                Scenario.line(3).protocol("master_slave").params(PARAMS)
+                .rounds(3).seed(3)
+                .payload(record_series=True, track_edges=True).build()),
+            "vectorized": dataclasses.replace(small_spec(),
+                                              engine="vectorized"),
+            "failure_mc": ScenarioSpec(kind="failure_mc", seed=1, payload={
+                "f": 1, "p": 0.5, "trials": 10}),
+        }[shape]
+        path = store.put(spec, run_cell(spec))
+        stored = path.read_text(encoding="utf-8").partition("\n")[2]
+        cell = store.get(spec)
+        assert serialize.canonical_json(cell) == stored
+        series = getattr(cell.result, "series", None)
+        if shape == "ftgcs":
+            assert isinstance(cell.result.detail, RunResult)
+            assert cell.result.detail.series[-1].edge_skews
+        elif shape == "gcs_single":
+            assert isinstance(cell.result.detail, list)
+            assert isinstance(cell.result.detail[0], tuple)
+        elif shape == "master_slave_series":
+            assert series[-1].edge_skews
+        elif shape == "vectorized":
+            assert isinstance(cell.result.detail, dict)
+            assert isinstance(series[0], tuple)
+        else:
+            assert isinstance(cell.result, float)
 
     def test_absent_entry_is_a_miss(self, store):
         assert store.get(small_spec()) is None
@@ -831,6 +869,20 @@ class TestRestApi:
         cell = dataclasses.replace(small_spec(seed=None), **fields)
         response = client.post("/jobs",
                                json={"cells": [cell.to_dict()]})
+        assert response.status_code == 400
+        error = response.get_json()["error"]
+        assert error.startswith("cell 0: ") and message in error
+        assert client.get("/jobs").get_json()["jobs"] == []
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"graph": "bogus"}, "unknown graph constructor 'bogus'"),
+        ({"graph_args": ()}, "bad graph_args () for line"),
+        ({"graph_args": (3, 3, 3)}, "bad graph_args (3, 3, 3) for line"),
+    ], ids=["unknown-graph", "no-graph-args", "too-many-graph-args"])
+    def test_graphs_the_worker_cannot_build_are_400(self, client, fields,
+                                                    message):
+        cell = dataclasses.replace(small_spec(seed=None), **fields)
+        response = client.post("/jobs", json={"cells": [cell.to_dict()]})
         assert response.status_code == 400
         error = response.get_json()["error"]
         assert error.startswith("cell 0: ") and message in error
