@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test golden verify lint list run serve smoke-t16 smoke-serve smoke-vec smoke-adversary bench-check bench-ab bench
+.PHONY: test golden verify lint list run serve smoke-t16 smoke-serve smoke-vec smoke-adversary bench-check bench-ab bench-layers bench
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -108,6 +108,19 @@ bench-ab:
 		$(if $(CHANGE),--change $(CHANGE)) $(if $(PAIRS),--pairs $(PAIRS)) \
 		$(if $(SEED),--first-seed $(SEED)) $(if $(CLAIM),--claim $(CLAIM)) \
 		$(if $(OUT),--out $(OUT))
+
+# The same pairs traced (perfbench/run.py --trace 1, one seed per pair
+# on both sides): each per-layer metric's base median, change median
+# and ratio, so a speed change shows the layer it touched.  Exits
+# non-zero if any run was not correct, a broken prediction included.
+#   make bench-layers BASE=<rev> WORKLOAD=<w> [CHANGE=HEAD] [PAIRS=3]
+#                     [SEED=1000] [OUT=bench-layers-<w>.jsonl]
+bench-layers:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-layers BASE=<rev> WORKLOAD=<w> [CHANGE=HEAD] [PAIRS=3] [SEED=1000] [OUT=<file>]"; exit 2; }
+	$(PYTHON) benchmarks/ab_pairs.py --trace --base $(BASE) \
+		--workload $(WORKLOAD) --pairs $(or $(PAIRS),3) \
+		$(if $(CHANGE),--change $(CHANGE)) \
+		$(if $(SEED),--first-seed $(SEED)) $(if $(OUT),--out $(OUT))
 
 # Full pytest-benchmark suite (tables T1-T18).
 bench:

@@ -1,11 +1,13 @@
 """A/B pairs: two revisions, run alternately on one benchmark workload.
 
     python3 benchmarks/ab_pairs.py --base <rev> --workload <w>
-        [--change HEAD] [--claim <metric>] [--pairs 10]
+        [--change HEAD] [--claim <metric>] [--trace] [--pairs 10]
         [--first-seed 1000] [--out bench-ab-<w>.jsonl]
 
 or ``make bench-ab BASE=<rev> WORKLOAD=<w> [CHANGE=HEAD]
-[CLAIM=<metric>] [PAIRS=10] [SEED=1000] [OUT=<file>]``.
+[CLAIM=<metric>] [PAIRS=10] [SEED=1000] [OUT=<file>]``, and for the
+per-layer metrics ``make bench-layers BASE=<rev> WORKLOAD=<w>
+[CHANGE=HEAD] [PAIRS=3] [SEED=1000] [OUT=<file>]``.
 
 Both revisions are exported with ``git archive`` into one temporary
 directory; they must carry the same ``BENCHMARK.json`` and
@@ -26,14 +28,21 @@ base run.  ``--claim`` names a metric the change claims to improve; the
 claim is met when the change wins at least 9 of every 10 pairs and the
 medians differ by more than the base's quartile distance.
 
+With ``--trace`` every run is the traced one (``--trace 1``), and the
+report gives, per per-layer metric of ``BENCHMARK.json``, the base's
+median, the change's median and their ratio.  It judges nothing, since
+tracing slows both sides; it shows which layer a speed change touched.
+
 Every run's JSON result is written to ``--out``, one line per run.  The
-exit code is non-zero when any run was not ``correct``.
+exit code is non-zero when any run was not ``correct`` (a traced run
+is not correct when a no-change prediction of its workload broke).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -118,12 +127,7 @@ def summarize(end_to_end: list[dict], runs: list[dict]) -> list[dict]:
     result on both sides count; with fewer than two there is no
     summary (empty list).
     """
-    by_pair: dict[int, dict] = {}
-    for run in runs:
-        if run["result"] is not None:
-            by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]
-    complete = [sides for _, sides in sorted(by_pair.items())
-                if len(sides) == 2]
+    complete = complete_pairs(runs)
     if len(complete) < 2:
         return []
     rows = []
@@ -134,6 +138,46 @@ def summarize(end_to_end: list[dict], runs: list[dict]) -> list[dict]:
                  for sides in complete]
         rows.append(summarize_metric(metric, pairs))
     return rows
+
+
+def complete_pairs(runs: list[dict]) -> list[dict]:
+    """``{"base": result, "change": result}`` of every pair with a
+    result on both sides, in pair order."""
+    by_pair: dict[int, dict] = {}
+    for run in runs:
+        if run["result"] is not None:
+            by_pair.setdefault(run["pair"], {})[run["side"]] = run["result"]
+    return [sides for _, sides in sorted(by_pair.items())
+            if len(sides) == 2]
+
+
+def summarize_layers(per_layer: list[dict], runs: list[dict]
+                     ) -> list[dict]:
+    """Per per-layer metric (its ``BENCHMARK.json`` entry), the base
+    and change medians over the complete pairs of traced ``runs`` and
+    their ratio (NaN when the base median is 0).  Empty when no pair
+    is complete."""
+    complete = complete_pairs(runs)
+    rows = []
+    for metric in per_layer if complete else []:
+        base, change = (statistics.median(
+            sides[side]["metrics"][metric["name"]]["value"]
+            for sides in complete) for side in ("base", "change"))
+        rows.append({"name": metric["name"], "unit": metric["unit"],
+                     "base_median": base, "change_median": change,
+                     "ratio": change / base if base else math.nan,
+                     "pairs": len(complete)})
+    return rows
+
+
+def layer_report_lines(rows: list[dict]) -> list[str]:
+    lines = [f"{'per-layer metric':32s} {'base median':>12s} "
+             f"{'change':>12s} {'ratio':>7s}  unit"]
+    for row in rows:
+        lines.append(f"{row['name']:32s} {row['base_median']:12.5g} "
+                     f"{row['change_median']:12.5g} {row['ratio']:7.3f}"
+                     f"  {row['unit']}")
+    return lines
 
 
 def report_lines(rows: list[dict], claim: str | None) -> list[str]:
@@ -202,7 +246,8 @@ def export(rev: str, dest: Path) -> None:
 
 
 def run_once(tree: Path, command: list[str], workload: str, seed: int,
-             seconds: float) -> tuple[int, dict | None, str]:
+             seconds: float, trace: bool = False
+             ) -> tuple[int, dict | None, str]:
     """(exit code, JSON result or ``None``, output) of one run."""
     env = {key: value for key, value in os.environ.items()
            if key != "PYTHONPATH"}
@@ -211,7 +256,8 @@ def run_once(tree: Path, command: list[str], workload: str, seed: int,
     try:
         done = subprocess.run(
             command + ["--workload", workload, "--seed", str(seed),
-                       "--seconds", str(seconds), "--trace", "0"],
+                       "--seconds", str(seconds),
+                       "--trace", "1" if trace else "0"],
             cwd=tree, env=env, capture_output=True, text=True,
             timeout=timeout)
     except subprocess.TimeoutExpired:
@@ -233,14 +279,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--claim", help="end-to-end metric the change "
                                         "claims to improve")
+    parser.add_argument("--trace", action="store_true",
+                        help="traced runs; report the per-layer metrics")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1000)
     parser.add_argument("--out", type=Path,
                         help="JSON lines of every run (default "
                              "bench-ab-<workload>.jsonl)")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 (quartiles)")
+    if args.trace and args.claim is not None:
+        parser.error("--claim compares untraced runs; drop --trace")
+    if args.pairs < (1 if args.trace else 2):
+        parser.error("--pairs must be at least 2 (quartiles), or 1 with "
+                     "--trace")
     revs = {"base": resolve(args.base), "change": resolve(args.change)}
     differs = benchmark_differs(revs["base"], revs["change"])
     if differs:
@@ -248,7 +299,8 @@ def main(argv: list[str] | None = None) -> int:
               f"{args.base} and {args.change}; their numbers would not "
               f"compare", file=sys.stderr)
         return 2
-    out = args.out or Path(f"bench-ab-{args.workload}.jsonl")
+    out = args.out or Path(f"bench-{'layers' if args.trace else 'ab'}-"
+                           f"{args.workload}.jsonl")
     spec = json.loads(_git("show", f"{revs['base']}:BENCHMARK.json"))
     if args.claim is not None and args.claim not in {
             m["name"] for m in spec["end_to_end"]}:
@@ -267,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
                 for position, side in enumerate(order):
                     code, result, output = run_once(
                         trees[side], spec["command"], args.workload, seed,
-                        seconds)
+                        seconds, args.trace)
                     record = {"pair": pair, "seed": seed, "side": side,
                               "rev": revs[side], "first": position == 0,
                               "exit": code, "result": result}
@@ -284,9 +336,14 @@ def main(argv: list[str] | None = None) -> int:
           f", change {revs['change'][:12]}, seeds {args.first_seed}.."
           f"{args.first_seed + args.pairs - 1}, {seconds} s per run; "
           f"runs in {out}")
-    rows = summarize(spec["end_to_end"], runs)
+    if args.trace:
+        rows = summarize_layers(spec["per_layer"], runs)
+        lines = layer_report_lines(rows)
+    else:
+        rows = summarize(spec["end_to_end"], runs)
+        lines = report_lines(rows, args.claim)
     if rows:
-        print("\n".join(report_lines(rows, args.claim)))
+        print("\n".join(lines))
     else:
         print("fewer than two pairs have a result on both sides; "
               "no summary")

@@ -1,6 +1,7 @@
 """The A/B-pair summary of ``benchmarks/ab_pairs.py`` (``make
 bench-ab``), fed synthetic runs."""
 
+import math
 import sys
 from pathlib import Path
 
@@ -9,7 +10,13 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent
                        / "benchmarks"))
 
-from ab_pairs import claim_met, report_lines, summarize  # noqa: E402
+from ab_pairs import (  # noqa: E402
+    claim_met,
+    layer_report_lines,
+    report_lines,
+    summarize,
+    summarize_layers,
+)
 
 WALL = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
 WORK = {"name": "work_per_s", "unit": "1/s", "better": "higher",
@@ -90,3 +97,51 @@ def test_pairs_missing_a_side_are_left_out():
     for run in runs[2:]:
         run["result"] = None
     assert summarize([WALL], runs) == []
+
+
+ENCODE = {"name": "service.encode_s", "unit": "s", "better": "lower"}
+BYTES = {"name": "service.bytes_written", "unit": "bytes",
+         "better": "lower"}
+
+
+def traced_runs(pairs):
+    """Traced run records for ``(base, change)`` dicts of per-layer
+    values."""
+    return [{"pair": pair, "side": side, "result": {
+                "correct": True,
+                "metrics": {name: {"value": value, "unit": "s"}
+                            for name, value in values.items()}}}
+            for pair, sides in enumerate(pairs)
+            for side, values in zip(("base", "change"), sides)]
+
+
+def test_layer_summary_gives_medians_and_their_ratio():
+    runs = traced_runs([
+        ({"service.encode_s": 0.44, "service.bytes_written": 10.0},
+         {"service.encode_s": 0.13, "service.bytes_written": 10.0}),
+        ({"service.encode_s": 0.46, "service.bytes_written": 12.0},
+         {"service.encode_s": 0.11, "service.bytes_written": 12.0}),
+        ({"service.encode_s": 0.40, "service.bytes_written": 11.0},
+         {"service.encode_s": 0.12, "service.bytes_written": 11.0}),
+    ])
+    encode, written = summarize_layers([ENCODE, BYTES], runs)
+    assert encode["base_median"] == 0.44
+    assert encode["change_median"] == 0.12
+    assert encode["ratio"] == pytest.approx(0.12 / 0.44)
+    assert encode["pairs"] == 3
+    assert written["ratio"] == 1.0 and written["unit"] == "bytes"
+    lines = layer_report_lines([encode, written])
+    assert lines[1].split() == ["service.encode_s", "0.44", "0.12",
+                                "0.273", "s"]
+
+
+def test_layer_summary_skips_incomplete_pairs_and_zero_bases():
+    runs = traced_runs([({"service.encode_s": 0.0},
+                         {"service.encode_s": 0.0}),
+                        ({"service.encode_s": 0.5},
+                         {"service.encode_s": 0.1})])
+    runs[3]["result"] = None
+    (row,) = summarize_layers([ENCODE], runs)
+    assert row["pairs"] == 1 and math.isnan(row["ratio"])
+    runs[1]["result"] = None
+    assert summarize_layers([ENCODE], runs) == []
