@@ -66,6 +66,7 @@ import hashlib
 import json
 import math
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import Any
 
 from repro.errors import ConfigError
@@ -77,11 +78,12 @@ _DC = "__dc__"
 
 _TAGS = frozenset({_TUPLE, _FLOAT, _MAP, _DC})
 
-#: Exact types :func:`encode` returns as they are (finite floats too);
-#: parsed, floats too need no decoding.
+#: Exact types :func:`encode` returns unchanged, as it does finite
+#: floats; with ``float``, the parsed values :func:`decode` keeps.
 _ATOMS = frozenset({str, int, bool, type(None)})
 _PARSED_ATOMS = _ATOMS | {float}
 _FLOATS, _TUPLES = frozenset({float}), frozenset({tuple})
+_DICTS, _LISTS, _ONE = frozenset({dict}), frozenset({list}), frozenset({1})
 _NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 
 #: name -> dataclass type, for decoding tagged dataclasses.
@@ -221,10 +223,17 @@ def decode(value: Any) -> Any:
 
 
 def _decode_items(items, kind: type):
-    """``kind(decode(item) for item in items)``, one C-level copy when
-    every item is a JSON atom."""
+    """``kind(decode(item) for item in items)``: one C-level copy when
+    every item is a JSON atom, or a tuple tag holding only atoms."""
     if _PARSED_ATOMS.issuperset(map(type, items)):
         return kind(items)
+    if _DICTS.issuperset(map(type, items)) and _ONE.issuperset(
+            map(len, items)) and all(map(dict.__contains__, items,
+                                         repeat(_TUPLE))):
+        rows = list(map(itemgetter(_TUPLE), items))
+        if _LISTS.issuperset(map(type, rows)) and _PARSED_ATOMS.issuperset(
+                map(type, chain.from_iterable(rows))):
+            return kind(map(tuple, rows))
     return kind([item if type(item) in _PARSED_ATOMS else decode(item)
                  for item in items])
 
