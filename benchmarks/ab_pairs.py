@@ -158,12 +158,16 @@ def summarize_layers(per_layer: list[dict], runs: list[dict]
     their ratio (NaN when the base median is 0).  Empty when no pair
     is complete."""
     complete = complete_pairs(runs)
+    if not complete:
+        return []
     rows = []
-    for metric in per_layer if complete else []:
-        base, change = (statistics.median(
-            sides[side]["metrics"][metric["name"]]["value"]
-            for sides in complete) for side in ("base", "change"))
-        rows.append({"name": metric["name"], "unit": metric["unit"],
+    for metric in per_layer:
+        name = metric["name"]
+        base = statistics.median(sides["base"]["metrics"][name]["value"]
+                                 for sides in complete)
+        change = statistics.median(
+            sides["change"]["metrics"][name]["value"] for sides in complete)
+        rows.append({"name": name, "unit": metric["unit"],
                      "base_median": base, "change_median": change,
                      "ratio": change / base if base else math.nan,
                      "pairs": len(complete)})
