@@ -294,18 +294,14 @@ class TestGraphChecks:
             run_cell(spec)
         assert str(worker.value) == str(eager.value)
 
-    @pytest.mark.parametrize("args, message", [
-        (("x",), "'<' not supported"),
-        ((3.5,), "'float' object cannot be interpreted as an integer"),
-        (([1],), "'<' not supported"),
-    ], ids=["str", "float", "list"])
-    def test_arguments_the_constructor_refuses(self, args, message):
+    @pytest.mark.parametrize("args", [("x",), (3.5,), ([1],)],
+                             ids=["str", "float", "list"])
+    def test_arguments_the_constructor_refuses(self, args):
         spec = self.spec("line", args)
         assert check_spec(spec) is spec  # binds; values are the worker's
         with pytest.raises(ConfigError) as worker:
             run_cell(spec)
         assert str(worker.value).startswith(f"bad graph line{args!r}: ")
-        assert message in str(worker.value)
 
 
 class TestEndToEnd:
