@@ -205,11 +205,10 @@ def decode(value: Any) -> Any:
     """Invert :func:`encode` on parsed data (request bodies, ``GET
     /jobs/<id>/cells`` answers); unknown tags raise ``ConfigError``.
     Stored text decodes in one pass through :func:`loads`."""
-    if type(value) is list:
+    if isinstance(value, list):
         return _decode_items(value, list)
     if not isinstance(value, dict):
-        return ([decode(item) for item in value]
-                if isinstance(value, list) else value)
+        return value
     if _TUPLE in value:
         return _decode_items(value[_TUPLE], tuple)
     if _FLOAT in value:
