@@ -8,7 +8,7 @@ the second writes the same canonical form of the current tree to
 ``out.json`` and leaves the committed file alone (CI uploads it, so a
 failing job can be diffed against the file or against another job).
 
-The file pins four things:
+The file pins five things:
 
 * ``tables`` -- every quick table of the registry in its canonical
   ``Table.to_dict(json_safe=True)`` form.  The wall-clock columns
@@ -28,6 +28,14 @@ The file pins four things:
   hash perfbench fingerprints), so it also pins each series, detail,
   edge maxima and stabilization time.  No float sums: builtin ``sum``
   over floats rounds differently from Python 3.12 on.
+* ``vec_cells`` -- the same values of a few small vectorized-engine
+  cells (``vec_cell_specs()``): each round model once, and the
+  adaptive adversaries, whose lookahead runs the round's reductions
+  once per candidate, on both graph models and the clique.  The
+  graph cells run on a caterpillar, whose hubs have degree 6-7 and
+  whose leaves degree 1.  The tables and the matrix pin only the
+  maxima of vectorized runs; ``result_hash`` also pins every round
+  of each series and the adversary's counters.
 
 Re-record only in a change that means to move one of these outputs,
 and give the reason in CHANGES.md.
@@ -145,13 +153,61 @@ def event_cell_specs() -> dict:
             for name, scenario in cells.items()}
 
 
-def event_counters() -> dict:
-    """Per event cell, the pinned values of its run."""
+def vec_cell_specs() -> dict:
+    """Per name, one small vectorized-engine cell: ``gcs_single`` and
+    the ``ftgcs`` skeleton on ``caterpillar(8, 6)``, each once more
+    under an adaptive adversary (``random_restart`` and ``greedy``),
+    ``srikanth_toueg`` under ``random_restart``, and ``lynch_welch``.
+    Parameters and amplitudes are t18's."""
+    from repro import Scenario
+    from repro.baselines.gcs_single import GcsParams
+    from repro.baselines.srikanth_toueg import StParams
+    from repro.harness.experiments import (
+        default_params,
+        fast_dynamics_params,
+    )
+
+    ft = fast_dynamics_params(f=1)
+    gcs = GcsParams(rho=1e-3, d=1.0, u=0.01, mu=0.01, period=10.0,
+                    kappa=0.3, slack=0.1)
+    st = StParams(n=8, f=2, rho=1e-3, d=1.0, u=0.01, period=10.0)
+    caterpillar = Scenario.on("caterpillar", 8, 6)
+    gcs_cell = caterpillar.protocol("gcs_single").payload(
+        params=gcs, until=60 * gcs.period)
+    # Neighbours up to 3 kappa apart, so the fast trigger fires from
+    # the first round on.
+    offsets = [((5 * i) % 11 - 5) * 0.3 * ft.kappa for i in range(48)]
+    ft_cell = (caterpillar.params(ft).rounds(20)
+               .configure(cluster_offsets=offsets))
+    cells = {
+        "gcs_single": gcs_cell.seed(11),
+        "ftgcs": ft_cell.seed(12),
+        "gcs_single_random_restart": (
+            gcs_cell.adversarial("random_restart",
+                                 amplitude=4.0 * gcs.kappa).seed(13)),
+        "ftgcs_greedy": (
+            ft_cell.adversarial("greedy", amplitude=2.5 * ft.kappa)
+            .seed(14)),
+        "srikanth_toueg_random_restart": (
+            Scenario.of_protocol("srikanth_toueg")
+            .payload(params=st, rounds=10)
+            .adversarial("random_restart", amplitude=st.d).seed(15)),
+        "lynch_welch": (Scenario.of_protocol("lynch_welch")
+                        .params(default_params(rho=1e-4, d=1.0, u=0.05,
+                                               f=1))
+                        .rounds(10).seed(16)),
+    }
+    return {name: scenario.engine("vectorized").tag("golden", name)
+            .build() for name, scenario in cells.items()}
+
+
+def cell_pins(specs: dict) -> dict:
+    """Per named cell, the pinned values of its run."""
     from repro.harness.serialize import content_hash
     from repro.harness.sweep import run_cell
 
     cells = {}
-    for name, spec in event_cell_specs().items():
+    for name, spec in specs.items():
         result = run_cell(spec).result
         cells[name] = {"result_hash": content_hash(result),
                        **{field: getattr(result, field)
@@ -208,17 +264,19 @@ def diff_matrix(golden: dict, actual: dict) -> list[str]:
     return problems
 
 
-def diff_event_cells(golden: dict, actual: dict) -> list[str]:
-    """Every difference between two sets of event-cell counters."""
+def diff_event_cells(golden: dict, actual: dict,
+                     label: str = "event cell") -> list[str]:
+    """Every difference between two sets of pinned cell values, each
+    naming the cell as ``label``."""
     problems = []
     if sorted(golden) != sorted(actual):
-        problems.append(f"event cells: golden {sorted(golden)}, "
+        problems.append(f"{label}s: golden {sorted(golden)}, "
                         f"got {sorted(actual)}")
     for name in sorted(set(golden) & set(actual)):
         for field in EVENT_PINS:
             a, b = golden[name][field], actual[name][field]
             if not _same(a, b):
-                problems.append(f"event cell {name!r} {field}: "
+                problems.append(f"{label} {name!r} {field}: "
                                 f"golden {json.dumps(a)}, got {json.dumps(b)}")
     return problems
 
@@ -236,7 +294,8 @@ def record() -> dict:
         "tables": tables,
         "equivalence": canonical_matrix(run_equivalence()),
         "plan_hashes": plan_hashes(),
-        "event_cells": event_counters(),
+        "event_cells": cell_pins(event_cell_specs()),
+        "vec_cells": cell_pins(vec_cell_specs()),
     }
 
 
@@ -259,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {path}: {len(golden['tables'])} tables "
           f"({cells} rows), {len(golden['equivalence'])} equivalence "
           f"cells, {hashes} plan hashes, {len(golden['event_cells'])} "
-          f"event cells")
+          f"event cells, {len(golden['vec_cells'])} vectorized cells")
     return 0
 
 

@@ -1,6 +1,6 @@
 """The golden-output gate: quick tables, equivalence matrix, quick
-plan hashes and event-cell counters and result hashes must equal
-``tests/golden_outputs.json`` exactly.
+plan hashes and the counters and result hashes of small event and
+vectorized cells must equal ``tests/golden_outputs.json`` exactly.
 
 The file is written by ``tests/record_golden.py`` (``make golden``).
 A change that means to move an output re-records it and says why in
@@ -15,15 +15,17 @@ from record_golden import (
     MATRIX_FIELDS,
     canonical_matrix,
     canonical_table,
+    cell_pins,
     diff_event_cells,
     diff_matrix,
     diff_table,
     event_cell_specs,
-    event_counters,
     load,
     plan_hashes,
+    vec_cell_specs,
 )
 
+from repro.engine_vec.protocols import VEC_PROTOCOLS
 from repro.harness.registry import REGISTRY
 from repro.harness.sweep import cell_protocol
 
@@ -57,7 +59,8 @@ def test_quick_plan_hashes_match_golden():
 
 
 def test_event_cell_counters_match_golden():
-    problems = diff_event_cells(GOLDEN["event_cells"], event_counters())
+    problems = diff_event_cells(GOLDEN["event_cells"],
+                                cell_pins(event_cell_specs()))
     assert not problems, "\n".join(problems)
 
 
@@ -68,6 +71,21 @@ def test_event_cells_cover_every_event_protocol():
         "ftgcs", "gcs_single", "master_slave", "srikanth_toueg",
         "lynch_welch"}
     assert all(spec.engine == "event" for spec in specs.values())
+
+
+def test_vec_cell_pins_match_golden():
+    problems = diff_event_cells(GOLDEN["vec_cells"],
+                                cell_pins(vec_cell_specs()),
+                                label="vectorized cell")
+    assert not problems, "\n".join(problems)
+
+
+def test_vec_cells_cover_every_vectorized_protocol():
+    specs = vec_cell_specs()
+    assert sorted(GOLDEN["vec_cells"]) == sorted(specs)
+    assert {cell_protocol(spec) for spec in specs.values()} \
+        == set(VEC_PROTOCOLS)
+    assert all(spec.engine == "vectorized" for spec in specs.values())
 
 
 def _nudge(value):
@@ -128,12 +146,14 @@ class TestGateSensitivity:
                     f"equivalence cell {name!r} {field}: golden ")
 
     def test_any_event_counter_nudged_fails(self):
-        golden = GOLDEN["event_cells"]
-        for name, cell in golden.items():
-            for field in EVENT_PINS:
-                actual = {**golden, name: {**cell,
-                                           field: _nudge(cell[field])}}
-                problems = diff_event_cells(golden, actual)
-                assert len(problems) == 1, (name, field, problems)
-                assert problems[0].startswith(
-                    f"event cell {name!r} {field}: golden ")
+        for section, label in (("event_cells", "event cell"),
+                               ("vec_cells", "vectorized cell")):
+            golden = GOLDEN[section]
+            for name, cell in golden.items():
+                for field in EVENT_PINS:
+                    actual = {**golden,
+                              name: {**cell, field: _nudge(cell[field])}}
+                    problems = diff_event_cells(golden, actual, label)
+                    assert len(problems) == 1, (name, field, problems)
+                    assert problems[0].startswith(
+                        f"{label} {name!r} {field}: golden ")
