@@ -17,17 +17,27 @@ edge array (:attr:`~repro.topology.cluster_graph.ClusterGraph.edge_array`)
 with no Python object per edge or per vertex, in one stable sort of
 its slots.
 
+:meth:`CSRAdjacency.segment_max`/``segment_min`` take their path
+from the graph's degrees, fixed when the view is built.  One gather
+of every non-empty row's first slot is the whole answer for a row of
+one slot.  One ``reduceat`` then runs over the bounds of the rows of
+two or more slots (each one's start, then the start of the first
+non-empty row after it) and overwrites those rows; the segments
+between them are dropped.  On a caterpillar, whose leaves are nearly
+every row, that is a few hundred segments instead of one per vertex.
+A graph with no degree-1 row (a ring, a grid) keeps the single
+``reduceat`` over the non-empty rows' starts and pays no gather.
+Every multi-slot segment ends exactly where its row ends, so each max
+and min is the same value on either path.
+
 ``reduceat`` needs care at degree-0 vertices: an empty segment makes
-it return (or index past) a neighboring slot's value, so
-:meth:`CSRAdjacency.segment_max`/``segment_min`` reduce over the
-non-empty rows' offsets only and give empty rows the caller's identity
-fill.  Isolated vertices therefore aggregate to ``fill``
+it return (or index past) a neighboring slot's value, so every bound
+is the start of a non-empty row, and empty rows get the caller's
+identity fill.  Isolated vertices therefore aggregate to ``fill``
 (``-inf``/``+inf``), which the vectorized trigger evaluation maps to
 "no neighbors: no trigger" — the same answer
-:func:`repro.core.triggers.evaluate` gives.  The offsets and the
-empty-row mask are computed once per graph; a graph without isolated
-vertices (every caterpillar) skips the mask and returns the
-``reduceat`` result as is.
+:func:`repro.core.triggers.evaluate` gives.  A graph without isolated
+vertices (every caterpillar) skips the fill.
 """
 
 from __future__ import annotations
@@ -51,6 +61,11 @@ class CSRAdjacency:
         The CSR triplet over ``2 * num_edges`` directed slots: slot
         ``k`` means "node ``row[k]`` sees neighbor ``indices[k]``";
         node ``i`` owns slots ``indptr[i]:indptr[i+1]``.
+
+    The view also fixes how :meth:`segment_max` and
+    :meth:`segment_min` reduce (module docstring): the first slot of
+    each non-empty row, the ``reduceat`` bounds of the rows of two or
+    more slots, and where those rows sit among the non-empty ones.
     """
 
     def __init__(self, graph: ClusterGraph) -> None:
@@ -63,19 +78,34 @@ class CSRAdjacency:
         self.edge_b = eb
         src = np.concatenate([ea, eb])
         dst = np.concatenate([eb, ea])
+        degree = np.bincount(src, minlength=n)
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degree, out=self.indptr[1:])
         order = np.argsort(src, kind="stable")
         self.row = src[order]
         self.indices = dst[order]
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
-        # Segment bookkeeping for reduceat: the starts of the non-empty
-        # rows only, so each reduced segment runs exactly to the next
-        # non-empty row (empty rows in between have zero length) or to
-        # the end of the slots.
-        starts = self.indptr[:-1]
-        self._nonempty = self.indptr[1:] > starts
+        # The slot-sized temporaries go before the bookkeeping below,
+        # so building the view peaks no higher than the sort does.
+        del src, dst, order
+        # Segment bookkeeping, over the non-empty rows in order.  Each
+        # multi-slot row's segment ends at the start of the next
+        # non-empty row (empty rows in between have zero length) or
+        # at the end of the slots.
+        self._nonempty = degree > 0
         self._all_nonempty = bool(self._nonempty.all())
-        self._starts = starts[self._nonempty]
+        self._first = self.indptr[:-1][self._nonempty]
+        multi = (degree > 1)[self._nonempty]
+        if multi.all():
+            # No degree-1 row: the bounds are the non-empty rows'
+            # starts, and reduceat's result is the whole answer.
+            self._multi = None
+            self._bounds = self._first
+        else:
+            bound = multi.copy()
+            bound[1:] |= multi[:-1]
+            self._bounds = self._first[bound]
+            self._multi = np.flatnonzero(multi)
+            self._multi_at = np.flatnonzero(multi[bound])
 
     @property
     def num_slots(self) -> int:
@@ -88,12 +118,16 @@ class CSRAdjacency:
 
     def _segment_reduce(self, slot_values: np.ndarray, ufunc,
                         fill: float) -> np.ndarray:
+        if self._multi is None:
+            reduced = ufunc.reduceat(slot_values, self._bounds)
+        else:
+            reduced = slot_values[self._first]
+            reduced[self._multi] = ufunc.reduceat(
+                slot_values, self._bounds)[self._multi_at]
         if self._all_nonempty:
-            return ufunc.reduceat(slot_values, self._starts).astype(
-                np.float64, copy=False)
+            return reduced.astype(np.float64, copy=False)
         out = np.full(self.num_nodes, fill, dtype=np.float64)
-        if self._starts.size:
-            out[self._nonempty] = ufunc.reduceat(slot_values, self._starts)
+        out[self._nonempty] = reduced
         return out
 
     def segment_max(self, slot_values: np.ndarray,

@@ -108,13 +108,23 @@ def random_graph_with_isolated(seed):
     return ClusterGraph(n, edges, name=f"random-isolated-{seed}")
 
 
-#: Graphs with isolated vertices take the reductions' fill-and-mask
-#: path; the caterpillar and the ring, with every row non-empty, take
-#: the path that returns ``reduceat``'s result directly.
+#: Every layout the reductions tell apart.  A row of one slot is read
+#: from that slot and a longer row is reduced by ``reduceat``; a graph
+#: with no degree-1 row (the ring) takes ``reduceat``'s result as it
+#: is, and one with isolated vertices fills their rows.  The matching
+#: has no multi-slot row; the star's hub is the last vertex, so its
+#: segment ends at the last slot; two adjacent hubs put one segment
+#: right after the other; and a hub, an isolated vertex and a leaf
+#: end a segment at a row after an empty one.
 CSR_GRAPHS = (
     [random_graph_with_isolated(seed) for seed in range(8)]
     + [ClusterGraph(4, [], name="edgeless"), ClusterGraph.line(1),
-       ClusterGraph.caterpillar(6, 4), ClusterGraph.ring(5)])
+       ClusterGraph.caterpillar(6, 4), ClusterGraph.ring(5),
+       ClusterGraph(6, [(1, 0), (2, 3), (5, 4)], name="matching"),
+       ClusterGraph(5, [(i, 4) for i in range(4)], name="star-last-hub"),
+       ClusterGraph(7, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6)],
+                    name="adjacent-hubs"),
+       ClusterGraph(4, [(0, 2), (0, 3)], name="hub-isolated-leaf")])
 
 
 class TestCSRReference:
