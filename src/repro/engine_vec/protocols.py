@@ -98,8 +98,7 @@ def _run_graph_rounds(model: VecGcsSingle | VecFtgcs,
     for r in range(1, model.rounds + 1):
         estimates = csr.gather(clocks)
         if half_width > 0.0 and slots:
-            estimates = estimates + noise.uniform(
-                -half_width, half_width, slots)
+            estimates += noise.uniform(-half_width, half_width, slots)
         if adv is not None:
             def lookahead(offsets, keep):
                 up, down = _injected_up_down(csr, clocks, estimates,
@@ -289,7 +288,11 @@ class VecSrikanthToueg(VecRoundModel):
                 np.fill_diagonal(arrivals, np.inf)
                 pool = arrivals if extra == 0 \
                     else np.vstack([arrivals, live])
-                kth = np.partition(pool, f, axis=0)[f]
+                # The pool is this sweep's own temporary (never
+                # ``delay``, which the lookahead reuses), so it is
+                # partitioned in place.
+                pool.partition(f, axis=0)
+                kth = pool[f]
                 pulled = np.minimum(naive, kth)
                 if np.array_equal(pulled, propose):
                     break
@@ -302,7 +305,8 @@ class VecSrikanthToueg(VecRoundModel):
                  np.arange(count)] = propose
         pool = arrivals if extra == 0 else np.vstack([arrivals, live])
         quorum = p.n - f
-        return np.partition(pool, quorum - 1, axis=0)[quorum - 1]
+        pool.partition(quorum - 1, axis=0)
+        return pool[quorum - 1]
 
     def run(self) -> ProtocolRunResult:
         p = self.params
