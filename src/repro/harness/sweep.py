@@ -598,14 +598,21 @@ def register_cell_kind(name: str,
     CELL_KINDS[name] = runner
 
 
-#: Built-in kinds that run no protocol: every builder feature on them
-#: would be silently ignored, so :func:`check_spec` rejects them.
-_PROTOCOL_FREE_KINDS = frozenset(
-    {"failure_mc", "trigger_fuzz", "augment_counts"})
-
 #: The spec fields only a cell that runs a protocol reads.
-_PROTOCOL_FIELDS = ("protocol", "schedule", "engine", "adversary",
-                    "first_contact", "loss", "collect")
+_PROTOCOL_FIELDS = ("protocol", "schedule", "schedule_args", "engine",
+                    "adversary", "first_contact", "loss", "collect",
+                    "config", "timing")
+
+#: Built-in kinds that run no protocol, each with the spec fields it
+#: would silently ignore, which :func:`check_spec` rejects: every
+#: protocol field, the params and the round count, and the graph
+#: unless the kind builds it.
+_UNREAD = ("params", "rounds") + _PROTOCOL_FIELDS
+_PROTOCOL_FREE_KINDS = {
+    "failure_mc": ("graph", "graph_args") + _UNREAD,
+    "trigger_fuzz": ("graph", "graph_args") + _UNREAD,
+    "augment_counts": _UNREAD,
+}
 
 
 def check_spec(spec: ScenarioSpec) -> ScenarioSpec:
@@ -618,9 +625,12 @@ def check_spec(spec: ScenarioSpec) -> ScenarioSpec:
     ``graph``'s ClusterGraph constructor.  Then the composition through
     :func:`~repro.core.protocol.check_composition`: the whole table,
     the graph, the params and every ``config``/``payload`` key for a
-    cell that runs a protocol, the feature values alone for a custom
-    kind, and no protocol field at all on a built-in kind that runs no
-    protocol.  Every failure is a
+    cell that runs a protocol, and the feature values alone for a
+    custom kind.  A built-in kind that runs no protocol takes no field
+    it would ignore: no protocol field (``config``, ``schedule_args``
+    and ``timing`` among them), no ``params`` or ``rounds``, and no
+    ``graph`` or ``graph_args`` unless it builds the graph
+    (``augment_counts``).  Every failure is a
     :class:`~repro.errors.ConfigError`.  No graph is built, except a
     node-churn cell's own, to check the schedule's arguments against
     it.
@@ -658,10 +668,12 @@ def check_spec(spec: ScenarioSpec) -> ScenarioSpec:
             raise ConfigError(f"bad graph_args {tuple(spec.graph_args)!r} "
                               f"for {spec.graph}: {exc}") from None
     if spec.kind in _PROTOCOL_FREE_KINDS:
+        # A field is set when it differs from its default, unless both
+        # are empty (``[]`` for ``()``); so ``rounds=0`` is set.
         blank = ScenarioSpec()
-        ignored = [name for name in _PROTOCOL_FIELDS
-                   if getattr(spec, name)
-                   and getattr(spec, name) != getattr(blank, name)]
+        ignored = [name for name in _PROTOCOL_FREE_KINDS[spec.kind]
+                   if getattr(spec, name) != getattr(blank, name)
+                   and (getattr(spec, name) or getattr(blank, name))]
         if ignored:
             raise ConfigError(
                 f"cell kind {spec.kind!r} runs no protocol and would "

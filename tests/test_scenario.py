@@ -232,12 +232,36 @@ class TestCellsOutsideTheTable:
                 .engine("vectorized").build())
         assert run_cell(spec) is spec
 
-    @pytest.mark.parametrize("kind, protocol, message", [
-        ("failure_mc", "ftgcs", r"ignore \['protocol'\]"),
-    ], ids=["protocol-free"])
+    @pytest.mark.parametrize("kind, fields, message", [
+        ("failure_mc", {"protocol": "ftgcs"}, r"ignore \['protocol'\]"),
+        ("failure_mc", {"graph": "line", "graph_args": [3]},
+         r"ignore \['graph', 'graph_args'\]"),
+        ("failure_mc", {"params": PARAMS}, r"ignore \['params'\]"),
+        ("failure_mc", {"rounds": 9}, r"ignore \['rounds'\]"),
+        ("failure_mc", {"rounds": 0}, r"ignore \['rounds'\]"),
+        ("failure_mc", {"config": {"init_jitter": 0.1}},
+         r"ignore \['config'\]"),
+        ("trigger_fuzz", {"timing": True}, r"ignore \['timing'\]"),
+        ("trigger_fuzz", {"graph": "ring", "graph_args": [4]},
+         r"ignore \['graph', 'graph_args'\]"),
+        ("trigger_fuzz", {"params": PARAMS, "rounds": 3},
+         r"ignore \['params', 'rounds'\]"),
+        ("augment_counts", {"graph": "line", "graph_args": [3],
+                            "params": PARAMS}, r"ignore \['params'\]"),
+        ("augment_counts", {"graph": "line", "graph_args": [3],
+                            "rounds": 9}, r"ignore \['rounds'\]"),
+        ("augment_counts", {"graph": "line", "graph_args": [3],
+                            "schedule_args": {"interval": 2.0}},
+         r"ignore \['schedule_args'\]"),
+    ], ids=["protocol-free", "failure_mc-graph", "failure_mc-params",
+            "failure_mc-rounds", "failure_mc-zero-rounds",
+            "failure_mc-config", "trigger_fuzz-timing",
+            "trigger_fuzz-graph", "trigger_fuzz-params-rounds",
+            "augment_counts-params", "augment_counts-rounds",
+            "augment_counts-schedule_args"])
     def test_protocol_field_the_kind_overrides_or_ignores(
-            self, kind, protocol, message):
-        data = {"kind": kind, "protocol": protocol, "seed": 1}
+            self, kind, fields, message):
+        data = {"kind": kind, "seed": 1, **fields}
         with pytest.raises(ConfigError, match=message):
             Scenario.from_dict(data).build()
         with pytest.raises(ConfigError, match=message):
