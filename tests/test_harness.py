@@ -1,8 +1,6 @@
-"""Tests for the harness: tables, runners, and experiment smoke runs.
-
-Experiment functions run here in further-scaled-down form where the
-quick mode is already small, asserting structural properties of the
-returned tables (the benchmarks exercise the full quick mode).
+"""Tests for the harness: tables, runner helpers, the failure bounds,
+and the claims of four quick tables (read from the session's
+``quick_tables``).
 """
 
 import pytest
@@ -152,7 +150,8 @@ class TestBoundsFunctions:
 
 
 class TestExperimentsSmoke:
-    """Cheap structural checks; heavy lifting lives in benchmarks/."""
+    """The claims of the t05, t08, t10 and t12 quick tables (the other
+    tables' are in ``tests/test_registry.py``)."""
 
     def test_t05_rows_and_ordering(self, quick_tables):
         table = quick_tables["t05"]
@@ -166,6 +165,12 @@ class TestExperimentsSmoke:
             f, k, factor = row[1], row[2], row[4]
             assert k == 3 * f + 1
             assert factor == pytest.approx(k)
+        # Edge factor is Theta(k^2) = Theta(f^2) for f >= 1.
+        faulty = [row for row in table.rows if row[1] >= 1]
+        assert faulty
+        for row in faulty:
+            k, edge_factor = row[2], row[6]
+            assert k * k / 2 <= edge_factor <= 2 * k * k
 
     def test_t10_no_violations(self, quick_tables):
         table = quick_tables["t10"]
@@ -174,3 +179,5 @@ class TestExperimentsSmoke:
     def test_t12_convergence_within_envelope(self, quick_tables):
         table = quick_tables["t12"]
         assert all(table.column("within"))
+        predicted = table.column("predicted e(r)")
+        assert predicted == sorted(predicted, reverse=True)

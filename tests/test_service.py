@@ -30,7 +30,7 @@ from repro.core.params import Parameters
 from repro.core.system import RunResult
 from repro.errors import ConfigError
 from repro.harness import serialize
-from repro.harness.registry import REGISTRY, run_experiment
+from repro.harness.registry import REGISTRY
 from repro.harness.scenario import Scenario
 from repro.harness.sweep import (
     CELL_KINDS,
@@ -341,7 +341,7 @@ class TestResultStore:
 
 
 class TestJobManager:
-    def test_experiment_job_runs_to_done(self, manager):
+    def test_experiment_job_runs_to_done(self, manager, quick_tables):
         job = manager.submit_experiment("t01", quick=True)
         assert job.state in ("queued", "running", "done")
         manager.wait(job.id, timeout=120)
@@ -349,8 +349,7 @@ class TestJobManager:
         assert job.table is not None
         assert job.executed_cells == job.total_cells > 0
         assert job.cached_cells == 0
-        assert job.table.to_json() \
-            == run_experiment("t01", quick=True).to_json()
+        assert job.table.to_json() == quick_tables["t01"].to_json()
 
     def test_resubmission_is_all_cache_hits(self, manager):
         first = manager.submit_experiment("t01", quick=True)
@@ -674,9 +673,9 @@ class TestServedByteIdentity:
     """The acceptance criteria, per experiment."""
 
     @pytest.mark.parametrize("experiment_id", ["t01", "t14", "t16"])
-    def test_served_result_matches_direct_run(self, client,
+    def test_served_result_matches_direct_run(self, client, quick_tables,
                                               experiment_id):
-        direct = run_experiment(experiment_id, quick=True).to_json()
+        direct = quick_tables[experiment_id].to_json()
 
         cold = client.post("/jobs",
                            json={"experiment": experiment_id,
