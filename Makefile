@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test golden verify lint list run serve smoke-t16 smoke-serve smoke-vec smoke-adversary bench-check bench-ab bench-layers bench
+.PHONY: test golden verify lint list run serve smoke-t16 smoke-serve bench-check bench-ab bench-layers
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -15,11 +15,11 @@ golden:
 	$(PYTHON) tests/record_golden.py
 
 # What CI runs (.github/workflows/ci.yml): the determinism/contract
-# lint + tier-1 tests + one experiment end to end through the CLI
-# (smoke-t16) + the cross-engine equivalence matrix + the
-# adversary-layer smoke + the end-to-end serving check + the
+# lint + tier-1 tests (every quick table's claims and golden values,
+# the cross-engine equivalence matrix) + one experiment end to end
+# through the CLI (smoke-t16) + the end-to-end serving check + the
 # benchmark bit-identity gate.
-verify: lint test smoke-t16 smoke-vec smoke-adversary smoke-serve bench-check
+verify: lint test smoke-t16 smoke-serve bench-check
 
 # Determinism & contract static analysis (src/repro/lint): AST rules
 # (raw-rng, wall-clock, unordered-iter, stream-label) plus the
@@ -63,19 +63,6 @@ serve:
 # (everything from the content-addressed cache).
 smoke-serve:
 	$(PYTHON) benchmarks/smoke_serve.py
-
-# Cross-engine equivalence matrix (CI runs this): every vectorized
-# protocol cell on both engines — bit-equal where the math permits,
-# documented tolerance otherwise.  About a second.
-smoke-vec:
-	$(PYTHON) benchmarks/smoke_vec.py
-
-# Adversary-layer smoke (CI runs this): the quick T18 resilience sweep
-# (static + adaptive adversaries, both engines, absorption-envelope
-# column) plus the adversary cells of the equivalence matrix.  About a
-# second.
-smoke-adversary:
-	$(PYTHON) benchmarks/smoke_adversary.py
 
 # Bit-identity gate (CI runs this after the tier-1 tests): the shortest
 # untraced runs (their minimum of 7 passes) of all three benchmark
@@ -121,7 +108,3 @@ bench-layers:
 		--workload $(WORKLOAD) --pairs $(or $(PAIRS),3) \
 		$(if $(CHANGE),--change $(CHANGE)) \
 		$(if $(SEED),--first-seed $(SEED)) $(if $(OUT),--out $(OUT))
-
-# Full pytest-benchmark suite (tables T1-T18).
-bench:
-	$(PYTHON) -m pytest benchmarks/bench_*.py -q --benchmark-only

@@ -24,9 +24,9 @@ run on **both** engines and compared under one of three modes:
 :func:`quick_cells` is the standing matrix (every vectorized protocol,
 including the degenerate-topology and f-bound fault cells);
 :func:`run_equivalence` executes it and returns a report.  The matrix
-runs in-process in a few seconds — it is a test fixture
-(``tests/test_equivalence.py``) and the ``make smoke-vec`` target, not
-a sweep.
+runs in-process in a few seconds — it is a tier-1 test fixture
+(``equivalence_report``, read by ``tests/test_equivalence.py`` and the
+golden gate), not a sweep.
 """
 
 from __future__ import annotations

@@ -731,23 +731,20 @@ def _coerce_processes(value, source: str) -> int:
     return max(1, count)
 
 
-def default_processes(processes: int | None = None,
-                      fallback: int = 1) -> int:
+def default_processes(processes: int | None = None) -> int:
     """Resolve a worker count: explicit > ``REPRO_SWEEP_PROCESSES`` >
-    ``fallback``.
+    serial.
 
     The single resolution path for every worker-count knob in the
-    library (experiment registry, CLI, benchmarks).
-    The stock fallback is serial so unit tests and small sweeps never
-    pay pool startup; callers that should scale with the machine pass
-    e.g. ``fallback=min(4, os.cpu_count() or 1)``.
+    library (experiment registry, CLI, service).  Serial by default,
+    so unit tests and small sweeps never pay pool startup.
     """
     if processes is not None:
         return _coerce_processes(processes, "processes")
     env = os.environ.get("REPRO_SWEEP_PROCESSES")
     if env:
         return _coerce_processes(env, "REPRO_SWEEP_PROCESSES")
-    return _coerce_processes(fallback, "fallback")
+    return 1
 
 
 class SweepRunner:

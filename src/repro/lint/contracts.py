@@ -27,10 +27,10 @@ guarantees hang on:
     in the standing cross-engine equivalence matrix.
 
 ``registry-coverage``
-    Every registered experiment id must have a matching
-    ``benchmarks/bench_<id>*.py`` (or ``smoke_<id>*.py``) script and
-    at least one test referencing it, so no experiment can rot
-    outside the bench and test loops.
+    Every registered experiment id must have a quick table pinned in
+    ``tests/golden_outputs.json``, which the tier-1 golden gate
+    compares exactly, and at least one test referencing it, so no
+    experiment can rot outside the test loop.
 
 Each check takes its subjects as parameters (defaulting to the live
 registries) so the test suite can inject fixture specs, protocols,
@@ -285,27 +285,26 @@ def _experiment_anchor(root: Path, experiment_id: str
 
 def check_registry_coverage(ids: Sequence[str] | None = None, *,
                             root: Path) -> list[Finding]:
-    """Every experiment id has a bench/smoke script and a test."""
+    """Every experiment id has a pinned quick table and a test."""
     if ids is None:
         from repro.harness.registry import REGISTRY
 
         ids = REGISTRY.ids()
-    bench_dir = root / "benchmarks"
     test_dir = root / "tests"
+    golden = test_dir / "golden_outputs.json"
+    pinned = (json.loads(golden.read_text(encoding="utf-8"))["tables"]
+              if golden.is_file() else {})
     test_texts = [p.read_text(encoding="utf-8")
                   for p in sorted(test_dir.glob("test_*.py"))]
     findings = []
     hint = RULES["registry-coverage"].hint
     for experiment_id in ids:
         path, line = _experiment_anchor(root, experiment_id)
-        scripts = (list(bench_dir.glob(f"bench_{experiment_id}*.py"))
-                   + list(bench_dir.glob(f"smoke_{experiment_id}*.py")))
-        if not scripts:
+        if experiment_id not in pinned:
             findings.append(Finding(
                 path=path, line=line, rule="registry-coverage",
-                message=f"experiment {experiment_id!r} has no "
-                        f"benchmarks/bench_{experiment_id}*.py or "
-                        f"smoke_{experiment_id}*.py script",
+                message=f"experiment {experiment_id!r} has no pinned "
+                        "quick table in tests/golden_outputs.json",
                 hint=hint))
         # Lookbehind instead of \b so underscore-joined references
         # (``t10_trigger_exclusion``, ``test_t10_no_violations``)

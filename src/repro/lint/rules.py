@@ -73,10 +73,11 @@ RULES: dict[str, Rule] = {rule.id: rule for rule in (
              "engine_vec.equivalence.quick_cells"),
     Rule(
         id="registry-coverage",
-        summary="registered experiment without a bench/smoke script "
-                "or without a test referencing it",
-        hint="add benchmarks/bench_<id>_*.py (or smoke_<id>*.py) and "
-             "reference the id from a test"),
+        summary="registered experiment without a quick table pinned "
+                "in tests/golden_outputs.json or without a test "
+                "referencing it",
+        hint="record its quick table with tests/record_golden.py "
+             "(make golden) and reference the id from a test"),
     Rule(
         id="bare-pragma",
         summary="repro: allow pragma without a reason, or naming an "

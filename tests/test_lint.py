@@ -467,9 +467,6 @@ class TestRegistryCoverageContract:
     def test_live_registry_is_fully_covered(self):
         assert check_registry_coverage(root=repo_root()) == []
 
-    def test_t17_has_bench_coverage(self):
-        assert check_registry_coverage(["t17"], root=repo_root()) == []
-
     def test_ghost_experiment_fires_both_checks(self):
         # Build the id at runtime so this very file's text cannot
         # satisfy the tests-reference check.
@@ -478,7 +475,8 @@ class TestRegistryCoverageContract:
         assert _rules(findings) == ["registry-coverage",
                                     "registry-coverage"]
         messages = " / ".join(finding.message for finding in findings)
-        assert "script" in messages and "test" in messages
+        assert "no pinned quick table" in messages
+        assert "not referenced by any test" in messages
 
 
 class TestFullTree:

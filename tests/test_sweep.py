@@ -334,10 +334,6 @@ class TestDefaultProcesses:
     def test_floor_of_one(self):
         assert default_processes(0) == 1
 
-    def test_fallback_used_when_nothing_set(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_PROCESSES", raising=False)
-        assert default_processes(fallback=4) == 4
-
     def test_garbage_env_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_PROCESSES", "many")
         with pytest.raises(ConfigError):
