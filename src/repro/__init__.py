@@ -93,14 +93,13 @@ try:  # The declarative experiment API (see API.md).
         SweepRunner,
         Table,
         run_experiment,
-        run_scenario,
         spec_hash,
     )
 
     __all__ += [
         "REGISTRY", "ExperimentRegistry", "Scenario", "ScenarioSpec",
         "SweepCellResult", "SweepRunner", "Table", "run_experiment",
-        "run_scenario", "spec_hash",
+        "spec_hash",
     ]
 except ImportError:  # pragma: no cover - during bootstrap only
     pass

@@ -27,10 +27,8 @@ from repro.harness.registry import (
     run_experiment,
 )
 from repro.harness.runner import (
-    ScenarioResult,
     default_params,
     gradient_offsets,
-    run_scenario,
     steady_state_skews,
     step_offsets,
 )
@@ -74,15 +72,12 @@ __all__ = [
     "default_params",
     "gradient_offsets",
     "step_offsets",
-    # direct runners
-    "ScenarioResult",
-    "run_scenario",
-    "steady_state_skews",
     # sweep engine
     "CELL_KINDS",
     "COLLECTORS",
     "SweepCellResult",
     "SweepRunner",
+    "steady_state_skews",
     "default_processes",
     "register_cell_kind",
     "resolve_cell_seeds",

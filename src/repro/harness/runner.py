@@ -8,11 +8,7 @@ wiring code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.params import Parameters
-from repro.core.system import FtgcsSystem, RunResult, SystemConfig
-from repro.topology.cluster_graph import ClusterGraph
 
 
 def default_params(rho: float = 1e-4, d: float = 1.0, u: float = 0.1,
@@ -38,46 +34,6 @@ def steady_state_skews(series, tail_fraction: float = 0.5
         "local_cluster": max(s.max_local_cluster for s in tail),
         "local_node": max(s.max_local_node for s in tail),
     }
-
-
-@dataclass
-class ScenarioResult:
-    """A run plus the system (for post-hoc analysis accessors)."""
-
-    system: FtgcsSystem
-    result: RunResult
-
-    def steady_state_skews(self, tail_fraction: float = 0.5
-                           ) -> dict[str, float]:
-        """Max skews over the last ``tail_fraction`` of samples."""
-        return steady_state_skews(self.result.series, tail_fraction)
-
-
-def run_scenario(graph: ClusterGraph, params: Parameters, *,
-                 rounds: int, seed: int = 0,
-                 strategy_factory=None,
-                 faults_per_cluster: int | None = None,
-                 config: SystemConfig | None = None) -> ScenarioResult:
-    """Build and run one system, optionally with faults everywhere.
-
-    The passed ``config`` is never modified: measurement defaults
-    (``sample_interval``, ``record_series``, ``track_edges``) and fault
-    placement are applied to a private copy, so one config object can
-    be reused across scenarios.  The defaults come from the same
-    :func:`repro.protocols.prepare_ftgcs_config` helper the unified
-    ``ftgcs`` protocol uses, so the two paths cannot drift.
-    """
-    # Function-level import: repro.protocols pulls in every algorithm
-    # module, which this frequently-imported helper module should not
-    # load eagerly.
-    from repro.protocols import prepare_ftgcs_config
-
-    config = prepare_ftgcs_config(
-        graph, params, config=config, strategy_factory=strategy_factory,
-        faults_per_cluster=faults_per_cluster)
-    system = FtgcsSystem.build(graph, params, seed=seed, config=config)
-    result = system.run_rounds(rounds)
-    return ScenarioResult(system=system, result=result)
 
 
 def gradient_offsets(num_clusters: int, per_edge: float) -> list[float]:

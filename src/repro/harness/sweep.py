@@ -328,8 +328,7 @@ class SweepCellResult:
         Only meaningful for FTGCS-family cells, whose series is a
         :class:`~repro.analysis.metrics.SkewSnapshot` list (carried by
         a :class:`~repro.core.protocol.ProtocolRunResult` whose
-        ``detail`` is a :class:`~repro.core.system.RunResult`, or by a
-        bare ``RunResult`` from direct ``run_scenario`` use).
+        ``detail`` is a :class:`~repro.core.system.RunResult`).
         """
         result = self.result
         if isinstance(result, ProtocolRunResult):

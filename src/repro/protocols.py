@@ -135,42 +135,15 @@ def _event_adversary(protocol: SyncProtocol, ctx: BuildContext):
     return model
 
 
-def prepare_ftgcs_config(graph, params, config=None,
-                         strategy_factory=None,
-                         faults_per_cluster=None) -> SystemConfig:
-    """Measurement defaults + fault placement for an FTGCS-family run.
-
-    The single source of truth shared by the ``ftgcs``/``lynch_welch``
-    protocols and the direct :func:`repro.harness.runner.run_scenario`
-    path: sample interval defaults to a quarter round, the series and
-    per-edge maxima are always recorded, and a factory of
-    :class:`~repro.faults.adversary.AdversaryModel` instances places
-    ``faults_per_cluster`` (default ``params.f``) faults in every
-    cluster.  The passed ``config`` is never modified — defaults are
-    applied to a private copy.
-    """
-    config = replace(config) if config is not None else SystemConfig()
-    if config.sample_interval is None:
-        config.sample_interval = params.round_length / 4.0
-    config.record_series = True
-    config.track_edges = True
-    if strategy_factory is not None:
-        per_cluster = (faults_per_cluster if faults_per_cluster
-                       is not None else params.f)
-        aug = graph.augment(params.cluster_size)
-        config.byzantine = place_everywhere(aug, per_cluster,
-                                            strategy_factory)
-    return config
-
-
 @register_protocol
 class FtgcsProtocol(SyncProtocol):
     """The paper's fault-tolerant gradient construction.
 
     ``ctx.config`` carries :class:`~repro.core.system.SystemConfig`
-    kwargs; a payload is rejected.  Measurement defaults match the
-    historical ``run_scenario`` path: the sample interval defaults to
-    a quarter round and the series/edge maxima are always recorded.
+    kwargs; a payload is rejected.  The sample interval defaults to a
+    quarter round and the series/edge maxima are always recorded.  An
+    adversary controls ``count`` (default ``params.f``) nodes in every
+    cluster.
     """
 
     name = "ftgcs"
@@ -190,22 +163,22 @@ class FtgcsProtocol(SyncProtocol):
 
     def build_nodes(self, ctx: BuildContext) -> None:
         params = ctx.params
-        factory = faults_per_cluster = None
-        model = _event_adversary(self, ctx)
-        if model is not None:
-            # One fresh model per faulty node; its driver is the act
-            # phase on this engine.
-            factory = lambda _node: get_adversary(**ctx.adversary)
-            faults_per_cluster = model.count
-            self.adversary_counters.update(
-                count=params.f if model.count is None else model.count)
-        config = prepare_ftgcs_config(
-            ctx.graph, params,
-            config=SystemConfig(**ctx.config) if ctx.config else None,
-            strategy_factory=factory,
-            faults_per_cluster=faults_per_cluster)
+        config = SystemConfig(**ctx.config)
+        if config.sample_interval is None:
+            config.sample_interval = params.round_length / 4.0
+        config.record_series = True
+        config.track_edges = True
         if ctx.first_contact:
             config.dynamic_estimators = True
+        model = _event_adversary(self, ctx)
+        if model is not None:
+            count = params.f if model.count is None else model.count
+            self.adversary_counters.update(count=count)
+            # One fresh model per faulty node; its driver is the act
+            # phase on this engine.
+            config.byzantine = place_everywhere(
+                ctx.graph.augment(params.cluster_size), count,
+                lambda _node: get_adversary(**ctx.adversary))
         self.system = self._make_system(ctx.graph, params, ctx.seed,
                                         config)
         self.sim = self.system.sim

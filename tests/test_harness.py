@@ -12,14 +12,8 @@ from repro.analysis.bounds import (
     system_failure_probability,
 )
 from repro.errors import ConfigError, ParameterError
-from repro.harness.runner import (
-    default_params,
-    gradient_offsets,
-    run_scenario,
-    step_offsets,
-)
+from repro.harness.runner import gradient_offsets, step_offsets
 from repro.harness.tables import Table
-from repro.topology import ClusterGraph
 
 
 class TestTable:
@@ -66,53 +60,6 @@ class TestRunnerHelpers:
 
     def test_step_offsets(self):
         assert step_offsets(4, 2, 5.0) == [0.0, 0.0, 5.0, 5.0]
-
-    def test_run_scenario_records_series(self):
-        params = default_params()
-        scenario = run_scenario(ClusterGraph.line(2), params, rounds=4,
-                                seed=1)
-        assert scenario.result.series
-        steady = scenario.steady_state_skews()
-        assert set(steady) == {"global", "intra", "local_cluster",
-                               "local_node"}
-
-    def test_run_scenario_with_faults(self):
-        from repro.faults import SilentAdversary
-
-        params = default_params()
-        scenario = run_scenario(
-            ClusterGraph.line(2), params, rounds=4, seed=1,
-            strategy_factory=lambda n: SilentAdversary())
-        assert scenario.result.missing_pulses > 0
-
-    def test_run_scenario_leaves_caller_config_unchanged(self):
-        # Regression: run_scenario used to set measurement defaults and
-        # fault placement on the caller's object, so a reused config
-        # silently accumulated state.
-        from repro.core.system import SystemConfig
-        from repro.faults import SilentAdversary
-
-        params = default_params()
-        config = SystemConfig(cluster_offsets=[0.0, 1.0])
-        run_scenario(ClusterGraph.line(2), params, rounds=3, seed=1,
-                     strategy_factory=lambda n: SilentAdversary(),
-                     config=config)
-        assert config.sample_interval is None
-        assert config.record_series is False
-        assert config.track_edges is False
-        assert config.byzantine == {}
-        assert config.cluster_offsets == [0.0, 1.0]
-
-    def test_run_scenario_config_reusable_across_runs(self):
-        from repro.core.system import SystemConfig
-
-        params = default_params()
-        config = SystemConfig(init_jitter=0.05)
-        first = run_scenario(ClusterGraph.line(2), params, rounds=3,
-                             seed=1, config=config)
-        second = run_scenario(ClusterGraph.line(2), params, rounds=3,
-                              seed=1, config=config)
-        assert first.result.series == second.result.series
 
 
 class TestBoundsFunctions:

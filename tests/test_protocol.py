@@ -15,9 +15,8 @@ from repro.core.protocol import (
     protocol_names,
     register_protocol,
 )
-from repro.core.system import RunResult
 from repro.errors import ConfigError
-from repro.harness.runner import default_params, run_scenario
+from repro.harness.runner import default_params
 from repro.harness.serialize import content_hash
 from repro.harness.sweep import ScenarioSpec, run_cell
 from repro.topology.cluster_graph import ClusterGraph
@@ -93,26 +92,6 @@ class TestBuilderValidation:
 
 
 class TestFtgcsEquivalence:
-    def test_matches_legacy_run_scenario(self):
-        """The unified path reproduces run_scenario bit-for-bit."""
-        params = default_params(f=1)
-        graph = ClusterGraph.line(3)
-        result = (SystemBuilder("ftgcs").topology(graph).params(params)
-                  .rounds(3).adversary("equivocate").seed(7).build()
-                  .run())
-
-        from repro.faults import EquivocateAdversary
-
-        legacy = run_scenario(
-            graph, params, rounds=3, seed=7,
-            strategy_factory=lambda _n: EquivocateAdversary())
-        assert isinstance(result, ProtocolRunResult)
-        assert isinstance(result.detail, RunResult)
-        assert result.max_global_skew == legacy.result.max_global_skew
-        assert result.messages_sent == legacy.result.messages_sent
-        assert result.events_processed == legacy.result.events_processed
-        assert result.series == legacy.result.series
-
     def test_rounds_validated(self):
         system = (SystemBuilder("ftgcs").topology(ClusterGraph.line(1))
                   .params(default_params()).rounds(0).build())
