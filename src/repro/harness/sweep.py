@@ -394,6 +394,12 @@ _GRAPHS = {name: inspect.signature(getattr(ClusterGraph, name))
           if isinstance(attr, classmethod)}
 
 
+#: Topology schedule factory -> its signature, which ``(graph,
+#: **schedule_args)`` must bind to; filled on first use, as schedules
+#: may register after import.
+_SCHEDULE_SIGNATURES: dict[Callable, inspect.Signature] = {}
+
+
 def _build_graph(spec: ScenarioSpec) -> ClusterGraph:
     if not spec.graph:
         raise ConfigError(f"cell kind {spec.kind!r} needs a graph")
@@ -619,9 +625,13 @@ def check_spec(spec: ScenarioSpec) -> ScenarioSpec:
     (``Scenario.build``, ``JobManager.submit_grid``, the scenario
     library and :func:`run_cell`); returns ``spec``.
 
-    Types and names first: each name must be a string a registry
+    Types and names first: ``rounds`` must be an ``int``, ``seed`` an
+    ``int`` or ``None`` (a ``bool`` is neither), ``first_contact`` and
+    ``timing`` real ``bool`` values, each name a string a registry
     knows, and ``graph_args`` must bind to the signature of the
-    ``graph``'s ClusterGraph constructor.  Then the composition through
+    ``graph``'s ClusterGraph constructor, ``schedule_args`` to the
+    schedule factory's (a ``static`` schedule takes none).  Then the
+    composition through
     :func:`~repro.core.protocol.check_composition`: the whole table,
     the graph, the params and every ``config``/``payload`` key for a
     cell that runs a protocol, and the feature values alone for a
@@ -637,12 +647,17 @@ def check_spec(spec: ScenarioSpec) -> ScenarioSpec:
     for name, types, what in (
             ("graph", str, "a ClusterGraph constructor name"),
             ("graph_args", (list, tuple), "a list"),
+            ("rounds", int, "an int"),
+            ("seed", (int, type(None)), "an int or None"),
             ("schedule_args", dict, "a mapping"),
+            ("first_contact", bool, "a bool"),
+            ("timing", bool, "a bool"),
             ("config", dict, "a mapping"),
             ("payload", dict, "a mapping"),
             ("collect", (list, tuple), "a list of collector names")):
         value = getattr(spec, name)
-        if not isinstance(value, types):
+        if not isinstance(value, types) or (isinstance(value, bool)
+                                            and types is not bool):
             raise ConfigError(f"{name} must be {what}: {value!r}")
     known = [(spec.kind, CELL_KINDS, "cell kind"),
              (spec.schedule, SCHEDULES, "topology schedule"),
@@ -678,6 +693,16 @@ def check_spec(spec: ScenarioSpec) -> ScenarioSpec:
                 f"cell kind {spec.kind!r} runs no protocol and would "
                 f"ignore {ignored}; use a protocol cell")
         return spec
+    schedule = SCHEDULES[spec.schedule]
+    signature = _SCHEDULE_SIGNATURES.get(schedule)
+    if signature is None:
+        signature = _SCHEDULE_SIGNATURES[schedule] = inspect.signature(
+            schedule)
+    try:
+        signature.bind(None, **spec.schedule_args)  # None: the graph
+    except TypeError as exc:
+        raise ConfigError(f"bad schedule_args {spec.schedule_args!r} for "
+                          f"{spec.schedule}: {exc}") from None
     protocol = cell_protocol(spec)
     if spec.schedule == "node_churn" and spec.graph:
         try:
@@ -689,7 +714,6 @@ def check_spec(spec: ScenarioSpec) -> ScenarioSpec:
     # TopologySchedule.has_edge_events makes: no schedule is built.  A
     # schedule registered as a factory function shows its events only
     # once built, so SystemBuilder.build checks them in the worker.
-    schedule = SCHEDULES[spec.schedule]
     is_class = isinstance(schedule, type)
     features = dict(
         adversary=spec.adversary,

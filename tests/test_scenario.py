@@ -328,6 +328,43 @@ class TestGraphChecks:
         assert str(worker.value).startswith(f"bad graph line{args!r}: ")
 
 
+class TestFieldChecks:
+    """A field of the wrong type, or ``schedule_args`` that do not bind
+    to the schedule's signature, fail in ``check_spec`` as they fail in
+    the worker, instead of as a bare Python error (or not at all)."""
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"rounds": "x"}, "rounds must be an int: 'x'"),
+        ({"rounds": 2.5}, "rounds must be an int: 2.5"),
+        ({"rounds": None}, "rounds must be an int: None"),
+        ({"rounds": True}, "rounds must be an int: True"),
+        ({"seed": "x"}, "seed must be an int or None: 'x'"),
+        ({"seed": True}, "seed must be an int or None: True"),
+        ({"first_contact": 1}, "first_contact must be a bool: 1"),
+        ({"timing": "yes"}, "timing must be a bool: 'yes'"),
+        ({"schedule": "churn"}, "bad schedule_args {} for churn: "
+         "missing a required argument: 'interval'"),
+        ({"schedule_args": {"bogus": 1}}, "bad schedule_args "
+         "{'bogus': 1} for static: got an unexpected keyword argument "
+         "'bogus'"),
+    ], ids=["rounds-str", "rounds-float", "rounds-none", "rounds-bool",
+            "seed-str", "seed-bool", "first_contact-int", "timing-str",
+            "churn-without-args", "static-with-args"])
+    def test_refused_by_check_spec_build_and_run_cell_alike(
+            self, fields, message):
+        data = {**Scenario.line(3).params(PARAMS).rounds(3).seed(1)
+                .to_dict(), **fields}
+        spec = ScenarioSpec.from_dict(data)
+        with pytest.raises(ConfigError) as eager:
+            check_spec(spec)
+        assert str(eager.value) == message
+        with pytest.raises(ConfigError) as built:
+            Scenario.from_dict(data).build()
+        with pytest.raises(ConfigError) as worker:
+            run_cell(spec)
+        assert str(built.value) == str(worker.value) == message
+
+
 class TestEndToEnd:
     def test_built_spec_runs(self):
         spec = (Scenario.line(2).params(default_params()).rounds(3)

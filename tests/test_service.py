@@ -864,9 +864,21 @@ class TestRestApi:
         ({"graph": "bogus"}, "unknown graph constructor 'bogus'"),
         ({"graph_args": ()}, "bad graph_args () for line"),
         ({"graph_args": (3, 3, 3)}, "bad graph_args (3, 3, 3) for line"),
+        ({"rounds": "x"}, "rounds must be an int: 'x'"),
+        ({"rounds": 2.5}, "rounds must be an int: 2.5"),
+        ({"rounds": None}, "rounds must be an int: None"),
+        ({"seed": "x"}, "seed must be an int or None: 'x'"),
+        ({"schedule": "churn"}, "bad schedule_args {} for churn"),
+        ({"schedule_args": {"bogus": 1}},
+         "bad schedule_args {'bogus': 1} for static"),
+        ({"first_contact": 1}, "first_contact must be a bool: 1"),
+        ({"timing": "yes"}, "timing must be a bool: 'yes'"),
     ], ids=["unknown-config", "unknown-payload", "no-params", "no-graph",
             "no-until", "vectorized-liars", "vectorized-sample-interval",
-            "unknown-graph", "no-graph-args", "too-many-graph-args"])
+            "unknown-graph", "no-graph-args", "too-many-graph-args",
+            "rounds-str", "rounds-float", "rounds-none", "seed-str",
+            "churn-without-args", "static-with-args", "first_contact-int",
+            "timing-str"])
     def test_cells_the_worker_would_reject_are_400(self, client, fields,
                                                     message):
         cell = dataclasses.replace(small_spec(seed=None), **fields)
