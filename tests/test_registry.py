@@ -105,20 +105,19 @@ class TestRunExperiment:
         assert tuple(table.columns) == experiment.columns
         assert table.rows
 
-    def test_serial_vs_parallel_bit_identical(self):
+    def test_serial_vs_parallel_bit_identical(self, quick_tables):
         # T5 shares one Monte Carlo RNG stream across its grid — the
         # hardest case for the parallel split.
-        serial = run_experiment("t05", quick=True, processes=1)
+        serial = quick_tables["t05"]
         parallel = run_experiment("t05", quick=True, processes=3)
         assert serial.rows == parallel.rows
         assert serial.format() == parallel.format()
 
-    def test_dynamic_experiments_serial_vs_parallel(self):
+    def test_dynamic_experiments_serial_vs_parallel(self, quick_tables):
         # The dynamic-topology experiments (adversarial schedules +
         # first-contact bring-up) must also be pool-size invariant.
         for experiment_id in ("t13", "t15"):
-            serial = run_experiment(experiment_id, quick=True,
-                                    processes=1)
+            serial = quick_tables[experiment_id]
             parallel = run_experiment(experiment_id, quick=True,
                                       processes=2)
             assert serial.rows == parallel.rows
