@@ -184,6 +184,33 @@ class _RogueLoud(AdversaryModel):
         return offsets, np.ones(view.num_slots, dtype=bool)
 
 
+class _RogueHush(AdversaryModel):
+    """Silences every slot, honest senders' too (outside its budget)."""
+
+    name = "rogue_hush"
+    supports_vectorized = True
+
+    def act(self, view):
+        return (np.zeros(view.num_slots),
+                np.zeros(view.num_slots, dtype=bool))
+
+
+class _RogueMisshapen(AdversaryModel):
+    """Returns one offset too many, on either shape."""
+
+    name = "rogue_misshapen"
+    supports_vectorized = True
+
+    def act(self, view):
+        return (np.zeros(view.num_slots + 1),
+                np.ones(view.num_slots, dtype=bool))
+
+    def act_pairs(self, view):
+        faulty = len(view.faulty_ids)
+        return (np.zeros((faulty, len(view.receiver_ids) + 1)),
+                np.ones(faulty, dtype=bool))
+
+
 class TestBudgetEnforcement:
     """A model cannot cheat the runtime: the budget is enforced on
     every act(), not trusted."""
@@ -194,6 +221,13 @@ class TestBudgetEnforcement:
                 .payload(params=GCS, until=30.0).seed(1)
                 .adversarial(cls.name).engine("vectorized").build())
 
+    def rogue_clique_spec(self, monkeypatch, cls):
+        monkeypatch.setitem(ADVERSARIES, cls.name, cls)
+        params = StParams(n=8, f=2, rho=1e-3, d=1.0, u=0.01, period=10.0)
+        return (Scenario.of_protocol("srikanth_toueg")
+                .payload(params=params, rounds=3).seed(1)
+                .adversarial(cls.name).engine("vectorized").build())
+
     def test_offsets_outside_fault_set_rejected(self, monkeypatch):
         spec = self.rogue_spec(monkeypatch, _RogueSpray)
         with pytest.raises(ConfigError, match="outside its fault set"):
@@ -202,6 +236,24 @@ class TestBudgetEnforcement:
     def test_amplitude_budget_enforced(self, monkeypatch):
         spec = self.rogue_spec(monkeypatch, _RogueLoud)
         with pytest.raises(ConfigError, match="amplitude budget"):
+            run_cell(spec)
+
+    def test_silencing_honest_slots_rejected(self, monkeypatch):
+        spec = self.rogue_spec(monkeypatch, _RogueHush)
+        with pytest.raises(ConfigError, match="silenced honest slots"):
+            run_cell(spec)
+
+    def test_wrong_shapes_rejected(self, monkeypatch):
+        spec = self.rogue_spec(monkeypatch, _RogueMisshapen)
+        with pytest.raises(ConfigError, match=r"act\(\) returned wrong "
+                           r"shapes: \(11,\), \(10,\) for 10 slots"):
+            run_cell(spec)
+
+    def test_wrong_clique_shapes_rejected(self, monkeypatch):
+        spec = self.rogue_clique_spec(monkeypatch, _RogueMisshapen)
+        with pytest.raises(ConfigError, match=r"act_pairs\(\) returned "
+                           r"wrong shapes: \(2, 7\), \(2,\) for "
+                           r"\(2, 6\)"):
             run_cell(spec)
 
 

@@ -27,7 +27,13 @@ from repro.engine_vec.engine import (
     fast_trigger_mask,
     slow_trigger_mask,
 )
+from repro.engine_vec.protocols import _injected_up_down
 from repro.errors import ConfigError
+from repro.faults.adversary import (
+    VecAdversaryRuntime,
+    get_adversary,
+    stride_placement,
+)
 from repro.harness.scenario import Scenario
 from repro.harness.sweep import (
     ScenarioSpec,
@@ -254,6 +260,113 @@ def test_adversary_free_cell_is_pinned():
     (cell,) = SweepRunner(processes=1).run([spec], base_seed=42)
     assert cell.result.max_local_skew == 0.5000000000001137
     assert cell.result.max_global_skew == 0.9999999999992042
+
+
+def random_graph_around_placement(seed):
+    """A random graph built around its controlled vertices, the stride
+    placement of ``count``: one honest vertex isolated and, with two or
+    more controlled, one controlled vertex too; one honest vertex that
+    hears only controlled neighbors; one leaf; random pairs among the
+    rest.  Returns ``(graph, count)``."""
+    rng = random.Random(seed)
+    n = rng.randrange(8, 40)
+    count = rng.randrange(1, n // 2)
+    faulty = stride_placement(n, count).tolist()
+    honest = [v for v in range(n) if v not in faulty]
+    isolated = {honest[0]} | ({faulty[-1]} if count >= 2 else set())
+    captive, leaf = honest[1], honest[2]
+    live = [v for v in range(n) if v not in isolated | {captive, leaf}]
+    pairs = {tuple(sorted(rng.sample(live, 2)))
+             for _ in range(rng.randrange(1, 3 * n))}
+    targets = [v for v in faulty if v not in isolated]
+    pairs |= {tuple(sorted((captive, v)))
+              for v in rng.sample(targets, min(len(targets), 3))}
+    pairs.add(tuple(sorted((leaf, rng.choice(live)))))
+    edges = [(b, a) if rng.random() < 0.5 else (a, b)
+             for a, b in sorted(pairs, key=lambda _: rng.random())]
+    return ClusterGraph(n, edges, name=f"random-placed-{seed}"), count
+
+
+#: ``(graph, controlled count)`` cases of the injection comparison:
+#: the random placed graphs, and every CSR layout of two or more
+#: vertices under one, a third and all but one of them controlled.
+INJECTION_CASES = (
+    [random_graph_around_placement(seed) for seed in range(12)]
+    + [(graph, count) for graph in CSR_GRAPHS
+       if graph.num_clusters >= 2
+       for count in sorted({1, max(1, graph.num_clusters // 3),
+                            graph.num_clusters - 1})])
+
+
+def reference_injection(csr, honest, clocks, estimates, rate, offsets,
+                        keep):
+    """One injected graph round as the vectorized engine computed it
+    over every slot and every row before the controlled-slot path (a
+    frozen copy of ``_injected_up_down``, ``fast_trigger_mask``, the
+    clock step and the honest local skew): ``(up, down, gamma, next
+    clocks, honest local skew)``."""
+    est = estimates + offsets
+    up = csr.segment_max(np.where(keep, est, -np.inf)) - clocks
+    down = clocks - csr.segment_min(np.where(keep, est, np.inf))
+    s_hi = np.floor((up + GCS.slack) / (2.0 * GCS.kappa))
+    s_lo = np.maximum(1.0, np.ceil((down - GCS.slack) / (2.0 * GCS.kappa)))
+    gamma = (s_hi >= s_lo).astype(np.float64)
+    after = clocks + rate * (1.0 + GCS.mu * gamma) * GCS.period
+    both = honest[csr.edge_a] & honest[csr.edge_b]
+    a, b = csr.edge_a[both], csr.edge_b[both]
+    skew = float(np.max(np.abs(after[a] - after[b]))) if a.size else 0.0
+    return up, down, gamma, after, skew
+
+
+def injected_round(csr, adv, clocks, estimates, rate, actions):
+    """Each action's ``(up, down, gamma, next clocks, honest local
+    skew)`` as the vectorized graph round computes them."""
+    for offsets, keep in actions:
+        up, down = _injected_up_down(csr, clocks, estimates, offsets, keep)
+        gamma = fast_trigger_mask(up, down, GCS.kappa,
+                                  GCS.slack).astype(np.float64)
+        after = clocks + rate * (1.0 + GCS.mu * gamma) * GCS.period
+        yield up, down, gamma, after, adv.local_skew(after)
+
+
+def test_injected_round_matches_whole_slot_arithmetic():
+    # Bit for bit, on every action an adversary can take: none, every
+    # controlled slot silenced, random displacements with and without
+    # silenced slots, and the full push with every slot silenced.
+    moved = 0
+    for graph, count in INJECTION_CASES:
+        csr = CSRAdjacency(graph)
+        adv = VecAdversaryRuntime(get_adversary("silent", count=count),
+                                  csr, VecStreams(1, "gcs_single"), 1.0)
+        rng = np.random.default_rng(graph.num_edges + 97 * count)
+        n, slots = csr.num_nodes, csr.num_slots
+        faulty = adv.faulty_slots
+        honest = np.ones(n, dtype=bool)
+        honest[stride_placement(n, count)] = False
+        clocks = rng.uniform(0.0, 2.0, n)
+        estimates = clocks[csr.indices] + rng.uniform(-0.05, 0.05, slots)
+        rate = 1.0 + 1e-3 * (np.arange(n) % 2)
+        shift = np.where(faulty, rng.uniform(-1.0, 1.0, slots), 0.0)
+        some = ~faulty | (rng.random(slots) < 0.5)
+        keep_all = np.ones(slots, dtype=bool)
+        actions = [(np.zeros(slots), keep_all), (np.zeros(slots), ~faulty),
+                   (shift, keep_all), (shift, some),
+                   (np.where(faulty, 1.0, 0.0), ~faulty)]
+        got = list(injected_round(csr, adv, clocks, estimates, rate,
+                                  actions))
+        gammas = []
+        for i, ((offsets, keep), mine) in enumerate(zip(actions, got)):
+            want = reference_injection(csr, honest, clocks, estimates,
+                                       rate, offsets, keep)
+            where = f"{graph.name}, count {count}, action {i}"
+            for name, x, y in zip(("up", "down", "gamma", "next"),
+                                  mine, want):
+                assert np.array_equal(x, y), f"{name}: {where}"
+            assert mine[4] == want[4], f"skew: {where}"
+            gammas.append(want[2])
+        moved += any(not np.array_equal(g, gammas[0]) for g in gammas)
+    # The actions flip triggers, so the comparison reaches the step.
+    assert moved >= len(INJECTION_CASES) // 2
 
 
 class TestFaultyVectors:
