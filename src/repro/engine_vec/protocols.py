@@ -34,7 +34,10 @@ Equivalence contracts (enforced by
 
 Scale notes: per-round cost is O(slots) for the graph protocols and
 O(n^2) for the cliques; the graph models run 1e5–1e6-node topologies
-at interactive rates (experiment t17 measures rounds/s).
+at interactive rates (experiment t17 measures rounds/s).  An
+adversarial graph round adds one honest-slot reduction, and each
+action it scores or takes costs O(controlled slots) plus one pass over
+the honest edges (:class:`_Injection`).
 """
 
 from __future__ import annotations
@@ -61,17 +64,86 @@ def _spread(values: np.ndarray) -> float:
     return float(values.max() - values.min())
 
 
-def _injected_up_down(csr: CSRAdjacency, clocks: np.ndarray,
-                      estimates: np.ndarray, offsets: np.ndarray,
-                      keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The masked-write half of per-round fault-vector injection:
-    displaced estimates enter the trigger reductions, silenced slots
-    drop out (the ``±inf`` fills make them neutral — a node with no
-    surviving estimate comes out trigger-false, like degree 0)."""
-    est = estimates + offsets
-    up = csr.segment_max(np.where(keep, est, -np.inf)) - clocks
-    down = clocks - csr.segment_min(np.where(keep, est, np.inf))
-    return up, down
+def _advance(clocks: np.ndarray, rate: np.ndarray, up: np.ndarray,
+             down: np.ndarray, p, slack: float,
+             step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The FT trigger (with ``slack``) and clock step of a graph round
+    on the rows the arrays hold: ``(gamma, next clocks)``."""
+    gamma = fast_trigger_mask(up, down, p.kappa, slack).astype(np.float64)
+    return gamma, clocks + rate * (1.0 + p.mu * gamma) * step
+
+
+class _Injection:
+    """Fault-vector injection into a graph round, priced by the
+    controlled slots.
+
+    :meth:`begin` computes once per round what every action shares:
+    the segment max and min over the honest-sender slots (the
+    estimates with the controlled slots at ``-inf``/``+inf``) and from
+    them :attr:`up`, :attr:`down`, :attr:`gamma` and :attr:`next` --
+    the round in which every controlled sender is silent.  An action
+    ``(offsets, keep)`` moves only the rows its controlled slots reach,
+    :attr:`rows`: :meth:`reach` gathers those slots, reduces them per
+    row with one ``reduceat``, folds in the honest max and min and
+    recomputes trigger and clock step there.  Max and min are exact
+    and every other step is the same float operation on fewer rows, so
+    each value is the one a reduction over every slot gives: displaced
+    estimates enter the trigger, silenced ones drop out, and a row left
+    with no estimate comes out trigger-false, like degree 0.
+    """
+
+    def __init__(self, csr: CSRAdjacency, controlled: np.ndarray,
+                 rate: np.ndarray, p, slack: float, step: float) -> None:
+        self.csr = csr
+        #: The controlled slots in slot order, so grouped by row.
+        self.slots = controlled
+        receivers = csr.row[controlled]
+        first = np.ones(receivers.size, dtype=bool)
+        first[1:] = receivers[1:] != receivers[:-1]
+        self._starts = np.flatnonzero(first)
+        #: The rows a controlled slot reaches, one per group.
+        self.rows = receivers[self._starts]
+        self._rate = rate
+        self._row_rate = rate[self.rows]
+        self._knobs = (p, slack, step)
+
+    def begin(self, clocks: np.ndarray, estimates: np.ndarray) -> None:
+        """The shared half of this round's actions.  Overwrites the
+        controlled slots of ``estimates``, the round's own array."""
+        slots, rows = self.slots, self.rows
+        self._estimates = estimates[slots]
+        estimates[slots] = -np.inf
+        top = self.csr.segment_max(estimates)
+        estimates[slots] = np.inf
+        bottom = self.csr.segment_min(estimates)
+        self.up = top - clocks
+        self.down = clocks - bottom
+        self.gamma, self.next = _advance(clocks, self._rate, self.up,
+                                         self.down, *self._knobs)
+        self._top, self._bottom = top[rows], bottom[rows]
+        self._clocks = clocks[rows]
+
+    def reach(self, offsets: np.ndarray, keep: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(up, down, gamma, next clocks)`` on :attr:`rows` under
+        the action."""
+        est = self._estimates + offsets[self.slots]
+        kept = keep[self.slots]
+        top = np.maximum(self._top, np.maximum.reduceat(
+            np.where(kept, est, -np.inf), self._starts))
+        bottom = np.minimum(self._bottom, np.minimum.reduceat(
+            np.where(kept, est, np.inf), self._starts))
+        up = top - self._clocks
+        down = self._clocks - bottom
+        return (up, down) + _advance(self._clocks, self._row_rate, up,
+                                     down, *self._knobs)
+
+    def next_clocks(self, offsets: np.ndarray,
+                    keep: np.ndarray) -> np.ndarray:
+        """Every clock after this round under the action."""
+        after = self.next.copy()
+        after[self.rows] = self.reach(offsets, keep)[3]
+        return after
 
 
 def _run_graph_rounds(model: VecGcsSingle | VecFtgcs,
@@ -84,9 +156,10 @@ def _run_graph_rounds(model: VecGcsSingle | VecFtgcs,
     Per round: per-slot neighbor estimates ``clocks[j]`` plus one
     uniform ``±half_width`` draw per directed slot from ``noise``, the
     adversary's injection (choosing against a lookahead of this very
-    round), the FT trigger via CSR segment max/min with ``slack``, then
-    every clock advances ``step`` at ``rate * (1 + mu * gamma)``; the
-    local and global skew after each round form the series.
+    round, both through :class:`_Injection`), the FT trigger via CSR
+    segment max/min with ``slack``, then every clock advances ``step``
+    at ``rate * (1 + mu * gamma)``; the local and global skew after
+    each round form the series.
     """
     p = model.params
     csr = model.csr
@@ -95,33 +168,28 @@ def _run_graph_rounds(model: VecGcsSingle | VecFtgcs,
     max_local = max_global = 0.0
     last_local = 0.0
     slots = csr.num_slots
+    if adv is not None:
+        inject = _Injection(csr, adv.controlled_slots, rate, p, slack,
+                            step)
+
+        def lookahead(offsets, keep):
+            return adv.local_skew(inject.next_clocks(offsets, keep))
+
     for r in range(1, model.rounds + 1):
         estimates = csr.gather(clocks)
         if half_width > 0.0 and slots:
             estimates += noise.uniform(-half_width, half_width, slots)
         if adv is not None:
-            def lookahead(offsets, keep):
-                up, down = _injected_up_down(csr, clocks, estimates,
-                                             offsets, keep)
-                gamma = fast_trigger_mask(
-                    up, down, p.kappa, slack).astype(np.float64)
-                return adv.local_skew(
-                    clocks + rate * (1.0 + p.mu * gamma) * step)
-
+            inject.begin(clocks, estimates)
             offsets, keep = adv.round_vectors(
                 r, honest_local_skew=last_local, evaluate=lookahead)
-            up, down = _injected_up_down(csr, clocks, estimates,
-                                         offsets, keep)
-        else:
-            up = csr.segment_max(estimates) - clocks
-            down = clocks - csr.segment_min(estimates)
-        gamma = fast_trigger_mask(up, down, p.kappa,
-                                  slack).astype(np.float64)
-        clocks = clocks + rate * (1.0 + p.mu * gamma) * step
-        if adv is not None:
+            clocks = inject.next_clocks(offsets, keep)
             local = adv.local_skew(clocks)
             global_ = adv.global_skew(clocks)
         else:
+            _, clocks = _advance(
+                clocks, rate, csr.segment_max(estimates) - clocks,
+                clocks - csr.segment_min(estimates), p, slack, step)
             local = csr.edge_skew(clocks)
             global_ = _spread(clocks)
         last_local = local

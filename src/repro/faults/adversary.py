@@ -938,8 +938,10 @@ class VecAdversaryRuntime(_CounterMixin):
         self.faulty_mask = faulty_mask
         self.honest_mask = ~faulty_mask
         self.honest_ids = np.nonzero(self.honest_mask)[0]
-        #: Slots whose *sender* is controlled.
+        #: Slots whose *sender* is controlled, as a mask and as the
+        #: indices of its true entries.
         self.faulty_slots = faulty_mask[csr.indices]
+        self.controlled_slots = np.flatnonzero(self.faulty_slots)
         self.csr = csr
         honest_edges = (self.honest_mask[csr.edge_a]
                         & self.honest_mask[csr.edge_b])
@@ -973,19 +975,23 @@ class VecAdversaryRuntime(_CounterMixin):
                 f"adversary {self.model.name!r} act() returned wrong "
                 f"shapes: {offsets.shape}, {keep.shape} for "
                 f"{csr.num_slots} slots")
-        honest = ~self.faulty_slots
-        if np.any(offsets[honest] != 0.0):
+        # An honest slot is displaced (silenced) exactly when the
+        # controlled slots hold fewer of the non-zero offsets (of the
+        # silenced slots) than all the slots do.
+        controlled = self.controlled_slots
+        mine = offsets[controlled]
+        if np.count_nonzero(offsets) > np.count_nonzero(mine):
             raise ConfigError(
                 f"adversary {self.model.name!r} act() wrote offsets "
                 f"outside its fault set (budget: "
                 f"{self.budget.count} node(s))")
-        if np.any(~keep[honest]):
+        silenced = int(keep.size - np.count_nonzero(keep))
+        if silenced > controlled.size - np.count_nonzero(keep[controlled]):
             raise ConfigError(
                 f"adversary {self.model.name!r} act() silenced honest "
                 f"slots (budget: {self.budget.count} node(s))")
-        self._check_amplitude(offsets)
-        self._record(np.abs(offsets[self.faulty_slots]),
-                     int((~keep).sum()))
+        self._check_amplitude(mine)
+        self._record(np.abs(mine), silenced)
         return offsets, keep
 
     def local_skew(self, clocks) -> float:
@@ -995,8 +1001,11 @@ class VecAdversaryRuntime(_CounterMixin):
 
         if self._edge_a.size == 0:
             return 0.0
-        return float(np.max(np.abs(clocks[self._edge_a]
-                                   - clocks[self._edge_b])))
+        # In place on the gather, this call's own array: the lookahead
+        # measures every scored action this way.
+        gap = clocks[self._edge_a]
+        gap -= clocks[self._edge_b]
+        return float(np.abs(gap, out=gap).max())
 
     def global_skew(self, clocks) -> float:
         import numpy as np

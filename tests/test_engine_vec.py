@@ -27,7 +27,7 @@ from repro.engine_vec.engine import (
     fast_trigger_mask,
     slow_trigger_mask,
 )
-from repro.engine_vec.protocols import _injected_up_down
+from repro.engine_vec.protocols import _Injection
 from repro.errors import ConfigError
 from repro.faults.adversary import (
     VecAdversaryRuntime,
@@ -302,9 +302,9 @@ def reference_injection(csr, honest, clocks, estimates, rate, offsets,
                         keep):
     """One injected graph round as the vectorized engine computed it
     over every slot and every row before the controlled-slot path (a
-    frozen copy of ``_injected_up_down``, ``fast_trigger_mask``, the
-    clock step and the honest local skew): ``(up, down, gamma, next
-    clocks, honest local skew)``."""
+    frozen copy of the former ``_injected_up_down``, of
+    ``fast_trigger_mask``, the clock step and the honest local skew):
+    ``(up, down, gamma, next clocks, honest local skew)``."""
     est = estimates + offsets
     up = csr.segment_max(np.where(keep, est, -np.inf)) - clocks
     down = clocks - csr.segment_min(np.where(keep, est, np.inf))
@@ -320,12 +320,17 @@ def reference_injection(csr, honest, clocks, estimates, rate, offsets,
 
 def injected_round(csr, adv, clocks, estimates, rate, actions):
     """Each action's ``(up, down, gamma, next clocks, honest local
-    skew)`` as the vectorized graph round computes them."""
+    skew)`` as the vectorized graph round computes them: the shared
+    half once, then only the rows each action reaches."""
+    inject = _Injection(csr, adv.controlled_slots, rate, GCS, GCS.slack,
+                        GCS.period)
+    inject.begin(clocks, estimates.copy())
     for offsets, keep in actions:
-        up, down = _injected_up_down(csr, clocks, estimates, offsets, keep)
-        gamma = fast_trigger_mask(up, down, GCS.kappa,
-                                  GCS.slack).astype(np.float64)
-        after = clocks + rate * (1.0 + GCS.mu * gamma) * GCS.period
+        up, down, gamma = (inject.up.copy(), inject.down.copy(),
+                           inject.gamma.copy())
+        rows = inject.rows
+        up[rows], down[rows], gamma[rows], _ = inject.reach(offsets, keep)
+        after = inject.next_clocks(offsets, keep)
         yield up, down, gamma, after, adv.local_skew(after)
 
 
