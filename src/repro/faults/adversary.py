@@ -27,7 +27,8 @@ budget contract
     per-cluster ``f`` on the clique protocols) and may displace any
     clock estimate it emits by at most ``amplitude`` time units.  The
     runtimes *enforce* the contract: an act that touches a non-faulty
-    slot, silences an honest sender, or exceeds the amplitude is
+    slot, silences an honest sender, or exceeds the amplitude (as every
+    non-finite offset, NaN included, does) is
     rejected at runtime with a :class:`~repro.errors.ConfigError`
     naming the violation — a model cannot quietly cheat its way to an
     impressive skew.
@@ -903,7 +904,8 @@ class _CounterMixin:
         import numpy as np
 
         worst = float(np.max(np.abs(offsets))) if offsets.size else 0.0
-        if worst > self.amplitude * (1.0 + 1e-9) + 1e-15:
+        # Written so that NaN, which compares false, fails it too.
+        if not worst <= self.amplitude * (1.0 + 1e-9) + 1e-15:
             raise ConfigError(
                 f"adversary {self.model.name!r} act() exceeded its "
                 f"amplitude budget: |offset| {worst:g} > "

@@ -211,6 +211,22 @@ class _RogueMisshapen(AdversaryModel):
                 np.ones(faulty, dtype=bool))
 
 
+class _RogueNaN(AdversaryModel):
+    """Puts NaN on its own slots, which no amplitude bound admits."""
+
+    name = "rogue_nan"
+    supports_vectorized = True
+
+    def act(self, view):
+        return (np.where(view.faulty_slots, np.nan, 0.0),
+                np.ones(view.num_slots, dtype=bool))
+
+    def act_pairs(self, view):
+        faulty = len(view.faulty_ids)
+        return (np.full((faulty, len(view.receiver_ids)), np.nan),
+                np.ones(faulty, dtype=bool))
+
+
 class TestBudgetEnforcement:
     """A model cannot cheat the runtime: the budget is enforced on
     every act(), not trusted."""
@@ -236,6 +252,19 @@ class TestBudgetEnforcement:
     def test_amplitude_budget_enforced(self, monkeypatch):
         spec = self.rogue_spec(monkeypatch, _RogueLoud)
         with pytest.raises(ConfigError, match="amplitude budget"):
+            run_cell(spec)
+
+    def test_non_finite_offset_exceeds_the_budget(self, monkeypatch):
+        spec = self.rogue_spec(monkeypatch, _RogueNaN)
+        with pytest.raises(ConfigError, match="amplitude budget: "
+                           r"\|offset\| nan > "):
+            run_cell(spec)
+
+    def test_non_finite_clique_offset_exceeds_the_budget(self,
+                                                        monkeypatch):
+        spec = self.rogue_clique_spec(monkeypatch, _RogueNaN)
+        with pytest.raises(ConfigError, match="amplitude budget: "
+                           r"\|offset\| nan > "):
             run_cell(spec)
 
     def test_silencing_honest_slots_rejected(self, monkeypatch):
