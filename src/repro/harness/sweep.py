@@ -412,6 +412,17 @@ def _build_graph(spec: ScenarioSpec) -> ClusterGraph:
                           f"{tuple(spec.graph_args)!r}: {exc}") from None
 
 
+def _build_schedule(spec: ScenarioSpec,
+                    graph: ClusterGraph) -> TopologySchedule:
+    """The spec's topology schedule over ``graph``.  Arguments that
+    bind but that the schedule refuses are a ``ConfigError``, in
+    :func:`check_spec` and in the worker alike."""
+    try:
+        return build_schedule(spec.schedule, graph, **spec.schedule_args)
+    except (TypeError, ValueError, TopologyError) as exc:
+        raise ConfigError(f"bad {spec.schedule} cell: {exc}") from None
+
+
 def _run_protocol_cell(spec: ScenarioSpec) -> SweepCellResult:
     """The generic worker: any registered protocol through the
     :class:`~repro.core.protocol.SystemBuilder` path.
@@ -425,8 +436,7 @@ def _run_protocol_cell(spec: ScenarioSpec) -> SweepCellResult:
     if spec.graph:
         graph = _build_graph(spec)
         if spec.schedule and spec.schedule != "static":
-            builder.topology(build_schedule(spec.schedule, graph,
-                                            **spec.schedule_args))
+            builder.topology(_build_schedule(spec, graph))
         else:
             builder.topology(graph)
     elif spec.schedule not in ("", "static"):
@@ -705,11 +715,7 @@ def check_spec(spec: ScenarioSpec) -> ScenarioSpec:
                           f"{spec.schedule}: {exc}") from None
     protocol = cell_protocol(spec)
     if spec.schedule == "node_churn" and spec.graph:
-        try:
-            build_schedule("node_churn", _build_graph(spec),
-                           **spec.schedule_args)
-        except (TypeError, ValueError, TopologyError) as exc:
-            raise ConfigError(f"bad node_churn cell: {exc}") from None
+        _build_schedule(spec, _build_graph(spec))
     # Edge and node events by override identity on the class, the test
     # TopologySchedule.has_edge_events makes: no schedule is built.  A
     # schedule registered as a factory function shows its events only

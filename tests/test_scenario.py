@@ -364,6 +364,19 @@ class TestFieldChecks:
             run_cell(spec)
         assert str(built.value) == str(worker.value) == message
 
+    @pytest.mark.parametrize("args", [
+        {"interval": "x", "churn": 0.5},
+        {"interval": 10.0, "churn": "y"},
+        {"interval": 10.0, "churn": 0.5, "protect": [1]},
+    ], ids=["interval-str", "churn-str", "protect-int"])
+    def test_arguments_the_schedule_refuses(self, args):
+        spec = (Scenario.line(3).params(PARAMS).rounds(2).seed(1)
+                .dynamic("churn", **args).build())
+        assert check_spec(spec) is spec  # binds; values are the worker's
+        with pytest.raises(ConfigError) as worker:
+            run_cell(spec)
+        assert str(worker.value).startswith("bad churn cell: ")
+
 
 class TestEndToEnd:
     def test_built_spec_runs(self):
