@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test golden verify lint list run serve smoke-t16 smoke-serve bench-check bench-ab bench-layers
+.PHONY: test golden verify lint list run serve smoke-t16 smoke-serve bench-check bench-reference bench-ab bench-layers
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -79,6 +79,16 @@ bench-check:
 	$(PYTHON) perfbench/run.py --workload event_ftgcs --seed 1 --seconds 1 --trace 0
 	$(PYTHON) perfbench/run.py --workload vec_scale --seed 1 --seconds 1 --trace 0
 	$(PYTHON) perfbench/run.py --workload service_faulted --seed 1 --seconds 1 --trace 0
+
+# Every variant of every slot of a workload (all three without
+# WORKLOAD), not just the one a seed picks, run serially and compared
+# with its fingerprint in perfbench/reference.json.  Writes nothing;
+# prints each mismatching slot and variant and exits non-zero on any.
+# The one-command check that a change moves no benchmark output.
+# vec_scale's 136 variants take about 8 s.
+#   make bench-reference [WORKLOAD=<w>]
+bench-reference:
+	$(PYTHON) benchmarks/reference_check.py $(WORKLOAD)
 
 # A/B pairs of two revisions on one benchmark workload: both exported
 # with git archive (same BENCHMARK.json and perfbench/ required), PAIRS
