@@ -23,8 +23,6 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "perfbench"))
 
 
 def compare(reference: dict[str, str],
@@ -94,4 +92,5 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     sys.exit(main(sys.argv[1:]))

@@ -337,7 +337,8 @@ def injected_round(csr, adv, clocks, estimates, rate, actions):
 def test_injected_round_matches_whole_slot_arithmetic():
     # Bit for bit, on every action an adversary can take: none, every
     # controlled slot silenced, random displacements with and without
-    # silenced slots, and the full push with every slot silenced.
+    # silenced slots, and the full push with every controlled slot
+    # silenced.
     moved = 0
     for graph, count in INJECTION_CASES:
         csr = CSRAdjacency(graph)
